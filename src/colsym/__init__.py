@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 
 from .errors import (
     CacheError,
-    CapacityExceeded,
     ColsymError,
     DomainError,
     InternalError,
@@ -28,15 +27,14 @@ from .presentations import (
     von_dyck_group,
 )
 from .words import REFLECTIONS, ROTATIONS, Word, free_reduce, sign_parity
-from .coset import CosetTable, apply_word, canonical_table, enumerate_cosets, reroot, standardize, validate
-from .lowindex import ClassList, low_index_classes, oracle_classes
+from .coset import CosetTable, canonical_table, reroot, validate
+from .lowindex import ClassList, low_index_classes
 from .subgroups import (
     SubgroupRecord,
-    conjugate_in,
     fixed_cosets,
     is_orientation_subgroup,
-    schreier_generators,
-    transversal_words,
+    orientation_sides,
+    transform_subgroup,
 )
 from .census import (
     CensusEntry,
@@ -45,13 +43,10 @@ from .census import (
     TilingKind,
     census,
     colour_permutation,
-    colours_transitive,
-    compare_reports,
     format_census,
-    permutation_homomorphism_check,
     required_words,
 )
 from .geometry import FundamentalTriangle, TrianglePatch, fundamental_triangle, generate_patch
-from .render import ColouredPatch, colour_histogram, colour_patch, emit_svg, verify_perfect_on_patch
+from .render import ColouredPatch, colour_patch, emit_svg, verify_perfect_on_patch
 from .cache import cached_provider, load_classes, store_classes
 from .selftest import run_selftest

@@ -4,7 +4,9 @@ A class list is keyed by (presentation family, p, q, max_index).  A
 cached list computed to a larger index bound serves any smaller request
 after trimming, since the search output at bound N literally contains
 the output at bound n < N.  Files are JSON, written atomically; corrupt
-or schema-mismatched files are ignored and recomputed over.
+files, and files of another schema or another engine version, are
+ignored and recomputed over.  A change to what the search outputs must
+therefore bump __version__ or SCHEMA_VERSION.
 """
 from __future__ import annotations
 
@@ -74,6 +76,8 @@ def parse_class_list(text: str) -> ClassList:
         raise ParseError("top level is not an object")
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise ParseError(f"schema_version {doc.get('schema_version')!r} not understood")
+    if doc.get("engine") != __version__:
+        raise ParseError(f"written by engine {doc.get('engine')!r}, not {__version__}")
     try:
         pres = _rebuild(doc["family"], int(doc["p"]), int(doc["q"]))
         max_index = int(doc["max_index"])
@@ -215,7 +219,7 @@ def cache_entries(cache_dir: str | None = None) -> list[dict]:
                 cl = parse_class_list(fh.read())
             entry["classes"] = len(cl.tables)
         except (OSError, ParseError):
-            entry["classes"] = None  # corrupt; will be recomputed on use
+            entry["classes"] = None  # corrupt or stale; recomputed on use
         out.append(entry)
     return out
 

@@ -23,11 +23,7 @@ from enum import Enum
 from .coset import CosetTable, canonical_table, reroot
 from .errors import DomainError, InternalError
 from .lowindex import ClassList, low_index_classes
-from .presentations import (
-    Presentation,
-    triangle_group,
-    von_dyck_group,
-)
+from .presentations import triangle_group, von_dyck_group
 from .subgroups import (
     SubgroupRecord,
     fixed_cosets,
@@ -117,7 +113,7 @@ def _rerooted_record(t: CosetTable, words) -> SubgroupRecord:
     fx = fixed_cosets(t, words)
     if not fx:
         raise InternalError("representative lost its fixed coset")
-    return SubgroupRecord.from_table(reroot(t, min(fx)))
+    return SubgroupRecord(reroot(t, min(fx)))
 
 
 def census(
@@ -128,8 +124,6 @@ def census(
     max_colours: int,
     *,
     strategy: str = "a",
-    jobs: int = 1,
-    node_budget: int | None = None,
     classes_provider=None,
 ) -> CensusReport:
     """All perfect colourings of the tiling with at most max_colours colours.
@@ -142,7 +136,9 @@ def census(
     the rotation group directly and fuses conjugacy classes that the
     mirror twist identifies.  strategy "both" runs the two and insists
     they agree.  classes_provider(presentation, max_index) -> ClassList
-    lets callers interpose a cache.
+    lets callers interpose a cache (see cache.cached_provider, which
+    also takes the search's jobs and node budget); the default runs
+    low_index_classes directly.
     """
     if max_colours < 1:
         raise DomainError("max_colours must be at least 1")
@@ -150,11 +146,7 @@ def census(
         raise DomainError(f"bad tiling kind: {kind!r}")
     if not isinstance(scope, Scope):
         raise DomainError(f"bad scope: {scope!r}")
-    provider = classes_provider
-    if provider is None:
-        provider = lambda pres, n: low_index_classes(
-            pres, n, jobs=jobs, node_budget=node_budget
-        )
+    provider = classes_provider or low_index_classes
 
     started = time.perf_counter()
     if scope is Scope.FULL:
@@ -238,39 +230,28 @@ def _census_rotation_b(p, q, kind, max_colours, provider) -> tuple[CensusEntry, 
 
     Classes there are conjugacy classes under rotations only; the mirror
     twist (an outer automorphism) can identify two of them, and such a
-    pair is one colouring class of the unoriented tiling.  Fuse before
-    counting.
+    pair is one colouring class of the unoriented tiling.  The twist is
+    an involution, so each class has exactly one partner (possibly
+    itself); the first class of each pair is counted.
     """
     vd, sigma = von_dyck_group(p, q)
     word = rotation_required_word(kind)
     classes = provider(vd, max_colours)
     qualifying = [t for t in classes.tables if fixed_cosets(t, (word,))]
     slot = {t.rows: i for i, t in enumerate(qualifying)}
-
-    parent = list(range(len(qualifying)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i, t in enumerate(qualifying):
-        image = transform_subgroup(vd, t, sigma)
-        if image.n != t.n:
-            raise InternalError("mirror twist changed the index")
-        j = slot.get(canonical_table(image).rows)
+    partner = []
+    for t in qualifying:
+        j = slot.get(canonical_table(transform_subgroup(t, sigma)).rows)
         if j is None:
             raise InternalError("mirror twist left the qualifying class list")
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
+        partner.append(j)
 
     buckets: dict[int, list[SubgroupRecord]] = {}
     for i, t in enumerate(qualifying):
-        if find(i) != i:
-            continue
-        buckets.setdefault(t.n, []).append(_rerooted_record(t, (word,)))
+        if partner[partner[i]] != i:
+            raise InternalError("mirror twist does not act as an involution")
+        if partner[i] >= i:  # keep the first class of each fused pair
+            buckets.setdefault(t.n, []).append(_rerooted_record(t, (word,)))
     return _bucket(buckets)
 
 
@@ -283,48 +264,6 @@ def colour_permutation(t: CosetTable, w: Word) -> tuple[int, ...]:
     """
     iw = t.alphabet.inverse_word(w)
     return tuple(t.apply(i, iw) for i in range(t.n))
-
-
-def compose_permutations(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
-    """u after v, matching colour_permutation(t, uv)."""
-    return tuple(u[v[i]] for i in range(len(u)))
-
-
-def permutation_homomorphism_check(t: CosetTable, u: Word, v: Word) -> bool:
-    """colour_permutation is a homomorphism: uv acts as (u's perm)(v's perm)."""
-    return colour_permutation(t, u + v) == compose_permutations(
-        colour_permutation(t, u), colour_permutation(t, v)
-    )
-
-
-def colours_transitive(t: CosetTable) -> bool:
-    """Can every colour be carried to every other by some symmetry?
-
-    True for any complete transitive table, so this is a diagnostic for
-    corrupted inputs rather than a filter.
-    """
-    n = t.n
-    reached = {0}
-    stack = [0]
-    gens = [
-        colour_permutation(t, (c,)) for c in range(t.alphabet.size)
-    ]
-    while stack:
-        i = stack.pop()
-        for g in gens:
-            j = g[i]
-            if j not in reached:
-                reached.add(j)
-                stack.append(j)
-    return len(reached) == n
-
-
-def compare_reports(ra: CensusReport, rb: CensusReport) -> bool:
-    """Same multiplicity at every colour count up to the smaller bound."""
-    bound = min(ra.max_colours, rb.max_colours)
-    ma = {k: v for k, v in ra.multiplicities().items() if k <= bound}
-    mb = {k: v for k, v in rb.multiplicities().items() if k <= bound}
-    return ma == mb
 
 
 def format_census(report: CensusReport, style: str = "plain") -> str:

@@ -18,12 +18,7 @@ import sys
 
 from .cache import cache_clear, cache_entries, cached_provider, default_cache_dir
 from .census import Scope, TilingKind, census, format_census
-from .errors import (
-    CapacityExceeded,
-    ColsymError,
-    DomainError,
-    ResourceLimit,
-)
+from .errors import ColsymError, DomainError, ResourceLimit
 from .geometry import generate_patch
 from .presentations import Geometry, classify_geometry
 from .render import colour_patch, emit_svg, verify_perfect_on_patch
@@ -57,7 +52,8 @@ def _budget_options(sp: argparse.ArgumentParser) -> None:
         "--max-nodes",
         type=int,
         default=None,
-        help="abort the subgroup search after this many search nodes",
+        help="abort the subgroup search after this many search nodes, "
+        "counted per search process, so the total grows with --jobs",
     )
 
 
@@ -139,10 +135,7 @@ def _representative(args, k: int):
     """The census representative selected by --colours/--pick."""
     kind = TilingKind(args.tiling)
     scope = Scope(args.scope)
-    report = census(
-        args.p, args.q, kind, scope, k,
-        jobs=args.jobs, classes_provider=_provider(args),
-    )
+    report = census(args.p, args.q, kind, scope, k, classes_provider=_provider(args))
     for e in report.entries:
         if e.colours == k:
             if not 0 <= args.pick < len(e.representatives):
@@ -171,7 +164,6 @@ def cmd_census(args) -> int:
         Scope(args.scope),
         args.max_colours,
         strategy=args.strategy,
-        jobs=args.jobs,
         classes_provider=_provider(args),
     )
     text = format_census(report, args.format)
@@ -282,7 +274,7 @@ def main(argv=None) -> int:
     except DomainError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (CapacityExceeded, ResourceLimit) as e:
+    except ResourceLimit as e:
         print(f"resource limit: {e}", file=sys.stderr)
         return 3
     except ColsymError as e:

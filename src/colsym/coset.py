@@ -1,21 +1,16 @@
-"""Coset tables and systematic coset enumeration.
+"""Coset tables: re-rooting, canonical forms and validation.
 
 A coset table for a subgroup S of a group G presented on k letters is
 an n x k array: rows are cosets (row 0 is S itself), columns follow the
 alphabet, and entry (i, g) is the coset S w_i g.  A complete table is a
-transitive permutation representation of G on the cosets.
-
-enumerate_cosets is the classic relator-scanning procedure with
-coincidence handling: scan every relator at every coset, define new
-cosets at scan gaps, and merge cosets identified by a completed scan.
-It terminates exactly when the index is finite and the budget suffices.
+transitive permutation representation of G on the cosets.  The tables
+themselves come from the low-index search (lowindex.py).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
-from .errors import CapacityExceeded, DomainError
+from .errors import DomainError
 from .presentations import Presentation
 from .words import Alphabet, Word
 
@@ -43,136 +38,6 @@ class CosetTable:
         return tuple(v for row in self.rows for v in row)
 
 
-def apply_word(t: CosetTable, i: int, w: Word) -> int:
-    return t.apply(i, w)
-
-
-def default_budget(index_hint: int) -> int:
-    """Coset budget for an enumeration whose index is known in advance."""
-    return max(1000, 200 * index_hint)
-
-
-def enumerate_cosets(
-    pres: Presentation,
-    subgroup_gens: Iterable[Word],
-    max_cosets: int | None = None,
-) -> CosetTable:
-    """Complete standardized coset table of <subgroup_gens> in pres.
-
-    max_cosets bounds the total number of cosets ever defined, dead ones
-    included; CapacityExceeded is raised when the bound is hit.  With no
-    bound given a generous default is used so that runaway enumerations
-    of infinite-index subgroups still terminate with an error.
-    """
-    if max_cosets is None:
-        max_cosets = 1_000_000
-    if max_cosets < 1:
-        raise DomainError("max_cosets must be positive")
-
-    m = pres.alphabet.size
-    inv = pres.alphabet.inv
-
-    table: list[list[int]] = [[-1] * m]
-    parent = [0]  # union-find; merged cosets point to a smaller index
-    n_total = 1  # live + dead cosets ever defined
-
-    def rep(k: int) -> int:
-        r = k
-        while parent[r] != r:
-            r = parent[r]
-        while parent[k] != r:
-            parent[k], k = r, parent[k]
-        return r
-
-    def define(alpha: int, x: int) -> None:
-        nonlocal n_total
-        if n_total >= max_cosets:
-            raise CapacityExceeded(max_cosets)
-        beta = len(table)
-        table.append([-1] * m)
-        parent.append(beta)
-        n_total += 1
-        table[alpha][x] = beta
-        table[beta][inv[x]] = alpha
-
-    pending: list[int] = []  # dead cosets whose rows still need stripping
-
-    def merge(k: int, l: int) -> None:
-        k, l = rep(k), rep(l)
-        if k == l:
-            return
-        if k < l:
-            k, l = l, k
-        parent[k] = l
-        pending.append(k)
-
-    def coincidence(alpha: int, beta: int) -> None:
-        merge(alpha, beta)
-        while pending:
-            gamma = pending.pop()
-            row = table[gamma]
-            for x in range(m):
-                delta = row[x]
-                if delta == -1:
-                    continue
-                table[delta][inv[x]] = -1  # drop the back-reference
-                mu, nu = rep(gamma), rep(delta)
-                if table[mu][x] != -1:
-                    merge(nu, table[mu][x])
-                elif table[nu][inv[x]] != -1:
-                    merge(mu, table[nu][inv[x]])
-                else:
-                    table[mu][x] = nu
-                    table[nu][inv[x]] = mu
-
-    def scan_and_fill(alpha: int, w: Word) -> None:
-        r = len(w)
-        if r == 0:
-            return
-        f, i = alpha, 0
-        while True:
-            while i < r and table[f][w[i]] != -1:
-                f = table[f][w[i]]
-                i += 1
-            if i == r:
-                if f != alpha:
-                    coincidence(f, alpha)
-                return
-            b, j = alpha, r - 1
-            while j >= i and table[b][inv[w[j]]] != -1:
-                b = table[b][inv[w[j]]]
-                j -= 1
-            if j < i:
-                # both scans met in the middle on the same position
-                if f != b:
-                    coincidence(f, b)
-                return
-            if j == i:
-                # the gap is a single letter: a forced deduction
-                table[f][w[i]] = b
-                table[b][inv[w[i]]] = f
-                return
-            define(f, w[i])
-
-    for w in subgroup_gens:
-        scan_and_fill(0, tuple(w))
-    alpha = 0
-    while alpha < len(table):
-        if parent[alpha] == alpha:
-            for rel in pres.relators:
-                scan_and_fill(alpha, rel)
-                if parent[alpha] != alpha:
-                    break
-        alpha += 1
-
-    live = [k for k in range(len(table)) if parent[k] == k]
-    renum = {old: new for new, old in enumerate(live)}
-    rows = tuple(
-        tuple(renum[rep(table[old][x])] for x in range(m)) for old in live
-    )
-    return standardize(CosetTable(pres.alphabet, rows))
-
-
 def _renumber(t: CosetTable, base: int) -> CosetTable:
     """Relabel cosets in first-visit order of a column-ordered BFS from base."""
     m = t.alphabet.size
@@ -192,11 +57,6 @@ def _renumber(t: CosetTable, base: int) -> CosetTable:
         raise DomainError("table is not transitive; cannot renumber")
     new_rows = tuple(tuple(loc[rows[o][c]] for c in range(m)) for o in order)
     return CosetTable(t.alphabet, new_rows)
-
-
-def standardize(t: CosetTable) -> CosetTable:
-    """Renumber so cosets appear in first-visit scan order from coset 0."""
-    return _renumber(t, 0)
 
 
 def reroot(t: CosetTable, base: int) -> CosetTable:

@@ -9,20 +9,8 @@ class DomainError(ColsymError):
     """An argument is outside the domain the function is defined on."""
 
 
-class CapacityExceeded(ColsymError):
-    """Coset enumeration ran out of its coset budget.
-
-    Dead (merged) cosets count toward the budget, so this can fire even
-    when the final index would have been small.
-    """
-
-    def __init__(self, max_cosets: int):
-        super().__init__(f"coset budget exhausted (max_cosets={max_cosets})")
-        self.max_cosets = max_cosets
-
-
 class ResourceLimit(ColsymError):
-    """A configured node or memory budget was exceeded mid-search."""
+    """A configured node or tile budget was exceeded mid-computation."""
 
 
 class MergeInconsistency(ColsymError):

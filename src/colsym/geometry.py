@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, ResourceLimit
-from .presentations import Geometry, classify_geometry, triangle_group
+from .presentations import Geometry, classify_geometry
 from .words import A, B, C, Word
 
 KEY_QUANTUM = 1e-6
@@ -32,17 +32,6 @@ def form_matrix(geometry: Geometry) -> np.ndarray:
     if geometry is Geometry.HYPERBOLIC:
         return np.diag([1.0, 1.0, -1.0])
     return np.eye(3)
-
-
-def form_residual(M: np.ndarray, geometry: Geometry) -> float:
-    """How far M is from preserving the geometry's structure."""
-    if geometry is Geometry.EUCLIDEAN:
-        L = M[:2, :2]
-        r1 = np.abs(L.T @ L - np.eye(2)).max()
-        r2 = np.abs(M[2] - np.array([0.0, 0.0, 1.0])).max()
-        return float(max(r1, r2))
-    J = form_matrix(geometry)
-    return float(np.abs(M.T @ J @ M - J).max())
 
 
 def reorthogonalize(M: np.ndarray, geometry: Geometry) -> np.ndarray:

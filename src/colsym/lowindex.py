@@ -13,13 +13,9 @@ Conjugacy classes, not subgroups, are wanted.  A complete table is kept
 only if it is the lexicographically least among its re-rootings (the
 tables of its conjugate subgroups); the same comparison applied to a
 partial table prunes whole subtrees that can no longer win.
-
-oracle_classes recounts classes for tiny indices by brute force over
-permutation images, sharing nothing with the search; the two must agree.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from multiprocessing import get_context
 
@@ -310,100 +306,3 @@ def low_index_classes(
     tables = [CosetTable(pres.alphabet, rows) for rows in results]
     tables.sort(key=lambda t: (t.n, t.flat()))
     return ClassList(pres, max_index, tuple(tables))
-
-
-@dataclass(frozen=True)
-class OracleCount:
-    """Class count at one index from the brute-force permutation oracle."""
-
-    index: int
-    count: int
-    witnesses: tuple[tuple[int, ...], ...]  # flattened generator images
-
-
-def oracle_classes(pres: Presentation, index: int) -> OracleCount:
-    """Count conjugacy classes of index-`index` subgroups by brute force.
-
-    Enumerates all tuples of permutations of {0..index-1} satisfying the
-    relators (involutions where a letter is its own inverse), keeps the
-    transitive ones, and counts orbits under simultaneous relabelling.
-    Exponential in index; anything past 7 is refused.
-    """
-    if index < 1:
-        raise DomainError("index must be at least 1")
-    if index > 7:
-        raise DomainError("oracle is exponential; index > 7 refused")
-    n = index
-    inv = pres.alphabet.inv
-    gen_cols = pres.alphabet.generator_columns()
-    perms = list(itertools.permutations(range(n)))
-    involutions = [p for p in perms if all(p[p[i]] == i for i in range(n))]
-    pools = [involutions if inv[g] == g else perms for g in gen_cols]
-
-    # a relator can be checked once every generator it uses is assigned
-    stage_relators: list[list[Word]] = [[] for _ in gen_cols]
-    for rel in pres.relators:
-        need = max(gen_cols.index(g if g in gen_cols else inv[g]) for g in rel)
-        stage_relators[need].append(rel)
-
-    def relator_closes(rel: Word, acts: dict[int, tuple[int, ...]]) -> bool:
-        for start in range(n):
-            i = start
-            for g in rel:
-                i = acts[g][i]
-            if i != start:
-                return False
-        return True
-
-    found: set[tuple[int, ...]] = set()
-    acts: dict[int, tuple[int, ...]] = {}
-
-    def extend(stage: int) -> None:
-        if stage == len(gen_cols):
-            seen = {0}
-            fringe = [0]
-            while fringe:
-                i = fringe.pop()
-                for g in gen_cols:
-                    j = acts[g][i]
-                    if j not in seen:
-                        seen.add(j)
-                        fringe.append(j)
-            if len(seen) == n:
-                found.add(tuple(v for g in gen_cols for v in acts[g]))
-            return
-        g = gen_cols[stage]
-        for perm in pools[stage]:
-            acts[g] = perm
-            if inv[g] != g:
-                inverse = [0] * n
-                for i, v in enumerate(perm):
-                    inverse[v] = i
-                acts[inv[g]] = tuple(inverse)
-            if all(relator_closes(r, acts) for r in stage_relators[stage]):
-                extend(stage + 1)
-
-    extend(0)
-
-    inverses = []
-    for pi in perms:
-        ipi = [0] * n
-        for i, v in enumerate(pi):
-            ipi[v] = i
-        inverses.append(tuple(ipi))
-
-    k = len(gen_cols)
-    unseen = set(found)
-    witnesses: list[tuple[int, ...]] = []
-    while unseen:
-        root = min(unseen)
-        parts = [root[i * n : (i + 1) * n] for i in range(k)]
-        orbit = set()
-        for pi, ipi in zip(perms, inverses):
-            orbit.add(tuple(pi[part[ipi[i]]] for part in parts for i in range(n)))
-        if not orbit <= found:
-            raise InternalError("oracle orbit escaped the solution set")
-        witnesses.append(min(orbit))
-        unseen -= orbit
-    witnesses.sort()
-    return OracleCount(index, len(witnesses), tuple(witnesses))

@@ -116,23 +116,6 @@ def von_dyck_group(p: int, q: int) -> tuple[Presentation, dict[int, Word]]:
     return pres, sigma
 
 
-# How the rotation letters spell out as reflection words.
-ROTATION_AS_REFLECTIONS: dict[int, Word] = {
-    XGEN: (A, B),
-    XINV: (B, A),
-    ZGEN: (B, C),
-    ZINV: (C, B),
-}
-
-
-def rotation_word_as_reflections(w: Word) -> Word:
-    """Rewrite a word over x, X, z, Z as a reduced reflection word."""
-    out: list[int] = []
-    for g in w:
-        out.extend(ROTATION_AS_REFLECTIONS[g])
-    return free_reduce(tuple(out), REFLECTIONS)
-
-
 def apply_generator_map(w: Word, gmap: dict[int, Word], alphabet: Alphabet) -> Word:
     """Image of w under a homomorphism given on generator letters.
 

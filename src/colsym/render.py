@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import colorsys
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .coset import CosetTable
 from .errors import DomainError, MergeInconsistency
 from .geometry import TrianglePatch, form_matrix, matrix_key
 from .presentations import Geometry
-from .subgroups import is_orientation_subgroup
+from .subgroups import orientation_sides
 from .words import Word
 
 
@@ -43,19 +43,11 @@ def _even_ranks(t: CosetTable) -> dict[int, int]:
     """Rank the orientation-preserving cosets in increasing order.
 
     Coset i is orientation-preserving when words reaching it have even
-    length; for an orientation subgroup the table is bipartite, so the
-    side of each coset is well defined.
+    length; that is well defined only for an orientation subgroup.
     """
-    side = [-1] * t.n
-    side[0] = 0
-    stack = [0]
-    while stack:
-        i = stack.pop()
-        for c in range(t.alphabet.size):
-            j = t.rows[i][c]
-            if side[j] == -1:
-                side[j] = side[i] ^ 1
-                stack.append(j)
+    side = orientation_sides(t)
+    if side is None:
+        raise DomainError("rotation-scope colouring needs an orientation subgroup")
     evens = [i for i in range(t.n) if side[i] == 0]
     return {cos: r for r, cos in enumerate(evens)}
 
@@ -83,8 +75,6 @@ def colour_patch(
     n_tiles = len(patch.tiles)
 
     if scope is Scope.ROTATION:
-        if not is_orientation_subgroup(table):
-            raise DomainError("rotation-scope colouring needs an orientation subgroup")
         ranks = _even_ranks(table)
         k = table.n // 2
     else:
@@ -179,16 +169,6 @@ def verify_perfect_on_patch(cp: ColouredPatch, w: Word) -> bool:
         if table.apply(ci - 1, iw) != cj - 1:
             return False
     return True
-
-
-def colour_histogram(cp: ColouredPatch, complete_only: bool = True) -> dict[int, int]:
-    """Merged tiles per colour; by default only fully present tiles."""
-    out = {c: 0 for c in range(1, cp.k + 1)}
-    for poly in cp.polygons:
-        if complete_only and len(poly) != cp.polygon_size:
-            continue
-        out[cp.colours[poly[0]]] += 1
-    return out
 
 
 # ---------------------------------------------------------------- SVG

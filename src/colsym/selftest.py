@@ -50,7 +50,7 @@ def run_selftest(
             strategy = "both"  # also cross-checks the two rotation routes
         rep = census(
             p, q, kind, scope, bound,
-            strategy=strategy, jobs=jobs, classes_provider=provider,
+            strategy=strategy, classes_provider=provider,
         )
         print(format_census(rep), file=out)
         ok, detail = goldens.matches_row(rep, row, last)
@@ -65,8 +65,7 @@ def run_selftest(
             row_check(p, q, kind, Scope.ROTATION)
 
     for p, q, expect in ((4, 3, goldens.CUBE_FULL_PQ), (3, 5, goldens.ICOSAHEDRON_FULL_PQ)):
-        rep = census(p, q, TilingKind.PQ, Scope.FULL, 30,
-                     jobs=jobs, classes_provider=provider)
+        rep = census(p, q, TilingKind.PQ, Scope.FULL, 30, classes_provider=provider)
         print(format_census(rep), file=out)
         got = rep.multiplicities()
         checks.append(
@@ -75,7 +74,7 @@ def run_selftest(
         )
 
     # the two-coloured square tiling, checked all the way to the picture
-    rep = census(4, 4, TilingKind.PQ, Scope.FULL, 2, jobs=jobs, classes_provider=provider)
+    rep = census(4, 4, TilingKind.PQ, Scope.FULL, 2, classes_provider=provider)
     print(format_census(rep), file=out)
     two = [e for e in rep.entries if e.colours == 2]
     ok = len(two) == 1 and two[0].count == 1

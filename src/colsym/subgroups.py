@@ -1,63 +1,18 @@
 """Predicates and transforms on subgroups given by their coset tables.
 
 A complete coset table determines its subgroup: the words that fix coset
-0.  Schreier generators read the subgroup off the table, membership of
-a specific word is one table walk, and conjugation questions reduce to
-re-rooting the table at another coset.
+0.  Membership of a specific word is one table walk, orientation is a
+2-colouring of the coset graph, and an automorphism acts on the table
+by precomposition, so none of these needs the subgroup's generators.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coset import CosetTable, default_budget, enumerate_cosets, reroot, standardize
+from .coset import CosetTable
 from .errors import DomainError
-from .presentations import Presentation, apply_generator_map
-from .words import EVEN, Word, free_reduce, sign_parity
-
-
-def transversal_words(t: CosetTable) -> tuple[Word, ...]:
-    """One word per coset carrying coset 0 there; first-visit choices.
-
-    On a standardized table these are exactly the words the scan order
-    discovers, so word i ends at coset i.
-    """
-    m = t.alphabet.size
-    words: dict[int, Word] = {0: ()}
-    order = [0]
-    i = 0
-    while i < len(order):
-        o = order[i]
-        for c in range(m):
-            j = t.rows[o][c]
-            if j not in words:
-                words[j] = words[o] + (c,)
-                order.append(j)
-        i += 1
-    if len(words) != t.n:
-        raise DomainError("table is not transitive")
-    return tuple(words[i] for i in range(t.n))
-
-
-def schreier_generators(t: CosetTable) -> tuple[Word, ...]:
-    """Generating words for the subgroup that coset 0 stabilizes.
-
-    For each table edge (i, g) -> j the word r_i g r_j^-1 fixes coset 0;
-    the nontrivial ones generate.  Freely reduced, deduplicated, in
-    table scan order.
-    """
-    trans = transversal_words(t)
-    alphabet = t.alphabet
-    m = alphabet.size
-    out: list[Word] = []
-    seen: set[Word] = set()
-    for i in range(t.n):
-        for c in range(m):
-            j = t.rows[i][c]
-            w = free_reduce(trans[i] + (c,) + alphabet.inverse_word(trans[j]), alphabet)
-            if w and w not in seen:
-                seen.add(w)
-                out.append(w)
-    return tuple(out)
+from .presentations import apply_generator_map
+from .words import Word
 
 
 def fixed_cosets(t: CosetTable, words) -> frozenset[int]:
@@ -73,13 +28,15 @@ def fixed_cosets(t: CosetTable, words) -> frozenset[int]:
     return out
 
 
-def is_orientation_subgroup(t: CosetTable) -> bool:
-    """Does the subgroup consist of orientation-preserving words only?
+def orientation_sides(t: CosetTable) -> list[int] | None:
+    """Parity of the words reaching each coset, or None if it is not defined.
 
-    Equivalent to the coset graph being bipartite with every generator
-    edge crossing sides, since each reflection letter flips orientation.
-    Checked by 2-colouring.  Only meaningful over the reflection
-    alphabet, where every letter reverses orientation.
+    The subgroup is orientation-preserving exactly when the coset graph
+    is bipartite with every generator edge crossing sides, since each
+    reflection letter flips orientation.  Then coset i lies on side 0
+    when the words reaching it have even length and on side 1 when odd.
+    Only meaningful over the reflection alphabet, where every letter
+    reverses orientation.
     """
     if any(t.alphabet.inv[c] != c for c in range(t.alphabet.size)):
         raise DomainError("orientation test needs the reflection alphabet")
@@ -94,50 +51,33 @@ def is_orientation_subgroup(t: CosetTable) -> bool:
                 side[j] = side[i] ^ 1
                 stack.append(j)
             elif side[j] == side[i]:
-                return False
-    return True
+                return None
+    return side
 
 
-def conjugate_in(s: CosetTable, t: CosetTable) -> bool:
-    """Are the subgroups of the two tables conjugate in the big group?
-
-    Conjugates of t's subgroup are the stabilizers of t's cosets, whose
-    standardized tables are the re-rootings of t.
-    """
-    if s.alphabet != t.alphabet or s.n != t.n:
-        return False
-    ss = standardize(s)
-    return any(reroot(t, j).rows == ss.rows for j in range(t.n))
+def is_orientation_subgroup(t: CosetTable) -> bool:
+    """Does the subgroup consist of orientation-preserving words only?"""
+    return orientation_sides(t) is not None
 
 
-def transform_subgroup(
-    pres: Presentation, t: CosetTable, gmap: dict[int, Word]
-) -> CosetTable:
-    """Coset table of the image of t's subgroup under an endomorphism.
+def transform_subgroup(t: CosetTable, gmap: dict[int, Word]) -> CosetTable:
+    """Coset table of the image of t's subgroup under an involutive automorphism.
 
     gmap sends generator letters to words (see apply_generator_map).
-    The image is enumerated afresh from the mapped Schreier generators,
-    budgeted for the expected index, so for automorphisms the result has
-    the same index as t.
+    Precomposing t's action with the automorphism s (letter g takes
+    coset i to t.apply(i, s(g))) gives another transitive action.  Its
+    base coset is stabilized by the preimage of the subgroup under s,
+    which is the image when s is an involution.  The result has t's
+    index and base coset but is not standardized.
     """
-    gens = [apply_generator_map(w, gmap, pres.alphabet) for w in schreier_generators(t)]
-    return enumerate_cosets(pres, gens, max_cosets=default_budget(t.n))
+    alphabet = t.alphabet
+    images = [apply_generator_map((g,), gmap, alphabet) for g in range(alphabet.size)]
+    rows = tuple(tuple(t.apply(i, w) for w in images) for i in range(t.n))
+    return CosetTable(alphabet, rows)
 
 
 @dataclass(frozen=True)
 class SubgroupRecord:
-    """A census representative: table plus the cheap derived facts."""
+    """A census representative: a table whose base coset the tile stabilizer fixes."""
 
     table: CosetTable
-    index: int
-    schreier_gens: tuple[Word, ...]
-    orientation: bool
-
-    @classmethod
-    def from_table(cls, t: CosetTable) -> "SubgroupRecord":
-        gens = schreier_generators(t)
-        if any(t.alphabet.inv[c] != c for c in range(t.alphabet.size)):
-            orient = True  # a rotation-alphabet subgroup cannot reflect
-        else:
-            orient = all(sign_parity(w) == EVEN for w in gens)
-        return cls(t, t.n, gens, orient)

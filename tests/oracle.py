@@ -1,0 +1,381 @@
+"""Reference implementations the test suite checks the package against.
+
+None of this is on the census path.  Each helper recomputes something
+the package does another way, sharing as little code with it as
+possible:
+
+* enumerate_cosets: Todd-Coxeter coset enumeration from subgroup
+  generators, a second way to build coset tables;
+* transversal_words, schreier_generators, conjugate_in: reading a
+  subgroup back off its table;
+* oracle_classes: conjugacy classes of subgroups of tiny index by brute
+  force over permutation images;
+* colour-permutation, histogram, matrix and word helpers used by the
+  property checks.
+"""
+from __future__ import annotations
+
+import itertools
+from dataclasses import dataclass
+from typing import Iterable
+
+import numpy as np
+
+from colsym.census import colour_permutation
+from colsym.coset import CosetTable, reroot
+from colsym.errors import DomainError, InternalError, ResourceLimit
+from colsym.geometry import form_matrix
+from colsym.presentations import Geometry, Presentation
+from colsym.render import ColouredPatch
+from colsym.words import A, B, C, REFLECTIONS, XGEN, XINV, ZGEN, ZINV, Word, free_reduce
+
+
+def standardize(t: CosetTable) -> CosetTable:
+    """Renumber so cosets appear in first-visit scan order from coset 0."""
+    return reroot(t, 0)
+
+
+def enumerate_cosets(
+    pres: Presentation,
+    subgroup_gens: Iterable[Word],
+    max_cosets: int | None = None,
+) -> CosetTable:
+    """Complete standardized coset table of <subgroup_gens> in pres.
+
+    The classic relator-scanning procedure with coincidence handling:
+    scan every relator at every coset, define new cosets at scan gaps,
+    and merge cosets identified by a completed scan.  max_cosets bounds
+    the total number of cosets ever defined, dead ones included, and
+    ResourceLimit is raised when it is hit; with no bound given a
+    generous default lets runaway enumerations of infinite-index
+    subgroups still terminate with an error.
+    """
+    if max_cosets is None:
+        max_cosets = 1_000_000
+    if max_cosets < 1:
+        raise DomainError("max_cosets must be positive")
+
+    m = pres.alphabet.size
+    inv = pres.alphabet.inv
+
+    table: list[list[int]] = [[-1] * m]
+    parent = [0]  # union-find; merged cosets point to a smaller index
+    n_total = 1  # live + dead cosets ever defined
+
+    def rep(k: int) -> int:
+        r = k
+        while parent[r] != r:
+            r = parent[r]
+        while parent[k] != r:
+            parent[k], k = r, parent[k]
+        return r
+
+    def define(alpha: int, x: int) -> None:
+        nonlocal n_total
+        if n_total >= max_cosets:
+            raise ResourceLimit(f"coset budget exhausted (max_cosets={max_cosets})")
+        beta = len(table)
+        table.append([-1] * m)
+        parent.append(beta)
+        n_total += 1
+        table[alpha][x] = beta
+        table[beta][inv[x]] = alpha
+
+    pending: list[int] = []  # dead cosets whose rows still need stripping
+
+    def merge(k: int, l: int) -> None:
+        k, l = rep(k), rep(l)
+        if k == l:
+            return
+        if k < l:
+            k, l = l, k
+        parent[k] = l
+        pending.append(k)
+
+    def coincidence(alpha: int, beta: int) -> None:
+        merge(alpha, beta)
+        while pending:
+            gamma = pending.pop()
+            row = table[gamma]
+            for x in range(m):
+                delta = row[x]
+                if delta == -1:
+                    continue
+                table[delta][inv[x]] = -1  # drop the back-reference
+                mu, nu = rep(gamma), rep(delta)
+                if table[mu][x] != -1:
+                    merge(nu, table[mu][x])
+                elif table[nu][inv[x]] != -1:
+                    merge(mu, table[nu][inv[x]])
+                else:
+                    table[mu][x] = nu
+                    table[nu][inv[x]] = mu
+
+    def scan_and_fill(alpha: int, w: Word) -> None:
+        r = len(w)
+        if r == 0:
+            return
+        f, i = alpha, 0
+        while True:
+            while i < r and table[f][w[i]] != -1:
+                f = table[f][w[i]]
+                i += 1
+            if i == r:
+                if f != alpha:
+                    coincidence(f, alpha)
+                return
+            b, j = alpha, r - 1
+            while j >= i and table[b][inv[w[j]]] != -1:
+                b = table[b][inv[w[j]]]
+                j -= 1
+            if j < i:
+                # both scans met in the middle on the same position
+                if f != b:
+                    coincidence(f, b)
+                return
+            if j == i:
+                # the gap is a single letter: a forced deduction
+                table[f][w[i]] = b
+                table[b][inv[w[i]]] = f
+                return
+            define(f, w[i])
+
+    for w in subgroup_gens:
+        scan_and_fill(0, tuple(w))
+    alpha = 0
+    while alpha < len(table):
+        if parent[alpha] == alpha:
+            for rel in pres.relators:
+                scan_and_fill(alpha, rel)
+                if parent[alpha] != alpha:
+                    break
+        alpha += 1
+
+    live = [k for k in range(len(table)) if parent[k] == k]
+    renum = {old: new for new, old in enumerate(live)}
+    rows = tuple(
+        tuple(renum[rep(table[old][x])] for x in range(m)) for old in live
+    )
+    return standardize(CosetTable(pres.alphabet, rows))
+
+
+def transversal_words(t: CosetTable) -> tuple[Word, ...]:
+    """One word per coset carrying coset 0 there; first-visit choices.
+
+    On a standardized table these are exactly the words the scan order
+    discovers, so word i ends at coset i.
+    """
+    m = t.alphabet.size
+    words: dict[int, Word] = {0: ()}
+    order = [0]
+    i = 0
+    while i < len(order):
+        o = order[i]
+        for c in range(m):
+            j = t.rows[o][c]
+            if j not in words:
+                words[j] = words[o] + (c,)
+                order.append(j)
+        i += 1
+    if len(words) != t.n:
+        raise DomainError("table is not transitive")
+    return tuple(words[i] for i in range(t.n))
+
+
+def schreier_generators(t: CosetTable) -> tuple[Word, ...]:
+    """Generating words for the subgroup that coset 0 stabilizes.
+
+    For each table edge (i, g) -> j the word r_i g r_j^-1 fixes coset 0;
+    the nontrivial ones generate.  Freely reduced, deduplicated, in
+    table scan order.
+    """
+    trans = transversal_words(t)
+    alphabet = t.alphabet
+    out: list[Word] = []
+    seen: set[Word] = set()
+    for i in range(t.n):
+        for c in range(alphabet.size):
+            j = t.rows[i][c]
+            w = free_reduce(trans[i] + (c,) + alphabet.inverse_word(trans[j]), alphabet)
+            if w and w not in seen:
+                seen.add(w)
+                out.append(w)
+    return tuple(out)
+
+
+def conjugate_in(s: CosetTable, t: CosetTable) -> bool:
+    """Are the subgroups of the two tables conjugate in the big group?
+
+    Conjugates of t's subgroup are the stabilizers of t's cosets, whose
+    standardized tables are the re-rootings of t.
+    """
+    if s.alphabet != t.alphabet or s.n != t.n:
+        return False
+    ss = standardize(s)
+    return any(reroot(t, j).rows == ss.rows for j in range(t.n))
+
+
+@dataclass(frozen=True)
+class OracleCount:
+    """Class count at one index from the brute-force permutation oracle."""
+
+    index: int
+    count: int
+    witnesses: tuple[tuple[int, ...], ...]  # flattened generator images
+
+
+def oracle_classes(pres: Presentation, index: int) -> OracleCount:
+    """Count conjugacy classes of index-`index` subgroups by brute force.
+
+    Enumerates all tuples of permutations of {0..index-1} satisfying the
+    relators (involutions where a letter is its own inverse), keeps the
+    transitive ones, and counts orbits under simultaneous relabelling.
+    Exponential in index; anything past 7 is refused.
+    """
+    if index < 1:
+        raise DomainError("index must be at least 1")
+    if index > 7:
+        raise DomainError("oracle is exponential; index > 7 refused")
+    n = index
+    inv = pres.alphabet.inv
+    gen_cols = pres.alphabet.generator_columns()
+    perms = list(itertools.permutations(range(n)))
+    involutions = [p for p in perms if all(p[p[i]] == i for i in range(n))]
+    pools = [involutions if inv[g] == g else perms for g in gen_cols]
+
+    # a relator can be checked once every generator it uses is assigned
+    stage_relators: list[list[Word]] = [[] for _ in gen_cols]
+    for rel in pres.relators:
+        need = max(gen_cols.index(g if g in gen_cols else inv[g]) for g in rel)
+        stage_relators[need].append(rel)
+
+    def relator_closes(rel: Word, acts: dict[int, tuple[int, ...]]) -> bool:
+        for start in range(n):
+            i = start
+            for g in rel:
+                i = acts[g][i]
+            if i != start:
+                return False
+        return True
+
+    found: set[tuple[int, ...]] = set()
+    acts: dict[int, tuple[int, ...]] = {}
+
+    def extend(stage: int) -> None:
+        if stage == len(gen_cols):
+            seen = {0}
+            fringe = [0]
+            while fringe:
+                i = fringe.pop()
+                for g in gen_cols:
+                    j = acts[g][i]
+                    if j not in seen:
+                        seen.add(j)
+                        fringe.append(j)
+            if len(seen) == n:
+                found.add(tuple(v for g in gen_cols for v in acts[g]))
+            return
+        g = gen_cols[stage]
+        for perm in pools[stage]:
+            acts[g] = perm
+            if inv[g] != g:
+                inverse = [0] * n
+                for i, v in enumerate(perm):
+                    inverse[v] = i
+                acts[inv[g]] = tuple(inverse)
+            if all(relator_closes(r, acts) for r in stage_relators[stage]):
+                extend(stage + 1)
+
+    extend(0)
+
+    inverses = []
+    for pi in perms:
+        ipi = [0] * n
+        for i, v in enumerate(pi):
+            ipi[v] = i
+        inverses.append(tuple(ipi))
+
+    k = len(gen_cols)
+    unseen = set(found)
+    witnesses: list[tuple[int, ...]] = []
+    while unseen:
+        root = min(unseen)
+        parts = [root[i * n : (i + 1) * n] for i in range(k)]
+        orbit = set()
+        for pi, ipi in zip(perms, inverses):
+            orbit.add(tuple(pi[part[ipi[i]]] for part in parts for i in range(n)))
+        if not orbit <= found:
+            raise InternalError("oracle orbit escaped the solution set")
+        witnesses.append(min(orbit))
+        unseen -= orbit
+    witnesses.sort()
+    return OracleCount(index, len(witnesses), tuple(witnesses))
+
+
+def compose_permutations(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
+    """u after v, matching colour_permutation(t, uv)."""
+    return tuple(u[v[i]] for i in range(len(u)))
+
+
+def permutation_homomorphism_check(t: CosetTable, u: Word, v: Word) -> bool:
+    """colour_permutation is a homomorphism: uv acts as (u's perm)(v's perm)."""
+    return colour_permutation(t, u + v) == compose_permutations(
+        colour_permutation(t, u), colour_permutation(t, v)
+    )
+
+
+def colours_transitive(t: CosetTable) -> bool:
+    """Can every colour be carried to every other by some symmetry?
+
+    True for any complete transitive table, so this is a diagnostic for
+    corrupted inputs rather than a filter.
+    """
+    reached = {0}
+    stack = [0]
+    gens = [colour_permutation(t, (c,)) for c in range(t.alphabet.size)]
+    while stack:
+        i = stack.pop()
+        for g in gens:
+            j = g[i]
+            if j not in reached:
+                reached.add(j)
+                stack.append(j)
+    return len(reached) == t.n
+
+
+def colour_histogram(cp: ColouredPatch, complete_only: bool = True) -> dict[int, int]:
+    """Merged tiles per colour; by default only fully present tiles."""
+    out = {c: 0 for c in range(1, cp.k + 1)}
+    for poly in cp.polygons:
+        if complete_only and len(poly) != cp.polygon_size:
+            continue
+        out[cp.colours[poly[0]]] += 1
+    return out
+
+
+def form_residual(M: np.ndarray, geometry: Geometry) -> float:
+    """How far M is from preserving the geometry's structure."""
+    if geometry is Geometry.EUCLIDEAN:
+        L = M[:2, :2]
+        r1 = np.abs(L.T @ L - np.eye(2)).max()
+        r2 = np.abs(M[2] - np.array([0.0, 0.0, 1.0])).max()
+        return float(max(r1, r2))
+    J = form_matrix(geometry)
+    return float(np.abs(M.T @ J @ M - J).max())
+
+
+# How the rotation letters spell out as reflection words.
+ROTATION_AS_REFLECTIONS: dict[int, Word] = {
+    XGEN: (A, B),
+    XINV: (B, A),
+    ZGEN: (B, C),
+    ZINV: (C, B),
+}
+
+
+def rotation_word_as_reflections(w: Word) -> Word:
+    """Rewrite a word over x, X, z, Z as a reduced reflection word."""
+    out: list[int] = []
+    for g in w:
+        out.extend(ROTATION_AS_REFLECTIONS[g])
+    return free_reduce(tuple(out), REFLECTIONS)

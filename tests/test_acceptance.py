@@ -19,16 +19,14 @@ from colsym.census import (
     TilingKind,
     census,
     colour_permutation,
-    colours_transitive,
-    permutation_homomorphism_check,
     required_words,
 )
 from colsym.geometry import fundamental_triangle, generate_patch
-from colsym.lowindex import low_index_classes, oracle_classes
 from colsym.presentations import triangle_group
 from colsym.render import colour_patch, emit_svg, verify_perfect_on_patch
 from colsym.subgroups import fixed_cosets
 from colsym.words import A, B, C
+from oracle import colours_transitive, oracle_classes, permutation_homomorphism_check
 
 HYPERBOLIC = ((7, 3), (8, 3), (5, 4))
 KINDS = (TilingKind.PQ, TilingKind.LAVES, TilingKind.QP)

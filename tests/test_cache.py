@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from colsym import __version__
 from colsym.cache import (
     cache_clear,
     cache_entries,
@@ -65,6 +66,27 @@ def test_corrupt_file_is_a_silent_miss(tmp_path, classes):
     listing = cache_entries(str(tmp_path))
     assert len(listing) == 1
     assert listing[0]["classes"] is None
+
+
+def test_other_engine_is_recomputed_and_overwritten(tmp_path, classes):
+    # a file from another engine version may hold a different search
+    # output; here it is a truncated list that must not be served
+    path = store_classes(classes, str(tmp_path))
+    with open(path) as fh:
+        doc = json.load(fh)
+    doc["engine"] = "0.0.0"
+    doc["tables"] = doc["tables"][:1]
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    G = triangle_group(4, 3)
+    assert load_classes(G, 6, str(tmp_path)) is None
+
+    got = cached_provider(str(tmp_path))(G, 6)
+    assert [t.flat() for t in got.tables] == [t.flat() for t in classes.tables]
+    with open(path) as fh:
+        assert json.load(fh)["engine"] == __version__
+    back = load_classes(G, 6, str(tmp_path))
+    assert [t.flat() for t in back.tables] == [t.flat() for t in classes.tables]
 
 
 def test_parse_rejects_malformed_documents(classes):

@@ -3,24 +3,24 @@ import json
 import pytest
 
 from colsym.census import (
-    CensusReport,
     Scope,
     TilingKind,
     census,
     colour_permutation,
-    colours_transitive,
-    compare_reports,
-    compose_permutations,
     format_census,
-    permutation_homomorphism_check,
     required_words,
 )
 from colsym.coset import CosetTable
 from colsym.errors import DomainError
-from colsym.lowindex import oracle_classes
 from colsym.presentations import triangle_group
 from colsym.subgroups import fixed_cosets, is_orientation_subgroup
 from colsym.words import A, B, C, REFLECTIONS
+from oracle import (
+    colours_transitive,
+    compose_permutations,
+    oracle_classes,
+    permutation_homomorphism_check,
+)
 
 
 def witness_table(witness, n):
@@ -130,12 +130,6 @@ def test_format_census_styles(provider):
 
     with pytest.raises(DomainError):
         format_census(rep, "latex")
-
-
-def test_compare_reports_trims_to_smaller_bound(provider):
-    wide = census(4, 3, TilingKind.PQ, Scope.FULL, 10, classes_provider=provider)
-    narrow = census(4, 3, TilingKind.PQ, Scope.FULL, 4, classes_provider=provider)
-    assert compare_reports(wide, narrow)
 
 
 def test_census_rejects_bad_arguments(provider):

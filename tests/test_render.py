@@ -6,14 +6,9 @@ import pytest
 from colsym.census import Scope, TilingKind, census
 from colsym.errors import DomainError, MergeInconsistency
 from colsym.geometry import generate_patch
-from colsym.render import (
-    colour_histogram,
-    colour_patch,
-    emit_svg,
-    palette,
-    verify_perfect_on_patch,
-)
+from colsym.render import colour_patch, emit_svg, palette, verify_perfect_on_patch
 from colsym.words import A, B, C
+from oracle import colour_histogram
 
 
 def rep_table(provider, p, q, kind, scope, k, pick=0):

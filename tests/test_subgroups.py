@@ -1,19 +1,17 @@
 import pytest
 
-from colsym.coset import canonical_table, enumerate_cosets, reroot
+from colsym.coset import canonical_table, reroot
 from colsym.errors import DomainError
 from colsym.lowindex import low_index_classes
-from colsym.presentations import triangle_group, von_dyck_group
+from colsym.presentations import apply_generator_map, triangle_group, von_dyck_group
 from colsym.subgroups import (
-    SubgroupRecord,
-    conjugate_in,
     fixed_cosets,
     is_orientation_subgroup,
-    schreier_generators,
+    orientation_sides,
     transform_subgroup,
-    transversal_words,
 )
 from colsym.words import A, B, C, XGEN, ZGEN, sign_parity
+from oracle import conjugate_in, enumerate_cosets, schreier_generators, transversal_words
 
 
 def test_transversal_words_reach_their_cosets():
@@ -51,14 +49,19 @@ def test_fixed_cosets():
 
 def test_orientation_two_ways():
     # the bipartition test on the table must agree with checking the
-    # parity of every Schreier generator, for every class
+    # parity of every Schreier generator, for every class, and the sides
+    # it finds must be the parities of the transversal words
     G = triangle_group(4, 3)
     for t in low_index_classes(G, 8).tables:
         by_parity = all(
             sign_parity(w) == 0 for w in schreier_generators(t)
         )
         assert is_orientation_subgroup(t) == by_parity
-        assert SubgroupRecord.from_table(t).orientation == by_parity
+        sides = orientation_sides(t)
+        if by_parity:
+            assert sides == [sign_parity(w) for w in transversal_words(t)]
+        else:
+            assert sides is None
 
 
 def test_orientation_rejects_signed_alphabet():
@@ -93,15 +96,15 @@ def test_transform_subgroup_identity_map():
     vd, _ = von_dyck_group(7, 3)
     identity = {XGEN: (XGEN,), ZGEN: (ZGEN,)}
     for t in low_index_classes(vd, 6).tables:
-        image = transform_subgroup(vd, t, identity)
-        assert canonical_table(image) == canonical_table(t)
+        assert transform_subgroup(t, identity) == t
 
 
-def test_subgroup_record_from_table():
-    G = triangle_group(4, 3)
-    t = enumerate_cosets(G, [(B,), (C,)])
-    rec = SubgroupRecord.from_table(t)
-    assert rec.index == 6
-    assert rec.table == t
-    assert not rec.orientation
-    assert all(t.apply(0, w) == 0 for w in rec.schreier_gens)
+@pytest.mark.parametrize("p,q,bound", [(7, 3, 30), (5, 4, 22), (8, 3, 22)])
+def test_mirror_twist_matches_todd_coxeter(provider, p, q, bound):
+    # read off the table, the twisted subgroup must be the one that
+    # Todd-Coxeter enumerates from the twisted Schreier generators
+    vd, sigma = von_dyck_group(p, q)
+    for t in provider(vd, bound).tables:
+        gens = [apply_generator_map(w, sigma, vd.alphabet) for w in schreier_generators(t)]
+        expected = enumerate_cosets(vd, gens, max_cosets=200 * bound)
+        assert canonical_table(transform_subgroup(t, sigma)) == canonical_table(expected)
