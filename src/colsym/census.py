@@ -146,6 +146,8 @@ def census(
         raise DomainError(f"bad tiling kind: {kind!r}")
     if not isinstance(scope, Scope):
         raise DomainError(f"bad scope: {scope!r}")
+    if strategy not in ("a", "b", "both"):
+        raise DomainError(f"unknown strategy {strategy!r}")
     provider = classes_provider or low_index_classes
 
     started = time.perf_counter()
@@ -158,7 +160,7 @@ def census(
     elif strategy == "b":
         entries = _census_rotation_b(p, q, kind, max_colours, provider)
         tag = "b"
-    elif strategy == "both":
+    else:  # "both"
         ea = _census_rotation_a(p, q, kind, max_colours, provider)
         eb = _census_rotation_b(p, q, kind, max_colours, provider)
         ma = {e.colours: e.count for e in ea}
@@ -170,8 +172,6 @@ def census(
             )
         entries = ea
         tag = "both"
-    else:
-        raise DomainError(f"unknown strategy {strategy!r}")
 
     return CensusReport(
         p=p,

@@ -8,10 +8,9 @@ at a fixed base point, one leg along the plane y = 0 (mirror c) and the
 hypotenuse side at polar angle pi/p (mirror b); mirror a is the far
 side, opposite the pi/p corner.
 
-Words in the reflection letters multiply out to matrices; a patch of
-the tiling is grown breadth-first by word length, with matrices
-deduplicated by a quantized key so that each group element appears
-once no matter how many words spell it.
+A patch of the tiling is a table of the tiles across each tile's three
+mirrors, grown breadth-first by word length; the Coxeter relations
+decide exactly which words meet, and matrices only place the drawing.
 """
 from __future__ import annotations
 
@@ -24,36 +23,11 @@ from .errors import DomainError, ResourceLimit
 from .presentations import Geometry, classify_geometry
 from .words import A, B, C, Word
 
-KEY_QUANTUM = 1e-6
-REORTH_EVERY = 8  # matrix multiplications between re-orthogonalizations
-
 
 def form_matrix(geometry: Geometry) -> np.ndarray:
     if geometry is Geometry.HYPERBOLIC:
         return np.diag([1.0, 1.0, -1.0])
     return np.eye(3)
-
-
-def reorthogonalize(M: np.ndarray, geometry: Geometry) -> np.ndarray:
-    """Project M back onto the isometry group to stop drift."""
-    if geometry is Geometry.SPHERICAL:
-        u, _, vt = np.linalg.svd(M)
-        return u @ vt
-    if geometry is Geometry.EUCLIDEAN:
-        out = M.copy()
-        u, _, vt = np.linalg.svd(M[:2, :2])
-        out[:2, :2] = u @ vt
-        out[2] = (0.0, 0.0, 1.0)
-        return out
-    # hyperbolic: Newton steps toward M^T J M = J
-    J = form_matrix(geometry)
-    out = M
-    for _ in range(3):
-        E = J @ out.T @ J @ out - np.eye(3)
-        if np.abs(E).max() < 1e-15:
-            break
-        out = out - 0.5 * (out @ E)
-    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,16 +108,6 @@ def fundamental_triangle(p: int, q: int) -> FundamentalTriangle:
     )
 
 
-def matrix_key(M: np.ndarray) -> tuple[int, ...]:
-    """Quantized entries; equal keys identify equal group elements.
-
-    The quantum is far above the float drift of short products and far
-    below the separation of distinct elements at the patch depths used
-    here, so rounding collisions do not occur in practice.
-    """
-    return tuple(int(round(v / KEY_QUANTUM)) for v in M.reshape(-1))
-
-
 @dataclass(frozen=True)
 class Tile:
     word: Word
@@ -152,12 +116,17 @@ class Tile:
 
 @dataclass(frozen=True, eq=False)
 class TrianglePatch:
-    """All tiles within a word-length ball of the fundamental triangle."""
+    """All tiles within a word-length ball of the fundamental triangle.
+
+    neighbours[i][g] is the tile i.g across mirror g, or -1 outside the
+    patch.  Tiles are numbered by word length and a link joins adjacent
+    lengths, so 0 <= neighbours[i][g] < i exactly when g steps inward.
+    """
 
     triangle: FundamentalTriangle
     depth: int
     tiles: tuple[Tile, ...]
-    index: dict[tuple[int, ...], int]  # matrix_key -> position in tiles
+    neighbours: tuple[tuple[int, int, int], ...]
 
     @property
     def p(self) -> int:
@@ -171,8 +140,61 @@ class TrianglePatch:
         M = self.tiles[i].matrix
         return tuple(M @ v for v in self.triangle.corners)
 
-    def find(self, M: np.ndarray) -> int | None:
-        return self.index.get(matrix_key(M))
+    def walk(self, i: int, w: Word) -> int:
+        """The tile i.w, or -1 once the walk leaves the patch."""
+        for g in w:
+            if i < 0:
+                break
+            i = self.neighbours[i][g]
+        return i
+
+    def image(self, w: Word) -> list[int]:
+        """The tile w.x for each tile x, or -1 where it is not found.
+
+        x -> w.x commutes with mirror steps, so it is seeded at the split
+        w = w1.w2 (tile w2^-1 goes to tile w1) and spread along links
+        whose ends and images lie in the patch.  A tile that no such path
+        reaches stays -1 even if its image is in the patch; at depth >=
+        3 len(w) / 2 that happens only within len(w) steps of the rim.
+        """
+        nbrs = self.neighbours
+        image = [-1] * len(self.tiles)
+        k = len(w) // 2
+        x, y = self.walk(0, w[k:][::-1]), self.walk(0, w[:k])
+        if x < 0 or y < 0:
+            return image
+        image[x] = y
+        stack = [x]
+        while stack:
+            x = stack.pop()
+            for x2, y2 in zip(nbrs[x], nbrs[image[x]]):
+                if x2 >= 0 and y2 >= 0 and image[x2] < 0:
+                    image[x2] = y2
+                    stack.append(x2)
+        return image
+
+
+def _link_descents(nbrs: list[list[int]], i: int, g: int, orders) -> None:
+    """Link the new tile u = i.g to its other inward neighbours.
+
+    Mirror h is a descent of u exactly when the walk from i by h, g, h,
+    ... steps inward m(g,h) - 1 times; going on alternating for as many
+    steps outward goes round the 2m-gon to u.h.
+    """
+    u = nbrs[i][g]
+    for h in (A, B, C):
+        if h == g:
+            continue
+        m = orders[g][h]
+        cur, s = i, h
+        for step in range(2 * m - 2):
+            nxt = nbrs[cur][s]
+            if step < m - 1 and not 0 <= nxt < cur:
+                break  # h is not a descent of u
+            cur, s = nxt, g if s == h else h
+        else:
+            nbrs[u][h] = cur
+            nbrs[cur][h] = u
 
 
 def generate_patch(
@@ -180,40 +202,33 @@ def generate_patch(
 ) -> TrianglePatch:
     """Breadth-first ball of reduced words, one tile per group element.
 
-    Words that spell the same isometry (relators other than the free
-    cancellations) collapse onto the first, shortest spelling via the
-    quantized matrix key.
+    Each new tile is linked at once to every tile one step inward, so a
+    link already set leads inward or to a tile already made.  A tile's
+    matrix is word_matrix of its word.
     """
     if depth < 0:
         raise DomainError("depth must be nonnegative")
     tri = fundamental_triangle(p, q)
-    geometry = tri.geometry
     mirrors = tri.mirrors
+    orders = ((1, q, 2), (q, 1, p), (2, p, 1))  # m(g, h) of the Coxeter group
     tiles: list[Tile] = [Tile((), np.eye(3))]
-    index = {matrix_key(np.eye(3)): 0}
-    frontier = [0]
+    nbrs: list[list[int]] = [[-1, -1, -1]]
+    level = range(1)  # the outermost tiles so far; empty once a finite group ends
     for d in range(1, depth + 1):
-        new_frontier: list[int] = []
-        for i in frontier:
+        for i in level:
             t = tiles[i]
-            last = t.word[-1] if t.word else -1
             for g in (A, B, C):
-                if g == last:
-                    continue  # the letter would cancel itself
-                M = t.matrix @ mirrors[g]
-                if d % REORTH_EVERY == 0:
-                    M = reorthogonalize(M, geometry)
-                key = matrix_key(M)
-                if key in index:
-                    continue
+                if nbrs[i][g] >= 0:
+                    continue  # i.g is nearer the centre or already made
                 if len(tiles) >= tile_budget:
                     raise ResourceLimit(
                         f"tile budget {tile_budget} exceeded at depth {d}"
                     )
-                index[key] = len(tiles)
-                new_frontier.append(len(tiles))
-                tiles.append(Tile(t.word + (g,), M))
-        frontier = new_frontier
-        if not frontier:
-            break  # finite group exhausted before reaching the depth
-    return TrianglePatch(tri, depth, tuple(tiles), index)
+                u = len(tiles)
+                tiles.append(Tile(t.word + (g,), t.matrix @ mirrors[g]))
+                nbrs.append([-1, -1, -1])
+                nbrs[i][g] = u
+                nbrs[u][g] = i
+                _link_descents(nbrs, i, g, orders)
+        level = range(level.stop, len(tiles))
+    return TrianglePatch(tri, depth, tuple(tiles), tuple(map(tuple, nbrs)))

@@ -21,10 +21,10 @@ import numpy as np
 from .census import Scope, TilingKind, required_words
 from .coset import CosetTable
 from .errors import DomainError, MergeInconsistency
-from .geometry import TrianglePatch, form_matrix, matrix_key
+from .geometry import TrianglePatch, form_matrix
 from .presentations import Geometry
 from .subgroups import orientation_sides
-from .words import Word
+from .words import A, B, C, Word
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,7 +70,6 @@ def colour_patch(
     """
     words = required_words(kind, Scope.FULL)
     r1, r2 = words[0][0], words[1][0]
-    tri = patch.triangle
     alphabet = table.alphabet
     n_tiles = len(patch.tiles)
 
@@ -89,28 +88,20 @@ def colour_patch(
         cos = table.apply(0, alphabet.inverse_word(w))
         colours.append(cos + 1 if ranks is None else ranks[cos] + 1)
 
-    # group triangles into merged tiles: neighbours across the two
-    # stabilizer mirrors belong together
-    parent = list(range(n_tiles))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i, t in enumerate(patch.tiles):
-        for g in (r1, r2):
-            j = patch.find(t.matrix @ tri.mirrors[g])
-            if j is not None:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
-
+    # group triangles into merged tiles: stepping inward across the two
+    # stabilizer mirrors ends at the tile's nearest triangle, the coset's
+    # minimal element and so the first of its group in patch order
+    nbrs = patch.neighbours
+    root = list(range(n_tiles))
     groups: dict[int, list[int]] = {}
     for i in range(n_tiles):
-        groups.setdefault(find(i), []).append(i)
-    polygons = tuple(tuple(g) for _, g in sorted(groups.items()))
+        for g in (r1, r2):
+            j = nbrs[i][g]
+            if 0 <= j < i:
+                root[i] = root[j]
+                break
+        groups.setdefault(root[i], []).append(i)
+    polygons = tuple(tuple(g) for g in groups.values())
 
     for poly in polygons:
         first = colours[poly[0]]
@@ -132,22 +123,19 @@ def colour_patch(
 def verify_perfect_on_patch(cp: ColouredPatch, w: Word) -> bool:
     """Does the symmetry w permute the patch colours as the table says?
 
-    Maps every triangle through w's matrix, collects (colour, image
-    colour) pairs for images inside the patch, and checks they form a
-    single-valued injective map agreeing with colour_permutation.  For
-    a rotation-scope colouring only orientation-preserving words are
+    Maps the triangles through w (see TrianglePatch.image), collects
+    (colour, image colour) pairs, and checks they form a single-valued
+    injective map agreeing with colour_permutation.  For a
+    rotation-scope colouring only orientation-preserving words are
     colour symmetries, so odd words fail.
     """
     patch = cp.patch
-    tri = patch.triangle
     table = cp.table
     if cp.scope is Scope.ROTATION and len(w) % 2:
         return False
-    M = tri.word_matrix(w)
     mapping: dict[int, int] = {}
-    for i, t in enumerate(patch.tiles):
-        j = patch.find(M @ t.matrix)
-        if j is None:
+    for i, j in enumerate(patch.image(w)):
+        if j < 0:
             continue
         ci, cj = cp.colours[i], cp.colours[j]
         if mapping.setdefault(ci, cj) != cj:
@@ -172,6 +160,9 @@ def verify_perfect_on_patch(cp: ColouredPatch, w: Word) -> bool:
 
 
 # ---------------------------------------------------------------- SVG
+
+# triangle sides as corner pairs, with the mirror each lies on
+_SIDES = (((0, 1), C), ((1, 2), A), ((2, 0), B))
 
 # fixed small tilt so no tiling vertex sits at the projection pole
 _TILT = 0.37
@@ -299,33 +290,24 @@ def emit_svg(
     for i in visible:
         corners = [normalized(c) for c in patch.corners_of(i)]
         ring: list[np.ndarray] = []
-        for a_, b_ in ((0, 1), (1, 2), (2, 0)):
+        for (a_, b_), _ in _SIDES:
             seg = _geodesic(corners[a_], corners[b_], geometry, subdivision)
             ring.extend(seg[:-1])
         xy = _project(np.array(ring), geometry, projection)
         tile_rings.append((i, xy))
 
-    # merged-tile boundaries: triangle edges used once within a group
+    # merged-tile boundaries: triangle edges whose neighbour across lies
+    # in another merged tile or outside the patch
+    owner = {i: k for k, poly in enumerate(cp.polygons) for i in poly}
     edge_lines: list[np.ndarray] = []
     for poly in cp.polygons:
-        count: dict[tuple, int] = {}
-        for i in poly:
-            cs = patch.corners_of(i)
-            for a_, b_ in ((0, 1), (1, 2), (2, 0)):
-                ka = matrix_key(cs[a_])
-                kb = matrix_key(cs[b_])
-                key = (ka, kb) if ka <= kb else (kb, ka)
-                count[key] = count.get(key, 0) + 1
         for i in poly:
             if i not in shown:
                 continue
-            raw = patch.corners_of(i)
-            cs = [normalized(c) for c in raw]
-            for a_, b_ in ((0, 1), (1, 2), (2, 0)):
-                ka = matrix_key(raw[a_])
-                kb = matrix_key(raw[b_])
-                key = (ka, kb) if ka <= kb else (kb, ka)
-                if count[key] != 1:
+            cs = [normalized(c) for c in patch.corners_of(i)]
+            for (a_, b_), g in _SIDES:
+                j = patch.neighbours[i][g]
+                if j >= 0 and owner[j] == owner[i]:
                     continue
                 seg = _geodesic(cs[a_], cs[b_], geometry, subdivision)
                 edge_lines.append(_project(seg, geometry, projection))

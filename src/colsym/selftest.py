@@ -91,12 +91,11 @@ def run_selftest(
         )
         patch = generate_patch(4, 4, 4)
         cp = colour_patch(patch, t, TilingKind.PQ)
-        tri = patch.triangle
         alternates = True
-        for i, tile in enumerate(patch.tiles):
+        for i, links in enumerate(patch.neighbours):
             for g, same in ((A, False), (B, True), (C, True)):
-                j = patch.find(tile.matrix @ tri.mirrors[g])
-                if j is not None and (cp.colours[i] == cp.colours[j]) != same:
+                j = links[g]
+                if j >= 0 and (cp.colours[i] == cp.colours[j]) != same:
                     alternates = False
         checks.append(
             ("checkerboard alternation on patch", alternates,

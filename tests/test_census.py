@@ -142,6 +142,15 @@ def test_census_rejects_bad_arguments(provider):
         )
 
 
+def test_census_rejects_unknown_strategy_in_every_scope(provider):
+    for scope in Scope:
+        with pytest.raises(DomainError, match="unknown strategy"):
+            census(
+                7, 3, TilingKind.PQ, scope, 8,
+                strategy="no-such-route", classes_provider=provider,
+            )
+
+
 def test_required_words():
     assert required_words(TilingKind.PQ, Scope.FULL) == ((B,), (C,))
     assert required_words(TilingKind.QP, Scope.FULL) == ((A,), (B,))

@@ -1,17 +1,21 @@
+import random
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from colsym.census import Scope, TilingKind, census
 from colsym.errors import DomainError, ResourceLimit
-from colsym.geometry import (
-    form_matrix,
-    fundamental_triangle,
-    generate_patch,
-    matrix_key,
-    reorthogonalize,
-)
+from colsym.geometry import form_matrix, fundamental_triangle, generate_patch
 from colsym.presentations import Geometry, classify_geometry, triangle_group
+from colsym.render import colour_patch
 from colsym.words import A, B, C
 from oracle import form_residual
+
+# Steinberg's growth series, the benchmark's exact oracle of patch sizes
+sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
+from growth import ball_size  # noqa: E402
 
 PAIRS = [(4, 3), (3, 5), (4, 4), (3, 6), (7, 3), (5, 4), (8, 3)]
 
@@ -107,43 +111,57 @@ def test_patch_words_are_reduced_and_consistent():
     assert words[0] == ()
     for t in patch.tiles:
         assert all(u != v for u, v in zip(t.word, t.word[1:]))
-        assert np.max(np.abs(tri.word_matrix(t.word) - t.matrix)) < 1e-6
+        assert np.array_equal(tri.word_matrix(t.word), t.matrix)
         assert len(t.word) <= 6
 
 
-def test_patch_find_and_neighbours():
-    patch = generate_patch(5, 4, 4)
-    tri = patch.triangle
-    interior = patch.tiles[0]
-    for g in (A, B, C):
-        j = patch.find(interior.matrix @ tri.mirrors[g])
-        assert j is not None
-        assert patch.tiles[j].word in ((g,),)
-    assert patch.find(np.eye(3) * 3.0) is None
+def test_neighbour_table_matches_matrix_route():
+    # the exact table against the float matrices, at a depth where
+    # distinct group elements are still far apart
+    rng = random.Random(11)
+    for p, q in ((4, 3), (4, 4), (7, 3), (5, 4), (3, 6)):
+        patch = generate_patch(p, q, 10)
+        tri, tiles = patch.triangle, patch.tiles
+        rounded = np.round(np.array([t.matrix.ravel() for t in tiles]), 6)
+        assert len(np.unique(rounded, axis=0)) == len(tiles)
+        lengths = [len(t.word) for t in tiles]
+        for i, links in enumerate(patch.neighbours):
+            for g, j in enumerate(links):
+                if j < 0:
+                    assert lengths[i] == patch.depth  # only the rim has outside links
+                    continue
+                assert patch.neighbours[j][g] == i
+                assert np.allclose(tiles[j].matrix, tiles[i].matrix @ tri.mirrors[g], atol=1e-6)
+        words = [(A,), (B, C), (C, A, B), (A, B, A, C, B, C)]
+        for _ in range(6):
+            w = [rng.randrange(3)]
+            for _ in range(rng.randrange(10)):
+                w.append(rng.choice([g for g in (A, B, C) if g != w[-1]]))
+            words.append(tuple(w))
+        for w in words:
+            M = tri.word_matrix(w)
+            image = patch.image(w)
+            assert image[0] == patch.walk(0, w)
+            assert image[patch.walk(0, w[::-1])] == 0
+            for i, j in enumerate(image):
+                if j >= 0:
+                    assert np.allclose(tiles[j].matrix, M @ tiles[i].matrix, atol=1e-6)
+                elif 3 * len(w) <= 2 * patch.depth:
+                    # the ball of radius depth - len(w) holds the seed and maps inside
+                    assert lengths[i] > patch.depth - len(w)
 
 
-def test_matrix_key_separates_and_groups():
-    tri = fundamental_triangle(7, 3)
-    ma, mb, _ = tri.mirrors
-    assert matrix_key(ma) != matrix_key(mb)
-    assert matrix_key(ma) == matrix_key(ma + 1e-9)
+def test_patch_sizes_follow_the_growth_series():
+    for p, q, depth in ((7, 3, 40), (7, 3, 50), (5, 4, 30), (8, 3, 40)):
+        assert len(generate_patch(p, q, depth).tiles) == ball_size(p, q, depth)
 
 
-def test_reorthogonalize_cleans_drift():
-    rng = np.random.default_rng(5)
-    for geometry, pq in (
-        (Geometry.SPHERICAL, (4, 3)),
-        (Geometry.HYPERBOLIC, (7, 3)),
-        (Geometry.EUCLIDEAN, (4, 4)),
-    ):
-        tri = fundamental_triangle(*pq)
-        M = tri.word_matrix((A, B, C, B, A, C))
-        drifted = M + rng.normal(scale=1e-9, size=(3, 3))
-        if geometry is Geometry.EUCLIDEAN:
-            drifted[2] = (0.0, 0.0, 1.0)  # keep the affine row exact
-        cleaned = reorthogonalize(drifted, geometry)
-        assert form_residual(cleaned, geometry) < 1e-12
-        assert np.max(np.abs(cleaned - M)) < 1e-6
+def test_merged_tiles_never_exceed_a_tile(provider):
+    patch = generate_patch(7, 3, 40)
+    for kind in TilingKind:
+        rep = census(7, 3, kind, Scope.FULL, 1, classes_provider=provider)
+        cp = colour_patch(patch, rep.entries[0].representatives[0].table, kind)
+        assert max(len(poly) for poly in cp.polygons) == cp.polygon_size
 
 
 def test_depth_zero_and_errors():

@@ -106,6 +106,11 @@ def test_svg_well_formed_and_deterministic(board):
     paths = [el for el in root.iter() if el.tag.endswith("path")]
     fills = {f for el in paths if (f := el.get("fill")) and f != "none"}
     assert len(fills) == 2  # two colours on the board
+    # a square's boundary is the a-side of each of its triangles, plus
+    # the b- and c-sides that the patch rim cuts off
+    rim = sum(links[g] < 0 for links in board.patch.neighbours for g in (B, C))
+    strokes = [el for el in paths if el.get("fill") == "none"]
+    assert len(strokes) == len(board.patch.tiles) + rim
     assert emit_svg(board, palette_seed=3) != data
     assert emit_svg(board, subdivision=2) != data
 
