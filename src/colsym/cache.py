@@ -28,6 +28,7 @@ ENV_VAR = "COLSYM_CACHE_DIR"
 
 _NAME_RE = re.compile(r"^(triangle|vondyck)-(\d+)-(\d+)$")
 _FILE_RE = re.compile(r"^(triangle|vondyck)_(\d+)_(\d+)_idx(\d+)\.json$")
+_TMP_PREFIX = "colsym-"  # of the temp files store_classes writes before renaming
 
 
 def default_cache_dir() -> str:
@@ -146,7 +147,7 @@ def store_classes(cl: ClassList, cache_dir: str | None = None) -> str:
         raise CacheError(f"cannot create cache dir {cache_dir}: {e}") from None
     path = os.path.join(cache_dir, f"{family}_{p}_{q}_idx{cl.max_index}.json")
     data = serialize_class_list(cl)
-    fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
+    fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix=_TMP_PREFIX, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="ascii") as fh:
             fh.write(data)
@@ -225,13 +226,14 @@ def cache_entries(cache_dir: str | None = None) -> list[dict]:
 
 
 def cache_clear(cache_dir: str | None = None) -> int:
-    """Delete cache files; returns how many went away."""
+    """Delete class-list files and colsym's own temp files; returns how
+    many went away.  Other files in the directory are left alone."""
     cache_dir = cache_dir or default_cache_dir()
     if not os.path.isdir(cache_dir):
         return 0
     n = 0
     for fn in os.listdir(cache_dir):
-        if _FILE_RE.match(fn) or fn.endswith(".tmp"):
+        if _FILE_RE.match(fn) or (fn.startswith(_TMP_PREFIX) and fn.endswith(".tmp")):
             try:
                 os.unlink(os.path.join(cache_dir, fn))
                 n += 1

@@ -93,7 +93,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument("--subdiv", type=int, default=12, help="points per drawn edge")
     sp.add_argument("--palette-seed", type=int, default=0)
-    sp.add_argument("--size", type=int, default=700, help="image width in pixels")
+    sp.add_argument(
+        "--size", type=int, default=700, help="image width in pixels (at least 1)"
+    )
     sp.add_argument("--out", default=None, help="output file (default: stdout)")
     _budget_options(sp)
 
@@ -102,7 +104,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--colours", type=int, required=True)
     sp.add_argument("--pick", type=int, default=0)
     sp.add_argument("--depth", type=int, default=5)
-    sp.add_argument("--words", type=int, default=50, help="random symmetries to test")
+    sp.add_argument(
+        "--words", type=int, default=50, help="random symmetries to test (at least 1)"
+    )
     sp.add_argument("--seed", type=int, default=0)
     _budget_options(sp)
 
@@ -199,6 +203,8 @@ def cmd_render(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.words < 1:
+        raise DomainError("--words must be at least 1")
     _, table = _representative(args, args.colours)
     kind = TilingKind(args.tiling)
     scope = Scope(args.scope)

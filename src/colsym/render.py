@@ -165,26 +165,23 @@ def verify_perfect_on_patch(cp: ColouredPatch, w: Word) -> bool:
 _SIDES = (((0, 1), C), ((1, 2), A), ((2, 0), B))
 
 # fixed small tilt so no tiling vertex sits at the projection pole
-_TILT = 0.37
+_TILT = np.array(
+    [
+        [1.0, 0, 0],
+        [0, math.cos(0.37), -math.sin(0.37)],
+        [0, math.sin(0.37), math.cos(0.37)],
+    ]
+)
 
 
-def _tilt_matrix() -> np.ndarray:
-    c, s = math.cos(_TILT), math.sin(_TILT)
-    return np.array([[1.0, 0, 0], [0, c, -s], [0, s, c]])
-
-
-def _project(points: np.ndarray, geometry: Geometry, projection: str) -> np.ndarray:
-    if projection == "disk":
-        return points[:, :2] / (1.0 + points[:, 2:3])
-    if projection == "stereographic":
-        tilted = points @ _tilt_matrix().T
-        return tilted[:, :2] / (1.0 + tilted[:, 2:3])
-    if projection == "orthographic":
-        tilted = points @ _tilt_matrix().T
-        return tilted[:, :2]
+def _project(points: np.ndarray, projection: str) -> np.ndarray:
     if projection == "identity":
         return points[:, :2]
-    raise DomainError(f"unknown projection {projection!r}")
+    if projection != "disk":
+        points = points @ _TILT.T
+    if projection == "orthographic":
+        return points[:, :2]
+    return points[:, :2] / (1.0 + points[:, 2:3])
 
 
 _DEFAULT_PROJECTION = {
@@ -200,9 +197,13 @@ _ALLOWED = {
 }
 
 
-def _geodesic(u: np.ndarray, v: np.ndarray, geometry: Geometry, steps: int) -> np.ndarray:
-    """Points along the geodesic from u to v, endpoints included."""
-    ts = np.linspace(0.0, 1.0, steps + 1)
+def _geodesic(
+    u: np.ndarray, v: np.ndarray, geometry: Geometry, J: np.ndarray, ts: np.ndarray
+) -> np.ndarray:
+    """Points along the geodesic from u to v at the fractions ts of its length.
+
+    J is the geometry's form_matrix.
+    """
     if geometry is Geometry.EUCLIDEAN:
         return np.outer(1 - ts, u) + np.outer(ts, v)
     if geometry is Geometry.SPHERICAL:
@@ -213,7 +214,6 @@ def _geodesic(u: np.ndarray, v: np.ndarray, geometry: Geometry, steps: int) -> n
         return (
             np.outer(np.sin((1 - ts) * om), u) + np.outer(np.sin(ts * om), v)
         ) / math.sin(om)
-    J = form_matrix(geometry)
     dot = float(u @ J @ v)
     d = math.acosh(max(1.0, -dot))
     if d < 1e-12:
@@ -262,9 +262,13 @@ def emit_svg(
         )
     if subdivision < 1:
         raise DomainError("subdivision must be at least 1")
+    if size < 1:
+        raise DomainError("size must be at least 1")
 
     patch = cp.patch
     fills = palette(cp.k, palette_seed)
+    J = form_matrix(geometry)
+    ts = np.linspace(0.0, 1.0, subdivision + 1)
 
     def normalized(pt: np.ndarray) -> np.ndarray:
         # guard drift so points sit exactly on their surface before projecting
@@ -272,57 +276,38 @@ def emit_svg(
             return pt / np.linalg.norm(pt)
         if geometry is Geometry.EUCLIDEAN:
             return pt / pt[2]
-        J = form_matrix(geometry)
         return pt / math.sqrt(max(1e-300, -float(pt @ J @ pt)))
 
-    visible: list[int] = []
-    if projection == "orthographic":
-        tilt = _tilt_matrix()
-        for i in range(len(patch.tiles)):
-            centroid = sum(patch.corners_of(i)) / 3.0
-            if (tilt @ centroid)[2] > 0.0:
-                visible.append(i)
-    else:
-        visible = list(range(len(patch.tiles)))
-    shown = set(visible)
-
-    tile_rings: list[tuple[int, np.ndarray]] = []
-    for i in visible:
-        corners = [normalized(c) for c in patch.corners_of(i)]
-        ring: list[np.ndarray] = []
-        for (a_, b_), _ in _SIDES:
-            seg = _geodesic(corners[a_], corners[b_], geometry, subdivision)
-            ring.extend(seg[:-1])
-        xy = _project(np.array(ring), geometry, projection)
-        tile_rings.append((i, xy))
-
-    # merged-tile boundaries: triangle edges whose neighbour across lies
-    # in another merged tile or outside the patch
+    # one pass in tile order: each drawn triangle's sides are computed,
+    # projected and formatted once; the fill path is built at once, and
+    # the sides on merged-tile boundaries (the triangle across lies in
+    # another merged tile or outside the patch) are kept for the strokes
     owner = {i: k for k, poly in enumerate(cp.polygons) for i in poly}
-    edge_lines: list[np.ndarray] = []
-    for poly in cp.polygons:
-        for i in poly:
-            if i not in shown:
-                continue
-            cs = [normalized(c) for c in patch.corners_of(i)]
-            for (a_, b_), g in _SIDES:
-                j = patch.neighbours[i][g]
-                if j >= 0 and owner[j] == owner[i]:
-                    continue
-                seg = _geodesic(cs[a_], cs[b_], geometry, subdivision)
-                edge_lines.append(_project(seg, geometry, projection))
+    fill_paths: list[str] = []
+    edges: dict[int, list[str]] = {}
+    lo, hi = np.full(2, np.inf), np.full(2, -np.inf)
+    for i, links in enumerate(patch.neighbours):
+        corners = patch.corners_of(i)
+        if projection == "orthographic" and not (_TILT @ (sum(corners) / 3.0))[2] > 0.0:
+            continue  # on the far side of the sphere
+        cs = [normalized(c) for c in corners]
+        segs = [_geodesic(cs[a_], cs[b_], geometry, J, ts) for (a_, b_), _ in _SIDES]
+        xy = _project(np.vstack(segs), projection).reshape(3, subdivision + 1, 2)
+        ring = xy[:, :-1].reshape(-1, 2)
+        lo, hi = np.minimum(lo, ring.min(axis=0)), np.maximum(hi, ring.max(axis=0))
+        sides = [[f"{_fmt(x)} {_fmt(y)}" for x, y in side] for side in xy.tolist()]
+        d = "M" + "L".join(pt for side in sides for pt in side[:-1]) + "Z"
+        fill_paths.append(f'<path d="{d}" fill="{fills[cp.colours[i] - 1]}" stroke="none"/>')
+        edges[i] = [
+            "M" + "L".join(side)
+            for side, (_, g) in zip(sides, _SIDES)
+            if links[g] < 0 or owner[links[g]] != owner[i]
+        ]
 
     if projection in ("disk", "orthographic"):
         x0 = y0 = -1.05
         span = 2.1
     else:
-        pts = (
-            np.vstack([xy for _, xy in tile_rings])
-            if tile_rings
-            else np.zeros((1, 2))
-        )
-        lo = pts.min(axis=0)
-        hi = pts.max(axis=0)
         if projection == "stereographic":
             lo = np.maximum(lo, -3.0)
             hi = np.minimum(hi, 3.0)
@@ -330,21 +315,19 @@ def emit_svg(
         cx, cy = (lo + hi) / 2.0
         x0, y0 = float(cx) - span / 2, float(cy) - span / 2
     stroke = span * 0.003
+    stroke_attrs = (
+        f'fill="none" stroke="#1a1a1a" stroke-width="{_fmt(stroke)}" stroke-linecap="round"'
+    )
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
         f'viewBox="{_fmt(x0)} {_fmt(y0)} {_fmt(span)} {_fmt(span)}">',
         f'<rect x="{_fmt(x0)}" y="{_fmt(y0)}" width="{_fmt(span)}" height="{_fmt(span)}" fill="#ffffff"/>',
     ]
-    for i, xy in tile_rings:
-        d = "M" + "L".join(f"{_fmt(x)} {_fmt(y)}" for x, y in xy) + "Z"
-        parts.append(f'<path d="{d}" fill="{fills[cp.colours[i] - 1]}" stroke="none"/>')
-    for xy in edge_lines:
-        d = "M" + "L".join(f"{_fmt(x)} {_fmt(y)}" for x, y in xy)
-        parts.append(
-            f'<path d="{d}" fill="none" stroke="#1a1a1a" '
-            f'stroke-width="{_fmt(stroke)}" stroke-linecap="round"/>'
-        )
+    parts += fill_paths
+    for poly in cp.polygons:
+        for i in poly:
+            parts += (f'<path d="{d}" {stroke_attrs}/>' for d in edges.get(i, ()))
     if projection == "disk":
         parts.append(
             f'<circle cx="0" cy="0" r="1" fill="none" stroke="#1a1a1a" '

@@ -140,12 +140,20 @@ def test_cached_provider_memoizes_and_persists(tmp_path, monkeypatch):
     assert calls == [("triangle-4-3", 6), ("triangle-4-3", 2)]
 
 
-def test_cache_clear(tmp_path, classes):
+def test_cache_clear(tmp_path, classes, monkeypatch):
     store_classes(classes, str(tmp_path))
     store_classes(low_index_classes(von_dyck_group(4, 3)[0], 4), str(tmp_path))
     assert len(cache_entries(str(tmp_path))) == 2
-    assert cache_clear(str(tmp_path)) == 2
+    # a temp file left by an interrupted store is colsym's to remove
+    with monkeypatch.context() as m:
+        m.setattr(os, "replace", lambda src, dst: None)
+        store_classes(classes, str(tmp_path))
+    foreign = tmp_path / "notes.tmp"
+    foreign.write_text("not ours")
+    assert cache_clear(str(tmp_path)) == 3
     assert cache_entries(str(tmp_path)) == []
+    assert os.listdir(tmp_path) == ["notes.tmp"]
+    assert foreign.read_text() == "not ours"
     assert cache_clear(str(tmp_path)) == 0
 
 

@@ -86,6 +86,22 @@ def test_domain_error_exit_code(capsys, cache_dir):
     )
     assert code == 2
 
+    for words in ("-3", "0"):
+        code, out, err = run_cli(
+            capsys, "verify", "--p", "4", "--q", "3", "--colours", "3",
+            "--words", words, "--cache-dir", cache_dir,
+        )
+        assert (code, out) == (2, "")
+        assert "--words" in err
+
+    for size in ("0", "-5"):
+        code, out, err = run_cli(
+            capsys, "render", "--p", "4", "--q", "3", "--colours", "3",
+            "--size", size, "--cache-dir", cache_dir,
+        )
+        assert (code, out) == (2, "")
+        assert "size" in err
+
 
 def test_resource_limit_exit_code(capsys, cache_dir):
     code, _, err = run_cli(

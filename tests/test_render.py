@@ -1,3 +1,4 @@
+import hashlib
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 
@@ -137,6 +138,64 @@ def test_svg_projections(provider):
         emit_svg(hyp, projection="identity")
     with pytest.raises(DomainError):
         emit_svg(hyp, subdivision=0)
+    for size in (0, -5):
+        with pytest.raises(DomainError):
+            emit_svg(hyp, size=size)
+
+
+F, R = Scope.FULL, Scope.ROTATION
+PQ, QP, LV = TilingKind.PQ, TilingKind.QP, TilingKind.LAVES
+
+# p, q, kind, scope, colours, pick, depth, emit_svg options, bytes, sha256.
+# The first twelve are the scripts/render_gallery.py showcase at its
+# default hyperbolic depth; then both spheres seen orthographically and a
+# Euclidean identity projection with non-default options.
+PINNED_SVGS = [
+    (4, 4, PQ, F, 2, 0, 7, {}, 78670,
+     "f765e91092b9a317d5a9357ba568c515ac0bd9273dfec5656bf143045e736118"),
+    (4, 3, PQ, F, 3, 0, 7, {}, 43674,
+     "9491bbe9d24c849ed50eb119b81e994853c9a77e287e4d6a6c81e3da2b91e09e"),
+    (4, 3, PQ, F, 6, 0, 7, {}, 43674,
+     "709bbaa5db101c1257e8895b0288d56213356d336b132d916ec7eb9e376630e0"),
+    (3, 5, PQ, F, 10, 0, 40, {}, 115912,
+     "5608a3cfa330a28aaa2b6d752c108a9bbaf05a84be209871aef77943f365a709"),
+    (3, 5, PQ, F, 20, 0, 40, {}, 115912,
+     "587502ca306aad3981e7ab7d0918a0f1229c7ad40a0fdc05b779de6aed32a773"),
+    (7, 3, PQ, F, 8, 0, 7, {}, 76164,
+     "48b94a91a22e9870c74966b9591eb9991c992003b9fba134fa3da72fadb01394"),
+    (7, 3, LV, F, 9, 0, 7, {}, 76168,
+     "2636f2fe7de125e5a984604cc84d147c234db970b9f0fcf076a2b000ac3f5eed"),
+    (7, 3, QP, F, 22, 0, 7, {}, 76178,
+     "84432dd225d1bf5a89fd8f960cf9b3214b938cdf75e612698779350c457757d3"),
+    (7, 3, PQ, R, 9, 0, 7, {}, 76164,
+     "8b180e4c97c69265ebd27d31d1bf4816c3c1d0832844852e03135c6722c53f3c"),
+    (7, 3, LV, R, 14, 2, 7, {}, 76168,
+     "1937b80ac013e836e00f0e4920c017ab8e6026b1637e3e3b1aa4f8805d653c42"),
+    (5, 4, LV, F, 10, 1, 7, {}, 99268,
+     "f6ae36b1a131c32838ff9bf720319468ea364d0baed1b23986de892afbeaec5e"),
+    (8, 3, PQ, R, 10, 0, 7, {}, 77522,
+     "6f01b7bd5e0605a4e45eb2d62b0eb0755010edde5b6f11351d73189b6b2519e0"),
+    (4, 3, PQ, F, 6, 0, 7, {"projection": "orthographic"}, 23302,
+     "982d0826bdcf0d4651f3991bfea69d5ff70bd68e3036741102967709afa7f315"),
+    (3, 5, PQ, F, 20, 0, 40, {"projection": "orthographic"}, 58040,
+     "ed8a653d2e889986fc7c20907105dffd6ee0a4d503548e86365bc09c693c8056"),
+    (3, 6, QP, F, 3, 0, 8, {"palette_seed": 2, "subdivision": 5, "size": 320}, 46647,
+     "3be94dd0e79c4a36f78e31b1f60fc577c6f320d84d2869877781f9c8ed785adc"),
+]
+
+
+@pytest.mark.parametrize(
+    "p, q, kind, scope, k, pick, depth, options, length, digest",
+    PINNED_SVGS,
+    ids=[f"{p}-{q}-{kind.value}-{scope.value}-k{k}-{i}"
+         for i, (p, q, kind, scope, k, *_) in enumerate(PINNED_SVGS)],
+)
+def test_svg_bytes_pinned(
+    provider, p, q, kind, scope, k, pick, depth, options, length, digest
+):
+    t = rep_table(provider, p, q, kind, scope, k, pick)
+    data = emit_svg(colour_patch(generate_patch(p, q, depth), t, kind, scope), **options)
+    assert (len(data), hashlib.sha256(data).hexdigest()) == (length, digest)
 
 
 def test_svg_write_to_path(tmp_path, board):
