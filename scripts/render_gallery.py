@@ -15,6 +15,7 @@ import time
 from colsym.cache import cached_provider
 from colsym.census import Scope, TilingKind, census
 from colsym.geometry import generate_patch
+from colsym.presentations import Geometry, classify_geometry
 from colsym.render import colour_patch, emit_svg
 
 SHOWCASE = [
@@ -37,7 +38,10 @@ SHOWCASE = [
 def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--out", default="out")
-    ap.add_argument("--depth", type=int, default=7, help="hyperbolic patch radius")
+    ap.add_argument(
+        "--depth", type=int, default=7,
+        help="patch radius of the plane tilings; spheres are drawn whole",
+    )
     args = ap.parse_args()
     os.makedirs(args.out, exist_ok=True)
     provider = cached_provider()
@@ -50,7 +54,9 @@ def main() -> int:
         table = entry.representatives[pick].table
         key = (p, q)
         if key not in patches:
-            depth = 40 if p * q < 12 or (p, q) == (3, 5) else args.depth
+            # a spherical patch stops growing once it is the whole tiling
+            spherical = classify_geometry(p, q) is Geometry.SPHERICAL
+            depth = 40 if spherical else args.depth
             patches[key] = generate_patch(p, q, depth)
         cp = colour_patch(patches[key], table, kind, scope)
         name = (

@@ -26,8 +26,8 @@ from .presentations import (
     triangle_group,
     von_dyck_group,
 )
-from .words import REFLECTIONS, ROTATIONS, Word, free_reduce, sign_parity
-from .coset import CosetTable, canonical_table, reroot, validate
+from .words import REFLECTIONS, ROTATIONS, Word, free_reduce
+from .coset import CosetTable, canonical_table, reroot
 from .lowindex import ClassList, low_index_classes
 from .subgroups import (
     SubgroupRecord,

@@ -151,17 +151,14 @@ def census(
     provider = classes_provider or low_index_classes
 
     started = time.perf_counter()
-    if scope is Scope.FULL:
-        entries = _census_full(p, q, kind, max_colours, provider)
-        tag = "a"
-    elif strategy == "a":
-        entries = _census_rotation_a(p, q, kind, max_colours, provider)
+    if scope is Scope.FULL or strategy == "a":
+        entries = _census_reflection(p, q, kind, scope, max_colours, provider)
         tag = "a"
     elif strategy == "b":
         entries = _census_rotation_b(p, q, kind, max_colours, provider)
         tag = "b"
     else:  # "both"
-        ea = _census_rotation_a(p, q, kind, max_colours, provider)
+        ea = _census_reflection(p, q, kind, scope, max_colours, provider)
         eb = _census_rotation_b(p, q, kind, max_colours, provider)
         ma = {e.colours: e.count for e in ea}
         mb = {e.colours: e.count for e in eb}
@@ -192,36 +189,23 @@ def _bucket(records: dict[int, list[SubgroupRecord]]) -> tuple[CensusEntry, ...]
     )
 
 
-def _census_full(p, q, kind, max_colours, provider) -> tuple[CensusEntry, ...]:
-    G = triangle_group(p, q)
-    words = required_words(kind, Scope.FULL)
-    classes = provider(G, max_colours)
-    buckets: dict[int, list[SubgroupRecord]] = {}
-    for t in classes.tables:
-        if fixed_cosets(t, words):
-            buckets.setdefault(t.n, []).append(_rerooted_record(t, words))
-    return _bucket(buckets)
-
-
-def _census_rotation_a(p, q, kind, max_colours, provider) -> tuple[CensusEntry, ...]:
-    """Rotation scope via the reflection group.
+def _census_reflection(p, q, kind, scope, max_colours, provider) -> tuple[CensusEntry, ...]:
+    """Full scope, or rotation scope via the reflection group (route a).
 
     An index-k subgroup of the rotation half has index 2k in the full
     group, and conjugacy classes taken in the full group are exactly
     what "colourings up to symmetry of the uncoloured tiling" means,
     reflections included.
     """
-    G = triangle_group(p, q)
-    words = required_words(kind, Scope.ROTATION)
-    classes = provider(G, 2 * max_colours)
+    scale = 1 if scope is Scope.FULL else 2
+    words = required_words(kind, scope)
+    classes = provider(triangle_group(p, q), scale * max_colours)
     buckets: dict[int, list[SubgroupRecord]] = {}
     for t in classes.tables:
-        if t.n % 2:
-            continue
-        if not is_orientation_subgroup(t):
+        if scale == 2 and not is_orientation_subgroup(t):
             continue
         if fixed_cosets(t, words):
-            buckets.setdefault(t.n // 2, []).append(_rerooted_record(t, words))
+            buckets.setdefault(t.n // scale, []).append(_rerooted_record(t, words))
     return _bucket(buckets)
 
 

@@ -103,7 +103,13 @@ def build_parser() -> argparse.ArgumentParser:
     _common_options(sp)
     sp.add_argument("--colours", type=int, required=True)
     sp.add_argument("--pick", type=int, default=0)
-    sp.add_argument("--depth", type=int, default=5)
+    sp.add_argument(
+        "--depth",
+        type=int,
+        default=5,
+        help="patch radius in triangles; words are 1 to min(12, depth) "
+        "letters long, even in rotation scope",
+    )
     sp.add_argument(
         "--words", type=int, default=50, help="random symmetries to test (at least 1)"
     )
@@ -205,34 +211,42 @@ def cmd_render(args) -> int:
 def cmd_verify(args) -> int:
     if args.words < 1:
         raise DomainError("--words must be at least 1")
-    _, table = _representative(args, args.colours)
     kind = TilingKind(args.tiling)
     scope = Scope(args.scope)
+    # a word is checkable when it is no longer than the patch depth, and
+    # only even words are colour symmetries in rotation scope
+    step = 2 if scope is Scope.ROTATION else 1
+    longest = min(12, args.depth) // step
+    if longest < 1:
+        raise DomainError(
+            f"--depth must be at least {step} to check {scope.value}-scope words"
+        )
+    _, table = _representative(args, args.colours)
     patch = generate_patch(args.p, args.q, args.depth)
     cp = colour_patch(patch, table, kind, scope)
     rng = random.Random(args.seed)
 
     def random_word():
-        length = rng.randint(1, 12)
-        if scope is Scope.ROTATION and length % 2:
-            length += 1  # only even words act on rotation-scope colourings
         w = []
-        for _ in range(length):
-            g = rng.choice([g for g in (A, B, C) if not w or g != w[-1]])
-            w.append(g)
+        for _ in range(step * rng.randint(1, longest)):
+            w.append(rng.choice([g for g in (A, B, C) if not w or g != w[-1]]))
         return tuple(w)
 
+    words = [random_word() for _ in range(args.words)]
     bad = 0
-    for _ in range(args.words):
-        w = random_word()
+    for w in words:
         if not verify_perfect_on_patch(cp, w):
             bad += 1
             print(f"FAIL word {w} does not permute colours consistently")
+    # each word w is checked on every triangle within depth - len(w)
+    reach = args.depth - max(map(len, words))
+    checked = sum(len(t.word) <= reach for t in patch.tiles)
     status = "PASS" if bad == 0 else "FAIL"
     print(
         f"{status} {kind.display(args.p, args.q)} {scope.value} "
         f"k={cp.k}: {args.words - bad}/{args.words} words consistent "
-        f"on {len(cp.polygons)} tiles"
+        f"on {len(cp.polygons)} tiles, each checked on at least "
+        f"{checked} of {len(patch.tiles)} triangles"
     )
     return 0 if bad == 0 else 1
 

@@ -1,4 +1,4 @@
-"""Coset tables: re-rooting, canonical forms and validation.
+"""Coset tables: re-rooting and canonical forms.
 
 A coset table for a subgroup S of a group G presented on k letters is
 an n x k array: rows are cosets (row 0 is S itself), columns follow the
@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .presentations import Presentation
 from .words import Alphabet, Word
 
 
@@ -38,8 +37,13 @@ class CosetTable:
         return tuple(v for row in self.rows for v in row)
 
 
-def _renumber(t: CosetTable, base: int) -> CosetTable:
-    """Relabel cosets in first-visit order of a column-ordered BFS from base."""
+def reroot(t: CosetTable, base: int) -> CosetTable:
+    """Standardized table of the same action with `base` moved to slot 0.
+
+    Cosets are relabelled in first-visit order of a column-ordered BFS
+    from base.  The result is the table of the conjugate subgroup
+    w S w^-1 where w is any word carrying coset 0 to base.
+    """
     m = t.alphabet.size
     rows = t.rows
     order = [base]
@@ -59,15 +63,6 @@ def _renumber(t: CosetTable, base: int) -> CosetTable:
     return CosetTable(t.alphabet, new_rows)
 
 
-def reroot(t: CosetTable, base: int) -> CosetTable:
-    """Standardized table of the same action with `base` moved to slot 0.
-
-    The result is the table of the conjugate subgroup w S w^-1 where w
-    is any word carrying coset 0 to base.
-    """
-    return _renumber(t, base)
-
-
 def canonical_table(t: CosetTable) -> CosetTable:
     """Lexicographically least re-rooting; the class representative.
 
@@ -76,65 +71,7 @@ def canonical_table(t: CosetTable) -> CosetTable:
     """
     best = None
     for base in range(t.n):
-        cand = _renumber(t, base)
+        cand = reroot(t, base)
         if best is None or cand.rows < best.rows:
             best = cand
     return best
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    failures: tuple[str, ...]
-
-
-def validate(t: CosetTable, pres: Presentation) -> ValidationReport:
-    """Check totality, inverse consistency, transitivity, relator closure."""
-    m = t.alphabet.size
-    inv = t.alphabet.inv
-    n = t.n
-    failures: list[str] = []
-
-    for i, row in enumerate(t.rows):
-        if len(row) != m:
-            failures.append(f"row {i} has {len(row)} entries, expected {m}")
-            return ValidationReport(False, tuple(failures))
-        for c in range(m):
-            v = row[c]
-            if not (0 <= v < n):
-                failures.append(f"entry ({i},{t.alphabet.names[c]}) = {v} out of range")
-                return ValidationReport(False, tuple(failures))
-
-    for i in range(n):
-        for c in range(m):
-            j = t.rows[i][c]
-            if t.rows[j][inv[c]] != i:
-                failures.append(
-                    f"inverse mismatch: ({i},{t.alphabet.names[c]}) = {j} but "
-                    f"({j},{t.alphabet.names[inv[c]]}) = {t.rows[j][inv[c]]}"
-                )
-                break
-        if failures:
-            break
-
-    seen = {0}
-    stack = [0]
-    while stack:
-        i = stack.pop()
-        for c in range(m):
-            j = t.rows[i][c]
-            if j not in seen:
-                seen.add(j)
-                stack.append(j)
-    if len(seen) != n:
-        failures.append(f"not transitive: {len(seen)} of {n} cosets reachable from 0")
-
-    for rel in pres.relators:
-        bad = next((i for i in range(n) if t.apply(i, rel) != i), None)
-        if bad is not None:
-            failures.append(
-                f"relator {t.alphabet.word_str(rel)} does not close at coset {bad}"
-            )
-            break
-
-    return ValidationReport(not failures, tuple(failures))

@@ -151,26 +151,22 @@ class TrianglePatch:
     def image(self, w: Word) -> list[int]:
         """The tile w.x for each tile x, or -1 where it is not found.
 
-        x -> w.x commutes with mirror steps, so it is seeded at the split
-        w = w1.w2 (tile w2^-1 goes to tile w1) and spread along links
-        whose ends and images lie in the patch.  A tile that no such path
-        reaches stays -1 even if its image is in the patch; at depth >=
-        3 len(w) / 2 that happens only within len(w) steps of the rim.
+        A tile x = parent.g, with g the last letter of its word, has
+        w.x = (w.parent).g, and parents come first in tile order, so one
+        pass from w.e = walk(0, w) maps x wherever the images of its
+        ancestors stay in the patch.  That covers every tile within
+        depth - len(w) of the centre; w longer than the depth is an error.
         """
+        if len(w) > self.depth:
+            raise DomainError(
+                f"a word of {len(w)} letters is longer than the patch depth {self.depth}"
+            )
         nbrs = self.neighbours
-        image = [-1] * len(self.tiles)
-        k = len(w) // 2
-        x, y = self.walk(0, w[k:][::-1]), self.walk(0, w[:k])
-        if x < 0 or y < 0:
-            return image
-        image[x] = y
-        stack = [x]
-        while stack:
-            x = stack.pop()
-            for x2, y2 in zip(nbrs[x], nbrs[image[x]]):
-                if x2 >= 0 and y2 >= 0 and image[x2] < 0:
-                    image[x2] = y2
-                    stack.append(x2)
+        image = [self.walk(0, w)]
+        for t, links in zip(self.tiles[1:], nbrs[1:]):
+            g = t.word[-1]
+            y = image[links[g]]
+            image.append(nbrs[y][g] if y >= 0 else -1)
         return image
 
 

@@ -39,17 +39,21 @@ class ColouredPatch:
     polygon_size: int  # triangles in a complete merged tile
 
 
-def _even_ranks(t: CosetTable) -> dict[int, int]:
-    """Rank the orientation-preserving cosets in increasing order.
+def _coset_colours(t: CosetTable, scope: Scope) -> list[int]:
+    """The colour of each coset, 1-based, or 0 for a coset with no colour.
 
-    Coset i is orientation-preserving when words reaching it have even
-    length; that is well defined only for an orientation subgroup.
+    Full scope: each coset is a colour.  Rotation scope: the colours are
+    the orientation-preserving cosets, reached by words of even length,
+    in increasing order; that is well defined only for an orientation
+    subgroup.
     """
+    if scope is Scope.FULL:
+        return list(range(1, t.n + 1))
     side = orientation_sides(t)
     if side is None:
         raise DomainError("rotation-scope colouring needs an orientation subgroup")
-    evens = [i for i in range(t.n) if side[i] == 0]
-    return {cos: r for r, cos in enumerate(evens)}
+    ranks = iter(range(1, t.n + 1))
+    return [0 if s else next(ranks) for s in side]
 
 
 def colour_patch(
@@ -64,29 +68,23 @@ def colour_patch(
     words of the tiling kind (census representatives are stored that
     way).  Full scope: the colour of triangle f(F) is the coset of
     f^-1.  Rotation scope: the subgroup lies in the rotation half and
-    colours are its cosets there; an odd triangle word is completed to
-    an even one by a stabilizer mirror, which lands in the same merged
-    tile by construction.
+    colours are its cosets there; an odd triangle word reaches a coset
+    with no colour and is completed to an even one by a stabilizer
+    mirror, which lands in the same merged tile by construction.
     """
     words = required_words(kind, Scope.FULL)
     r1, r2 = words[0][0], words[1][0]
     alphabet = table.alphabet
     n_tiles = len(patch.tiles)
-
-    if scope is Scope.ROTATION:
-        ranks = _even_ranks(table)
-        k = table.n // 2
-    else:
-        ranks = None
-        k = table.n
+    colour_of = _coset_colours(table, scope)
 
     colours: list[int] = []
     for t in patch.tiles:
-        w = t.word
-        if ranks is not None and len(w) % 2:
-            w = w + (r2,)
-        cos = table.apply(0, alphabet.inverse_word(w))
-        colours.append(cos + 1 if ranks is None else ranks[cos] + 1)
+        iw = alphabet.inverse_word(t.word)
+        cos = table.apply(0, iw)
+        if not colour_of[cos]:
+            cos = table.apply(0, (r2,) + iw)
+        colours.append(colour_of[cos])
 
     # group triangles into merged tiles: stepping inward across the two
     # stabilizer mirrors ends at the tile's nearest triangle, the coset's
@@ -116,47 +114,27 @@ def colour_patch(
         kind
     ]
     return ColouredPatch(
-        patch, table, kind, scope, k, tuple(colours), polygons, size
+        patch, table, kind, scope, max(colour_of), tuple(colours), polygons, size
     )
 
 
 def verify_perfect_on_patch(cp: ColouredPatch, w: Word) -> bool:
     """Does the symmetry w permute the patch colours as the table says?
 
-    Maps the triangles through w (see TrianglePatch.image), collects
-    (colour, image colour) pairs, and checks they form a single-valued
-    injective map agreeing with colour_permutation.  For a
-    rotation-scope colouring only orientation-preserving words are
-    colour symmetries, so odd words fail.
+    Maps the triangles through w (see TrianglePatch.image; w may be no
+    longer than the patch depth, so the centre triangle is always
+    mapped) and checks that each triangle's image has the colour the
+    table sends its colour to (see colour_permutation).  An odd word
+    carries a rotation-scope colour to a coset with no colour, so it
+    fails there: only rotations are colour symmetries of such a colouring.
     """
-    patch = cp.patch
     table = cp.table
-    if cp.scope is Scope.ROTATION and len(w) % 2:
-        return False
-    mapping: dict[int, int] = {}
-    for i, j in enumerate(patch.image(w)):
-        if j < 0:
-            continue
-        ci, cj = cp.colours[i], cp.colours[j]
-        if mapping.setdefault(ci, cj) != cj:
-            return False
-    pairs = set(mapping.items())
-    if len({cj for _, cj in pairs}) != len(pairs):
-        return False  # not injective
-
+    image = cp.patch.image(w)
+    colour_of = _coset_colours(table, cp.scope)
     iw = table.alphabet.inverse_word(w)
-    if cp.scope is Scope.ROTATION:
-        ranks = _even_ranks(table)
-        inverse_rank = {r: cos for cos, r in ranks.items()}
-        for ci, cj in pairs:
-            cos = inverse_rank[ci - 1]
-            if ranks[table.apply(cos, iw)] != cj - 1:
-                return False
-        return True
-    for ci, cj in pairs:
-        if table.apply(ci - 1, iw) != cj - 1:
-            return False
-    return True
+    moved = {c: colour_of[table.apply(i, iw)] for i, c in enumerate(colour_of) if c}
+    colours = cp.colours
+    return all(moved.get(colours[i]) == colours[j] for i, j in enumerate(image) if j >= 0)
 
 
 # ---------------------------------------------------------------- SVG

@@ -25,8 +25,6 @@ A, B, C = 0, 1, 2
 # rotation letters (x and z generate; X, Z are their inverses)
 XGEN, XINV, ZGEN, ZINV = 0, 1, 2, 3
 
-EVEN, ODD = 0, 1
-
 
 @dataclass(frozen=True)
 class Alphabet:
@@ -85,13 +83,3 @@ def free_reduce(w: Word, alphabet: Alphabet = REFLECTIONS) -> Word:
         else:
             out.append(g)
     return tuple(out)
-
-
-def sign_parity(w: Word) -> int:
-    """EVEN for orientation-preserving reflection words, ODD otherwise.
-
-    Each reflection letter flips orientation, so the parity of the
-    letter count is a homomorphism onto Z/2.  Only meaningful for words
-    over the reflection alphabet.
-    """
-    return len(w) & 1

@@ -10,6 +10,8 @@ possible:
   subgroup back off its table;
 * oracle_classes: conjugacy classes of subgroups of tiny index by brute
   force over permutation images;
+* validate: the invariants of a complete coset table, checked one by
+  one;
 * colour-permutation, histogram, matrix and word helpers used by the
   property checks.
 """
@@ -379,3 +381,71 @@ def rotation_word_as_reflections(w: Word) -> Word:
     for g in w:
         out.extend(ROTATION_AS_REFLECTIONS[g])
     return free_reduce(tuple(out), REFLECTIONS)
+
+
+def sign_parity(w: Word) -> int:
+    """0 for orientation-preserving reflection words, 1 otherwise.
+
+    Each reflection letter flips orientation, so the parity of the
+    letter count is a homomorphism onto Z/2.  Only meaningful for words
+    over the reflection alphabet.
+    """
+    return len(w) & 1
+
+
+@dataclass(frozen=True)
+class ValidationReport:
+    ok: bool
+    failures: tuple[str, ...]
+
+
+def validate(t: CosetTable, pres: Presentation) -> ValidationReport:
+    """Check totality, inverse consistency, transitivity, relator closure."""
+    m = t.alphabet.size
+    inv = t.alphabet.inv
+    n = t.n
+    failures: list[str] = []
+
+    for i, row in enumerate(t.rows):
+        if len(row) != m:
+            failures.append(f"row {i} has {len(row)} entries, expected {m}")
+            return ValidationReport(False, tuple(failures))
+        for c in range(m):
+            v = row[c]
+            if not (0 <= v < n):
+                failures.append(f"entry ({i},{t.alphabet.names[c]}) = {v} out of range")
+                return ValidationReport(False, tuple(failures))
+
+    for i in range(n):
+        for c in range(m):
+            j = t.rows[i][c]
+            if t.rows[j][inv[c]] != i:
+                failures.append(
+                    f"inverse mismatch: ({i},{t.alphabet.names[c]}) = {j} but "
+                    f"({j},{t.alphabet.names[inv[c]]}) = {t.rows[j][inv[c]]}"
+                )
+                break
+        if failures:
+            break
+
+    seen = {0}
+    stack = [0]
+    while stack:
+        i = stack.pop()
+        for c in range(m):
+            j = t.rows[i][c]
+            if j not in seen:
+                seen.add(j)
+                stack.append(j)
+    if len(seen) != n:
+        failures.append(f"not transitive: {len(seen)} of {n} cosets reachable from 0")
+
+    for rel in pres.relators:
+        bad = next((i for i in range(n) if t.apply(i, rel) != i), None)
+        if bad is not None:
+            failures.append(
+                f"relator {t.alphabet.word_str(rel)} does not close at coset {bad}"
+            )
+            break
+
+    return ValidationReport(not failures, tuple(failures))

@@ -235,7 +235,7 @@ def test_c07_property_suite_on_every_representative(
             continue
         words = required_words(kind, scope)
         if (p, q) not in patches:
-            patches[(p, q)] = generate_patch(p, q, 6)
+            patches[(p, q)] = generate_patch(p, q, 10)  # as deep as the longest word
         patch = patches[(p, q)]
         for entry in report.entries:
             for rec in entry.representatives:

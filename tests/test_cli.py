@@ -8,6 +8,7 @@ import pytest
 
 import colsym
 from colsym.cli import main
+from colsym.geometry import generate_patch
 
 
 @pytest.fixture()
@@ -94,6 +95,15 @@ def test_domain_error_exit_code(capsys, cache_dir):
         assert (code, out) == (2, "")
         assert "--words" in err
 
+    # no word fits a patch of depth 0, nor an even one a patch of depth 1
+    for scope, depth in (("full", "0"), ("full", "-2"), ("rotation", "1")):
+        code, out, err = run_cli(
+            capsys, "verify", "--p", "7", "--q", "3", "--colours", "8",
+            "--scope", scope, "--depth", depth, "--cache-dir", cache_dir,
+        )
+        assert (code, out) == (2, "")
+        assert "--depth" in err
+
     for size in ("0", "-5"):
         code, out, err = run_cli(
             capsys, "render", "--p", "4", "--q", "3", "--colours", "3",
@@ -170,9 +180,34 @@ def test_verify_command(capsys, cache_dir):
     assert code == 0
     assert out.startswith("PASS")
     assert "25/25" in out
+    # words are at most depth letters long, so each is checked at least on
+    # the triangles within depth - (longest word) of the centre
+    assert out.rstrip().endswith("each checked on at least 1 of 25 triangles")
+
+    code, out, _ = run_cli(
+        capsys, "verify", "--p", "7", "--q", "3", "--tiling", "laves",
+        "--scope", "rotation", "--colours", "14", "--pick", "2",
+        "--depth", "14", "--words", "25", "--cache-dir", cache_dir,
+    )
+    assert code == 0
+    assert "25/25" in out
+    patch = generate_patch(7, 3, 14)
+    inner = sum(len(t.word) <= 14 - 12 for t in patch.tiles)
+    assert inner == 9
+    assert out.rstrip().endswith(
+        f"each checked on at least {inner} of {len(patch.tiles)} triangles"
+    )
 
 
-def test_selftest_fast(capsys, cache_dir):
+def test_selftest_fast(capsys, cache_dir, monkeypatch):
+    searched = []
+    search = colsym.cache.low_index_classes
+
+    def counted(pres, max_index, **kw):
+        searched.append(pres.name)
+        return search(pres, max_index, **kw)
+
+    monkeypatch.setattr(colsym.cache, "low_index_classes", counted)
     code, out, err = run_cli(
         capsys, "selftest", "--level", "fast", "--cache-dir", cache_dir,
     )
@@ -181,6 +216,8 @@ def test_selftest_fast(capsys, cache_dir):
     assert lines[-1].startswith("selftest fast: PASS")
     assert all(not l.startswith("FAIL") for l in lines)
     assert "wall time" in err
+    # on an empty cache each group is searched once, to its largest bound
+    assert sorted(searched) == sorted(set(searched))
 
 
 def test_cache_subcommands(capsys, cache_dir):

@@ -8,11 +8,11 @@ with honest matrix arithmetic.
 import numpy as np
 import pytest
 
-from colsym.coset import CosetTable, canonical_table, reroot, validate
+from colsym.coset import CosetTable, canonical_table, reroot
 from colsym.errors import DomainError, ResourceLimit
 from colsym.presentations import triangle_group, von_dyck_group
 from colsym.words import A, B, C
-from oracle import enumerate_cosets, standardize, transversal_words
+from oracle import enumerate_cosets, standardize, transversal_words, validate
 
 MA = np.array([[0, 0, 1], [0, 1, 0], [1, 0, 0]])
 MB = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]])

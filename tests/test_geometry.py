@@ -134,21 +134,23 @@ def test_neighbour_table_matches_matrix_route():
                 assert np.allclose(tiles[j].matrix, tiles[i].matrix @ tri.mirrors[g], atol=1e-6)
         words = [(A,), (B, C), (C, A, B), (A, B, A, C, B, C)]
         for _ in range(6):
+            # random words up to the patch depth, the longest image accepts
             w = [rng.randrange(3)]
-            for _ in range(rng.randrange(10)):
+            for _ in range(rng.randrange(patch.depth)):
                 w.append(rng.choice([g for g in (A, B, C) if g != w[-1]]))
             words.append(tuple(w))
         for w in words:
             M = tri.word_matrix(w)
             image = patch.image(w)
             assert image[0] == patch.walk(0, w)
-            assert image[patch.walk(0, w[::-1])] == 0
             for i, j in enumerate(image):
                 if j >= 0:
                     assert np.allclose(tiles[j].matrix, M @ tiles[i].matrix, atol=1e-6)
-                elif 3 * len(w) <= 2 * patch.depth:
-                    # the ball of radius depth - len(w) holds the seed and maps inside
+                else:
+                    # every tile within depth - len(w) of the centre is mapped
                     assert lengths[i] > patch.depth - len(w)
+        with pytest.raises(DomainError):
+            patch.image((A, B) * 5 + (A,))  # one letter longer than the depth
 
 
 def test_patch_sizes_follow_the_growth_series():

@@ -1,12 +1,12 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from colsym.coset import canonical_table, validate
+from colsym.coset import canonical_table
 from colsym.errors import DomainError, ResourceLimit
 from colsym.lowindex import low_index_classes
 from colsym.presentations import triangle_group, von_dyck_group
 from colsym.subgroups import transform_subgroup
-from oracle import oracle_classes
+from oracle import oracle_classes, validate
 
 SMALL_GROUPS = [
     triangle_group(4, 3),

@@ -20,9 +20,8 @@ from colsym.words import (
     ZGEN,
     ZINV,
     free_reduce,
-    sign_parity,
 )
-from oracle import rotation_word_as_reflections
+from oracle import rotation_word_as_reflections, sign_parity
 
 
 def test_classify_geometry():

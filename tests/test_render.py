@@ -47,6 +47,10 @@ def test_board_polygons_partition(board):
 def test_verify_perfect_words(board):
     for w in ((A,), (B,), (C,), (A, B), (B, C), (A, C), (A, B, C), (C, B, A, B)):
         assert verify_perfect_on_patch(board, w)
+    # the board is a depth-4 patch: a word one letter longer could map no
+    # triangle at all, so it is an error rather than a vacuous pass
+    with pytest.raises(DomainError):
+        verify_perfect_on_patch(board, (C, B, A, B, C))
 
 
 def test_verify_detects_scrambled_colours(board):
@@ -148,15 +152,16 @@ PQ, QP, LV = TilingKind.PQ, TilingKind.QP, TilingKind.LAVES
 
 # p, q, kind, scope, colours, pick, depth, emit_svg options, bytes, sha256.
 # The first twelve are the scripts/render_gallery.py showcase at its
-# default hyperbolic depth; then both spheres seen orthographically and a
-# Euclidean identity projection with non-default options.
+# default depths (7, and 40 for the whole sphere); then both spheres seen
+# orthographically and a Euclidean identity projection with non-default
+# options.
 PINNED_SVGS = [
     (4, 4, PQ, F, 2, 0, 7, {}, 78670,
      "f765e91092b9a317d5a9357ba568c515ac0bd9273dfec5656bf143045e736118"),
-    (4, 3, PQ, F, 3, 0, 7, {}, 43674,
-     "9491bbe9d24c849ed50eb119b81e994853c9a77e287e4d6a6c81e3da2b91e09e"),
-    (4, 3, PQ, F, 6, 0, 7, {}, 43674,
-     "709bbaa5db101c1257e8895b0288d56213356d336b132d916ec7eb9e376630e0"),
+    (4, 3, PQ, F, 3, 0, 40, {}, 46354,
+     "ecc18990b6edfb760396c6d1c7e03743d6f67aa4552d283769abc0d2e1bb07f7"),
+    (4, 3, PQ, F, 6, 0, 40, {}, 46354,
+     "c287105a8e2e136d53a5012a487b069719e514e6ce73313e89be30a721353aa1"),
     (3, 5, PQ, F, 10, 0, 40, {}, 115912,
      "5608a3cfa330a28aaa2b6d752c108a9bbaf05a84be209871aef77943f365a709"),
     (3, 5, PQ, F, 20, 0, 40, {}, 115912,

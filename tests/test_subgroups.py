@@ -10,8 +10,14 @@ from colsym.subgroups import (
     orientation_sides,
     transform_subgroup,
 )
-from colsym.words import A, B, C, XGEN, ZGEN, sign_parity
-from oracle import conjugate_in, enumerate_cosets, schreier_generators, transversal_words
+from colsym.words import A, B, C, XGEN, ZGEN
+from oracle import (
+    conjugate_in,
+    enumerate_cosets,
+    schreier_generators,
+    sign_parity,
+    transversal_words,
+)
 
 
 def test_transversal_words_reach_their_cosets():

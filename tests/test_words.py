@@ -14,8 +14,8 @@ from colsym.words import (
     ZINV,
     Alphabet,
     free_reduce,
-    sign_parity,
 )
+from oracle import sign_parity
 
 reflection_words = st.lists(st.sampled_from((A, B, C)), max_size=30).map(tuple)
 rotation_words = st.lists(
