@@ -106,9 +106,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--depth",
         type=int,
-        default=5,
-        help="patch radius in triangles; words are 1 to min(12, depth) "
-        "letters long, even in rotation scope",
+        default=16,
+        help="patch radius in triangles (default 16); words are 1 to "
+        "min(12, depth) letters long, even in rotation scope",
     )
     sp.add_argument(
         "--words", type=int, default=50, help="random symmetries to test (at least 1)"

@@ -136,10 +136,6 @@ class TrianglePatch:
     def q(self) -> int:
         return self.triangle.q
 
-    def corners_of(self, i: int) -> tuple[np.ndarray, ...]:
-        M = self.tiles[i].matrix
-        return tuple(M @ v for v in self.triangle.corners)
-
     def walk(self, i: int, w: Word) -> int:
         """The tile i.w, or -1 once the walk leaves the patch."""
         for g in w:

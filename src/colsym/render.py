@@ -7,12 +7,14 @@ and a subgroup that does not actually contain the stabilizer gets
 caught red-handed when a group straddles two colours.
 
 The drawing pipeline is deliberately dumb: subdivide geodesic edges,
-project, format floats at fixed precision, emit polygons in tile order.
+project, format floats at fixed precision, emit polygons in tile order,
+doing the arithmetic for a block of triangles at a time.
 Equal inputs give byte-equal SVG.
 """
 from __future__ import annotations
 
 import colorsys
+import io
 import math
 from dataclasses import dataclass
 
@@ -139,8 +141,12 @@ def verify_perfect_on_patch(cp: ColouredPatch, w: Word) -> bool:
 
 # ---------------------------------------------------------------- SVG
 
-# triangle sides as corner pairs, with the mirror each lies on
-_SIDES = (((0, 1), C), ((1, 2), A), ((2, 0), B))
+# triangles drawn per batch of array arithmetic
+_BLOCK = 256
+
+# the mirror each triangle side lies on; side s runs from corner s to
+# corner s + 1 (mod 3)
+_SIDE_MIRRORS = [C, A, B]
 
 # fixed small tilt so no tiling vertex sits at the projection pole
 _TILT = np.array(
@@ -175,30 +181,57 @@ _ALLOWED = {
 }
 
 
-def _geodesic(
-    u: np.ndarray, v: np.ndarray, geometry: Geometry, J: np.ndarray, ts: np.ndarray
-) -> np.ndarray:
-    """Points along the geodesic from u to v at the fractions ts of its length.
+def _form(u: np.ndarray, v: np.ndarray, geometry: Geometry) -> np.ndarray:
+    """<u, v> of form_matrix, negated on the hyperboloid: cos (cosh) of a distance."""
+    dot = (u * form_matrix(geometry).diagonal() * v).sum(axis=-1)
+    return -dot if geometry is Geometry.HYPERBOLIC else dot
 
-    J is the geometry's form_matrix.
+
+def _geodesics(
+    u: np.ndarray, v: np.ndarray, geometry: Geometry, ts: np.ndarray
+) -> np.ndarray:
+    """Points along the geodesics from u to v at the fractions ts of their length.
+
+    u and v are (..., 3) arrays of points on the geometry's surface; the
+    result is (..., len(ts), 3).  A side shorter than 1e-12 is drawn
+    straight.
     """
-    if geometry is Geometry.EUCLIDEAN:
-        return np.outer(1 - ts, u) + np.outer(ts, v)
-    if geometry is Geometry.SPHERICAL:
-        dot = float(np.clip(u @ v, -1.0, 1.0))
-        om = math.acos(dot)
-        if om < 1e-12:
-            return np.outer(1 - ts, u) + np.outer(ts, v)
-        return (
-            np.outer(np.sin((1 - ts) * om), u) + np.outer(np.sin(ts * om), v)
-        ) / math.sin(om)
-    dot = float(u @ J @ v)
-    d = math.acosh(max(1.0, -dot))
-    if d < 1e-12:
-        return np.outer(1 - ts, u) + np.outer(ts, v)
-    return (
-        np.outer(np.sinh((1 - ts) * d), u) + np.outer(np.sinh(ts * d), v)
-    ) / math.sinh(d)
+    w0, w1, div = 1 - ts, ts, np.ones(1)
+    if geometry is not Geometry.EUCLIDEAN:
+        cos = _form(u, v, geometry)
+        if geometry is Geometry.SPHERICAL:
+            f, om = np.sin, np.arccos(np.clip(cos, -1.0, 1.0))[..., None]
+        else:
+            f, om = np.sinh, np.arccosh(np.maximum(1.0, cos))[..., None]
+        straight = om < 1e-12
+        w0, w1 = np.where(straight, w0, f(w0 * om)), np.where(straight, w1, f(w1 * om))
+        div = np.where(straight, 1.0, f(om))
+    return (w0[..., None] * u[..., None, :] + w1[..., None] * v[..., None, :]) / div[..., None]
+
+
+def _drawn_blocks(patch: TrianglePatch, projection: str, ts: np.ndarray):
+    """Yield (ids, sides) for each block of triangles drawn in projection.
+
+    sides is (len(ids), 3, len(ts), 2): side s of a triangle, projected,
+    runs from its corner s to corner s + 1 (mod 3).  The orthographic
+    projection leaves out triangles on the far side of the sphere.
+    """
+    geometry, tiles, n = patch.triangle.geometry, patch.tiles, len(patch.tiles)
+    corners = np.array(patch.triangle.corners)  # one corner per row
+    for start in range(0, n, _BLOCK):
+        ids = np.arange(start, min(start + _BLOCK, n))
+        mats = np.array([t.matrix for t in tiles[start : start + _BLOCK]])
+        pts = np.einsum("nij,kj->nki", mats, corners)  # (triangle, corner, xyz)
+        if projection == "orthographic":
+            near = (pts.sum(axis=1) / 3.0) @ _TILT[2] > 0.0
+            pts, ids = pts[near], ids[near]
+        # guard drift so points sit exactly on their surface before projecting
+        if geometry is Geometry.EUCLIDEAN:
+            pts = pts / pts[..., 2:]
+        else:
+            pts = pts / np.sqrt(np.maximum(1e-300, _form(pts, pts, geometry)))[..., None]
+        arcs = _geodesics(pts, np.roll(pts, -1, axis=1), geometry, ts)
+        yield ids, _project(arcs.reshape(-1, 3), projection).reshape(len(ids), 3, len(ts), 2)
 
 
 def palette(k: int, seed: int = 0) -> tuple[str, ...]:
@@ -243,76 +276,71 @@ def emit_svg(
     if size < 1:
         raise DomainError("size must be at least 1")
 
-    patch = cp.patch
-    fills = palette(cp.k, palette_seed)
-    J = form_matrix(geometry)
-    ts = np.linspace(0.0, 1.0, subdivision + 1)
-
-    def normalized(pt: np.ndarray) -> np.ndarray:
-        # guard drift so points sit exactly on their surface before projecting
-        if geometry is Geometry.SPHERICAL:
-            return pt / np.linalg.norm(pt)
-        if geometry is Geometry.EUCLIDEAN:
-            return pt / pt[2]
-        return pt / math.sqrt(max(1e-300, -float(pt @ J @ pt)))
-
-    # one pass in tile order: each drawn triangle's sides are computed,
-    # projected and formatted once; the fill path is built at once, and
-    # the sides on merged-tile boundaries (the triangle across lies in
-    # another merged tile or outside the patch) are kept for the strokes
-    owner = {i: k for k, poly in enumerate(cp.polygons) for i in poly}
-    fill_paths: list[str] = []
-    edges: dict[int, list[str]] = {}
-    lo, hi = np.full(2, np.inf), np.full(2, -np.inf)
-    for i, links in enumerate(patch.neighbours):
-        corners = patch.corners_of(i)
-        if projection == "orthographic" and not (_TILT @ (sum(corners) / 3.0))[2] > 0.0:
-            continue  # on the far side of the sphere
-        cs = [normalized(c) for c in corners]
-        segs = [_geodesic(cs[a_], cs[b_], geometry, J, ts) for (a_, b_), _ in _SIDES]
-        xy = _project(np.vstack(segs), projection).reshape(3, subdivision + 1, 2)
-        ring = xy[:, :-1].reshape(-1, 2)
-        lo, hi = np.minimum(lo, ring.min(axis=0)), np.maximum(hi, ring.max(axis=0))
-        sides = [[f"{_fmt(x)} {_fmt(y)}" for x, y in side] for side in xy.tolist()]
-        d = "M" + "L".join(pt for side in sides for pt in side[:-1]) + "Z"
-        fill_paths.append(f'<path d="{d}" fill="{fills[cp.colours[i] - 1]}" stroke="none"/>')
-        edges[i] = [
-            "M" + "L".join(side)
-            for side, (_, g) in zip(sides, _SIDES)
-            if links[g] < 0 or owner[links[g]] != owner[i]
-        ]
-
+    patch, n, s = cp.patch, len(cp.patch.tiles), subdivision
+    ts = np.linspace(0.0, 1.0, s + 1)
     if projection in ("disk", "orthographic"):
         x0 = y0 = -1.05
         span = 2.1
     else:
+        # frame every drawn point: one pass over the geometry before drawing
+        lo, hi = np.full(2, np.inf), np.full(2, -np.inf)
+        for _, xy in _drawn_blocks(patch, projection, ts):
+            ring = xy[:, :, :-1].reshape(-1, 2)
+            lo, hi = np.minimum(lo, ring.min(axis=0)), np.maximum(hi, ring.max(axis=0))
         if projection == "stereographic":
             lo = np.maximum(lo, -3.0)
             hi = np.minimum(hi, 3.0)
         span = float(max(hi - lo)) * 1.07
         cx, cy = (lo + hi) / 2.0
         x0, y0 = float(cx) - span / 2, float(cy) - span / 2
-    stroke = span * 0.003
-    stroke_attrs = (
-        f'fill="none" stroke="#1a1a1a" stroke-width="{_fmt(stroke)}" stroke-linecap="round"'
-    )
+    stroke = _fmt(span * 0.003).encode("ascii")
 
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-        f'viewBox="{_fmt(x0)} {_fmt(y0)} {_fmt(span)} {_fmt(span)}">',
-        f'<rect x="{_fmt(x0)}" y="{_fmt(y0)}" width="{_fmt(span)}" height="{_fmt(span)}" fill="#ffffff"/>',
+    # a side is on a merged-tile boundary when the triangle across lies
+    # in another merged tile or outside the patch; strokes are drawn in
+    # polygon order, triangle by triangle, sides in order
+    order = np.fromiter((i for poly in cp.polygons for i in poly), int, n)
+    owner, rank = np.empty(n, int), np.empty(n, int)
+    owner[order] = np.repeat(np.arange(len(cp.polygons)), list(map(len, cp.polygons)))
+    rank[order] = np.arange(n)
+    across = np.array(patch.neighbours)[:, _SIDE_MIRRORS]
+    boundary = (across < 0) | (owner[across] != owner[:, None])
+
+    pair = b"%.5f %.5f"
+    fill_templates = [
+        b'\n<path d="M' + b"L".join([pair] * (3 * s)) + b'Z" fill="'
+        + f.encode("ascii") + b'" stroke="none"/>'
+        for f in palette(cp.k, palette_seed)
     ]
-    parts += fill_paths
-    for poly in cp.polygons:
-        for i in poly:
-            parts += (f'<path d="{d}" {stroke_attrs}/>' for d in edges.get(i, ()))
-    if projection == "disk":
-        parts.append(
-            f'<circle cx="0" cy="0" r="1" fill="none" stroke="#1a1a1a" '
-            f'stroke-width="{_fmt(stroke)}"/>'
+    stroke_template = (
+        b'\n<path d="M' + b"L".join([pair] * (s + 1)) + b'" fill="none" stroke="#1a1a1a" '
+        b'stroke-width="' + stroke + b'" stroke-linecap="round"/>'
+    )
+    colours = np.array(cp.colours) - 1
+    strokes: list[bytes | None] = [None] * (3 * n)
+    svg = io.BytesIO()
+    svg.write(
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
+        f'viewBox="{_fmt(x0)} {_fmt(y0)} {_fmt(span)} {_fmt(span)}">\n'
+        f'<rect x="{_fmt(x0)}" y="{_fmt(y0)}" width="{_fmt(span)}" height="{_fmt(span)}" '
+        f'fill="#ffffff"/>'.encode("ascii")
+    )
+    for ids, xy in _drawn_blocks(patch, projection, ts):
+        ring = xy[:, :, :-1].reshape(len(ids), 6 * s).tolist()
+        svg.write(
+            b"".join(
+                fill_templates[c] % tuple(row) for c, row in zip(colours[ids].tolist(), ring)
+            ).replace(b"-0.00000", b"0.00000")
         )
-    parts.append("</svg>")
-    data = "\n".join(parts).encode("ascii")
+        edge = boundary[ids]
+        keys = (rank[ids][:, None] * 3 + np.arange(3))[edge]
+        for key, row in zip(keys.tolist(), xy[edge].reshape(len(keys), 2 * s + 2).tolist()):
+            strokes[key] = (stroke_template % tuple(row)).replace(b"-0.00000", b"0.00000")
+    svg.writelines(d for d in strokes if d is not None)
+    if projection == "disk":
+        svg.write(b'\n<circle cx="0" cy="0" r="1" fill="none" stroke="#1a1a1a" '
+                  b'stroke-width="%s"/>' % stroke)
+    svg.write(b"\n</svg>")
+    data = svg.getvalue()
 
     if out is not None:
         if hasattr(out, "write"):

@@ -13,11 +13,14 @@ possible:
 * validate: the invariants of a complete coset table, checked one by
   one;
 * colour-permutation, histogram, matrix and word helpers used by the
-  property checks.
+  property checks;
+* emit_svg_per_triangle: the SVG drawn one triangle at a time, the
+  route emit_svg batches into arrays.
 """
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -28,7 +31,7 @@ from colsym.coset import CosetTable, reroot
 from colsym.errors import DomainError, InternalError, ResourceLimit
 from colsym.geometry import form_matrix
 from colsym.presentations import Geometry, Presentation
-from colsym.render import ColouredPatch
+from colsym.render import _DEFAULT_PROJECTION, _TILT, ColouredPatch, _project, palette
 from colsym.words import A, B, C, REFLECTIONS, XGEN, XINV, ZGEN, ZINV, Word, free_reduce
 
 
@@ -449,3 +452,119 @@ def validate(t: CosetTable, pres: Presentation) -> ValidationReport:
             break
 
     return ValidationReport(not failures, tuple(failures))
+
+
+def _fmt(v: float) -> str:
+    s = f"{v:.5f}"
+    return "0.00000" if s == "-0.00000" else s
+
+
+def _geodesic(
+    u: np.ndarray, v: np.ndarray, geometry: Geometry, J: np.ndarray, ts: np.ndarray
+) -> np.ndarray:
+    """Points along the geodesic from u to v at the fractions ts of its length."""
+    if geometry is Geometry.EUCLIDEAN:
+        return np.outer(1 - ts, u) + np.outer(ts, v)
+    if geometry is Geometry.SPHERICAL:
+        dot = float(np.clip(u @ v, -1.0, 1.0))
+        om = math.acos(dot)
+        if om < 1e-12:
+            return np.outer(1 - ts, u) + np.outer(ts, v)
+        return (
+            np.outer(np.sin((1 - ts) * om), u) + np.outer(np.sin(ts * om), v)
+        ) / math.sin(om)
+    dot = float(u @ J @ v)
+    d = math.acosh(max(1.0, -dot))
+    if d < 1e-12:
+        return np.outer(1 - ts, u) + np.outer(ts, v)
+    return (
+        np.outer(np.sinh((1 - ts) * d), u) + np.outer(np.sinh(ts * d), v)
+    ) / math.sinh(d)
+
+
+def emit_svg_per_triangle(
+    cp: ColouredPatch,
+    *,
+    projection: str = "auto",
+    palette_seed: int = 0,
+    subdivision: int = 12,
+    size: int = 700,
+) -> bytes:
+    """emit_svg's picture, computed and formatted one triangle at a time.
+
+    Arguments are those of emit_svg and assumed valid.  Each triangle's
+    corners are its tile matrix times the fundamental corners; its
+    sides are geodesics of subdivision + 1 points, projected and
+    formatted once, and kept for the strokes where the triangle across
+    lies in another merged tile or outside the patch.
+    """
+    geometry = cp.patch.triangle.geometry
+    if projection == "auto":
+        projection = _DEFAULT_PROJECTION[geometry]
+    patch = cp.patch
+    fills = palette(cp.k, palette_seed)
+    J = form_matrix(geometry)
+    ts = np.linspace(0.0, 1.0, subdivision + 1)
+    sides_of = (((0, 1), C), ((1, 2), A), ((2, 0), B))
+
+    def normalized(pt: np.ndarray) -> np.ndarray:
+        if geometry is Geometry.SPHERICAL:
+            return pt / np.linalg.norm(pt)
+        if geometry is Geometry.EUCLIDEAN:
+            return pt / pt[2]
+        return pt / math.sqrt(max(1e-300, -float(pt @ J @ pt)))
+
+    owner = {i: k for k, poly in enumerate(cp.polygons) for i in poly}
+    fill_paths: list[str] = []
+    edges: dict[int, list[str]] = {}
+    lo, hi = np.full(2, np.inf), np.full(2, -np.inf)
+    for i, links in enumerate(patch.neighbours):
+        M = patch.tiles[i].matrix
+        corners = tuple(M @ v for v in patch.triangle.corners)
+        if projection == "orthographic" and not (_TILT @ (sum(corners) / 3.0))[2] > 0.0:
+            continue  # on the far side of the sphere
+        cs = [normalized(c) for c in corners]
+        segs = [_geodesic(cs[a_], cs[b_], geometry, J, ts) for (a_, b_), _ in sides_of]
+        xy = _project(np.vstack(segs), projection).reshape(3, subdivision + 1, 2)
+        ring = xy[:, :-1].reshape(-1, 2)
+        lo, hi = np.minimum(lo, ring.min(axis=0)), np.maximum(hi, ring.max(axis=0))
+        sides = [[f"{_fmt(x)} {_fmt(y)}" for x, y in side] for side in xy.tolist()]
+        d = "M" + "L".join(pt for side in sides for pt in side[:-1]) + "Z"
+        fill_paths.append(f'<path d="{d}" fill="{fills[cp.colours[i] - 1]}" stroke="none"/>')
+        edges[i] = [
+            "M" + "L".join(side)
+            for side, (_, g) in zip(sides, sides_of)
+            if links[g] < 0 or owner[links[g]] != owner[i]
+        ]
+
+    if projection in ("disk", "orthographic"):
+        x0 = y0 = -1.05
+        span = 2.1
+    else:
+        if projection == "stereographic":
+            lo = np.maximum(lo, -3.0)
+            hi = np.minimum(hi, 3.0)
+        span = float(max(hi - lo)) * 1.07
+        cx, cy = (lo + hi) / 2.0
+        x0, y0 = float(cx) - span / 2, float(cy) - span / 2
+    stroke = span * 0.003
+    stroke_attrs = (
+        f'fill="none" stroke="#1a1a1a" stroke-width="{_fmt(stroke)}" stroke-linecap="round"'
+    )
+
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
+        f'viewBox="{_fmt(x0)} {_fmt(y0)} {_fmt(span)} {_fmt(span)}">',
+        f'<rect x="{_fmt(x0)}" y="{_fmt(y0)}" width="{_fmt(span)}" height="{_fmt(span)}" fill="#ffffff"/>',
+    ]
+    parts += fill_paths
+    for poly in cp.polygons:
+        for i in poly:
+            parts += (f'<path d="{d}" {stroke_attrs}/>' for d in edges.get(i, ()))
+    if projection == "disk":
+        parts.append(
+            f'<circle cx="0" cy="0" r="1" fill="none" stroke="#1a1a1a" '
+            f'stroke-width="{_fmt(stroke)}"/>'
+        )
+    parts.append("</svg>")
+    return "\n".join(parts).encode("ascii")

@@ -199,6 +199,18 @@ def test_verify_command(capsys, cache_dir):
     )
 
 
+def test_verify_default_depth_checks_more_than_the_centre(capsys, cache_dir):
+    # at the default depth every word is checked on the triangles within
+    # 16 - 12 = 4 of the centre, not on the centre alone
+    code, out, _ = run_cli(
+        capsys, "verify", "--p", "7", "--q", "3", "--colours", "8",
+        "--cache-dir", cache_dir,
+    )
+    assert code == 0
+    assert out.startswith("PASS")
+    assert out.rstrip().endswith("each checked on at least 25 of 540 triangles")
+
+
 def test_selftest_fast(capsys, cache_dir, monkeypatch):
     searched = []
     search = colsym.cache.low_index_classes

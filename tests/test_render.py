@@ -9,7 +9,7 @@ from colsym.errors import DomainError, MergeInconsistency
 from colsym.geometry import generate_patch
 from colsym.render import colour_patch, emit_svg, palette, verify_perfect_on_patch
 from colsym.words import A, B, C
-from oracle import colour_histogram
+from oracle import colour_histogram, emit_svg_per_triangle
 
 
 def rep_table(provider, p, q, kind, scope, k, pick=0):
@@ -153,8 +153,9 @@ PQ, QP, LV = TilingKind.PQ, TilingKind.QP, TilingKind.LAVES
 # p, q, kind, scope, colours, pick, depth, emit_svg options, bytes, sha256.
 # The first twelve are the scripts/render_gallery.py showcase at its
 # default depths (7, and 40 for the whole sphere); then both spheres seen
-# orthographically and a Euclidean identity projection with non-default
-# options.
+# orthographically, a Euclidean identity projection with non-default
+# options, and a (7^3) picture of 2,195 triangles, which emit_svg draws
+# in more than one block.
 PINNED_SVGS = [
     (4, 4, PQ, F, 2, 0, 7, {}, 78670,
      "f765e91092b9a317d5a9357ba568c515ac0bd9273dfec5656bf143045e736118"),
@@ -180,12 +181,14 @@ PINNED_SVGS = [
      "f6ae36b1a131c32838ff9bf720319468ea364d0baed1b23986de892afbeaec5e"),
     (8, 3, PQ, R, 10, 0, 7, {}, 77522,
      "6f01b7bd5e0605a4e45eb2d62b0eb0755010edde5b6f11351d73189b6b2519e0"),
-    (4, 3, PQ, F, 6, 0, 7, {"projection": "orthographic"}, 23302,
+    (4, 3, PQ, F, 6, 0, 40, {"projection": "orthographic"}, 23302,
      "982d0826bdcf0d4651f3991bfea69d5ff70bd68e3036741102967709afa7f315"),
     (3, 5, PQ, F, 20, 0, 40, {"projection": "orthographic"}, 58040,
      "ed8a653d2e889986fc7c20907105dffd6ee0a4d503548e86365bc09c693c8056"),
     (3, 6, QP, F, 3, 0, 8, {"palette_seed": 2, "subdivision": 5, "size": 320}, 46647,
      "3be94dd0e79c4a36f78e31b1f60fc577c6f320d84d2869877781f9c8ed785adc"),
+    (7, 3, PQ, F, 8, 0, 24, {}, 2209381,
+     "e3d654b3803a27629cdea0eb0f8676cbe269fce0941c9de9854872463b57a1ca"),
 ]
 
 
@@ -201,6 +204,41 @@ def test_svg_bytes_pinned(
     t = rep_table(provider, p, q, kind, scope, k, pick)
     data = emit_svg(colour_patch(generate_patch(p, q, depth), t, kind, scope), **options)
     assert (len(data), hashlib.sha256(data).hexdigest()) == (length, digest)
+
+
+# p, q, kind, scope, colours, depth, projections, other emit_svg options:
+# every geometry and projection, both scopes, all three tilings, depth-0
+# patches, and two patches of more than one block of triangles ((7^3)
+# depth 24: 2,195; (4^4) depth 30: 1,241)
+ORACLE_GRID = [
+    (4, 3, LV, R, 4, 40, ("stereographic", "orthographic"), {}),
+    (3, 5, QP, F, 6, 40, ("stereographic", "orthographic"), {}),
+    (4, 3, QP, F, 8, 0, ("stereographic", "orthographic"), {}),
+    (7, 3, PQ, R, 9, 0, ("disk",), {}),
+    (7, 3, LV, F, 9, 9, ("disk",), {"palette_seed": 1}),
+    (5, 4, QP, R, 5, 8, ("disk",), {}),
+    (4, 4, LV, R, 6, 0, ("identity",), {}),
+    (3, 6, PQ, F, 4, 10, ("identity",), {"palette_seed": 2, "size": 320}),
+    (7, 3, PQ, F, 8, 24, ("disk",), {}),
+    (4, 4, QP, R, 5, 30, ("identity",), {}),
+]
+
+
+@pytest.mark.parametrize("subdivision", [1, 5, 12])
+@pytest.mark.parametrize(
+    "p, q, kind, scope, k, depth, projections, options",
+    ORACLE_GRID,
+    ids=[f"{p}-{q}-{kind.value}-{scope.value}-k{k}-d{depth}"
+         for p, q, kind, scope, k, depth, *_ in ORACLE_GRID],
+)
+def test_svg_matches_per_triangle_route(
+    provider, p, q, kind, scope, k, depth, projections, options, subdivision
+):
+    t = rep_table(provider, p, q, kind, scope, k)
+    cp = colour_patch(generate_patch(p, q, depth), t, kind, scope)
+    for projection in projections:
+        args = dict(options, projection=projection, subdivision=subdivision)
+        assert emit_svg(cp, **args) == emit_svg_per_triangle(cp, **args), projection
 
 
 def test_svg_write_to_path(tmp_path, board):
