@@ -44,10 +44,14 @@ def _common_options(sp: argparse.ArgumentParser, with_scope: bool = True) -> Non
         )
 
 
-def _budget_options(sp: argparse.ArgumentParser) -> None:
+def _provider_options(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--jobs", type=int, default=1, help="parallel search processes")
     sp.add_argument("--no-cache", action="store_true", help="skip the disk cache")
     sp.add_argument("--cache-dir", default=None, help="cache directory override")
+
+
+def _budget_options(sp: argparse.ArgumentParser) -> None:
+    _provider_options(sp)
     sp.add_argument(
         "--max-nodes",
         type=int,
@@ -123,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="fast",
         help="fast: one hyperbolic group; full: every frozen table row",
     )
-    _budget_options(sp)
+    _provider_options(sp)
 
     sp = sub.add_parser("cache", help="inspect or clear the enumeration cache")
     sp.add_argument("action", choices=["ls", "clear"])
@@ -267,11 +271,10 @@ def cmd_cache(args) -> int:
         entries = cache_entries(args.cache_dir)
         print(f"# cache at {directory}")
         for e in entries:
-            classes = e["classes"] if e["classes"] is not None else "corrupt"
-            print(
-                f"{e['family']:9s} p={e['p']} q={e['q']} "
-                f"max_index={e['max_index']:3d} classes={classes}"
-            )
+            if e["classes"] is None:
+                print(f"{e['name']:14s} corrupt or stale")
+            else:
+                print(f"{e['name']:14s} max_index={e['max_index']:3d} classes={e['classes']}")
         if not entries:
             print("# empty")
     else:

@@ -33,16 +33,6 @@ class ClassList:
     max_index: int
     tables: tuple[CosetTable, ...]
 
-    def counts(self) -> dict[int, int]:
-        """Number of conjugacy classes per index."""
-        out: dict[int, int] = {}
-        for t in self.tables:
-            out[t.n] = out.get(t.n, 0) + 1
-        return out
-
-    def at_index(self, n: int) -> tuple[CosetTable, ...]:
-        return tuple(t for t in self.tables if t.n == n)
-
 
 def _trace_words(pres: Presentation) -> tuple[tuple[Word, ...], ...]:
     """For each column, the relator rotations starting with that letter.

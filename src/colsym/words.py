@@ -43,25 +43,9 @@ class Alphabet:
     def size(self) -> int:
         return len(self.names)
 
-    def generator_columns(self) -> tuple[int, ...]:
-        """Columns that stand for generators; an inverse pair counts once."""
-        return tuple(i for i in range(len(self.names)) if self.inv[i] >= i)
-
     def inverse_word(self, w: Word) -> Word:
         inv = self.inv
         return tuple(inv[g] for g in reversed(w))
-
-    def word_str(self, w: Word) -> str:
-        return "".join(self.names[g] for g in w) if w else "e"
-
-    def parse(self, s: str) -> Word:
-        """Inverse of word_str; accepts "e" or "" for the identity."""
-        if s in ("", "e"):
-            return ()
-        try:
-            return tuple(self.names.index(ch) for ch in s)
-        except ValueError:
-            raise DomainError(f"letter in {s!r} not in alphabet {self.names}") from None
 
 
 REFLECTIONS = Alphabet(("a", "b", "c"), (0, 1, 2))

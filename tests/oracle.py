@@ -15,7 +15,9 @@ possible:
 * colour-permutation, histogram, matrix and word helpers used by the
   property checks;
 * emit_svg_per_triangle: the SVG drawn one triangle at a time, the
-  route emit_svg batches into arrays.
+  route emit_svg batches into arrays;
+* word_str, parse_word, generator_columns, class_counts,
+  classes_at_index: small readers of words, alphabets and class lists.
 """
 from __future__ import annotations
 
@@ -30,9 +32,43 @@ from colsym.census import colour_permutation
 from colsym.coset import CosetTable, reroot
 from colsym.errors import DomainError, InternalError, ResourceLimit
 from colsym.geometry import form_matrix
+from colsym.lowindex import ClassList
 from colsym.presentations import Geometry, Presentation
 from colsym.render import _DEFAULT_PROJECTION, _TILT, ColouredPatch, _project, palette
-from colsym.words import A, B, C, REFLECTIONS, XGEN, XINV, ZGEN, ZINV, Word, free_reduce
+from colsym.words import (
+    A, B, C, REFLECTIONS, XGEN, XINV, ZGEN, ZINV, Alphabet, Word, free_reduce,
+)
+
+
+def word_str(alphabet: Alphabet, w: Word) -> str:
+    return "".join(alphabet.names[g] for g in w) if w else "e"
+
+
+def parse_word(alphabet: Alphabet, s: str) -> Word:
+    """Inverse of word_str; accepts "e" or "" for the identity."""
+    if s in ("", "e"):
+        return ()
+    try:
+        return tuple(alphabet.names.index(ch) for ch in s)
+    except ValueError:
+        raise DomainError(f"letter in {s!r} not in alphabet {alphabet.names}") from None
+
+
+def generator_columns(alphabet: Alphabet) -> tuple[int, ...]:
+    """Columns that stand for generators; an inverse pair counts once."""
+    return tuple(i for i in range(alphabet.size) if alphabet.inv[i] >= i)
+
+
+def class_counts(cl: ClassList) -> dict[int, int]:
+    """Number of conjugacy classes per index."""
+    out: dict[int, int] = {}
+    for t in cl.tables:
+        out[t.n] = out.get(t.n, 0) + 1
+    return out
+
+
+def classes_at_index(cl: ClassList, n: int) -> tuple[CosetTable, ...]:
+    return tuple(t for t in cl.tables if t.n == n)
 
 
 def standardize(t: CosetTable) -> CosetTable:
@@ -243,7 +279,7 @@ def oracle_classes(pres: Presentation, index: int) -> OracleCount:
         raise DomainError("oracle is exponential; index > 7 refused")
     n = index
     inv = pres.alphabet.inv
-    gen_cols = pres.alphabet.generator_columns()
+    gen_cols = generator_columns(pres.alphabet)
     perms = list(itertools.permutations(range(n)))
     involutions = [p for p in perms if all(p[p[i]] == i for i in range(n))]
     pools = [involutions if inv[g] == g else perms for g in gen_cols]
@@ -447,7 +483,7 @@ def validate(t: CosetTable, pres: Presentation) -> ValidationReport:
         bad = next((i for i in range(n) if t.apply(i, rel) != i), None)
         if bad is not None:
             failures.append(
-                f"relator {t.alphabet.word_str(rel)} does not close at coset {bad}"
+                f"relator {word_str(t.alphabet, rel)} does not close at coset {bad}"
             )
             break
 

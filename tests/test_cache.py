@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+import colsym.cache
 from colsym import __version__
 from colsym.cache import (
     cache_clear,
@@ -14,7 +15,7 @@ from colsym.cache import (
     serialize_class_list,
     store_classes,
 )
-from colsym.errors import CacheError, ParseError
+from colsym.errors import CacheError, DomainError, ParseError
 from colsym.lowindex import low_index_classes
 from colsym.presentations import Presentation, triangle_group, von_dyck_group
 from colsym.words import REFLECTIONS
@@ -25,9 +26,37 @@ def classes():
     return low_index_classes(triangle_group(4, 3), 6)
 
 
+def _header_line(path):
+    with open(path) as fh:
+        return json.loads(fh.readline())
+
+
+def _rewrite_header(path, **changes):
+    with open(path) as fh:
+        lines = fh.readlines()
+    header = json.loads(lines[0])
+    header.update(changes)
+    lines[0] = json.dumps(header) + "\n"
+    with open(path, "w") as fh:
+        fh.writelines(lines)
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    real = getattr(colsym.cache, name)
+
+    def counted(pres, max_index, *args, **kw):
+        calls.append((pres.name, max_index))
+        return real(pres, max_index, *args, **kw)
+
+    monkeypatch.setattr(colsym.cache, name, counted)
+    return calls
+
+
 def test_serialize_parse_round_trip(classes):
     text = serialize_class_list(classes)
-    back = parse_class_list(text)
+    assert text == serialize_class_list(classes)  # equal lists, equal bytes
+    back = parse_class_list(text, triangle_group(4, 3))
     assert back.presentation == classes.presentation
     assert back.max_index == classes.max_index
     assert [t.flat() for t in back.tables] == [t.flat() for t in classes.tables]
@@ -41,10 +70,14 @@ def test_store_load_round_trip(tmp_path, classes):
     assert [t.flat() for t in back.tables] == [t.flat() for t in classes.tables]
 
 
-def test_larger_bound_serves_smaller(tmp_path, classes):
+def test_larger_bound_serves_smaller(tmp_path, classes, monkeypatch):
     store_classes(classes, str(tmp_path))
-    small = load_classes(triangle_group(4, 3), 4, str(tmp_path))
-    assert small is not None
+    # the stored list comes back whole and the provider trims it
+    whole = load_classes(triangle_group(4, 3), 4, str(tmp_path))
+    assert whole.max_index == 6 and len(whole.tables) == len(classes.tables)
+    searched = _counting(monkeypatch, "low_index_classes")
+    small = cached_provider(str(tmp_path))(triangle_group(4, 3), 4)
+    assert searched == []
     assert small.max_index == 4
     assert all(t.n <= 4 for t in small.tables)
     expected = [t.flat() for t in classes.tables if t.n <= 4]
@@ -66,6 +99,10 @@ def test_corrupt_file_is_a_silent_miss(tmp_path, classes):
     listing = cache_entries(str(tmp_path))
     assert len(listing) == 1
     assert listing[0]["classes"] is None
+    with open(path, "wb") as fh:
+        fh.write(b"\xff\xfe not ascii")
+    assert load_classes(triangle_group(4, 3), 6, str(tmp_path)) is None
+    assert cache_entries(str(tmp_path))[0]["classes"] is None
 
 
 def test_other_engine_is_recomputed_and_overwritten(tmp_path, classes):
@@ -73,41 +110,42 @@ def test_other_engine_is_recomputed_and_overwritten(tmp_path, classes):
     # output; here it is a truncated list that must not be served
     path = store_classes(classes, str(tmp_path))
     with open(path) as fh:
-        doc = json.load(fh)
-    doc["engine"] = "0.0.0"
-    doc["tables"] = doc["tables"][:1]
+        header, tables = fh.readlines()
     with open(path, "w") as fh:
-        json.dump(doc, fh)
+        fh.write(header.replace(__version__, "0.0.0") + json.dumps(json.loads(tables)[:1]))
     G = triangle_group(4, 3)
     assert load_classes(G, 6, str(tmp_path)) is None
 
     got = cached_provider(str(tmp_path))(G, 6)
     assert [t.flat() for t in got.tables] == [t.flat() for t in classes.tables]
-    with open(path) as fh:
-        assert json.load(fh)["engine"] == __version__
+    assert _header_line(path)["engine"] == __version__
     back = load_classes(G, 6, str(tmp_path))
     assert [t.flat() for t in back.tables] == [t.flat() for t in classes.tables]
 
 
 def test_parse_rejects_malformed_documents(classes):
-    good = json.loads(serialize_class_list(classes))
+    G = triangle_group(4, 3)
+    header, tables = map(json.loads, serialize_class_list(classes).splitlines())
     for breakage in (
-        lambda d: d.pop("schema_version"),
-        lambda d: d.update(schema_version=99),
-        lambda d: d.update(family="octonion"),
-        lambda d: d.update(p="seven"),
-        lambda d: d["tables"].append([0, 0]),  # length not divisible
-        lambda d: d["tables"][0].__setitem__(0, 99),  # out of range entry
-        lambda d: d.pop("tables"),
+        lambda h, t: h.pop("schema_version"),
+        lambda h, t: h.update(schema_version=1),
+        lambda h, t: h.update(name="triangle-7-3"),  # another group's list
+        lambda h, t: h.update(relators=h["relators"][:-1]),
+        lambda h, t: h.update(max_index="six"),
+        lambda h, t: h.update(max_index=4),  # holds tables of index 6
+        lambda h, t: h.update(classes=len(t) + 1),
+        lambda h, t: (t.append([0, 0]), h.update(classes=len(t))),  # length not divisible
+        lambda h, t: t[0].__setitem__(0, 99),  # out of range entry
     ):
-        doc = json.loads(json.dumps(good))
-        breakage(doc)
+        h, t = json.loads(json.dumps(header)), json.loads(json.dumps(tables))
+        breakage(h, t)
         with pytest.raises(ParseError):
-            parse_class_list(json.dumps(doc))
+            parse_class_list(f"{json.dumps(h)}\n{json.dumps(t)}\n", G)
+    for text in ("[]", "nope", json.dumps(header)):
+        with pytest.raises(ParseError):
+            parse_class_list(text, G)
     with pytest.raises(ParseError):
-        parse_class_list("[]")
-    with pytest.raises(ParseError):
-        parse_class_list("nope")
+        parse_class_list(serialize_class_list(classes), von_dyck_group(4, 3)[0])
 
 
 def test_cached_provider_memoizes_and_persists(tmp_path, monkeypatch):
@@ -144,13 +182,18 @@ def test_cache_clear(tmp_path, classes, monkeypatch):
     store_classes(classes, str(tmp_path))
     store_classes(low_index_classes(von_dyck_group(4, 3)[0], 4), str(tmp_path))
     assert len(cache_entries(str(tmp_path))) == 2
+    # schema 1 kept one file per bound; such files are colsym's too
+    (tmp_path / "triangle_4_3_idx8.json").write_text("{}")
+    assert [e["name"] for e in cache_entries(str(tmp_path))] == [
+        "triangle-4-3", "triangle_4_3_idx8", "vondyck-4-3"
+    ]
     # a temp file left by an interrupted store is colsym's to remove
     with monkeypatch.context() as m:
         m.setattr(os, "replace", lambda src, dst: None)
         store_classes(classes, str(tmp_path))
     foreign = tmp_path / "notes.tmp"
     foreign.write_text("not ours")
-    assert cache_clear(str(tmp_path)) == 3
+    assert cache_clear(str(tmp_path)) == 4
     assert cache_entries(str(tmp_path)) == []
     assert os.listdir(tmp_path) == ["notes.tmp"]
     assert foreign.read_text() == "not ours"
@@ -169,3 +212,61 @@ def test_uncacheable_presentation(tmp_path, classes):
     cl = low_index_classes(odd, 2)
     with pytest.raises(CacheError):
         store_classes(cl, str(tmp_path))
+
+
+def test_one_file_per_group_holds_the_largest_search(tmp_path, monkeypatch):
+    G = triangle_group(4, 3)
+    cached_provider(str(tmp_path))(G, 4)
+    cached_provider(str(tmp_path))(G, 6)
+    assert os.listdir(tmp_path) == ["triangle-4-3.json"]
+    assert cache_entries(str(tmp_path)) == [
+        {"name": "triangle-4-3", "max_index": 6, "classes": len(low_index_classes(G, 6).tables)}
+    ]
+    searched = _counting(monkeypatch, "low_index_classes")
+    got = cached_provider(str(tmp_path))(G, 5)
+    assert searched == []
+    assert got.max_index == 5
+    assert [t.flat() for t in got.tables] == [t.flat() for t in low_index_classes(G, 5).tables]
+
+
+def test_stale_file_at_a_larger_bound_is_replaced(tmp_path, classes, monkeypatch):
+    path = store_classes(classes, str(tmp_path))
+    _rewrite_header(path, engine="0.0.0")
+    searched = _counting(monkeypatch, "low_index_classes")
+    got = cached_provider(str(tmp_path))(triangle_group(4, 3), 4)
+    assert searched == [("triangle-4-3", 4)]
+    assert [t.flat() for t in got.tables] == [t.flat() for t in classes.tables if t.n <= 4]
+    assert os.listdir(tmp_path) == ["triangle-4-3.json"]
+    header = _header_line(path)
+    assert (header["engine"], header["max_index"]) == (__version__, 4)
+
+
+def test_memo_keeps_the_whole_list_it_read(tmp_path, classes, monkeypatch):
+    store_classes(classes, str(tmp_path))
+    loads = _counting(monkeypatch, "load_classes")
+    searched = _counting(monkeypatch, "low_index_classes")
+    prov = cached_provider(str(tmp_path))
+    G = triangle_group(4, 3)
+    assert prov(G, 4).max_index == 4
+    got = prov(G, 6)
+    assert loads == [("triangle-4-3", 4)] and searched == []
+    assert [t.flat() for t in got.tables] == [t.flat() for t in classes.tables]
+
+
+def test_provider_rejects_jobs_below_one(tmp_path):
+    for jobs in (0, -1):
+        with pytest.raises(DomainError):
+            cached_provider(str(tmp_path), jobs=jobs)
+
+
+def test_unwritable_cache_keeps_the_result(tmp_path, classes, monkeypatch):
+    # a directory that exists but takes no new file fails in mkstemp
+    def refuse(*args, **kwargs):
+        raise PermissionError("read-only cache dir")
+
+    monkeypatch.setattr(colsym.cache.tempfile, "mkstemp", refuse)
+    with pytest.raises(CacheError):
+        store_classes(classes, str(tmp_path))
+    got = cached_provider(str(tmp_path))(triangle_group(4, 3), 6)
+    assert [t.flat() for t in got.tables] == [t.flat() for t in classes.tables]
+    assert os.listdir(tmp_path) == []

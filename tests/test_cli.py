@@ -122,6 +122,22 @@ def test_resource_limit_exit_code(capsys, cache_dir):
     assert "resource" in err
 
 
+def test_selftest_takes_no_search_budget():
+    # the selftest always searches to the frozen bounds, so a node budget
+    # it would not apply is refused as a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["selftest", "--max-nodes", "1", "--level", "fast"])
+    assert exc.value.code == 2
+
+
+def test_jobs_below_one_is_refused_on_a_warm_cache(capsys, cache_dir):
+    args = ["census", "--p", "4", "--q", "3", "--max-colours", "6", "--cache-dir", cache_dir]
+    assert run_cli(capsys, *args)[0] == 0
+    code, out, err = run_cli(capsys, *args, "--jobs", "0")
+    assert (code, out) == (2, "")
+    assert "jobs" in err
+
+
 def test_usage_error_exit_code(cache_dir):
     with pytest.raises(SystemExit) as exc:
         main(["census", "--p", "7", "--q", "3"])  # missing --max-colours
@@ -232,12 +248,17 @@ def test_selftest_fast(capsys, cache_dir, monkeypatch):
     assert sorted(searched) == sorted(set(searched))
 
 
-def test_cache_subcommands(capsys, cache_dir):
-    run_cli(capsys, "census", "--p", "4", "--q", "3", "--max-colours", "6",
-            "--cache-dir", cache_dir)
+def test_cache_subcommands(capsys, tmp_path):
+    cache_dir = str(tmp_path / "cache")
+    for bound in ("6", "8"):
+        run_cli(capsys, "census", "--p", "4", "--q", "3", "--max-colours", bound,
+                "--cache-dir", cache_dir)
     code, out, _ = run_cli(capsys, "cache", "ls", "--cache-dir", cache_dir)
     assert code == 0
-    assert "triangle" in out and "p=4 q=3" in out
+    # the search to 8 replaced the one to 6: one file for the group
+    assert [l for l in out.splitlines() if not l.startswith("#")] == [
+        "triangle-4-3   max_index=  8 classes=17"
+    ]
     code, out, _ = run_cli(capsys, "cache", "clear", "--cache-dir", cache_dir)
     assert code == 0
     assert "removed 1" in out

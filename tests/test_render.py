@@ -2,12 +2,14 @@ import hashlib
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from colsym.census import Scope, TilingKind, census
 from colsym.errors import DomainError, MergeInconsistency
 from colsym.geometry import generate_patch
-from colsym.render import colour_patch, emit_svg, palette, verify_perfect_on_patch
+from colsym.presentations import Geometry
+from colsym.render import _geodesics, colour_patch, emit_svg, palette, verify_perfect_on_patch
 from colsym.words import A, B, C
 from oracle import colour_histogram, emit_svg_per_triangle
 
@@ -239,6 +241,31 @@ def test_svg_matches_per_triangle_route(
     for projection in projections:
         args = dict(options, projection=projection, subdivision=subdivision)
         assert emit_svg(cp, **args) == emit_svg_per_triangle(cp, **args), projection
+
+
+@pytest.mark.parametrize("geometry, points", [
+    (Geometry.SPHERICAL, [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.6, 0.8, 0.0]]),
+    (Geometry.HYPERBOLIC, [[0.0, 0.0, 1.0], [np.sinh(0.7), 0.0, np.cosh(0.7)]]),
+])
+def test_degenerate_side_is_its_end_point(geometry, points):
+    # a side of length zero has no direction to interpolate along; every
+    # point drawn on it is its end point, not 0/0
+    u = np.array(points)
+    arcs = _geodesics(u, u, geometry, np.linspace(0.0, 1.0, 5))
+    assert np.isfinite(arcs).all()
+    assert np.allclose(arcs, u[:, None, :], rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("p, q, triangles", [(3, 3, 24), (4, 3, 48), (3, 5, 120)])
+def test_orthographic_draws_the_near_hemisphere(provider, p, q, triangles):
+    # these sphere tilings are symmetric under x -> -x, so their triangle
+    # centroids pair off across the picture plane and exactly half lie in
+    # front; the (3,3) tiling has a pair within 0.005 of the plane
+    t = rep_table(provider, p, q, TilingKind.PQ, Scope.FULL, 1)
+    cp = colour_patch(generate_patch(p, q, 40), t, TilingKind.PQ)
+    assert len(cp.patch.tiles) == triangles
+    svg = emit_svg(cp, projection="orthographic")
+    assert svg.count(b'stroke="none"') == triangles // 2
 
 
 def test_svg_write_to_path(tmp_path, board):

