@@ -109,8 +109,8 @@ def load_classes(
     try:
         with open(_path(pres, cache_dir), "r", encoding="ascii") as fh:
             cl = parse_class_list(fh.read(), pres)
-    except (OSError, ValueError, ParseError):
-        return None  # missing, corrupt, stale or foreign: the next search replaces it
+    except (OSError, ValueError, ParseError, CacheError):
+        return None  # missing, corrupt, stale, foreign or unnamed: search it
     return cl if cl.max_index >= max_index else None
 
 

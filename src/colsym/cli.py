@@ -45,7 +45,8 @@ def _common_options(sp: argparse.ArgumentParser, with_scope: bool = True) -> Non
 
 
 def _provider_options(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--jobs", type=int, default=1, help="parallel search processes")
+    sp.add_argument("--jobs", type=int, default=1, help="parallel search processes: all walk "
+                    "the shared top of the search tree, and the subtrees below a fixed depth are dealt out in turn")
     sp.add_argument("--no-cache", action="store_true", help="skip the disk cache")
     sp.add_argument("--cache-dir", default=None, help="cache directory override")
 
@@ -56,8 +57,8 @@ def _budget_options(sp: argparse.ArgumentParser) -> None:
         "--max-nodes",
         type=int,
         default=None,
-        help="abort the subgroup search after this many search nodes, "
-        "counted per search process, so the total grows with --jobs",
+        help="abort the subgroup search after this many search nodes, counted "
+        "per search process, shared top included, so the total grows with --jobs",
     )
 
 
@@ -170,6 +171,14 @@ def _default_depth(p: int, q: int) -> int:
     return 40 if classify_geometry(p, q) is Geometry.SPHERICAL else 5
 
 
+def _write(path: str, data: bytes) -> None:
+    try:
+        with open(path, "wb") as fh:
+            fh.write(data)
+    except OSError as e:
+        raise DomainError(f"cannot write {path}: {e.strerror}") from None
+
+
 def cmd_census(args) -> int:
     report = census(
         args.p,
@@ -182,8 +191,7 @@ def cmd_census(args) -> int:
     )
     text = format_census(report, args.format)
     if args.out:
-        with open(args.out, "w", encoding="ascii") as fh:
-            fh.write(text + "\n")
+        _write(args.out, (text + "\n").encode("ascii"))
     else:
         print(text)
     print(f"# {report.elapsed:.2f}s, strategy {report.strategy}", file=sys.stderr)
@@ -203,8 +211,7 @@ def cmd_render(args) -> int:
         size=args.size,
     )
     if args.out:
-        with open(args.out, "wb") as fh:
-            fh.write(data)
+        _write(args.out, data)
         print(f"# wrote {args.out}: {len(data)} bytes, {len(cp.polygons)} tiles",
               file=sys.stderr)
     else:

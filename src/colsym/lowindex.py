@@ -24,6 +24,10 @@ from .errors import DomainError, InternalError, ResourceLimit
 from .presentations import Presentation
 from .words import Word
 
+# branch depth whose subtrees the walk deals out to the parts in turn; on
+# (7,3) <= 64 with 2 parts on 2 CPUs, 12 beat 10 and 14 (1.37 s against 2.07 and 1.67)
+_SPLIT = 12
+
 
 @dataclass(frozen=True)
 class ClassList:
@@ -65,14 +69,16 @@ def _search(
     *,
     node_budget: int | None = None,
     prune: bool = True,
-    prefix: tuple[int, ...] = (),
-    cut_depth: int | None = None,
-) -> tuple[list[tuple[tuple[int, ...], ...]], list[tuple[int, ...]]]:
-    """Depth-first walk; returns (complete tables as row tuples, tasks).
+    part: int = 0,
+    parts: int = 1,
+) -> list[tuple[tuple[int, ...], ...]]:
+    """Depth-first walk; returns the complete tables as row tuples.
 
-    With cut_depth set, subtrees rooted at that branch depth are not
-    explored; their branch choice sequences come back as tasks instead.
-    A nonempty prefix replays those choices to resume one subtree.
+    Every part walks the same top of the tree.  The nodes reached at
+    branch depth _SPLIT are numbered in walk order, and part k explores
+    only those numbered k mod parts; a table completed above that depth
+    belongs to part 0.  So the parts are disjoint, and their union is
+    the one-part result.
     """
     m = pres.alphabet.size
     inv = pres.alphabet.inv
@@ -84,11 +90,9 @@ def _search(
     mu = [0] * N  # scratch: new index -> old coset, per re-rooting test
     nu = [-1] * N  # scratch: old coset -> new index
     trail: list[int] = []
-    branch_path: list[int] = []
     results: list[tuple[tuple[int, ...], ...]] = []
-    tasks: list[tuple[int, ...]] = []
     nodes = 0
-    prefix_len = len(prefix)
+    dealt = -1  # walk-order number of the last node reached at depth _SPLIT
 
     def scan(alpha: int, w: Word, stack: list[int]) -> bool:
         """Trace w from alpha; False on contradiction, deductions pushed."""
@@ -193,30 +197,27 @@ def _search(
         return True
 
     def recurse(frontier: int, n: int, depth: int) -> None:
-        nonlocal nodes
+        nonlocal nodes, dealt
+        if depth == _SPLIT:
+            dealt += 1
+            if dealt % parts != part:
+                return
         limit = n * m
         pos = frontier
         while pos < limit and table[pos] >= 0:
             pos += 1
         if pos == limit:
-            if not rejectable(n):
+            if (depth >= _SPLIT or part == 0) and not rejectable(n):
                 if not closed(n):
                     raise InternalError("complete table fails a relator")
                 results.append(snapshot(n))
-            return
-        if cut_depth is not None and depth >= cut_depth:
-            tasks.append(tuple(branch_path))
             return
         nodes += 1
         if node_budget is not None and nodes > node_budget:
             raise ResourceLimit(f"node budget {node_budget} exceeded")
         alpha, c = divmod(pos, m)
         ic = inv[c]
-        if depth < prefix_len:
-            candidates = (prefix[depth],)
-        else:
-            candidates = range(n + 1) if n < N else range(n)
-        for beta in candidates:
+        for beta in range(n + 1) if n < N else range(n):
             if beta < n and table[beta * m + ic] >= 0:
                 continue
             n2 = n + 1 if beta == n else n
@@ -229,26 +230,18 @@ def _search(
                 table[p2] = alpha
                 trail.append(p2)
                 stack.append(p2)
-            ok = propagate(stack)
-            if ok and prune and rejectable(n2):
-                ok = False
-            if ok:
-                branch_path.append(beta)
+            if propagate(stack) and not (prune and rejectable(n2)):
                 recurse(pos, n2, depth + 1)
-                branch_path.pop()
             while len(trail) > mark:
                 table[trail.pop()] = -1
 
     recurse(0, 1, 0)
-    return results, tasks
+    return results
 
 
 def _worker(args) -> list[tuple[tuple[int, ...], ...]]:
-    pres, max_index, prefix, node_budget, prune = args
-    results, _ = _search(
-        pres, max_index, node_budget=node_budget, prune=prune, prefix=prefix
-    )
-    return results
+    pres, max_index, node_budget, prune, part, parts = args
+    return _search(pres, max_index, node_budget=node_budget, prune=prune, part=part, parts=parts)
 
 
 def low_index_classes(
@@ -262,10 +255,10 @@ def low_index_classes(
     """All conjugacy classes of subgroups of index <= max_index.
 
     One standardized table per class, each the lexicographic minimum of
-    its re-rootings, sorted by (index, serialized rows).  jobs > 1
-    splits the search tree at a shallow depth and farms the subtrees out
-    to worker processes; the merged result is identical to a serial run.
-    node_budget, if given, bounds branch nodes per process.
+    its re-rootings, sorted by (index, serialized rows).  jobs > 1 runs
+    one part of the search per worker process (see _search); the merged
+    result is identical to a serial run.  node_budget, if given, bounds
+    branch nodes per process, the shared top of the tree included.
     """
     if max_index < 1:
         raise DomainError("max_index must be at least 1")
@@ -273,25 +266,11 @@ def low_index_classes(
         raise DomainError("jobs must be at least 1")
 
     if jobs == 1:
-        results, _ = _search(
-            pres, max_index, node_budget=node_budget, prune=prune
-        )
+        results = _search(pres, max_index, node_budget=node_budget, prune=prune)
     else:
-        cut = 2
-        results, tasks = _search(
-            pres, max_index, node_budget=node_budget, prune=prune, cut_depth=cut
-        )
-        while tasks and len(tasks) < 2 * jobs and cut < 6:
-            cut += 1
-            results, tasks = _search(
-                pres, max_index, node_budget=node_budget, prune=prune, cut_depth=cut
-            )
-        if tasks:
-            payload = [(pres, max_index, t, node_budget, prune) for t in tasks]
-            ctx = get_context("fork")
-            with ctx.Pool(jobs) as pool:
-                for part in pool.map(_worker, payload, chunksize=1):
-                    results.extend(part)
+        args = [(pres, max_index, node_budget, prune, part, jobs) for part in range(jobs)]
+        with get_context("fork").Pool(jobs) as pool:
+            results = [rows for found in pool.map(_worker, args) for rows in found]
 
     tables = [CosetTable(pres.alphabet, rows) for rows in results]
     tables.sort(key=lambda t: (t.n, t.flat()))

@@ -214,6 +214,16 @@ def test_uncacheable_presentation(tmp_path, classes):
         store_classes(cl, str(tmp_path))
 
 
+def test_provider_searches_an_uncacheable_presentation(tmp_path):
+    # the cube group under a name the cache cannot file: a miss, not an error
+    cube = Presentation(REFLECTIONS, triangle_group(4, 3).relators, "my-cube")
+    got = cached_provider(str(tmp_path))(cube, 4)
+    assert [t.flat() for t in got.tables] == [
+        t.flat() for t in low_index_classes(cube, 4).tables
+    ]
+    assert os.listdir(tmp_path) == []
+
+
 def test_one_file_per_group_holds_the_largest_search(tmp_path, monkeypatch):
     G = triangle_group(4, 3)
     cached_provider(str(tmp_path))(G, 4)

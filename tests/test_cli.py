@@ -113,6 +113,17 @@ def test_domain_error_exit_code(capsys, cache_dir):
         assert "size" in err
 
 
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys, cache_dir):
+    target = str(tmp_path / "missing" / "x.out")
+    for argv in (
+        ("census", "--p", "4", "--q", "3", "--max-colours", "6"),
+        ("render", "--p", "4", "--q", "3", "--colours", "3"),
+    ):
+        code, out, err = run_cli(capsys, *argv, "--out", target, "--cache-dir", cache_dir)
+        assert (code, out) == (2, "")
+        assert f"error: cannot write {target}: No such file or directory" in err
+
+
 def test_resource_limit_exit_code(capsys, cache_dir):
     code, _, err = run_cli(
         capsys, "census", "--p", "7", "--q", "3", "--max-colours", "20",

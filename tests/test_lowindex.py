@@ -3,7 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from colsym.coset import canonical_table
 from colsym.errors import DomainError, ResourceLimit
-from colsym.lowindex import low_index_classes
+from colsym.lowindex import _search, low_index_classes
 from colsym.presentations import triangle_group, von_dyck_group
 from colsym.subgroups import transform_subgroup
 from oracle import class_counts, classes_at_index, oracle_classes, validate
@@ -63,6 +63,29 @@ def test_deterministic_and_jobs_equal():
     assert [t.flat() for t in serial.tables] == [t.flat() for t in parallel.tables]
 
 
+@pytest.mark.parametrize(
+    "pres, bound",
+    [(triangle_group(7, 3), 20), (von_dyck_group(7, 3)[0], 16), (triangle_group(5, 4), 10)],
+    ids=lambda x: getattr(x, "name", x),
+)
+def test_parts_split_the_serial_search(pres, bound):
+    # these searches reach the split depth, so every part has a share;
+    # (5,4) <= 10 also completes tables at that depth in parts 1 and 2
+    serial = _search(pres, bound)
+    parts = [_search(pres, bound, part=k, parts=3) for k in range(3)]
+    found = [set(p) for p in parts]
+    assert [len(f) for f in found] == [len(p) for p in parts]
+    for i in range(3):
+        for j in range(i + 1, 3):
+            assert not found[i] & found[j]
+    assert set().union(*found) == set(serial)
+    assert sum(map(len, parts)) == len(serial)
+    assert sum(1 for p in parts if p) >= 2
+    flat = [t.flat() for t in low_index_classes(pres, bound).tables]
+    for jobs in (2, 3):
+        assert [t.flat() for t in low_index_classes(pres, bound, jobs=jobs).tables] == flat
+
+
 def test_bound_restriction_consistency():
     G = triangle_group(4, 3)
     wide = low_index_classes(G, 6)
@@ -110,6 +133,11 @@ def test_node_budget_enforced():
     G = triangle_group(7, 3)
     with pytest.raises(ResourceLimit):
         low_index_classes(G, 20, node_budget=50)
+
+
+def test_node_budget_enforced_in_workers():
+    with pytest.raises(ResourceLimit):
+        low_index_classes(triangle_group(7, 3), 30, node_budget=400, jobs=2)
 
 
 def test_bad_arguments():
