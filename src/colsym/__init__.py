@@ -28,7 +28,7 @@ from .presentations import (
 )
 from .words import REFLECTIONS, ROTATIONS, Word, free_reduce
 from .coset import CosetTable, canonical_table, reroot
-from .lowindex import ClassList, low_index_classes
+from .lowindex import ClassList, Seed, low_index_classes
 from .subgroups import (
     SubgroupRecord,
     fixed_cosets,
@@ -43,6 +43,7 @@ from .census import (
     TilingKind,
     census,
     colour_permutation,
+    colouring_seeds,
     format_census,
     required_words,
 )

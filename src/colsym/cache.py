@@ -1,12 +1,13 @@
 """Disk cache for class lists, so each heavy enumeration runs once.
 
 One file per presentation, `<name>.json` (e.g. `triangle-7-3.json`),
-holds its class list to the largest index bound searched so far: the
-search output at bound N literally contains the output at every n < N,
-so a smaller request is served by trimming, and a larger one searches
-and atomically replaces the file.  A file is two JSON lines, a header
-(schema, engine version, presentation name and relators, bound, class
-count) and the flat coset tables.  A corrupt file, or one of another
+holds its colouring classes (those of census.colouring_classes: the
+classes that colour some tiling of the group) to the largest index
+bound searched so far: the search output at bound N literally contains
+the output at every n < N, so a smaller request is served by trimming,
+and a larger one searches and atomically replaces the file.  A file is
+two JSON lines, a header (schema, engine version, presentation name and
+relators, bound, class count) and the flat coset tables.  A corrupt file, or one of another
 schema, engine or presentation, is a miss that the next search
 replaces, so a change to what the search outputs must bump
 __version__ or SCHEMA_VERSION.
@@ -21,10 +22,11 @@ import tempfile
 from . import __version__
 from .coset import CosetTable
 from .errors import CacheError, DomainError, ParseError
+from .census import colouring_seeds
 from .lowindex import ClassList, low_index_classes
 from .presentations import Presentation
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3  # 3: colouring classes only; 2 held every class
 
 ENV_VAR = "COLSYM_CACHE_DIR"
 
@@ -146,9 +148,11 @@ def cached_provider(
 ):
     """A classes_provider for census() backed by the disk cache.
 
-    Within one process it also keeps the largest list it has seen of
-    each presentation, so a census pass over several tilings enumerates
-    each group once and any smaller request is served by trimming.
+    It serves colouring classes: one search per group, with all of
+    census.colouring_seeds.  Within one process it also keeps the
+    largest list it has seen of each presentation, so a census pass over
+    several tilings enumerates each group once and any smaller request
+    is served by trimming.
     """
     if jobs < 1:
         raise DomainError("jobs must be at least 1")
@@ -159,7 +163,8 @@ def cached_provider(
         if cl is None or cl.max_index < max_index:
             cl = load_classes(pres, max_index, cache_dir) if enabled else None
             if cl is None:
-                cl = low_index_classes(pres, max_index, jobs=jobs, node_budget=node_budget)
+                cl = low_index_classes(pres, max_index, seeds=colouring_seeds(pres),
+                                       jobs=jobs, node_budget=node_budget)
                 if enabled:
                     try:
                         store_classes(cl, cache_dir)

@@ -22,15 +22,15 @@ from enum import Enum
 
 from .coset import CosetTable, canonical_table, reroot
 from .errors import DomainError, InternalError
-from .lowindex import ClassList, low_index_classes
-from .presentations import triangle_group, von_dyck_group
+from .lowindex import ClassList, Seed, low_index_classes
+from .presentations import Presentation, triangle_group, von_dyck_group
 from .subgroups import (
     SubgroupRecord,
     fixed_cosets,
     is_orientation_subgroup,
     transform_subgroup,
 )
-from .words import A, B, C, XGEN, ZGEN, Word
+from .words import A, B, C, REFLECTIONS, ROTATIONS, XGEN, ZGEN, Word
 
 
 class TilingKind(Enum):
@@ -79,6 +79,30 @@ def rotation_required_word(kind: TilingKind) -> Word:
         TilingKind.QP: (XGEN,),
         TilingKind.LAVES: (XGEN, ZGEN),
     }[kind]
+
+
+def colouring_seeds(pres: Presentation) -> tuple[Seed, ...]:
+    """The seeds of the classes that colour some tiling of pres's group.
+
+    Over the reflection alphabet: each tiling's two mirrors (full
+    scope), and each tile rotation in an orientation subgroup (rotation
+    scope, route a).  Over the rotation alphabet: each tile rotation
+    (route b).  A class that colours no tiling contains a conjugate of
+    none of them, so a search seeded with these finds every class a
+    census keeps.
+    """
+    if pres.alphabet == REFLECTIONS:
+        return tuple(Seed(required_words(k, Scope.FULL)) for k in TilingKind) + tuple(
+            Seed(required_words(k, Scope.ROTATION), oriented=True) for k in TilingKind
+        )
+    if pres.alphabet == ROTATIONS:
+        return tuple(Seed((rotation_required_word(k),)) for k in TilingKind)
+    raise DomainError(f"no tiling seeds over the alphabet {pres.alphabet.names}")
+
+
+def colouring_classes(pres: Presentation, max_index: int) -> ClassList:
+    """The default classes_provider: the classes that colour some tiling."""
+    return low_index_classes(pres, max_index, seeds=colouring_seeds(pres))
 
 
 @dataclass(frozen=True)
@@ -137,8 +161,10 @@ def census(
     mirror twist identifies.  strategy "both" runs the two and insists
     they agree.  classes_provider(presentation, max_index) -> ClassList
     lets callers interpose a cache (see cache.cached_provider, which
-    also takes the search's jobs and node budget); the default runs
-    low_index_classes directly.
+    also takes the search's jobs and node budget); the default,
+    colouring_classes, runs the seeded search directly.  A provider
+    may return more classes than those that colour the tiling, every
+    class included: the census keeps only the colouring ones.
     """
     if max_colours < 1:
         raise DomainError("max_colours must be at least 1")
@@ -148,7 +174,7 @@ def census(
         raise DomainError(f"bad scope: {scope!r}")
     if strategy not in ("a", "b", "both"):
         raise DomainError(f"unknown strategy {strategy!r}")
-    provider = classes_provider or low_index_classes
+    provider = classes_provider or colouring_classes
 
     started = time.perf_counter()
     if scope is Scope.FULL or strategy == "a":

@@ -45,8 +45,9 @@ def _common_options(sp: argparse.ArgumentParser, with_scope: bool = True) -> Non
 
 
 def _provider_options(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--jobs", type=int, default=1, help="parallel search processes: all walk "
-                    "the shared top of the search tree, and the subtrees below a fixed depth are dealt out in turn")
+    sp.add_argument("--jobs", type=int, default=1, help="parallel search processes, at most one "
+                    "per CPU this process may use: all walk the shared top of the search tree, and "
+                    "the subtrees below a fixed depth are dealt out in turn")
     sp.add_argument("--no-cache", action="store_true", help="skip the disk cache")
     sp.add_argument("--cache-dir", default=None, help="cache directory override")
 
@@ -58,7 +59,8 @@ def _budget_options(sp: argparse.ArgumentParser) -> None:
         type=int,
         default=None,
         help="abort the subgroup search after this many search nodes, counted "
-        "per search process, shared top included, so the total grows with --jobs",
+        "per search process over all the seed walks of a group, shared top "
+        "included, so the total grows with --jobs",
     )
 
 

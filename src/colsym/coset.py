@@ -68,10 +68,41 @@ def canonical_table(t: CosetTable) -> CosetTable:
 
     Two complete tables have equal canonical forms iff their subgroups
     are conjugate, since re-rooting runs over exactly the conjugates.
+    Each further base is renumbered in reroot's order one entry at a
+    time and dropped at the first entry above the least re-rooting so
+    far; only the winner is built.
     """
-    best = None
-    for base in range(t.n):
-        cand = reroot(t, base)
-        if best is None or cand.rows < best.rows:
-            best = cand
-    return best
+    m = t.alphabet.size
+    rows = t.rows
+    first = reroot(t, 0)  # raises DomainError unless t is transitive
+    best, best_base = first.flat(), 0
+    loc = [-1] * t.n
+    for base in range(1, t.n):
+        order = [base]
+        loc[base] = 0
+        flat: list[int] = []
+        less = False  # decided below best; compare no more
+        i = 0
+        while i < len(order):
+            row = rows[order[i]]
+            for c in range(m):
+                w = row[c]
+                e = loc[w]
+                if e < 0:
+                    e = loc[w] = len(order)
+                    order.append(w)
+                if not less:
+                    b = best[len(flat)]
+                    if e > b:
+                        break
+                    less = e < b
+                flat.append(e)
+            else:
+                i += 1
+                continue
+            break
+        for o in order:
+            loc[o] = -1
+        if less:
+            best, best_base = flat, base
+    return first if best_base == 0 else reroot(t, best_base)

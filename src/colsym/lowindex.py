@@ -13,13 +13,20 @@ Conjugacy classes, not subgroups, are wanted.  A complete table is kept
 only if it is the lexicographically least among its re-rootings (the
 tables of its conjugate subgroups); the same comparison applied to a
 partial table prunes whole subtrees that can no longer win.
+
+A seeded walk finds only the classes of subgroups that contain a
+conjugate of H, the subgroup generated by the seed words (Sims,
+Computation with Finitely Presented Groups, ch. 5): the words must fix
+coset 0, so they are scanned there next to the relators, and a table is
+compared only with its re-rootings at cosets the words fix.
 """
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from multiprocessing import get_context
 
-from .coset import CosetTable
+from .coset import CosetTable, canonical_table
 from .errors import DomainError, InternalError, ResourceLimit
 from .presentations import Presentation
 from .words import Word
@@ -36,6 +43,23 @@ class ClassList:
     presentation: Presentation
     max_index: int
     tables: tuple[CosetTable, ...]
+
+
+@dataclass(frozen=True)
+class Seed:
+    """Words that must fix coset 0 of every table a seeded walk makes.
+
+    oriented asks for orientation subgroups only: every coset gets a
+    parity, and every letter joins cosets of opposite parity.  It needs
+    the reflection alphabet, where every letter reverses orientation,
+    with relators and seed words of even length.
+    """
+
+    words: tuple[Word, ...]
+    oriented: bool = False
+
+
+UNSEEDED = (Seed(()),)  # one walk that every subgroup passes
 
 
 def _trace_words(pres: Presentation) -> tuple[tuple[Word, ...], ...]:
@@ -66,19 +90,25 @@ def _trace_words(pres: Presentation) -> tuple[tuple[Word, ...], ...]:
 def _search(
     pres: Presentation,
     max_index: int,
+    seeds: tuple[Seed, ...] = UNSEEDED,
     *,
     node_budget: int | None = None,
     prune: bool = True,
     part: int = 0,
     parts: int = 1,
 ) -> list[tuple[tuple[int, ...], ...]]:
-    """Depth-first walk; returns the complete tables as row tuples.
+    """Depth-first walks, one per seed; returns the complete tables as row tuples.
+
+    Each walk keeps the tables that are least among their re-rootings at
+    cosets its seed words fix, so it yields one table per class of
+    subgroups containing a conjugate of the seed's subgroup.  One node
+    budget counts the nodes of all the walks.
 
     Every part walks the same top of the tree.  The nodes reached at
-    branch depth _SPLIT are numbered in walk order, and part k explores
-    only those numbered k mod parts; a table completed above that depth
-    belongs to part 0.  So the parts are disjoint, and their union is
-    the one-part result.
+    branch depth _SPLIT are numbered in walk order, across the walks,
+    and part k explores only those numbered k mod parts; a table
+    completed above that depth belongs to part 0.  So the parts are
+    disjoint, and their union is the one-part result.
     """
     m = pres.alphabet.size
     inv = pres.alphabet.inv
@@ -87,12 +117,20 @@ def _search(
     relators = pres.relators
 
     table = [-1] * (N * m)
+    # side of each coset, kept by oriented walks: set where a coset is made
+    # and checked where a branch joins two; a deduction closes a relator or
+    # seed word of even length along alternating edges, so it joins
+    # opposite sides unchecked
+    parity = [0] * N
     mu = [0] * N  # scratch: new index -> old coset, per re-rooting test
     nu = [-1] * N  # scratch: old coset -> new index
     trail: list[int] = []
     results: list[tuple[tuple[int, ...], ...]] = []
     nodes = 0
     dealt = -1  # walk-order number of the last node reached at depth _SPLIT
+    words: tuple[Word, ...] = ()  # the seed words of the current walk
+    unsettled: tuple[Word, ...] = ()  # those that propagate still scans
+    oriented = False
 
     def scan(alpha: int, w: Word, stack: list[int]) -> bool:
         """Trace w from alpha; False on contradiction, deductions pushed."""
@@ -135,20 +173,44 @@ def _search(
             for w in trace[c]:
                 if not scan(alpha, w, stack):
                     return False
+            for w in unsettled:
+                if not scan(0, w, stack):
+                    return False
         return True
+
+    def fixed_roots(n: int):
+        """The cosets other than 0 that every seed word is known to fix."""
+        if not words:
+            return range(1, n)
+        roots = []
+        for beta in range(1, n):
+            for w in words:
+                i = beta
+                for g in w:
+                    i = table[i * m + g]
+                    if i < 0:
+                        break
+                if i != beta:
+                    break
+            else:
+                roots.append(beta)
+        return roots
 
     def rejectable(n: int) -> bool:
         """True if no completion of this table can be its class minimum.
 
-        For each alternative root beta, renumber cosets in scan order
-        from beta and compare entry by entry against the table itself.
-        Comparison stops at the first undefined entry on either side
-        (inconclusive for that beta).  A strictly smaller re-rooted
-        entry at a position where everything earlier is defined and
-        equal survives any completion, so the branch is dead.  On a
-        complete table this is exactly the canonical-form test.
+        For each alternative root beta that the seed words are known to
+        fix, renumber cosets in scan order from beta and compare entry
+        by entry against the table itself.  A root whose fixedness is
+        still undetermined is skipped (inconclusive), as is one the
+        words move.  Comparison stops at the first undefined entry on
+        either side (inconclusive for that beta).  A strictly smaller
+        re-rooted entry at a position where everything earlier is
+        defined and equal survives any completion, so the branch is
+        dead.  On a complete table this is exactly the test of being
+        least among the re-rootings at fixed cosets.
         """
-        for beta in range(1, n):
+        for beta in fixed_roots(n):
             cnt = 1
             mu[0] = beta
             nu[beta] = 0
@@ -218,8 +280,11 @@ def _search(
         alpha, c = divmod(pos, m)
         ic = inv[c]
         for beta in range(n + 1) if n < N else range(n):
-            if beta < n and table[beta * m + ic] >= 0:
-                continue
+            if beta < n:
+                if table[beta * m + ic] >= 0 or (oriented and parity[beta] == parity[alpha]):
+                    continue
+            else:
+                parity[beta] = parity[alpha] ^ 1
             n2 = n + 1 if beta == n else n
             mark = len(trail)
             table[pos] = beta
@@ -235,43 +300,81 @@ def _search(
             while len(trail) > mark:
                 table[trail.pop()] = -1
 
-    recurse(0, 1, 0)
+    for seed in seeds:
+        words = unsettled = seed.words
+        oriented = seed.oriented
+        stack: list[int] = []
+        if all(scan(0, w, stack) for w in words) and propagate(stack):
+            # a one-letter word now fixes coset 0 for good
+            unsettled = tuple(w for w in words if len(w) > 1)
+            recurse(0, 1, 0)
+        while trail:
+            table[trail.pop()] = -1
     return results
 
 
 def _worker(args) -> list[tuple[tuple[int, ...], ...]]:
-    pres, max_index, node_budget, prune, part, parts = args
-    return _search(pres, max_index, node_budget=node_budget, prune=prune, part=part, parts=parts)
+    pres, max_index, seeds, node_budget, prune, part, parts = args
+    return _search(pres, max_index, seeds, node_budget=node_budget, prune=prune,
+                   part=part, parts=parts)
+
+
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def low_index_classes(
     pres: Presentation,
     max_index: int,
     *,
+    seeds: tuple[Seed, ...] | None = None,
     node_budget: int | None = None,
     jobs: int = 1,
     prune: bool = True,
 ) -> ClassList:
-    """All conjugacy classes of subgroups of index <= max_index.
+    """Conjugacy classes of subgroups of index <= max_index.
 
-    One standardized table per class, each the lexicographic minimum of
-    its re-rootings, sorted by (index, serialized rows).  jobs > 1 runs
-    one part of the search per worker process (see _search); the merged
-    result is identical to a serial run.  node_budget, if given, bounds
-    branch nodes per process, the shared top of the tree included.
+    seeds=None finds every class.  Otherwise each Seed gets one walk,
+    and the list holds the classes of subgroups that contain a
+    conjugate of some seed's subgroup (orientation subgroups only, for
+    an oriented seed).  Either way it is one standardized table per
+    class, each the lexicographic minimum of all its re-rootings,
+    sorted by (index, serialized rows).  jobs > 1 runs one part of the
+    search per worker process (see _search), but never more parts than
+    the CPUs this process may use; the merged result is identical to a
+    serial run.  node_budget, if given, bounds branch nodes per
+    process, over all the walks and the shared top of the tree.
     """
     if max_index < 1:
         raise DomainError("max_index must be at least 1")
     if jobs < 1:
         raise DomainError("jobs must be at least 1")
+    walks = UNSEEDED if seeds is None else tuple(seeds)
+    if not walks:
+        raise DomainError("seeds must hold at least one seed")
+    oriented = [s for s in walks if s.oriented]
+    if oriented and (
+        any(pres.alphabet.inv[c] != c for c in range(pres.alphabet.size))
+        or any(len(w) % 2 for w in pres.relators)
+        or any(len(w) % 2 for s in oriented for w in s.words)
+    ):
+        raise DomainError("an oriented seed needs the reflection alphabet, "
+                          "relators and seed words of even length")
 
-    if jobs == 1:
-        results = _search(pres, max_index, node_budget=node_budget, prune=prune)
+    parts = min(jobs, _cpus())
+    if parts == 1:
+        results = _search(pres, max_index, walks, node_budget=node_budget, prune=prune)
     else:
-        args = [(pres, max_index, node_budget, prune, part, jobs) for part in range(jobs)]
-        with get_context("fork").Pool(jobs) as pool:
+        args = [(pres, max_index, walks, node_budget, prune, part, parts) for part in range(parts)]
+        with get_context("fork").Pool(parts) as pool:
             results = [rows for found in pool.map(_worker, args) for rows in found]
 
-    tables = [CosetTable(pres.alphabet, rows) for rows in results]
-    tables.sort(key=lambda t: (t.n, t.flat()))
+    # a seeded walk's table is least over its fixed roots only, and a
+    # class containing conjugates of two seeds is found by both walks
+    found = {t.rows: t for t in (canonical_table(CosetTable(pres.alphabet, rows)) for rows in results)}
+    tables = sorted(found.values(), key=lambda t: (t.n, t.flat()))
     return ClassList(pres, max_index, tuple(tables))

@@ -6,6 +6,8 @@ possible:
 
 * enumerate_cosets: Todd-Coxeter coset enumeration from subgroup
   generators, a second way to build coset tables;
+* canonical_by_rerooting: the class representative found by building
+  every re-rooting, the route canonical_table cuts short;
 * transversal_words, schreier_generators, conjugate_in: reading a
   subgroup back off its table;
 * oracle_classes: conjugacy classes of subgroups of tiny index by brute
@@ -74,6 +76,16 @@ def classes_at_index(cl: ClassList, n: int) -> tuple[CosetTable, ...]:
 def standardize(t: CosetTable) -> CosetTable:
     """Renumber so cosets appear in first-visit scan order from coset 0."""
     return reroot(t, 0)
+
+
+def canonical_by_rerooting(t: CosetTable) -> CosetTable:
+    """Lexicographically least re-rooting, every re-rooting built in full."""
+    best = None
+    for base in range(t.n):
+        cand = reroot(t, base)
+        if best is None or cand.rows < best.rows:
+            best = cand
+    return best
 
 
 def enumerate_cosets(
@@ -351,6 +363,47 @@ def oracle_classes(pres: Presentation, index: int) -> OracleCount:
         unseen -= orbit
     witnesses.sort()
     return OracleCount(index, len(witnesses), tuple(witnesses))
+
+
+def oracle_seeded_count(pres: Presentation, res: OracleCount, seeds) -> int:
+    """How many of the oracle's classes a search seeded with `seeds` finds.
+
+    A class counts when, for some seed, one point of its witness action
+    is fixed by every seed word, and, for an oriented seed, every letter
+    joins the two sides of a 2-colouring of the points.
+    """
+    n = res.index
+    inv = pres.alphabet.inv
+    gen_cols = generator_columns(pres.alphabet)
+    count = 0
+    for wit in res.witnesses:
+        acts = {g: wit[k * n : (k + 1) * n] for k, g in enumerate(gen_cols)}
+        for g in gen_cols:
+            acts[inv[g]] = tuple(sorted(range(n), key=acts[g].__getitem__))
+
+        def image(i: int, w: Word) -> int:
+            for g in w:
+                i = acts[g][i]
+            return i
+
+        side = {0: 0}
+        fringe = [0]
+        two_sided = True
+        while fringe:
+            i = fringe.pop()
+            for perm in acts.values():
+                j = perm[i]
+                if j not in side:
+                    side[j] = side[i] ^ 1
+                    fringe.append(j)
+                elif side[j] == side[i]:
+                    two_sided = False
+        count += any(
+            (two_sided or not seed.oriented)
+            and any(all(image(i, w) == i for w in seed.words) for i in range(n))
+            for seed in seeds
+        )
+    return count
 
 
 def compose_permutations(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:

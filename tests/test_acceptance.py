@@ -19,14 +19,22 @@ from colsym.census import (
     TilingKind,
     census,
     colour_permutation,
+    colouring_seeds,
     required_words,
 )
 from colsym.geometry import fundamental_triangle, generate_patch
+from colsym.lowindex import low_index_classes
 from colsym.presentations import triangle_group
 from colsym.render import colour_patch, emit_svg, verify_perfect_on_patch
 from colsym.subgroups import fixed_cosets
 from colsym.words import A, B, C
-from oracle import class_counts, colours_transitive, oracle_classes, permutation_homomorphism_check
+from oracle import (
+    class_counts,
+    colours_transitive,
+    oracle_classes,
+    oracle_seeded_count,
+    permutation_homomorphism_check,
+)
 
 HYPERBOLIC = ((7, 3), (8, 3), (5, 4))
 KINDS = (TilingKind.PQ, TilingKind.LAVES, TilingKind.QP)
@@ -160,16 +168,23 @@ def test_c04_checkerboard_colouring(checkerboard_report):
 
 
 def test_c05_search_agrees_with_brute_force(provider):
+    # the unseeded search against every class, and the provider's seeded
+    # search against the classes some colouring seed finds
     started = time.perf_counter()
     bad = []
     for p, q in ((4, 3), (4, 4), (7, 3), (5, 4)):
         G = triangle_group(p, q)
-        counts = class_counts(provider(G, 6))
+        counts = class_counts(low_index_classes(G, 6))
+        colouring = class_counts(provider(G, 6))
         for k in range(1, 7):
-            left = counts.get(k, 0)
-            right = oracle_classes(G, k).count
+            oracle = oracle_classes(G, k)
+            left, right = counts.get(k, 0), oracle.count
             if left != right:
                 bad.append(f"({p},{q}) index {k}: search {left}, oracle {right}")
+            left = colouring.get(k, 0)
+            right = oracle_seeded_count(G, oracle, colouring_seeds(G))
+            if left != right:
+                bad.append(f"({p},{q}) index {k}: seeded search {left}, oracle {right}")
     elapsed = time.perf_counter() - started
     check(
         "subgroup search equals the brute-force oracle to index 6",

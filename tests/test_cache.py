@@ -15,6 +15,7 @@ from colsym.cache import (
     serialize_class_list,
     store_classes,
 )
+from colsym.census import colouring_classes
 from colsym.errors import CacheError, DomainError, ParseError
 from colsym.lowindex import low_index_classes
 from colsym.presentations import Presentation, triangle_group, von_dyck_group
@@ -23,7 +24,8 @@ from colsym.words import REFLECTIONS
 
 @pytest.fixture()
 def classes():
-    return low_index_classes(triangle_group(4, 3), 6)
+    # what the provider stores: the classes that colour some tiling
+    return colouring_classes(triangle_group(4, 3), 6)
 
 
 def _header_line(path):
@@ -129,6 +131,7 @@ def test_parse_rejects_malformed_documents(classes):
     for breakage in (
         lambda h, t: h.pop("schema_version"),
         lambda h, t: h.update(schema_version=1),
+        lambda h, t: h.update(schema_version=2),  # held every class, not the colouring ones
         lambda h, t: h.update(name="triangle-7-3"),  # another group's list
         lambda h, t: h.update(relators=h["relators"][:-1]),
         lambda h, t: h.update(max_index="six"),
@@ -180,7 +183,7 @@ def test_cached_provider_memoizes_and_persists(tmp_path, monkeypatch):
 
 def test_cache_clear(tmp_path, classes, monkeypatch):
     store_classes(classes, str(tmp_path))
-    store_classes(low_index_classes(von_dyck_group(4, 3)[0], 4), str(tmp_path))
+    store_classes(colouring_classes(von_dyck_group(4, 3)[0], 4), str(tmp_path))
     assert len(cache_entries(str(tmp_path))) == 2
     # schema 1 kept one file per bound; such files are colsym's too
     (tmp_path / "triangle_4_3_idx8.json").write_text("{}")
@@ -219,7 +222,7 @@ def test_provider_searches_an_uncacheable_presentation(tmp_path):
     cube = Presentation(REFLECTIONS, triangle_group(4, 3).relators, "my-cube")
     got = cached_provider(str(tmp_path))(cube, 4)
     assert [t.flat() for t in got.tables] == [
-        t.flat() for t in low_index_classes(cube, 4).tables
+        t.flat() for t in colouring_classes(cube, 4).tables
     ]
     assert os.listdir(tmp_path) == []
 
@@ -230,13 +233,13 @@ def test_one_file_per_group_holds_the_largest_search(tmp_path, monkeypatch):
     cached_provider(str(tmp_path))(G, 6)
     assert os.listdir(tmp_path) == ["triangle-4-3.json"]
     assert cache_entries(str(tmp_path)) == [
-        {"name": "triangle-4-3", "max_index": 6, "classes": len(low_index_classes(G, 6).tables)}
+        {"name": "triangle-4-3", "max_index": 6, "classes": len(colouring_classes(G, 6).tables)}
     ]
     searched = _counting(monkeypatch, "low_index_classes")
     got = cached_provider(str(tmp_path))(G, 5)
     assert searched == []
     assert got.max_index == 5
-    assert [t.flat() for t in got.tables] == [t.flat() for t in low_index_classes(G, 5).tables]
+    assert [t.flat() for t in got.tables] == [t.flat() for t in colouring_classes(G, 5).tables]
 
 
 def test_stale_file_at_a_larger_bound_is_replaced(tmp_path, classes, monkeypatch):

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from colsym import goldens
 from colsym.census import (
     Scope,
     TilingKind,
@@ -12,7 +13,7 @@ from colsym.census import (
 )
 from colsym.coset import CosetTable
 from colsym.errors import DomainError
-from colsym.presentations import triangle_group
+from colsym.presentations import triangle_group, von_dyck_group
 from colsym.subgroups import fixed_cosets, is_orientation_subgroup
 from colsym.words import A, B, C, REFLECTIONS
 from oracle import (
@@ -51,6 +52,29 @@ def test_full_census_against_oracle(pq, kind, provider):
             if fixed_cosets(witness_table(w, k), words)
         )
         assert got.get(k, 0) == expected
+
+
+def test_golden_rows_to_their_published_ends(provider):
+    # the selftest bounds (FULL_BOUNDS, ROTATION_BOUNDS) stop short of
+    # most rows; here every row is checked up to its last shown value,
+    # rotation rows by both routes
+    for p, q in {key[:2] for key in goldens.FULL_ROWS}:
+        full = max(last for key, (_, last) in goldens.FULL_ROWS.items() if key[:2] == (p, q))
+        rotation = max(last for key, (_, last) in goldens.ROTATION_ROWS.items() if key[:2] == (p, q))
+        provider(triangle_group(p, q), max(full, 2 * rotation))  # largest request first
+        provider(von_dyck_group(p, q)[0], rotation)
+    checked = 0
+    for rows, scope, strategy in (
+        (goldens.FULL_ROWS, Scope.FULL, "a"),
+        (goldens.ROTATION_ROWS, Scope.ROTATION, "both"),
+    ):
+        for (p, q, kind), (row, last) in rows.items():
+            report = census(p, q, kind, scope, last, strategy=strategy, classes_provider=provider)
+            ok, detail = goldens.matches_row(report, row, last)
+            assert ok, f"{scope.value} {kind.display(p, q)} <= {last}: {detail}"
+            assert report.multiplicities() == row
+            checked += 1
+    assert checked == 18
 
 
 def test_rotation_strategies_agree_euclidean(provider):

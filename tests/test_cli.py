@@ -266,9 +266,10 @@ def test_cache_subcommands(capsys, tmp_path):
                 "--cache-dir", cache_dir)
     code, out, _ = run_cli(capsys, "cache", "ls", "--cache-dir", cache_dir)
     assert code == 0
-    # the search to 8 replaced the one to 6: one file for the group
+    # the search to 8 replaced the one to 6: one file for the group, with
+    # the 11 of the cube group's 17 classes to index 8 that colour a tiling
     assert [l for l in out.splitlines() if not l.startswith("#")] == [
-        "triangle-4-3   max_index=  8 classes=17"
+        "triangle-4-3   max_index=  8 classes=11"
     ]
     code, out, _ = run_cli(capsys, "cache", "clear", "--cache-dir", cache_dir)
     assert code == 0

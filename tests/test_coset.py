@@ -10,9 +10,10 @@ import pytest
 
 from colsym.coset import CosetTable, canonical_table, reroot
 from colsym.errors import DomainError, ResourceLimit
+from colsym.lowindex import low_index_classes
 from colsym.presentations import triangle_group, von_dyck_group
 from colsym.words import A, B, C
-from oracle import enumerate_cosets, standardize, transversal_words, validate
+from oracle import canonical_by_rerooting, enumerate_cosets, standardize, transversal_words, validate
 
 MA = np.array([[0, 0, 1], [0, 1, 0], [1, 0, 0]])
 MB = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
@@ -153,6 +154,32 @@ def test_canonical_table_is_minimal_rerooting():
     c = canonical_table(t)
     assert canonical_table(c) == c
     assert c.flat() == min(reroot(t, i).flat() for i in range(t.n))
+
+
+def test_canonical_table_equals_building_every_rerooting():
+    # every re-rooting of every class of (7,3) to index 30, standardized
+    # or not: the early-exit comparison picks the same least re-rooting
+    G = triangle_group(7, 3)
+    tables = low_index_classes(G, 30).tables
+    assert len(tables) == 34
+    for t in tables:
+        for base in range(t.n):
+            r = reroot(t, base)
+            assert canonical_table(r) == canonical_by_rerooting(r) == t
+        # a table whose rows are not in scan order from coset 0
+        swap = {0: t.n - 1, t.n - 1: 0}
+        perm = [swap.get(i, i) for i in range(t.n)]
+        shuffled = CosetTable(t.alphabet, tuple(
+            tuple(perm[v] for v in t.rows[perm[i]]) for i in range(t.n)
+        ))
+        assert canonical_table(shuffled) == canonical_by_rerooting(shuffled) == t
+
+
+def test_canonical_table_refuses_an_intransitive_table():
+    # two fixed points of every letter: two orbits
+    t = CosetTable(triangle_group(4, 3).alphabet, ((0, 0, 0), (1, 1, 1)))
+    with pytest.raises(DomainError):
+        canonical_table(t)
 
 
 def test_validate_catches_corruption():

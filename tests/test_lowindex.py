@@ -1,11 +1,16 @@
+import os
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from colsym.coset import canonical_table
+import colsym.lowindex
+from colsym.census import colouring_seeds
+from colsym.coset import CosetTable, canonical_table
 from colsym.errors import DomainError, ResourceLimit
-from colsym.lowindex import _search, low_index_classes
-from colsym.presentations import triangle_group, von_dyck_group
-from colsym.subgroups import transform_subgroup
+from colsym.lowindex import Seed, _search, low_index_classes
+from colsym.presentations import Presentation, triangle_group, von_dyck_group
+from colsym.subgroups import fixed_cosets, is_orientation_subgroup, transform_subgroup
+from colsym.words import A, B, C, REFLECTIONS, XGEN, ZGEN
 from oracle import class_counts, classes_at_index, oracle_classes, validate
 
 SMALL_GROUPS = [
@@ -135,9 +140,134 @@ def test_node_budget_enforced():
         low_index_classes(G, 20, node_budget=50)
 
 
-def test_node_budget_enforced_in_workers():
+def test_node_budget_enforced_in_workers(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     with pytest.raises(ResourceLimit):
         low_index_classes(triangle_group(7, 3), 30, node_budget=400, jobs=2)
+
+
+def _least_budget(pres, bound, seeds):
+    """The smallest node budget the search of these seeds stays within."""
+    def fits(budget):
+        try:
+            _search(pres, bound, seeds, node_budget=budget)
+        except ResourceLimit:
+            return False
+        return True
+
+    hi = 1
+    while not fits(hi):
+        hi *= 2
+    lo = hi // 2  # does not fit (or is 0)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if fits(mid) else (mid, hi)
+    return hi
+
+
+def test_one_budget_counts_every_seed_walk():
+    G = triangle_group(7, 3)
+    seed = Seed(((A,), (C,)))
+    need = _least_budget(G, 24, (seed,))
+    assert need > 1
+    low_index_classes(G, 24, seeds=(seed,), node_budget=need)
+    # the same walk twice costs twice the nodes out of the one budget
+    with pytest.raises(ResourceLimit):
+        low_index_classes(G, 24, seeds=(seed, seed), node_budget=need)
+    low_index_classes(G, 24, seeds=(seed, seed), node_budget=2 * need)
+
+
+def _cpus(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+
+def test_jobs_capped_at_the_cpus(monkeypatch):
+    pools = []
+    fork = colsym.lowindex.get_context("fork")
+
+    class Recorder:
+        def Pool(self, processes):
+            pools.append(processes)
+            return fork.Pool(processes)
+
+    monkeypatch.setattr(colsym.lowindex, "get_context", lambda method: Recorder())
+    G = triangle_group(7, 3)
+    serial = [t.flat() for t in low_index_classes(G, 20).tables]
+    for cpus, jobs, forked in ((1, 3, []), (2, 3, [2]), (2, 2, [2]), (4, 3, [3])):
+        _cpus(monkeypatch, cpus)
+        pools.clear()
+        assert [t.flat() for t in low_index_classes(G, 20, jobs=jobs).tables] == serial
+        assert pools == forked
+
+
+SEEDED_GRID = [
+    (triangle_group(7, 3), 24), (von_dyck_group(7, 3)[0], 18),
+    (triangle_group(8, 3), 16), (von_dyck_group(8, 3)[0], 12),
+    (triangle_group(5, 4), 14), (von_dyck_group(5, 4)[0], 12),
+    (triangle_group(4, 3), 24), (von_dyck_group(4, 3)[0], 12),
+    (triangle_group(3, 5), 30), (von_dyck_group(3, 5)[0], 20),
+    (triangle_group(4, 4), 12), (von_dyck_group(4, 4)[0], 10),
+    (triangle_group(3, 6), 12), (von_dyck_group(3, 6)[0], 10),
+]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("pres, bound", SEEDED_GRID, ids=lambda x: getattr(x, "name", x))
+def test_seeded_equals_filtered_unseeded(pres, bound, jobs, monkeypatch):
+    _cpus(monkeypatch, 2)
+    seeds = colouring_seeds(pres)
+
+    def colours(t):
+        return any(
+            fixed_cosets(t, s.words) and (not s.oriented or is_orientation_subgroup(t))
+            for s in seeds
+        )
+
+    unseeded = low_index_classes(pres, bound).tables
+    expected = [t.flat() for t in unseeded if colours(t)]
+    got = low_index_classes(pres, bound, seeds=seeds, jobs=jobs)
+    assert [t.flat() for t in got.tables] == expected
+    assert expected
+    if pres.alphabet == REFLECTIONS:  # every small von Dyck class holds a tile rotation
+        assert len(expected) < len(unseeded)
+
+
+@pytest.mark.parametrize(
+    "pres, bound", [(triangle_group(7, 3), 30), (triangle_group(4, 4), 12)],
+    ids=lambda x: getattr(x, "name", x),
+)
+def test_seeded_parts_split_the_serial_search(pres, bound):
+    seeds = colouring_seeds(pres)
+    serial = _search(pres, bound, seeds)
+    parts = [_search(pres, bound, seeds, part=k, parts=3) for k in range(3)]
+    assert sorted(r for p in parts for r in p) == sorted(serial)
+    assert sum(1 for p in parts if p) == 3
+
+
+def test_each_seed_walk_finds_one_table_per_class():
+    # before canonical forms are taken, a walk yields each class once,
+    # as a table whose coset 0 the seed words fix
+    G = triangle_group(8, 3)
+    for seed in colouring_seeds(G):
+        found = [CosetTable(G.alphabet, rows) for rows in _search(G, 20, (seed,))]
+        assert found
+        assert all(0 in fixed_cosets(t, seed.words) for t in found)
+        assert len({canonical_table(t) for t in found}) == len(found)
+
+
+def test_bad_seeds():
+    G = triangle_group(4, 3)
+    with pytest.raises(DomainError):
+        low_index_classes(G, 4, seeds=())
+    vd, _ = von_dyck_group(4, 3)
+    with pytest.raises(DomainError):
+        low_index_classes(vd, 4, seeds=(Seed(((XGEN, ZGEN),), oriented=True),))
+    # an odd word reverses orientation, so no orientation subgroup holds it
+    with pytest.raises(DomainError):
+        low_index_classes(G, 4, seeds=(Seed(((A, C, A),), oriented=True),))
+    odd = Presentation(REFLECTIONS, G.relators + ((A, B, C),), "odd")
+    with pytest.raises(DomainError):
+        low_index_classes(odd, 4, seeds=(Seed(((A, C),), oriented=True),))
 
 
 def test_bad_arguments():
