@@ -156,6 +156,8 @@ def cached_provider(
     """
     if jobs < 1:
         raise DomainError("jobs must be at least 1")
+    if node_budget is not None and node_budget < 0:
+        raise DomainError("node_budget must be at least 0")
     memo: dict[Presentation, ClassList] = {}
 
     def provider(pres: Presentation, max_index: int) -> ClassList:

@@ -68,20 +68,19 @@ def canonical_table(t: CosetTable) -> CosetTable:
 
     Two complete tables have equal canonical forms iff their subgroups
     are conjugate, since re-rooting runs over exactly the conjugates.
-    Each further base is renumbered in reroot's order one entry at a
-    time and dropped at the first entry above the least re-rooting so
-    far; only the winner is built.
+    Every base, 0 included, is renumbered in reroot's order one entry at
+    a time and dropped at the first entry above the least re-rooting so
+    far; only the winner's rows are built.
     """
     m = t.alphabet.size
     rows = t.rows
-    first = reroot(t, 0)  # raises DomainError unless t is transitive
-    best, best_base = first.flat(), 0
+    best: list[int] | None = None
     loc = [-1] * t.n
-    for base in range(1, t.n):
+    for base in range(t.n):
         order = [base]
         loc[base] = 0
         flat: list[int] = []
-        less = False  # decided below best; compare no more
+        less = best is None  # decided below best; compare no more
         i = 0
         while i < len(order):
             row = rows[order[i]]
@@ -103,6 +102,8 @@ def canonical_table(t: CosetTable) -> CosetTable:
             break
         for o in order:
             loc[o] = -1
+        if best is None and len(order) != t.n:
+            raise DomainError("table is not transitive; cannot renumber")
         if less:
-            best, best_base = flat, base
-    return first if best_base == 0 else reroot(t, best_base)
+            best = flat
+    return CosetTable(t.alphabet, tuple(tuple(best[i : i + m]) for i in range(0, len(best), m)))

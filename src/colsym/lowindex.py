@@ -19,6 +19,13 @@ conjugate of H, the subgroup generated by the seed words (Sims,
 Computation with Finitely Presented Groups, ch. 5): the words must fix
 coset 0, so they are scanned there next to the relators, and a table is
 compared only with its re-rootings at cosets the words fix.
+
+Down a branch the table only grows, so the root bookkeeping lives on
+the trail next to the entries.  A root the seed words fix stays fixed,
+and a re-rooting compared equal on a defined prefix stays equal there:
+each fixed root keeps its renumbering and resumes its comparison where
+the last one stopped.  Backtracking undoes both, as it undoes entries.
+An unseeded walk has no words, so every coset is a fixed root.
 """
 from __future__ import annotations
 
@@ -104,6 +111,11 @@ def _search(
     subgroups containing a conjugate of the seed's subgroup.  One node
     budget counts the nodes of all the walks.
 
+    Backtracking undoes three stacks together: the entries set (trail),
+    the fixed roots found (settle) and the root comparisons advanced
+    (rejectable, roots_trail).  The last two change how a verdict is
+    reached, never which branches are pruned.
+
     Every part walks the same top of the tree.  The nodes reached at
     branch depth _SPLIT are numbered in walk order, across the walks,
     and part k explores only those numbered k mod parts; a table
@@ -122,9 +134,19 @@ def _search(
     # seed word of even length along alternating edges, so it joins
     # opposite sides unchecked
     parity = [0] * N
-    mu = [0] * N  # scratch: new index -> old coset, per re-rooting test
-    nu = [-1] * N  # scratch: old coset -> new index
     trail: list[int] = []
+    # roots other than 0 that every seed word fixes, in the order found; a
+    # root stays fixed below the node that fixed it, so backtracking truncates
+    fixed: list[int] = []
+    # per root, its re-rooting so far: mu new index -> old coset, nu old
+    # coset -> new index (nu[beta] is 0 just while beta is fixed), count
+    # cosets numbered, done rows compared equal or N once beaten (larger on
+    # a defined prefix); backtracking restores count 1 and done 0 first
+    mus = [[beta] + [0] * (N - 1) for beta in range(N)]
+    nus = [[-1] * N for _ in range(N)]
+    count = [1] * N
+    done = [0] * N
+    roots_trail: list[tuple[int, int, int]] = []  # (root, done, count) before a change
     results: list[tuple[tuple[int, ...], ...]] = []
     nodes = 0
     dealt = -1  # walk-order number of the last node reached at depth _SPLIT
@@ -178,44 +200,63 @@ def _search(
                     return False
         return True
 
-    def fixed_roots(n: int):
-        """The cosets other than 0 that every seed word is known to fix."""
-        if not words:
-            return range(1, n)
-        roots = []
-        for beta in range(1, n):
-            for w in words:
-                i = beta
-                for g in w:
-                    i = table[i * m + g]
-                    if i < 0:
-                        break
-                if i != beta:
-                    break
-            else:
-                roots.append(beta)
-        return roots
+    def settle(mark: int) -> None:
+        """Add the roots that the entries set since trail[mark] fix: a seed
+        word has at most two letters, so the entry that completes its walk
+        from beta back to beta has beta at one end."""
+        for p in trail[mark:]:
+            for beta in (p // m, table[p]):
+                if beta and nus[beta][beta] < 0:
+                    for w in words:
+                        i = beta
+                        for g in w:
+                            i = table[i * m + g]
+                            if i < 0:
+                                break
+                        if i != beta:
+                            break
+                    else:
+                        nus[beta][beta] = 0
+                        fixed.append(beta)
 
-    def rejectable(n: int) -> bool:
+    def unwind(mark: int, roots_mark: int, fixed_mark: int) -> None:
+        """Undo the entries, root comparisons and fixed roots since the marks."""
+        for p in trail[mark:]:
+            table[p] = -1
+        del trail[mark:]
+        for beta, i, cnt in reversed(roots_trail[roots_mark:]):
+            mu, nu = mus[beta], nus[beta]
+            for k in range(cnt, count[beta]):
+                nu[mu[k]] = -1
+            done[beta] = i
+            count[beta] = cnt
+        del roots_trail[roots_mark:]
+        for beta in fixed[fixed_mark:]:
+            nus[beta][beta] = -1
+        del fixed[fixed_mark:]
+
+    def rejectable() -> bool:
         """True if no completion of this table can be its class minimum.
 
-        For each alternative root beta that the seed words are known to
-        fix, renumber cosets in scan order from beta and compare entry
-        by entry against the table itself.  A root whose fixedness is
-        still undetermined is skipped (inconclusive), as is one the
-        words move.  Comparison stops at the first undefined entry on
-        either side (inconclusive for that beta).  A strictly smaller
-        re-rooted entry at a position where everything earlier is
-        defined and equal survives any completion, so the branch is
-        dead.  On a complete table this is exactly the test of being
-        least among the re-rootings at fixed cosets.
+        For each fixed root beta, renumber cosets in scan order from
+        beta and compare entry by entry against the table itself.  The
+        comparison stops at the first undefined entry on either side
+        (inconclusive for that beta) and resumes at that row on the next
+        call below this node: the entries compared are defined for good.
+        A strictly smaller re-rooted entry at a position where
+        everything earlier is defined and equal survives any completion,
+        so the branch is dead; a strictly larger one does too, so that
+        beta is beaten and never compared again in the subtree.  On a
+        complete table this is exactly the test of being least among
+        the re-rootings at fixed cosets.
         """
-        for beta in fixed_roots(n):
-            cnt = 1
-            mu[0] = beta
-            nu[beta] = 0
+        for beta in fixed:
+            i, cnt = done[beta], count[beta]
+            if i >= cnt:  # beaten, or equal to the table throughout
+                continue
+            mu, nu = mus[beta], nus[beta]
+            i0, cnt0 = i, cnt
             verdict = 0
-            i = 0
             while i < cnt:
                 base_o = mu[i] * m
                 base_i = i * m
@@ -239,9 +280,11 @@ def _search(
                 if stop:
                     break
                 i += 1
-            for k in range(cnt):
-                nu[mu[k]] = -1
-            if verdict == -1:
+            if verdict or i != i0 or cnt != cnt0:
+                roots_trail.append((beta, i0, cnt0))
+                done[beta] = N if verdict else i
+                count[beta] = cnt
+            if verdict < 0:
                 return True
         return False
 
@@ -269,7 +312,7 @@ def _search(
         while pos < limit and table[pos] >= 0:
             pos += 1
         if pos == limit:
-            if (depth >= _SPLIT or part == 0) and not rejectable(n):
+            if (depth >= _SPLIT or part == 0) and not rejectable():
                 if not closed(n):
                     raise InternalError("complete table fails a relator")
                 results.append(snapshot(n))
@@ -286,7 +329,7 @@ def _search(
             else:
                 parity[beta] = parity[alpha] ^ 1
             n2 = n + 1 if beta == n else n
-            mark = len(trail)
+            mark, roots_mark, fixed_mark = len(trail), len(roots_trail), len(fixed)
             table[pos] = beta
             trail.append(pos)
             p2 = beta * m + ic
@@ -295,10 +338,11 @@ def _search(
                 table[p2] = alpha
                 trail.append(p2)
                 stack.append(p2)
-            if propagate(stack) and not (prune and rejectable(n2)):
-                recurse(pos, n2, depth + 1)
-            while len(trail) > mark:
-                table[trail.pop()] = -1
+            if propagate(stack):
+                settle(mark)
+                if not (prune and rejectable()):
+                    recurse(pos, n2, depth + 1)
+            unwind(mark, roots_mark, fixed_mark)
 
     for seed in seeds:
         words = unsettled = seed.words
@@ -308,8 +352,7 @@ def _search(
             # a one-letter word now fixes coset 0 for good
             unsettled = tuple(w for w in words if len(w) > 1)
             recurse(0, 1, 0)
-        while trail:
-            table[trail.pop()] = -1
+        unwind(0, 0, 0)
     return results
 
 
@@ -353,6 +396,8 @@ def low_index_classes(
         raise DomainError("max_index must be at least 1")
     if jobs < 1:
         raise DomainError("jobs must be at least 1")
+    if node_budget is not None and node_budget < 0:
+        raise DomainError("node_budget must be at least 0")
     walks = UNSEEDED if seeds is None else tuple(seeds)
     if not walks:
         raise DomainError("seeds must hold at least one seed")

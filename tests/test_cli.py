@@ -149,6 +149,21 @@ def test_jobs_below_one_is_refused_on_a_warm_cache(capsys, cache_dir):
     assert "jobs" in err
 
 
+def test_negative_max_nodes_is_refused_cold_and_warm(capsys, cache_dir):
+    args = ["census", "--p", "4", "--q", "3", "--max-colours", "6"]
+    for where in (["--no-cache"], ["--cache-dir", cache_dir]):  # cold
+        code, out, err = run_cli(capsys, *args, *where, "--max-nodes", "-1")
+        assert (code, out) == (2, "")
+        assert "node_budget" in err
+    assert run_cli(capsys, *args, "--cache-dir", cache_dir)[0] == 0
+    code, out, err = run_cli(capsys, *args, "--cache-dir", cache_dir, "--max-nodes", "-1")
+    assert (code, out) == (2, "")
+    assert "node_budget" in err
+    # a budget of 0 is valid; the warm cache needs no search
+    code, out, _ = run_cli(capsys, *args, "--cache-dir", cache_dir, "--max-nodes", "0")
+    assert (code, out) == (0, "(4^3) full <= 6: 1, 3, 6\n")
+
+
 def test_usage_error_exit_code(cache_dir):
     with pytest.raises(SystemExit) as exc:
         main(["census", "--p", "7", "--q", "3"])  # missing --max-colours

@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import colsym.lowindex
+from colsym.cache import cached_provider
 from colsym.census import colouring_seeds
 from colsym.coset import CosetTable, canonical_table
 from colsym.errors import DomainError, ResourceLimit
-from colsym.lowindex import Seed, _search, low_index_classes
+from colsym.lowindex import UNSEEDED, Seed, _search, low_index_classes
 from colsym.presentations import Presentation, triangle_group, von_dyck_group
 from colsym.subgroups import fixed_cosets, is_orientation_subgroup, transform_subgroup
 from colsym.words import A, B, C, REFLECTIONS, XGEN, ZGEN
@@ -138,12 +139,39 @@ def test_node_budget_enforced():
     G = triangle_group(7, 3)
     with pytest.raises(ResourceLimit):
         low_index_classes(G, 20, node_budget=50)
+    # 0 is a budget: it holds a walk that its seed words complete at
+    # the root, and stops any walk that must branch
+    whole = Seed(((A,), (B,), (C,)))
+    assert len(low_index_classes(G, 4, seeds=(whole,), node_budget=0).tables) == 1
+    with pytest.raises(ResourceLimit):
+        low_index_classes(G, 4, node_budget=0)
 
 
 def test_node_budget_enforced_in_workers(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     with pytest.raises(ResourceLimit):
         low_index_classes(triangle_group(7, 3), 30, node_budget=400, jobs=2)
+
+
+@pytest.mark.parametrize(
+    "pres, bound, seeded, nodes",
+    [
+        (triangle_group(7, 3), 64, True, 13_827),
+        (von_dyck_group(7, 3)[0], 32, True, 4_112),
+        (triangle_group(8, 3), 36, True, 5_161),
+        (triangle_group(5, 4), 34, True, 8_903),
+        (triangle_group(7, 3), 20, False, 468),
+        (von_dyck_group(8, 3)[0], 18, False, 1_113),
+    ],
+    ids=lambda x: getattr(x, "name", x),
+)
+def test_search_node_counts_are_pinned(pres, bound, seeded, nodes):
+    # the root bookkeeping may change how a verdict is reached, never
+    # which branches it prunes
+    seeds = colouring_seeds(pres) if seeded else UNSEEDED
+    _search(pres, bound, seeds, node_budget=nodes)
+    with pytest.raises(ResourceLimit):
+        _search(pres, bound, seeds, node_budget=nodes - 1)
 
 
 def _least_budget(pres, bound, seeds):
@@ -270,12 +298,16 @@ def test_bad_seeds():
         low_index_classes(odd, 4, seeds=(Seed(((A, C),), oriented=True),))
 
 
-def test_bad_arguments():
+def test_bad_arguments(tmp_path):
     G = triangle_group(4, 3)
     with pytest.raises(DomainError):
         low_index_classes(G, 0)
     with pytest.raises(DomainError):
         low_index_classes(G, 3, jobs=0)
+    with pytest.raises(DomainError):
+        low_index_classes(G, 3, node_budget=-1)
+    with pytest.raises(DomainError):
+        cached_provider(str(tmp_path), node_budget=-1)
     with pytest.raises(DomainError):
         oracle_classes(G, 8)
     with pytest.raises(DomainError):
