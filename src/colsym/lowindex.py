@@ -17,8 +17,9 @@ partial table prunes whole subtrees that can no longer win.
 A seeded walk finds only the classes of subgroups that contain a
 conjugate of H, the subgroup generated by the seed words (Sims,
 Computation with Finitely Presented Groups, ch. 5): the words must fix
-coset 0, so they are scanned there next to the relators, and a table is
-compared only with its re-rootings at cosets the words fix.
+coset 0, so they are scanned there next to the relators until their walk
+there closes, and a table is compared only with its re-rootings at
+cosets the words fix.
 
 Down a branch the table only grows, so the root bookkeeping lives on
 the trail next to the entries.  A root the seed words fix stays fixed,
@@ -111,9 +112,10 @@ def _search(
     subgroups containing a conjugate of the seed's subgroup.  One node
     budget counts the nodes of all the walks.
 
-    Backtracking undoes three stacks together: the entries set (trail),
-    the fixed roots found (settle) and the root comparisons advanced
-    (rejectable, roots_trail).  The last two change how a verdict is
+    Backtracking undoes four stacks together: the entries set (trail),
+    the fixed roots found (settle), the root comparisons advanced
+    (rejectable, roots_trail) and the seed words whose walk at coset 0
+    closed (propagate, reopen).  The last three change how a verdict is
     reached, never which branches are pruned.
 
     Every part walks the same top of the tree.  The nodes reached at
@@ -151,11 +153,16 @@ def _search(
     nodes = 0
     dealt = -1  # walk-order number of the last node reached at depth _SPLIT
     words: tuple[Word, ...] = ()  # the seed words of the current walk
-    unsettled: tuple[Word, ...] = ()  # those that propagate still scans
+    # those whose walk from coset 0 is not closed yet, which propagate
+    # still scans; a walk stays closed below the node that closed it, so
+    # reopen keeps (trail length, unsettled before) per closing for unwind
+    unsettled: tuple[Word, ...] = ()
+    reopen: list[tuple[int, tuple[Word, ...]]] = []
     oriented = False
 
-    def scan(alpha: int, w: Word, stack: list[int]) -> bool:
-        """Trace w from alpha; False on contradiction, deductions pushed."""
+    def scan(alpha: int, w: Word, stack: list[int]) -> int:
+        """Trace w from alpha, pushing deductions: 0 on contradiction, 2 if
+        the walk is now complete and closes, else 1."""
         r = len(w)
         f, i = alpha, 0
         while i < r:
@@ -165,7 +172,7 @@ def _search(
             f = nxt
             i += 1
         else:
-            return f == alpha
+            return 2 if f == alpha else 0
         b, j = alpha, r - 1
         while j >= i:
             nxt = table[b * m + inv[w[j]]]
@@ -174,7 +181,7 @@ def _search(
             b = nxt
             j -= 1
         if j < i:
-            return f == b
+            return 2 if f == b else 0
         if j == i:
             c = w[i]
             p1 = f * m + c
@@ -186,9 +193,11 @@ def _search(
                 table[p2] = f
                 trail.append(p2)
                 stack.append(p2)
-        return True
+            return 2
+        return 1
 
     def propagate(stack: list[int]) -> bool:
+        nonlocal unsettled
         while stack:
             pos = stack.pop()
             alpha, c = divmod(pos, m)
@@ -196,8 +205,12 @@ def _search(
                 if not scan(alpha, w, stack):
                     return False
             for w in unsettled:
-                if not scan(0, w, stack):
+                state = scan(0, w, stack)
+                if not state:
                     return False
+                if state == 2:
+                    reopen.append((len(trail), unsettled))
+                    unsettled = tuple(u for u in unsettled if u is not w)
         return True
 
     def settle(mark: int) -> None:
@@ -220,7 +233,11 @@ def _search(
                         fixed.append(beta)
 
     def unwind(mark: int, roots_mark: int, fixed_mark: int) -> None:
-        """Undo the entries, root comparisons and fixed roots since the marks."""
+        """Undo the entries, root comparisons, fixed roots and closed seed
+        words since the marks."""
+        nonlocal unsettled
+        while reopen and reopen[-1][0] > mark:
+            unsettled = reopen.pop()[1]
         for p in trail[mark:]:
             table[p] = -1
         del trail[mark:]
@@ -349,8 +366,6 @@ def _search(
         oriented = seed.oriented
         stack: list[int] = []
         if all(scan(0, w, stack) for w in words) and propagate(stack):
-            # a one-letter word now fixes coset 0 for good
-            unsettled = tuple(w for w in words if len(w) > 1)
             recurse(0, 1, 0)
         unwind(0, 0, 0)
     return results

@@ -10,6 +10,14 @@ The drawing pipeline is deliberately dumb: subdivide geodesic edges,
 project, format floats at fixed precision, emit polygons in tile order,
 doing the arithmetic for a block of triangles at a time.
 Equal inputs give byte-equal SVG.
+
+Every number is written as "%.5f" writes it, except that -0.00000 is
+written 0.00000.  Path coordinates are formatted a block of paths at a
+time by _decimal_rows: integer arithmetic builds the digits in a
+character array, and only a number that arithmetic might round
+differently (a scaled fraction at one half, or a magnitude of about
+21,475 or more) is formatted by Python.  A non-finite coordinate raises
+InternalError instead of writing nan or inf into the picture.
 """
 from __future__ import annotations
 
@@ -22,7 +30,7 @@ import numpy as np
 
 from .census import Scope, TilingKind, required_words
 from .coset import CosetTable
-from .errors import DomainError, MergeInconsistency
+from .errors import DomainError, InternalError, MergeInconsistency
 from .geometry import TrianglePatch, form_matrix
 from .presentations import Geometry
 from .subgroups import orientation_sides
@@ -250,6 +258,73 @@ def _fmt(v: float) -> str:
     return "0.00000" if s == "-0.00000" else s
 
 
+def _decimal_rows(
+    values: np.ndarray, seps: bytes, prefix: bytes, suffixes: np.ndarray
+) -> tuple[bytes, np.ndarray]:
+    """Rows of numbers written as _fmt writes them; the bytes and each row's length.
+
+    values is a (rows, n) float array.  Row i is written as prefix, its n
+    numbers with seps[j] between numbers j and j + 1, then suffixes[i],
+    a row of the (rows, width) uint8 array suffixes.
+
+    Each number is k = rint(|x| * 1e5) hundred-thousandths, put digit by
+    digit into a fixed-width field of a uint8 array; a mask drops the
+    padding, and one gather writes the block.  "%.5f" rounds the exact
+    value of x.  The product |x| * 1e5 is correctly rounded and every
+    half n + 1/2 is a double, so the product can land on a half but never
+    crosses one: off a half, rint rounds as "%.5f" does.  Only numbers
+    whose scaled fraction lies within a few ulps of one half, or whose
+    scaled magnitude reaches 2^31, are written one at a time, by _fmt.
+    A non-finite number is an InternalError, not "nan" in the picture.
+    """
+    if not np.isfinite(values).all():
+        raise InternalError("non-finite coordinate in SVG path data")
+    rows, n = values.shape
+    # scaled magnitudes from top up go to _fmt, so k fits int32, whose
+    # digit arithmetic runs four times faster than int64's
+    top = 2.0**31
+    a = np.minimum(np.abs(values), top) * 1e5  # clipped only where slow: no overflow
+    r = np.rint(a)
+    slow = (r >= top) | (np.abs(np.abs(a - r) - 0.5) <= a * 2.0**-50)
+    k = np.where(slow, 0.0, r).astype(np.int32)
+    neg = (values < 0) & (k > 0)
+    one_by_one = [_fmt(x).encode("ascii") for x in values[slow].tolist()]
+    whole = len(str(int(k.max(initial=0)) // 100_000))  # most digits before the point
+    h = max([whole + 1] + [len(s) - 6 for s in one_by_one])
+
+    # the field of one number: h slots for the sign and the digits before
+    # the point, right-aligned, then the point, five digits and the
+    # separator that follows the number
+    field = np.empty((rows, n, h + 7), np.uint8)
+    keep = np.ones(field.shape, bool)
+    for slot in [*range(h + 5, h, -1), h - 1]:  # the digits always shown
+        q = k // 10
+        field[..., slot] = k - 10 * q + 48
+        k = q
+    # a higher digit shows while some remain; the sign goes just before them
+    signed = neg
+    for slot in range(h - 2, -1, -1):
+        q = k // 10
+        more = k > 0
+        field[..., slot] = np.where(more, k - 10 * q + 48, 45)  # 45 is "-"
+        keep[..., slot] = more | signed
+        k, signed = q, more & neg
+    field[..., h] = 46  # "."
+    field[..., h + 6] = np.frombuffer(seps + b" ", np.uint8)
+    keep[:, -1, h + 6] = False
+    for (i, j), s in zip(np.argwhere(slow).tolist(), one_by_one):
+        field[i, j, h + 6 - len(s) : h + 6] = np.frombuffer(s, np.uint8)
+        keep[i, j, :h] = np.arange(h) >= h + 6 - len(s)
+
+    text = np.concatenate(
+        [np.broadcast_to(np.frombuffer(prefix, np.uint8), (rows, len(prefix))),
+         field.reshape(rows, n * (h + 7)), suffixes], axis=1)
+    kept = np.concatenate(
+        [np.ones((rows, len(prefix)), bool), keep.reshape(rows, n * (h + 7)),
+         np.ones(suffixes.shape, bool)], axis=1)
+    return np.compress(kept.ravel(), text.ravel()).tobytes(), np.count_nonzero(kept, axis=1)
+
+
 def emit_svg(
     cp: ColouredPatch,
     out=None,
@@ -305,16 +380,15 @@ def emit_svg(
     across = np.array(patch.neighbours)[:, _SIDE_MIRRORS]
     boundary = (across < 0) | (owner[across] != owner[:, None])
 
-    pair = b"%.5f %.5f"
-    fill_templates = [
-        b'\n<path d="M' + b"L".join([pair] * (3 * s)) + b'Z" fill="'
-        + f.encode("ascii") + b'" stroke="none"/>'
-        for f in palette(cp.k, palette_seed)
-    ]
-    stroke_template = (
-        b'\n<path d="M' + b"L".join([pair] * (s + 1)) + b'" fill="none" stroke="#1a1a1a" '
-        b'stroke-width="' + stroke + b'" stroke-linecap="round"/>'
+    fill_tails = np.frombuffer(
+        b"".join(b'Z" fill="' + f.encode("ascii") + b'" stroke="none"/>'
+                 for f in palette(cp.k, palette_seed)), np.uint8
+    ).reshape(cp.k, -1)  # every palette colour is #rrggbb
+    stroke_tail = np.frombuffer(
+        b'" fill="none" stroke="#1a1a1a" stroke-width="' + stroke
+        + b'" stroke-linecap="round"/>', np.uint8
     )
+    fill_seps, stroke_seps = (b" L" * (3 * s))[:-1], (b" L" * (s + 1))[:-1]
     colours = np.array(cp.colours) - 1
     strokes: list[bytes | None] = [None] * (3 * n)
     svg = io.BytesIO()
@@ -325,16 +399,19 @@ def emit_svg(
         f'fill="#ffffff"/>'.encode("ascii")
     )
     for ids, xy in _drawn_blocks(patch, projection, ts):
-        ring = xy[:, :, :-1].reshape(len(ids), 6 * s).tolist()
-        svg.write(
-            b"".join(
-                fill_templates[c] % tuple(row) for c, row in zip(colours[ids].tolist(), ring)
-            ).replace(b"-0.00000", b"0.00000")
-        )
+        ring = xy[:, :, :-1].reshape(len(ids), 6 * s)
+        svg.write(_decimal_rows(ring, fill_seps, b'\n<path d="M', fill_tails[colours[ids]])[0])
+        # strokes are written in polygon order after every fill, so each
+        # is cut out of its block's bytes and kept until then
         edge = boundary[ids]
         keys = (rank[ids][:, None] * 3 + np.arange(3))[edge]
-        for key, row in zip(keys.tolist(), xy[edge].reshape(len(keys), 2 * s + 2).tolist()):
-            strokes[key] = (stroke_template % tuple(row)).replace(b"-0.00000", b"0.00000")
+        data, lengths = _decimal_rows(
+            xy[edge].reshape(len(keys), 2 * s + 2), stroke_seps, b'\n<path d="M',
+            np.broadcast_to(stroke_tail, (len(keys), stroke_tail.size)),
+        )
+        ends = np.cumsum(lengths).tolist()
+        for key, start, end in zip(keys.tolist(), [0] + ends, ends):
+            strokes[key] = data[start:end]
     svg.writelines(d for d in strokes if d is not None)
     if projection == "disk":
         svg.write(b'\n<circle cx="0" cy="0" r="1" fill="none" stroke="#1a1a1a" '

@@ -4,12 +4,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from colsym.census import Scope, TilingKind, census
-from colsym.errors import DomainError, MergeInconsistency
+from colsym.errors import DomainError, InternalError, MergeInconsistency
 from colsym.geometry import generate_patch
 from colsym.presentations import Geometry
-from colsym.render import _geodesics, colour_patch, emit_svg, palette, verify_perfect_on_patch
+from colsym.render import (
+    _decimal_rows, _geodesics, colour_patch, emit_svg, palette, verify_perfect_on_patch
+)
 from colsym.words import A, B, C
 from oracle import colour_histogram, emit_svg_per_triangle
 
@@ -280,3 +283,77 @@ def test_palette():
     assert len(set(palette(12))) == 12
     assert all(c.startswith("#") and len(c) == 7 for c in palette(5))
     assert palette(5, seed=1) != palette(5, seed=2)
+
+
+def decimal_rows_one_by_one(values, seps, prefix, suffixes):
+    """The rows _decimal_rows writes, each number by b"%.5f"."""
+    rows = []
+    for row, suffix in zip(values.tolist(), suffixes.tolist()):
+        nums = [b"0.00000" if b == b"-0.00000" else b for b in (b"%.5f" % x for x in row)]
+        body = nums[0] + b"".join(bytes([c]) + b for c, b in zip(seps, nums[1:]))
+        rows.append(prefix + body + bytes(suffix))
+    return rows
+
+
+def check_decimal_rows(rows, n):
+    values = np.array(rows, float).reshape(len(rows), n)
+    seps = (b" L" * n)[: n - 1]
+    suffixes = (np.arange(len(rows))[:, None] % 26 + np.array([65, 97])).astype(np.uint8)
+    data, lengths = _decimal_rows(values, seps, b"M", suffixes)
+    expected = decimal_rows_one_by_one(values, seps, b"M", suffixes)
+    assert data == b"".join(expected)
+    assert lengths.tolist() == list(map(len, expected))
+
+
+def nudge(x, steps):
+    """The float steps ulps above x, or below it for negative steps."""
+    for _ in range(abs(steps)):
+        x = float(np.nextafter(x, np.inf if steps > 0 else -np.inf))
+    return x
+
+
+# each value and its three neighbours on either side, of both signs
+HAND_PICKED = [
+    nudge(sign * x, steps)
+    for x in [
+        *((j + 0.5) / 1e5 for j in (0, 1, 2, 7, 12, 99, 1562, 4687, 12345, 99999, 1234567)),
+        *((2 * j + 1) / 64 for j in (0, 1, 2, 63, 1000)),  # ties exact in binary
+        0.000015, 0.999995, 9.999995, 99.999995, 21474.83647, 21474.836475, 21474.83648,
+        0.0, 4e-6, 1e-7, 5e-324, 1.0, 3.14159, 27.18281, 314.15926, 2718.28182,
+        31415.92654, 271828.18284, 2.0**53, 1e20, 1e300,
+    ]
+    for sign in (1, -1)
+    for steps in range(-3, 4)
+]
+
+
+def test_decimal_rows_hand_picked():
+    check_decimal_rows([HAND_PICKED], len(HAND_PICKED))
+    check_decimal_rows([[v] for v in HAND_PICKED], 1)
+    check_decimal_rows([[0.0, -0.0, -1e-7, -0.0000049, -0.000005]], 5)
+    check_decimal_rows([], 4)
+
+
+# picture-sized numbers, any finite float, and numbers a few ulps from a
+# rounding tie, where rint and "%.5f" part unless the tie is caught
+coordinates = st.one_of(
+    st.floats(-3.0, 3.0),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.builds(lambda j, steps: nudge((j + 0.5) / 1e5, steps),
+              st.integers(-3 * 10**9, 3 * 10**9), st.integers(-4, 4)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.lists(coordinates, min_size=n, max_size=n),
+                                             max_size=5))))
+def test_decimal_rows_match_percent_format(case):
+    n, rows = case
+    check_decimal_rows(rows, n)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_decimal_rows_reject_non_finite(bad):
+    with pytest.raises(InternalError):
+        _decimal_rows(np.array([[0.5, bad]]), b" ", b"M", np.zeros((1, 0), np.uint8))
