@@ -79,19 +79,27 @@ def _trace_words(pres: Presentation) -> tuple[tuple[Word, ...], ...]:
     the reflection letters are their own inverses) are structural: the
     table stores both directions of every edge, so they cannot fail and
     are left out of the trace lists.
+
+    An involution letter's list also holds the rotations of each
+    relator's inverse, so every cycle through an edge a -c-> b is traced
+    from a alone: the cycle that leaves b by c is, read backwards, one
+    that leaves a by c.  In the triangle groups these are rotations of
+    the relator itself ((cd)^k read backwards is (dc)^k), so nothing is
+    added there.
     """
-    m = pres.alphabet.size
-    inv = pres.alphabet.inv
-    per_col: list[list[Word]] = [[] for _ in range(m)]
+    alphabet = pres.alphabet
+    inv = alphabet.inv
+    per_col: list[list[Word]] = [[] for _ in range(alphabet.size)]
     for rel in pres.relators:
         if len(rel) == 2 and rel[1] == inv[rel[0]]:
             continue
         seen: set[Word] = set()
-        for k in range(len(rel)):
-            rot = rel[k:] + rel[:k]
-            if rot not in seen:
-                seen.add(rot)
-                per_col[rot[0]].append(rot)
+        for w, own in ((rel, True), (alphabet.inverse_word(rel), False)):
+            for k in range(len(w)):
+                rot = w[k:] + w[:k]
+                if rot not in seen and (own or inv[rot[0]] == rot[0]):
+                    seen.add(rot)
+                    per_col[rot[0]].append(rot)
     return tuple(tuple(ws) for ws in per_col)
 
 
@@ -128,6 +136,10 @@ def _search(
     inv = pres.alphabet.inv
     N = max_index
     trace = _trace_words(pres)
+    # an edge sets two entries, but its first entry's scans trace every
+    # cycle through it unless the twin's column is another letter with
+    # trace words of its own (an X or Z branch of a von Dyck walk)
+    twin = [inv[c] != c and bool(trace[inv[c]]) for c in range(m)]
     relators = pres.relators
 
     table = [-1] * (N * m)
@@ -192,7 +204,8 @@ def _search(
             if p2 != p1:
                 table[p2] = f
                 trail.append(p2)
-                stack.append(p2)
+                if twin[c]:
+                    stack.append(p2)
             return 2
         return 1
 
@@ -354,7 +367,8 @@ def _search(
             if p2 != pos:
                 table[p2] = alpha
                 trail.append(p2)
-                stack.append(p2)
+                if twin[c]:
+                    stack.append(p2)
             if propagate(stack):
                 settle(mark)
                 if not (prune and rejectable()):
