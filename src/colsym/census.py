@@ -127,17 +127,16 @@ class CensusReport:
         return {e.colours: e.count for e in self.entries}
 
 
-def _rerooted_record(t: CosetTable, words) -> SubgroupRecord:
-    """Move the table's base point to its smallest coset fixed by `words`.
+def _rerooted_record(t: CosetTable, fixed: frozenset[int]) -> SubgroupRecord:
+    """Move the table's base point to the smallest of its cosets in `fixed`.
 
-    Class representatives are canonical tables whose base coset need not
-    be fixed by the stabilizer words; colouring machinery needs literal
-    membership, so each stored representative is re-rooted first.
+    fixed holds the cosets the stabilizer words fix (fixed_cosets, taken
+    once by the caller's filter).  Class representatives are canonical
+    tables whose base coset need not be fixed by the stabilizer words;
+    colouring machinery needs literal membership, so each stored
+    representative is re-rooted first.
     """
-    fx = fixed_cosets(t, words)
-    if not fx:
-        raise InternalError("representative lost its fixed coset")
-    return SubgroupRecord(reroot(t, min(fx)))
+    return SubgroupRecord(reroot(t, min(fixed)))
 
 
 def census(
@@ -230,8 +229,9 @@ def _census_reflection(p, q, kind, scope, max_colours, provider) -> tuple[Census
     for t in classes.tables:
         if scale == 2 and not is_orientation_subgroup(t):
             continue
-        if fixed_cosets(t, words):
-            buckets.setdefault(t.n // scale, []).append(_rerooted_record(t, words))
+        fixed = fixed_cosets(t, words)
+        if fixed:
+            buckets.setdefault(t.n // scale, []).append(_rerooted_record(t, fixed))
     return _bucket(buckets)
 
 
@@ -247,21 +247,22 @@ def _census_rotation_b(p, q, kind, max_colours, provider) -> tuple[CensusEntry, 
     vd, sigma = von_dyck_group(p, q)
     word = rotation_required_word(kind)
     classes = provider(vd, max_colours)
-    qualifying = [t for t in classes.tables if fixed_cosets(t, (word,))]
-    slot = {t.rows: i for i, t in enumerate(qualifying)}
+    # each qualifying class with the cosets its tile rotation fixes
+    qualifying = [(t, fixed) for t in classes.tables if (fixed := fixed_cosets(t, (word,)))]
+    slot = {t.rows: i for i, (t, _) in enumerate(qualifying)}
     partner = []
-    for t in qualifying:
+    for t, _ in qualifying:
         j = slot.get(canonical_table(transform_subgroup(t, sigma)).rows)
         if j is None:
             raise InternalError("mirror twist left the qualifying class list")
         partner.append(j)
 
     buckets: dict[int, list[SubgroupRecord]] = {}
-    for i, t in enumerate(qualifying):
+    for i, (t, fixed) in enumerate(qualifying):
         if partner[partner[i]] != i:
             raise InternalError("mirror twist does not act as an involution")
         if partner[i] >= i:  # keep the first class of each fused pair
-            buckets.setdefault(t.n, []).append(_rerooted_record(t, (word,)))
+            buckets.setdefault(t.n, []).append(_rerooted_record(t, fixed))
     return _bucket(buckets)
 
 

@@ -5,9 +5,13 @@ node the first undefined entry is branched on: every existing coset
 whose matching inverse slot is free, then one fresh coset.  New entries
 are propagated through the relators (a scan of a relator with a single
 undefined gap forces that entry; a completed scan that fails to close is
-a contradiction).  Because cosets are introduced in scan order, every
-complete table produced is standardized, and distinct complete tables
-are distinct subgroups.
+a contradiction).  An edge a -c-> b sets two entries, but the relator
+cycles through it are scanned once, from a: the cycles that leave b by
+c^-1 are those same cycles read backwards when c is a reflection, and
+there are none when c^-1 is an inverse letter, which no relator uses.
+Because cosets are introduced in scan order, every complete table
+produced is standardized, and distinct complete tables are distinct
+subgroups.
 
 Conjugacy classes, not subgroups, are wanted.  A complete table is kept
 only if it is the lexicographically least among its re-rootings (the
@@ -19,7 +23,11 @@ conjugate of H, the subgroup generated by the seed words (Sims,
 Computation with Finitely Presented Groups, ch. 5): the words must fix
 coset 0, so they are scanned there next to the relators until their walk
 there closes, and a table is compared only with its re-rootings at
-cosets the words fix.
+cosets the words fix.  The walks run in seed order, and a walk leaves
+to an earlier one every class that walk finds: it prunes a node as soon
+as some coset is fixed by every word of an earlier seed, unless that
+seed is oriented and this one is not.  So the colouring seeds (the
+unoriented ones first) yield each class from one walk.
 
 Down a branch the table only grows, so the root bookkeeping lives on
 the trail next to the entries.  A root the seed words fix stays fixed,
@@ -117,8 +125,11 @@ def _search(
 
     Each walk keeps the tables that are least among their re-rootings at
     cosets its seed words fix, so it yields one table per class of
-    subgroups containing a conjugate of the seed's subgroup.  One node
-    budget counts the nodes of all the walks.
+    subgroups containing a conjugate of the seed's subgroup, except the
+    classes that an earlier walk finds: settle cuts a node where a coset
+    is fixed by an excluding earlier seed (see excluded), and so does
+    the root once the seed words are propagated.  One node budget counts
+    the nodes of all the walks.
 
     Backtracking undoes four stacks together: the entries set (trail),
     the fixed roots found (settle), the root comparisons advanced
@@ -171,6 +182,10 @@ def _search(
     unsettled: tuple[Word, ...] = ()
     reopen: list[tuple[int, tuple[Word, ...]]] = []
     oriented = False
+    # the words of each earlier seed whose walk finds every class that this
+    # walk completes below a node where those words fix a coset: every
+    # unoriented seed, and the oriented ones too when this walk is oriented
+    excluded: tuple[tuple[Word, ...], ...] = ()
 
     def scan(alpha: int, w: Word, stack: list[int]) -> int:
         """Trace w from alpha, pushing deductions: 0 on contradiction, 2 if
@@ -226,24 +241,32 @@ def _search(
                     unsettled = tuple(u for u in unsettled if u is not w)
         return True
 
-    def settle(mark: int) -> None:
-        """Add the roots that the entries set since trail[mark] fix: a seed
+    def fixes(beta: int, ws: tuple[Word, ...]) -> bool:
+        """Does every word of ws walk from beta back to beta?"""
+        for w in ws:
+            i = beta
+            for g in w:
+                i = table[i * m + g]
+                if i < 0:
+                    return False
+            if i != beta:
+                return False
+        return True
+
+    def settle(mark: int) -> bool:
+        """Add the roots that the entries set since trail[mark] fix; False
+        if one of them, or coset 0, is fixed by an excluding seed.  A seed
         word has at most two letters, so the entry that completes its walk
-        from beta back to beta has beta at one end."""
-        for p in trail[mark:]:
-            for beta in (p // m, table[p]):
-                if beta and nus[beta][beta] < 0:
-                    for w in words:
-                        i = beta
-                        for g in w:
-                            i = table[i * m + g]
-                            if i < 0:
-                                break
-                        if i != beta:
-                            break
-                    else:
-                        nus[beta][beta] = 0
-                        fixed.append(beta)
+        from beta back to beta has beta at one end, and each entry's twin
+        is on the trail too, so the rows of the entries hold both ends."""
+        for beta in {p // m for p in trail[mark:]}:
+            for ws in excluded:
+                if fixes(beta, ws):
+                    return False
+            if beta and nus[beta][beta] < 0 and fixes(beta, words):
+                nus[beta][beta] = 0
+                fixed.append(beta)
+        return True
 
     def unwind(mark: int, roots_mark: int, fixed_mark: int) -> None:
         """Undo the entries, root comparisons, fixed roots and closed seed
@@ -369,17 +392,18 @@ def _search(
                 trail.append(p2)
                 if twin[c]:
                     stack.append(p2)
-            if propagate(stack):
-                settle(mark)
-                if not (prune and rejectable()):
-                    recurse(pos, n2, depth + 1)
+            if propagate(stack) and settle(mark) and not (prune and rejectable()):
+                recurse(pos, n2, depth + 1)
             unwind(mark, roots_mark, fixed_mark)
 
-    for seed in seeds:
+    for j, seed in enumerate(seeds):
         words = unsettled = seed.words
         oriented = seed.oriented
+        excluded = tuple(s.words for s in seeds[:j] if oriented or not s.oriented)
         stack: list[int] = []
-        if all(scan(0, w, stack) for w in words) and propagate(stack):
+        # the root is one coset, so this checks every entry the seed words set
+        if (all(scan(0, w, stack) for w in words) and propagate(stack)
+                and not any(fixes(0, ws) for ws in excluded)):
             recurse(0, 1, 0)
         unwind(0, 0, 0)
     return results
@@ -447,8 +471,9 @@ def low_index_classes(
         with get_context("fork").Pool(parts) as pool:
             results = [rows for found in pool.map(_worker, args) for rows in found]
 
-    # a seeded walk's table is least over its fixed roots only, and a
-    # class containing conjugates of two seeds is found by both walks
+    # a seeded walk's table is least over its fixed roots only, and an
+    # oriented seed does not exclude a later unoriented one, so a class
+    # with conjugates of both is found by both walks
     found = {t.rows: t for t in (canonical_table(CosetTable(pres.alphabet, rows)) for rows in results)}
     tables = sorted(found.values(), key=lambda t: (t.n, t.flat()))
     return ClassList(pres, max_index, tuple(tables))

@@ -92,6 +92,19 @@ def test_parts_split_the_serial_search(pres, bound):
         assert [t.flat() for t in low_index_classes(pres, bound, jobs=jobs).tables] == flat
 
 
+def test_relator_that_is_not_its_own_reverse():
+    # (abc)^2 read backwards is (cba)^2, no rotation of it; the search
+    # scans an edge's cycles from one end only, so a reflection column
+    # traces the reversed relator too (without it, a complete table
+    # fails a relator at index 8)
+    G = Presentation(REFLECTIONS, ((A, A), (B, B), (C, C), (A, B, C) * 2), "abc")
+    cl = low_index_classes(G, 10)
+    assert all(validate(t, G).ok for t in cl.tables)
+    counts = class_counts(cl)
+    for k in range(1, 6):
+        assert counts.get(k, 0) == oracle_classes(G, k).count
+
+
 def test_bound_restriction_consistency():
     G = triangle_group(4, 3)
     wide = low_index_classes(G, 6)
@@ -156,18 +169,19 @@ def test_node_budget_enforced_in_workers(monkeypatch):
 @pytest.mark.parametrize(
     "pres, bound, seeded, nodes",
     [
-        (triangle_group(7, 3), 64, True, 13_827),
-        (von_dyck_group(7, 3)[0], 32, True, 4_112),
-        (triangle_group(8, 3), 36, True, 5_161),
-        (triangle_group(5, 4), 34, True, 8_903),
+        (triangle_group(7, 3), 64, True, 11_017),
+        (von_dyck_group(7, 3)[0], 32, True, 2_951),
+        (triangle_group(8, 3), 36, True, 4_481),
+        (triangle_group(5, 4), 34, True, 7_230),
         (triangle_group(7, 3), 20, False, 468),
         (von_dyck_group(8, 3)[0], 18, False, 1_113),
     ],
     ids=lambda x: getattr(x, "name", x),
 )
 def test_search_node_counts_are_pinned(pres, bound, seeded, nodes):
-    # the root bookkeeping may change how a verdict is reached, never
-    # which branches it prunes
+    # exact counts: the root bookkeeping and the scan order may change how
+    # a verdict is reached, never which branches are pruned; the seeded
+    # counts include the walks' exclusion of classes an earlier seed finds
     seeds = colouring_seeds(pres) if seeded else UNSEEDED
     _search(pres, bound, seeds, node_budget=nodes)
     with pytest.raises(ResourceLimit):
@@ -195,14 +209,20 @@ def _least_budget(pres, bound, seeds):
 
 def test_one_budget_counts_every_seed_walk():
     G = triangle_group(7, 3)
-    seed = Seed(((A,), (C,)))
-    need = _least_budget(G, 24, (seed,))
-    assert need > 1
-    low_index_classes(G, 24, seeds=(seed,), node_budget=need)
-    # the same walk twice costs twice the nodes out of the one budget
+    # an orientation subgroup holds no mirror, so neither walk can
+    # exclude a node of the other: the two walks spend one budget
+    full, oriented = Seed(((A,), (C,))), Seed(((A, B),), oriented=True)
+    need_full = _least_budget(G, 24, (full,))
+    need_oriented = _least_budget(G, 24, (oriented,))
+    assert need_full > 1 and need_oriented > 1
+    both = need_full + need_oriented
+    low_index_classes(G, 24, seeds=(full, oriented), node_budget=both)
     with pytest.raises(ResourceLimit):
-        low_index_classes(G, 24, seeds=(seed, seed), node_budget=need)
-    low_index_classes(G, 24, seeds=(seed, seed), node_budget=2 * need)
+        low_index_classes(G, 24, seeds=(full, oriented), node_budget=both - 1)
+    # a repeated seed's walk is cut at its root: it costs one walk's nodes
+    low_index_classes(G, 24, seeds=(full, full), node_budget=need_full)
+    with pytest.raises(ResourceLimit):
+        low_index_classes(G, 24, seeds=(full, full), node_budget=need_full - 1)
 
 
 def _cpus(monkeypatch, cpus):
@@ -281,6 +301,38 @@ def test_each_seed_walk_finds_one_table_per_class():
         assert found
         assert all(0 in fixed_cosets(t, seed.words) for t in found)
         assert len({canonical_table(t) for t in found}) == len(found)
+
+
+def _seed_lists(pres):
+    seeds = colouring_seeds(pres)
+    lists = [seeds, seeds[::-1], (seeds[-1],) * 2]
+    if pres.alphabet == REFLECTIONS:
+        full, oriented = Seed(((A, B),)), Seed(((A, B),), oriented=True)
+        lists += [(full, oriented), (oriented, full)]
+    return lists
+
+
+@pytest.mark.parametrize(
+    "pres, bound",
+    [(triangle_group(7, 3), 24), (triangle_group(5, 4), 20), (von_dyck_group(7, 3)[0], 20)],
+    ids=lambda x: getattr(x, "name", x),
+)
+def test_seed_exclusion_keeps_the_union_of_the_walks(pres, bound):
+    # a walk cuts the classes an earlier seed's walk finds, so each class
+    # comes from one walk, but the list is still the union of the walks
+    def keys(seeds):
+        return [(t.n, t.flat()) for t in low_index_classes(pres, bound, seeds=seeds).tables]
+
+    single = {}
+    for seeds in _seed_lists(pres):
+        for s in seeds:
+            if s not in single:
+                single[s] = keys((s,))
+        assert keys(seeds) == sorted(set().union(*(single[s] for s in seeds)))
+    seeds = colouring_seeds(pres)
+    count = len(low_index_classes(pres, bound, seeds=seeds).tables)
+    assert len(_search(pres, bound, seeds)) == count
+    assert sum(len(_search(pres, bound, seeds, part=k, parts=3)) for k in range(3)) == count
 
 
 def test_bad_seeds():
