@@ -254,11 +254,12 @@ def _search(
         return True
 
     def settle(mark: int) -> bool:
-        """Add the roots that the entries set since trail[mark] fix; False
-        if one of them, or coset 0, is fixed by an excluding seed.  A seed
-        word has at most two letters, so the entry that completes its walk
-        from beta back to beta has beta at one end, and each entry's twin
-        is on the trail too, so the rows of the entries hold both ends."""
+        """Add the roots that the entries set since trail[mark] fix, or
+        return False once a coset at an end of one of them, coset 0
+        included, is fixed by an excluding seed.  A seed word has at most
+        two letters, so the entry that completes its walk from beta back
+        to beta has beta at one end; each entry's twin is on the trail
+        too, so the rows of the entries hold both ends."""
         for beta in {p // m for p in trail[mark:]}:
             for ws in excluded:
                 if fixes(beta, ws):
