@@ -44,23 +44,20 @@ def reroot(t: CosetTable, base: int) -> CosetTable:
     from base.  The result is the table of the conjugate subgroup
     w S w^-1 where w is any word carrying coset 0 to base.
     """
-    m = t.alphabet.size
     rows = t.rows
     order = [base]
-    loc = {base: 0}
+    loc = [-1] * t.n
+    loc[base] = 0
     i = 0
     while i < len(order):
-        row = rows[order[i]]
-        for c in range(m):
-            w = row[c]
-            if w not in loc:
+        for w in rows[order[i]]:
+            if loc[w] < 0:
                 loc[w] = len(order)
                 order.append(w)
         i += 1
     if len(order) != t.n:
         raise DomainError("table is not transitive; cannot renumber")
-    new_rows = tuple(tuple(loc[rows[o][c]] for c in range(m)) for o in order)
-    return CosetTable(t.alphabet, new_rows)
+    return CosetTable(t.alphabet, tuple(tuple([loc[w] for w in rows[o]]) for o in order))
 
 
 def canonical_table(t: CosetTable) -> CosetTable:

@@ -35,6 +35,11 @@ and a re-rooting compared equal on a defined prefix stays equal there:
 each fixed root keeps its renumbering and resumes its comparison where
 the last one stopped.  Backtracking undoes both, as it undoes entries.
 An unseeded walk has no words, so every coset is a fixed root.
+
+The walk is one loop over an explicit stack of open nodes, not a
+recursion: the frames under it do not grow with the branch depth, so
+neither Python's recursion limit bounds the index nor the caller's
+stack depth changes the speed.
 """
 from __future__ import annotations
 
@@ -122,6 +127,9 @@ def _search(
     parts: int = 1,
 ) -> list[tuple[tuple[int, ...], ...]]:
     """Depth-first walks, one per seed; returns the complete tables as row tuples.
+
+    Each walk is a loop over an explicit stack of open nodes (walk), so
+    a branch as deep as max_index takes no Python frames.
 
     Each walk keeps the tables that are least among their re-rootings at
     cosets its seed words fix, so it yields one table per class of
@@ -355,47 +363,73 @@ def _search(
                     return False
         return True
 
-    def recurse(frontier: int, n: int, depth: int) -> None:
+    def walk() -> None:
+        """Depth-first walk of the tree below the propagated root.
+
+        path holds the open nodes, root first, each as [pos, n, next
+        beta, marks of the child descended into]; a node's branch depth
+        is its place on path.  Each pass of the loop opens one node (the
+        frontier pos and coset count n of the entry just set) and then
+        descends from the deepest open node into its next live child,
+        unwinding the child it came back from and popping the nodes that
+        have none left.
+        """
         nonlocal nodes, dealt
-        if depth == _SPLIT:
-            dealt += 1
-            if dealt % parts != part:
-                return
-        limit = n * m
-        pos = frontier
-        while pos < limit and table[pos] >= 0:
-            pos += 1
-        if pos == limit:
-            if (depth >= _SPLIT or part == 0) and not rejectable():
-                if not closed(n):
-                    raise InternalError("complete table fails a relator")
-                results.append(snapshot(n))
-            return
-        nodes += 1
-        if node_budget is not None and nodes > node_budget:
-            raise ResourceLimit(f"node budget {node_budget} exceeded")
-        alpha, c = divmod(pos, m)
-        ic = inv[c]
-        for beta in range(n + 1) if n < N else range(n):
-            if beta < n:
-                if table[beta * m + ic] >= 0 or (oriented and parity[beta] == parity[alpha]):
+        path: list[list[int]] = []
+        pos, n = 0, 1
+        while True:
+            depth = len(path)
+            if depth == _SPLIT:
+                dealt += 1
+            if depth != _SPLIT or dealt % parts == part:
+                limit = n * m
+                while pos < limit and table[pos] >= 0:
+                    pos += 1
+                if pos == limit:
+                    if (depth >= _SPLIT or part == 0) and not rejectable():
+                        if not closed(n):
+                            raise InternalError("complete table fails a relator")
+                        results.append(snapshot(n))
+                else:
+                    nodes += 1
+                    if node_budget is not None and nodes > node_budget:
+                        raise ResourceLimit(f"node budget {node_budget} exceeded")
+                    path.append([pos, n, 0, 0, 0, 0])
+            while path:
+                node = path[-1]
+                pos, n, beta, mark, roots_mark, fixed_mark = node
+                if beta:
+                    unwind(mark, roots_mark, fixed_mark)
+                alpha, c = divmod(pos, m)
+                ic = inv[c]
+                for beta in range(beta, n + 1 if n < N else n):
+                    if beta < n:
+                        if table[beta * m + ic] >= 0 or (oriented and parity[beta] == parity[alpha]):
+                            continue
+                    else:
+                        parity[beta] = parity[alpha] ^ 1
+                    mark, roots_mark, fixed_mark = len(trail), len(roots_trail), len(fixed)
+                    table[pos] = beta
+                    trail.append(pos)
+                    p2 = beta * m + ic
+                    stack = [pos]
+                    if p2 != pos:
+                        table[p2] = alpha
+                        trail.append(p2)
+                        if twin[c]:
+                            stack.append(p2)
+                    if propagate(stack) and settle(mark) and not (prune and rejectable()):
+                        break
+                    unwind(mark, roots_mark, fixed_mark)
+                else:
+                    path.pop()
                     continue
+                node[2:] = beta + 1, mark, roots_mark, fixed_mark
+                if beta == n:
+                    n += 1
+                break
             else:
-                parity[beta] = parity[alpha] ^ 1
-            n2 = n + 1 if beta == n else n
-            mark, roots_mark, fixed_mark = len(trail), len(roots_trail), len(fixed)
-            table[pos] = beta
-            trail.append(pos)
-            p2 = beta * m + ic
-            stack = [pos]
-            if p2 != pos:
-                table[p2] = alpha
-                trail.append(p2)
-                if twin[c]:
-                    stack.append(p2)
-            if propagate(stack) and settle(mark) and not (prune and rejectable()):
-                recurse(pos, n2, depth + 1)
-            unwind(mark, roots_mark, fixed_mark)
+                return
 
     for j, seed in enumerate(seeds):
         words = unsettled = seed.words
@@ -405,7 +439,7 @@ def _search(
         # the root is one coset, so this checks every entry the seed words set
         if (all(scan(0, w, stack) for w in words) and propagate(stack)
                 and not any(fixes(0, ws) for ws in excluded)):
-            recurse(0, 1, 0)
+            walk()
         unwind(0, 0, 0)
     return results
 

@@ -22,10 +22,19 @@ def fixed_cosets(t: CosetTable, words) -> frozenset[int]:
     w_i S w_i^-1 attached to coset i, so a nonempty result says some
     conjugate of S contains all the words.
     """
-    out = frozenset(range(t.n))
-    for w in words:
-        out = frozenset(i for i in out if t.apply(i, w) == i)
-    return out
+    words = tuple(words)  # read once per coset
+    rows = t.rows
+    out = []
+    for i in range(t.n):
+        for w in words:
+            j = i
+            for g in w:
+                j = rows[j][g]
+            if j != i:
+                break
+        else:
+            out.append(i)
+    return frozenset(out)
 
 
 def orientation_sides(t: CosetTable) -> list[int] | None:
@@ -38,19 +47,20 @@ def orientation_sides(t: CosetTable) -> list[int] | None:
     Only meaningful over the reflection alphabet, where every letter
     reverses orientation.
     """
-    if any(t.alphabet.inv[c] != c for c in range(t.alphabet.size)):
+    if any(g != c for c, g in enumerate(t.alphabet.inv)):
         raise DomainError("orientation test needs the reflection alphabet")
+    rows = t.rows
     side = [-1] * t.n
     side[0] = 0
     stack = [0]
     while stack:
         i = stack.pop()
-        for c in range(t.alphabet.size):
-            j = t.rows[i][c]
+        s = side[i]
+        for j in rows[i]:
             if side[j] == -1:
-                side[j] = side[i] ^ 1
+                side[j] = s ^ 1
                 stack.append(j)
-            elif side[j] == side[i]:
+            elif side[j] == s:
                 return None
     return side
 
@@ -72,8 +82,17 @@ def transform_subgroup(t: CosetTable, gmap: dict[int, Word]) -> CosetTable:
     """
     alphabet = t.alphabet
     images = [apply_generator_map((g,), gmap, alphabet) for g in range(alphabet.size)]
-    rows = tuple(tuple(t.apply(i, w) for w in images) for i in range(t.n))
-    return CosetTable(alphabet, rows)
+    rows = t.rows
+    out = []
+    for i in range(t.n):
+        row = []
+        for w in images:
+            j = i
+            for g in w:
+                j = rows[j][g]
+            row.append(j)
+        out.append(tuple(row))
+    return CosetTable(alphabet, tuple(out))
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import os
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -186,6 +187,36 @@ def test_search_node_counts_are_pinned(pres, bound, seeded, nodes):
     _search(pres, bound, seeds, node_budget=nodes)
     with pytest.raises(ResourceLimit):
         _search(pres, bound, seeds, node_budget=nodes - 1)
+
+
+def _frame_depth():
+    f, depth = sys._getframe(1), 0
+    while f is not None:
+        f, depth = f.f_back, depth + 1
+    return depth
+
+
+def test_the_walk_does_not_recurse():
+    # the seeded (7,3) <= 64 walk branches 69 deep, yet 40 frames above
+    # this one are room enough: the walk keeps its open nodes on a list
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_frame_depth() + 40)
+    try:
+        G, V = triangle_group(7, 3), von_dyck_group(7, 3)[0]
+        assert len(_search(G, 64, colouring_seeds(G))) == 197
+        assert len(_search(V, 32, colouring_seeds(V))) == 108
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_index_bound_past_the_frame_limit():
+    # only a branch makes a coset, so a table of index n lies n - 1
+    # branches deep: past Python's 1,000 frames here at index 968
+    G, seeds = triangle_group(4, 4), (Seed(((B,), (C,))),)
+    wide = low_index_classes(G, 1000, seeds=seeds).tables
+    narrow = low_index_classes(G, 900, seeds=seeds).tables
+    assert len(wide) == 53 and len(narrow) == 51
+    assert [t.rows for t in wide if t.n <= 900] == [t.rows for t in narrow]
 
 
 def _least_budget(pres, bound, seeds):
