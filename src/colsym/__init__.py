@@ -26,13 +26,12 @@ from .presentations import (
     triangle_group,
     von_dyck_group,
 )
-from .words import REFLECTIONS, ROTATIONS, Word, free_reduce
+from .words import REFLECTIONS, ROTATIONS, Word
 from .coset import CosetTable, canonical_table, reroot
 from .lowindex import ClassList, Seed, low_index_classes
 from .subgroups import (
     SubgroupRecord,
     fixed_cosets,
-    is_orientation_subgroup,
     orientation_sides,
     transform_subgroup,
 )

@@ -27,7 +27,7 @@ from .presentations import Presentation, triangle_group, von_dyck_group
 from .subgroups import (
     SubgroupRecord,
     fixed_cosets,
-    is_orientation_subgroup,
+    orientation_sides,
     transform_subgroup,
 )
 from .words import A, B, C, REFLECTIONS, ROTATIONS, XGEN, ZGEN, Word
@@ -227,7 +227,7 @@ def _census_reflection(p, q, kind, scope, max_colours, provider) -> tuple[Census
     classes = provider(triangle_group(p, q), scale * max_colours)
     buckets: dict[int, list[SubgroupRecord]] = {}
     for t in classes.tables:
-        if scale == 2 and not is_orientation_subgroup(t):
+        if scale == 2 and orientation_sides(t) is None:
             continue
         fixed = fixed_cosets(t, words)
         if fixed:

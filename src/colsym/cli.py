@@ -26,7 +26,7 @@ from .selftest import run_selftest
 from .words import A, B, C
 
 
-def _common_options(sp: argparse.ArgumentParser, with_scope: bool = True) -> None:
+def _common_options(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--p", type=int, required=True, help="gon size of the base tiling")
     sp.add_argument("--q", type=int, required=True, help="gons meeting at a vertex")
     sp.add_argument(
@@ -35,13 +35,12 @@ def _common_options(sp: argparse.ArgumentParser, with_scope: bool = True) -> Non
         default="pq",
         help="which of the three associated tilings to colour",
     )
-    if with_scope:
-        sp.add_argument(
-            "--scope",
-            choices=[s.value for s in Scope],
-            default="full",
-            help="count symmetries among all isometries or only rotations",
-        )
+    sp.add_argument(
+        "--scope",
+        choices=[s.value for s in Scope],
+        default="full",
+        help="count symmetries among all isometries or only rotations",
+    )
 
 
 def _provider_options(sp: argparse.ArgumentParser) -> None:

@@ -5,6 +5,10 @@ an n x k array: rows are cosets (row 0 is S itself), columns follow the
 alphabet, and entry (i, g) is the coset S w_i g.  A complete table is a
 transitive permutation representation of G on the cosets.  The tables
 themselves come from the low-index search (lowindex.py).
+
+Re-rooting and canonical forms share one renumbering (_renumbered): a
+column-ordered BFS from a base coset, which the canonical form runs
+from every base against the least result so far.
 """
 from __future__ import annotations
 
@@ -37,27 +41,52 @@ class CosetTable:
         return tuple(v for row in self.rows for v in row)
 
 
-def reroot(t: CosetTable, base: int) -> CosetTable:
-    """Standardized table of the same action with `base` moved to slot 0.
+def _renumbered(t: CosetTable, base: int, bound: list[int] | None = None) -> list[int] | None:
+    """t's entries, row-major, with `base` moved to slot 0; None if above bound.
 
     Cosets are relabelled in first-visit order of a column-ordered BFS
-    from base.  The result is the table of the conjugate subgroup
-    w S w^-1 where w is any word carrying coset 0 to base.
+    from base, and each entry is relabelled as the BFS reads it.  Given
+    bound, the entries of another renumbering of t, the BFS stops at the
+    first entry above bound's with all earlier entries equal, and returns
+    None; once one falls below bound's, it compares no more.
     """
     rows = t.rows
     order = [base]
     loc = [-1] * t.n
     loc[base] = 0
+    flat: list[int] = []
+    less = bound is None  # decided below bound; compare no more
     i = 0
     while i < len(order):
         for w in rows[order[i]]:
-            if loc[w] < 0:
-                loc[w] = len(order)
+            e = loc[w]
+            if e < 0:
+                e = loc[w] = len(order)
                 order.append(w)
+            if not less:
+                b = bound[len(flat)]
+                if e > b:
+                    return None
+                less = e < b
+            flat.append(e)
         i += 1
     if len(order) != t.n:
         raise DomainError("table is not transitive; cannot renumber")
-    return CosetTable(t.alphabet, tuple(tuple([loc[w] for w in rows[o]]) for o in order))
+    return flat
+
+
+def _table(t: CosetTable, flat: list[int]) -> CosetTable:
+    m = t.alphabet.size
+    return CosetTable(t.alphabet, tuple(tuple(flat[i : i + m]) for i in range(0, len(flat), m)))
+
+
+def reroot(t: CosetTable, base: int) -> CosetTable:
+    """Standardized table of the same action with `base` moved to slot 0.
+
+    The result is the table of the conjugate subgroup w S w^-1 where w
+    is any word carrying coset 0 to base.
+    """
+    return _table(t, _renumbered(t, base))
 
 
 def canonical_table(t: CosetTable) -> CosetTable:
@@ -65,42 +94,13 @@ def canonical_table(t: CosetTable) -> CosetTable:
 
     Two complete tables have equal canonical forms iff their subgroups
     are conjugate, since re-rooting runs over exactly the conjugates.
-    Every base, 0 included, is renumbered in reroot's order one entry at
-    a time and dropped at the first entry above the least re-rooting so
-    far; only the winner's rows are built.
+    Every base, 0 included, is renumbered with the least re-rooting so
+    far as its bound, so a base is dropped at the first entry above it
+    and only the least table is built.
     """
-    m = t.alphabet.size
-    rows = t.rows
-    best: list[int] | None = None
-    loc = [-1] * t.n
+    best = None
     for base in range(t.n):
-        order = [base]
-        loc[base] = 0
-        flat: list[int] = []
-        less = best is None  # decided below best; compare no more
-        i = 0
-        while i < len(order):
-            row = rows[order[i]]
-            for c in range(m):
-                w = row[c]
-                e = loc[w]
-                if e < 0:
-                    e = loc[w] = len(order)
-                    order.append(w)
-                if not less:
-                    b = best[len(flat)]
-                    if e > b:
-                        break
-                    less = e < b
-                flat.append(e)
-            else:
-                i += 1
-                continue
-            break
-        for o in order:
-            loc[o] = -1
-        if best is None and len(order) != t.n:
-            raise DomainError("table is not transitive; cannot renumber")
-        if less:
+        flat = _renumbered(t, base, best)
+        if flat is not None:
             best = flat
-    return CosetTable(t.alphabet, tuple(tuple(best[i : i + m]) for i in range(0, len(best), m)))
+    return _table(t, best)

@@ -46,12 +46,6 @@ class FundamentalTriangle:
     def corners(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return (self.corner_p, self.corner_right, self.corner_q)
 
-    def word_matrix(self, w: Word) -> np.ndarray:
-        M = np.eye(3)
-        for g in w:
-            M = M @ self.mirrors[g]
-        return M
-
 
 def _reflection(n: np.ndarray, J: np.ndarray) -> np.ndarray:
     """Reflection in the plane J-orthogonal to the unit normal n."""
@@ -196,7 +190,7 @@ def generate_patch(
 
     Each new tile is linked at once to every tile one step inward, so a
     link already set leads inward or to a tile already made.  A tile's
-    matrix is word_matrix of its word.
+    matrix is the product of its word's mirrors, left to right.
     """
     if depth < 0:
         raise DomainError("depth must be nonnegative")

@@ -21,9 +21,9 @@ partial table prunes whole subtrees that can no longer win.
 A seeded walk finds only the classes of subgroups that contain a
 conjugate of H, the subgroup generated by the seed words (Sims,
 Computation with Finitely Presented Groups, ch. 5): the words must fix
-coset 0, so they are scanned there next to the relators until their walk
-there closes, and a table is compared only with its re-rootings at
-cosets the words fix.  The walks run in seed order, and a walk leaves
+coset 0, so they are scanned there after every deduction, next to the
+relators, and a table is compared only with its re-rootings at cosets
+the words fix.  The walks run in seed order, and a walk leaves
 to an earlier one every class that walk finds: it prunes a node as soon
 as some coset is fixed by every word of an earlier seed, unless that
 seed is oriented and this one is not.  So the colouring seeds (the
@@ -33,7 +33,8 @@ Down a branch the table only grows, so the root bookkeeping lives on
 the trail next to the entries.  A root the seed words fix stays fixed,
 and a re-rooting compared equal on a defined prefix stays equal there:
 each fixed root keeps its renumbering and resumes its comparison where
-the last one stopped.  Backtracking undoes both, as it undoes entries.
+the last one stopped.  So backtracking undoes two stacks: the entries
+set, and the root records (a root fixed, a comparison advanced).
 An unseeded walk has no words, so every coset is a fixed root.
 
 The walk is one loop over an explicit stack of open nodes, not a
@@ -139,11 +140,14 @@ def _search(
     the root once the seed words are propagated.  One node budget counts
     the nodes of all the walks.
 
-    Backtracking undoes four stacks together: the entries set (trail),
-    the fixed roots found (settle), the root comparisons advanced
-    (rejectable, roots_trail) and the seed words whose walk at coset 0
-    closed (propagate, reopen).  The last three change how a verdict is
-    reached, never which branches are pruned.
+    The seed words are scanned at coset 0 after every deduction, next
+    to the relator scans (propagate).
+
+    Backtracking undoes two stacks together: the entries set (trail),
+    and the root records (roots_trail): each root that settle fixes,
+    and each root comparison that rejectable advances.  The root
+    records change how a verdict is reached, never which branches are
+    pruned.
 
     Every part walks the same top of the tree.  The nodes reached at
     branch depth _SPLIT are numbered in walk order, across the walks,
@@ -169,7 +173,8 @@ def _search(
     parity = [0] * N
     trail: list[int] = []
     # roots other than 0 that every seed word fixes, in the order found; a
-    # root stays fixed below the node that fixed it, so backtracking truncates
+    # root stays fixed below the node that fixed it, and its record on
+    # roots_trail unfixes it on backtrack
     fixed: list[int] = []
     # per root, its re-rooting so far: mu new index -> old coset, nu old
     # coset -> new index (nu[beta] is 0 just while beta is fixed), count
@@ -179,25 +184,21 @@ def _search(
     nus = [[-1] * N for _ in range(N)]
     count = [1] * N
     done = [0] * N
-    roots_trail: list[tuple[int, int, int]] = []  # (root, done, count) before a change
+    # (root, done, count) before a comparison advanced, or (root, -1, 0)
+    # where settle fixed the root
+    roots_trail: list[tuple[int, int, int]] = []
     results: list[tuple[tuple[int, ...], ...]] = []
     nodes = 0
     dealt = -1  # walk-order number of the last node reached at depth _SPLIT
     words: tuple[Word, ...] = ()  # the seed words of the current walk
-    # those whose walk from coset 0 is not closed yet, which propagate
-    # still scans; a walk stays closed below the node that closed it, so
-    # reopen keeps (trail length, unsettled before) per closing for unwind
-    unsettled: tuple[Word, ...] = ()
-    reopen: list[tuple[int, tuple[Word, ...]]] = []
     oriented = False
     # the words of each earlier seed whose walk finds every class that this
     # walk completes below a node where those words fix a coset: every
     # unoriented seed, and the oriented ones too when this walk is oriented
     excluded: tuple[tuple[Word, ...], ...] = ()
 
-    def scan(alpha: int, w: Word, stack: list[int]) -> int:
-        """Trace w from alpha, pushing deductions: 0 on contradiction, 2 if
-        the walk is now complete and closes, else 1."""
+    def scan(alpha: int, w: Word, stack: list[int]) -> bool:
+        """Trace w from alpha, pushing deductions; False on contradiction."""
         r = len(w)
         f, i = alpha, 0
         while i < r:
@@ -207,7 +208,7 @@ def _search(
             f = nxt
             i += 1
         else:
-            return 2 if f == alpha else 0
+            return f == alpha
         b, j = alpha, r - 1
         while j >= i:
             nxt = table[b * m + inv[w[j]]]
@@ -216,7 +217,7 @@ def _search(
             b = nxt
             j -= 1
         if j < i:
-            return 2 if f == b else 0
+            return f == b
         if j == i:
             c = w[i]
             p1 = f * m + c
@@ -229,24 +230,18 @@ def _search(
                 trail.append(p2)
                 if twin[c]:
                     stack.append(p2)
-            return 2
-        return 1
+        return True
 
     def propagate(stack: list[int]) -> bool:
-        nonlocal unsettled
         while stack:
             pos = stack.pop()
             alpha, c = divmod(pos, m)
             for w in trace[c]:
                 if not scan(alpha, w, stack):
                     return False
-            for w in unsettled:
-                state = scan(0, w, stack)
-                if not state:
+            for w in words:
+                if not scan(0, w, stack):
                     return False
-                if state == 2:
-                    reopen.append((len(trail), unsettled))
-                    unsettled = tuple(u for u in unsettled if u is not w)
         return True
 
     def fixes(beta: int, ws: tuple[Word, ...]) -> bool:
@@ -275,27 +270,25 @@ def _search(
             if beta and nus[beta][beta] < 0 and fixes(beta, words):
                 nus[beta][beta] = 0
                 fixed.append(beta)
+                roots_trail.append((beta, -1, 0))
         return True
 
-    def unwind(mark: int, roots_mark: int, fixed_mark: int) -> None:
-        """Undo the entries, root comparisons, fixed roots and closed seed
-        words since the marks."""
-        nonlocal unsettled
-        while reopen and reopen[-1][0] > mark:
-            unsettled = reopen.pop()[1]
+    def unwind(mark: int, roots_mark: int) -> None:
+        """Undo the entries and the root records since the marks."""
         for p in trail[mark:]:
             table[p] = -1
         del trail[mark:]
         for beta, i, cnt in reversed(roots_trail[roots_mark:]):
+            if i < 0:  # settle fixed beta, the last of fixed
+                fixed.pop()
+                nus[beta][beta] = -1
+                continue
             mu, nu = mus[beta], nus[beta]
             for k in range(cnt, count[beta]):
                 nu[mu[k]] = -1
             done[beta] = i
             count[beta] = cnt
         del roots_trail[roots_mark:]
-        for beta in fixed[fixed_mark:]:
-            nus[beta][beta] = -1
-        del fixed[fixed_mark:]
 
     def rejectable() -> bool:
         """True if no completion of this table can be its class minimum.
@@ -394,12 +387,12 @@ def _search(
                     nodes += 1
                     if node_budget is not None and nodes > node_budget:
                         raise ResourceLimit(f"node budget {node_budget} exceeded")
-                    path.append([pos, n, 0, 0, 0, 0])
+                    path.append([pos, n, 0, 0, 0])
             while path:
                 node = path[-1]
-                pos, n, beta, mark, roots_mark, fixed_mark = node
+                pos, n, beta, mark, roots_mark = node
                 if beta:
-                    unwind(mark, roots_mark, fixed_mark)
+                    unwind(mark, roots_mark)
                 alpha, c = divmod(pos, m)
                 ic = inv[c]
                 for beta in range(beta, n + 1 if n < N else n):
@@ -408,7 +401,7 @@ def _search(
                             continue
                     else:
                         parity[beta] = parity[alpha] ^ 1
-                    mark, roots_mark, fixed_mark = len(trail), len(roots_trail), len(fixed)
+                    mark, roots_mark = len(trail), len(roots_trail)
                     table[pos] = beta
                     trail.append(pos)
                     p2 = beta * m + ic
@@ -420,11 +413,11 @@ def _search(
                             stack.append(p2)
                     if propagate(stack) and settle(mark) and not (prune and rejectable()):
                         break
-                    unwind(mark, roots_mark, fixed_mark)
+                    unwind(mark, roots_mark)
                 else:
                     path.pop()
                     continue
-                node[2:] = beta + 1, mark, roots_mark, fixed_mark
+                node[2:] = beta + 1, mark, roots_mark
                 if beta == n:
                     n += 1
                 break
@@ -432,7 +425,7 @@ def _search(
                 return
 
     for j, seed in enumerate(seeds):
-        words = unsettled = seed.words
+        words = seed.words
         oriented = seed.oriented
         excluded = tuple(s.words for s in seeds[:j] if oriented or not s.oriented)
         stack: list[int] = []
@@ -440,7 +433,7 @@ def _search(
         if (all(scan(0, w, stack) for w in words) and propagate(stack)
                 and not any(fixes(0, ws) for ws in excluded)):
             walk()
-        unwind(0, 0, 0)
+        unwind(0, 0)
     return results
 
 

@@ -25,7 +25,6 @@ from .words import (
     REFLECTIONS,
     ROTATIONS,
     Word,
-    free_reduce,
 )
 
 
@@ -115,18 +114,3 @@ def von_dyck_group(p: int, q: int) -> tuple[Presentation, dict[int, Word]]:
     sigma = {XGEN: (XINV,), ZGEN: (XGEN, ZINV, XINV)}
     return pres, sigma
 
-
-def apply_generator_map(w: Word, gmap: dict[int, Word], alphabet: Alphabet) -> Word:
-    """Image of w under a homomorphism given on generator letters.
-
-    gmap maps each generator column to its image word; inverse columns
-    are sent to the inverse of the partner's image.
-    """
-    inv = alphabet.inv
-    out: list[int] = []
-    for g in w:
-        if g in gmap:
-            out.extend(gmap[g])
-        else:
-            out.extend(alphabet.inverse_word(gmap[inv[g]]))
-    return free_reduce(tuple(out), alphabet)

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 from .coset import CosetTable
 from .errors import DomainError
-from .presentations import apply_generator_map
 from .words import Word
 
 
@@ -65,23 +64,21 @@ def orientation_sides(t: CosetTable) -> list[int] | None:
     return side
 
 
-def is_orientation_subgroup(t: CosetTable) -> bool:
-    """Does the subgroup consist of orientation-preserving words only?"""
-    return orientation_sides(t) is not None
-
-
 def transform_subgroup(t: CosetTable, gmap: dict[int, Word]) -> CosetTable:
     """Coset table of the image of t's subgroup under an involutive automorphism.
 
-    gmap sends generator letters to words (see apply_generator_map).
-    Precomposing t's action with the automorphism s (letter g takes
-    coset i to t.apply(i, s(g))) gives another transitive action.  Its
-    base coset is stabilized by the preimage of the subgroup under s,
-    which is the image when s is an involution.  The result has t's
-    index and base coset but is not standardized.
+    gmap sends generator letters to words; an inverse letter goes to the
+    inverse of its partner's image.  Precomposing t's action with the
+    automorphism s (letter g takes coset i to t.apply(i, s(g))) gives
+    another transitive action.  Its base coset is stabilized by the
+    preimage of the subgroup under s, which is the image when s is an
+    involution.  The result has t's index and base coset but is not
+    standardized.
     """
     alphabet = t.alphabet
-    images = [apply_generator_map((g,), gmap, alphabet) for g in range(alphabet.size)]
+    inv = alphabet.inv
+    images = [gmap[g] if g in gmap else alphabet.inverse_word(gmap[inv[g]])
+              for g in range(alphabet.size)]
     rows = t.rows
     out = []
     for i in range(t.n):

@@ -51,19 +51,3 @@ class Alphabet:
 REFLECTIONS = Alphabet(("a", "b", "c"), (0, 1, 2))
 ROTATIONS = Alphabet(("x", "X", "z", "Z"), (1, 0, 3, 2))
 
-
-def free_reduce(w: Word, alphabet: Alphabet = REFLECTIONS) -> Word:
-    """Delete adjacent inverse pairs until none remain.
-
-    Over the reflection alphabet this cancels equal neighbours (aa, bb,
-    cc); over a signed alphabet it cancels xX, Xx, zZ, Zz.  One stack
-    pass is enough: a new cancellation can only appear at the stack top.
-    """
-    inv = alphabet.inv
-    out: list[int] = []
-    for g in w:
-        if out and out[-1] == inv[g]:
-            out.pop()
-        else:
-            out.append(g)
-    return tuple(out)

@@ -16,6 +16,9 @@ possible:
   one;
 * colour-permutation, histogram, matrix and word helpers used by the
   property checks;
+* free_reduce, apply_generator_map, word_matrix: words reduced, mapped
+  by a homomorphism and multiplied out as mirror matrices, letter by
+  letter;
 * emit_svg_per_triangle: the SVG drawn one triangle at a time, the
   route emit_svg batches into arrays;
 * word_str, parse_word, generator_columns, class_counts,
@@ -33,12 +36,12 @@ import numpy as np
 from colsym.census import colour_permutation
 from colsym.coset import CosetTable, reroot
 from colsym.errors import DomainError, InternalError, ResourceLimit
-from colsym.geometry import form_matrix
+from colsym.geometry import FundamentalTriangle, form_matrix
 from colsym.lowindex import ClassList
 from colsym.presentations import Geometry, Presentation
 from colsym.render import _DEFAULT_PROJECTION, _TILT, ColouredPatch, _project, palette
 from colsym.words import (
-    A, B, C, REFLECTIONS, XGEN, XINV, ZGEN, ZINV, Alphabet, Word, free_reduce,
+    A, B, C, REFLECTIONS, XGEN, XINV, ZGEN, ZINV, Alphabet, Word,
 )
 
 
@@ -54,6 +57,47 @@ def parse_word(alphabet: Alphabet, s: str) -> Word:
         return tuple(alphabet.names.index(ch) for ch in s)
     except ValueError:
         raise DomainError(f"letter in {s!r} not in alphabet {alphabet.names}") from None
+
+
+def free_reduce(w: Word, alphabet: Alphabet = REFLECTIONS) -> Word:
+    """Delete adjacent inverse pairs until none remain.
+
+    Over the reflection alphabet this cancels equal neighbours (aa, bb,
+    cc); over a signed alphabet it cancels xX, Xx, zZ, Zz.  One stack
+    pass is enough: a new cancellation can only appear at the stack top.
+    """
+    inv = alphabet.inv
+    out: list[int] = []
+    for g in w:
+        if out and out[-1] == inv[g]:
+            out.pop()
+        else:
+            out.append(g)
+    return tuple(out)
+
+
+def apply_generator_map(w: Word, gmap: dict[int, Word], alphabet: Alphabet) -> Word:
+    """Image of w under a homomorphism given on generator letters, reduced.
+
+    gmap maps each generator column to its image word; inverse columns
+    are sent to the inverse of the partner's image.
+    """
+    inv = alphabet.inv
+    out: list[int] = []
+    for g in w:
+        if g in gmap:
+            out.extend(gmap[g])
+        else:
+            out.extend(alphabet.inverse_word(gmap[inv[g]]))
+    return free_reduce(tuple(out), alphabet)
+
+
+def word_matrix(tri: FundamentalTriangle, w: Word) -> np.ndarray:
+    """The product of w's mirror matrices, left to right."""
+    M = np.eye(3)
+    for g in w:
+        M = M @ tri.mirrors[g]
+    return M
 
 
 def generator_columns(alphabet: Alphabet) -> tuple[int, ...]:

@@ -34,6 +34,7 @@ from oracle import (
     oracle_classes,
     oracle_seeded_count,
     permutation_homomorphism_check,
+    word_matrix,
 )
 
 HYPERBOLIC = ((7, 3), (8, 3), (5, 4))
@@ -320,7 +321,7 @@ def test_c09_geometric_realization_is_faithful():
     for p, q in ((4, 3), (3, 5), (4, 4), (7, 3), (8, 3), (5, 4)):
         tri = fundamental_triangle(p, q)
         for rel in triangle_group(p, q).relators:
-            resid = float(np.max(np.abs(tri.word_matrix(rel) - np.eye(3))))
+            resid = float(np.max(np.abs(word_matrix(tri, rel) - np.eye(3))))
             worst_relator = max(worst_relator, resid)
 
     worst_drift = 0.0
@@ -328,7 +329,7 @@ def test_c09_geometric_realization_is_faithful():
         patch = generate_patch(p, q, 10)
         tri = patch.triangle
         for tile in patch.tiles:
-            drift = float(np.max(np.abs(tri.word_matrix(tile.word) - tile.matrix)))
+            drift = float(np.max(np.abs(word_matrix(tri, tile.word) - tile.matrix)))
             worst_drift = max(worst_drift, drift)
 
     cube_tiles = len(generate_patch(4, 3, 40).tiles)

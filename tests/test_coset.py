@@ -180,6 +180,11 @@ def test_canonical_table_refuses_an_intransitive_table():
     t = CosetTable(triangle_group(4, 3).alphabet, ((0, 0, 0), (1, 1, 1)))
     with pytest.raises(DomainError):
         canonical_table(t)
+    # reroot renumbers with the same routine, from either orbit
+    with pytest.raises(DomainError):
+        reroot(t, 0)
+    with pytest.raises(DomainError):
+        reroot(t, 1)
 
 
 def test_validate_catches_corruption():

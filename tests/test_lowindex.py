@@ -1,3 +1,4 @@
+import hashlib
 import os
 import sys
 
@@ -5,13 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import colsym.lowindex
-from colsym.cache import cached_provider
-from colsym.census import colouring_seeds
+from colsym.cache import cached_provider, serialize_class_list
+from colsym.census import colouring_classes, colouring_seeds
 from colsym.coset import CosetTable, canonical_table
 from colsym.errors import DomainError, ResourceLimit
 from colsym.lowindex import UNSEEDED, Seed, _search, low_index_classes
 from colsym.presentations import Presentation, triangle_group, von_dyck_group
-from colsym.subgroups import fixed_cosets, is_orientation_subgroup, transform_subgroup
+from colsym.subgroups import fixed_cosets, orientation_sides, transform_subgroup
 from colsym.words import A, B, C, REFLECTIONS, XGEN, ZGEN
 from oracle import class_counts, classes_at_index, oracle_classes, validate
 
@@ -189,6 +190,21 @@ def test_search_node_counts_are_pinned(pres, bound, seeded, nodes):
         _search(pres, bound, seeds, node_budget=nodes - 1)
 
 
+@pytest.mark.parametrize("pres,bound,classes,digest", [
+    (triangle_group(7, 3), 64, 197,
+     "174e21534af6d9bf39eb1f7bcb2b0eae0f7aede45a20504452e20abcda923bef"),
+    (von_dyck_group(7, 3)[0], 32, 108,
+     "c99c8fef4e4bc62e9005d7e3d5c820375d61aecda7b8e067b1860741ae666384"),
+])
+def test_class_lists_pinned_byte_for_byte(pres, bound, classes, digest):
+    # the tables line of the serialized class list, as the cache writes it:
+    # every table's entries and the order of the list
+    cl = colouring_classes(pres, bound)
+    line = serialize_class_list(cl).split("\n")[1]
+    assert len(cl.tables) == classes
+    assert hashlib.sha256(line.encode()).hexdigest() == digest
+
+
 def _frame_depth():
     f, depth = sys._getframe(1), 0
     while f is not None:
@@ -298,7 +314,7 @@ def test_seeded_equals_filtered_unseeded(pres, bound, jobs, monkeypatch):
 
     def colours(t):
         return any(
-            fixed_cosets(t, s.words) and (not s.oriented or is_orientation_subgroup(t))
+            fixed_cosets(t, s.words) and (not s.oriented or orientation_sides(t) is not None)
             for s in seeds
         )
 

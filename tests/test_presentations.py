@@ -4,7 +4,6 @@ from colsym.errors import DomainError
 from colsym.presentations import (
     Geometry,
     Presentation,
-    apply_generator_map,
     classify_geometry,
     triangle_group,
     von_dyck_group,
@@ -19,9 +18,14 @@ from colsym.words import (
     XINV,
     ZGEN,
     ZINV,
-    free_reduce,
 )
-from oracle import rotation_word_as_reflections, sign_parity
+from oracle import (
+    apply_generator_map,
+    free_reduce,
+    rotation_word_as_reflections,
+    sign_parity,
+    word_matrix,
+)
 
 
 def test_classify_geometry():
@@ -95,7 +99,7 @@ def test_mirror_twist_respects_relators():
         vd, sigma = von_dyck_group(p, q)
         for rel in vd.relators:
             image = apply_generator_map(rel, sigma, ROTATIONS)
-            M = tri.word_matrix(rotation_word_as_reflections(image))
+            M = word_matrix(tri, rotation_word_as_reflections(image))
             assert np.max(np.abs(M - np.eye(3))) < 1e-9
 
 

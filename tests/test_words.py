@@ -13,9 +13,8 @@ from colsym.words import (
     ZGEN,
     ZINV,
     Alphabet,
-    free_reduce,
 )
-from oracle import generator_columns, parse_word, sign_parity, word_str
+from oracle import free_reduce, generator_columns, parse_word, sign_parity, word_str
 
 reflection_words = st.lists(st.sampled_from((A, B, C)), max_size=30).map(tuple)
 rotation_words = st.lists(
