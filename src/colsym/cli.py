@@ -45,8 +45,9 @@ def _common_options(sp: argparse.ArgumentParser) -> None:
 
 def _provider_options(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--jobs", type=int, default=1, help="parallel search processes, at most one "
-                    "per CPU this process may use: all walk the shared top of the search tree, and "
-                    "the subtrees below a fixed depth are dealt out in turn")
+                    "per CPU this process may use, and one where the platform cannot fork: all "
+                    "walk the shared top of the search tree, and the subtrees below a fixed depth "
+                    "are dealt out in turn")
     sp.add_argument("--no-cache", action="store_true", help="skip the disk cache")
     sp.add_argument("--cache-dir", default=None, help="cache directory override")
 
@@ -76,9 +77,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--strategy",
         choices=["a", "b", "both"],
-        default="a",
+        default="b",
         help="rotation scope route: via the reflection group (a), via the "
-        "rotation group with mirror fusion (b), or both with a cross-check",
+        "rotation group with mirror fusion (b, the default, which searches "
+        "least), or both with a cross-check",
     )
     sp.add_argument("--format", choices=["plain", "json", "csv"], default="plain")
     sp.add_argument("--out", default=None, help="write to this file instead of stdout")

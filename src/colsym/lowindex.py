@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from multiprocessing import get_context
+from multiprocessing import get_all_start_methods, get_context
 
 from .coset import CosetTable, canonical_table
 from .errors import DomainError, InternalError, ResourceLimit
@@ -468,10 +468,11 @@ def low_index_classes(
     an oriented seed).  Either way it is one standardized table per
     class, each the lexicographic minimum of all its re-rootings,
     sorted by (index, serialized rows).  jobs > 1 runs one part of the
-    search per worker process (see _search), but never more parts than
-    the CPUs this process may use; the merged result is identical to a
-    serial run.  node_budget, if given, bounds branch nodes per
-    process, over all the walks and the shared top of the tree.
+    search per forked worker process (see _search), but never more parts
+    than the CPUs this process may use, and one where the platform cannot
+    fork; the merged result is identical to a serial run.  node_budget,
+    if given, bounds branch nodes per process, over all the walks and the
+    shared top of the tree.
     """
     if max_index < 1:
         raise DomainError("max_index must be at least 1")
@@ -491,7 +492,7 @@ def low_index_classes(
         raise DomainError("an oriented seed needs the reflection alphabet, "
                           "relators and seed words of even length")
 
-    parts = min(jobs, _cpus())
+    parts = min(jobs, _cpus()) if "fork" in get_all_start_methods() else 1
     if parts == 1:
         results = _search(pres, max_index, walks, node_budget=node_budget, prune=prune)
     else:

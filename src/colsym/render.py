@@ -7,9 +7,9 @@ and a subgroup that does not actually contain the stabilizer gets
 caught red-handed when a group straddles two colours.
 
 The drawing pipeline is deliberately dumb: subdivide geodesic edges,
-project, format floats at fixed precision, emit polygons in tile order,
-doing the arithmetic for a block of triangles at a time.
-Equal inputs give byte-equal SVG.
+project, format floats at fixed precision, a block of triangles at a
+time.  Each triangle is filled, in patch order; then the tile edges are
+stroked, in patch order too.  Equal inputs give byte-equal SVG.
 
 Every number is written as "%.5f" writes it, except that -0.00000 is
 written 0.00000.  Path coordinates are formatted a block of paths at a
@@ -176,16 +176,11 @@ def _project(points: np.ndarray, projection: str) -> np.ndarray:
     return points[:, :2] / (1.0 + points[:, 2:3])
 
 
-_DEFAULT_PROJECTION = {
-    Geometry.HYPERBOLIC: "disk",
-    Geometry.SPHERICAL: "stereographic",
-    Geometry.EUCLIDEAN: "identity",
-}
-
-_ALLOWED = {
-    Geometry.HYPERBOLIC: {"disk"},
-    Geometry.SPHERICAL: {"stereographic", "orthographic"},
-    Geometry.EUCLIDEAN: {"identity"},
+# the projections that fit each geometry; the first is its default
+_PROJECTIONS = {
+    Geometry.HYPERBOLIC: ("disk",),
+    Geometry.SPHERICAL: ("stereographic", "orthographic"),
+    Geometry.EUCLIDEAN: ("identity",),
 }
 
 
@@ -260,22 +255,22 @@ def _fmt(v: float) -> str:
 
 def _decimal_rows(
     values: np.ndarray, seps: bytes, prefix: bytes, suffixes: np.ndarray
-) -> tuple[bytes, np.ndarray]:
-    """Rows of numbers written as _fmt writes them; the bytes and each row's length.
+) -> bytes:
+    """Rows of numbers written as _fmt writes them, joined.
 
     values is a (rows, n) float array.  Row i is written as prefix, its n
     numbers with seps[j] between numbers j and j + 1, then suffixes[i],
-    a row of the (rows, width) uint8 array suffixes.
+    a row of the (rows, width) uint8 array suffixes; none holds a 0 byte.
 
     Each number is k = rint(|x| * 1e5) hundred-thousandths, put digit by
-    digit into a fixed-width field of a uint8 array; a mask drops the
-    padding, and one gather writes the block.  "%.5f" rounds the exact
-    value of x.  The product |x| * 1e5 is correctly rounded and every
-    half n + 1/2 is a double, so the product can land on a half but never
-    crosses one: off a half, rint rounds as "%.5f" does.  Only numbers
-    whose scaled fraction lies within a few ulps of one half, or whose
-    scaled magnitude reaches 2^31, are written one at a time, by _fmt.
-    A non-finite number is an InternalError, not "nan" in the picture.
+    digit into a fixed-width field of a zero-filled uint8 array; slots
+    that must not show stay 0, and the nonzero bytes are the block.
+    "%.5f" rounds the exact value of x.  The product |x| * 1e5 is
+    correctly rounded and every half n + 1/2 is a double, so the product
+    can land on a half but never crosses one: off a half, rint rounds as
+    "%.5f" does.  Only numbers whose scaled fraction lies within a few
+    ulps of one half, or whose scaled magnitude reaches 2^31, are written
+    one at a time, by _fmt.  A non-finite number is an InternalError.
     """
     if not np.isfinite(values).all():
         raise InternalError("non-finite coordinate in SVG path data")
@@ -294,9 +289,8 @@ def _decimal_rows(
 
     # the field of one number: h slots for the sign and the digits before
     # the point, right-aligned, then the point, five digits and the
-    # separator that follows the number
-    field = np.empty((rows, n, h + 7), np.uint8)
-    keep = np.ones(field.shape, bool)
+    # separator that follows the number (0 after the last)
+    field = np.zeros((rows, n, h + 7), np.uint8)
     for slot in [*range(h + 5, h, -1), h - 1]:  # the digits always shown
         q = k // 10
         field[..., slot] = k - 10 * q + 48
@@ -306,23 +300,17 @@ def _decimal_rows(
     for slot in range(h - 2, -1, -1):
         q = k // 10
         more = k > 0
-        field[..., slot] = np.where(more, k - 10 * q + 48, 45)  # 45 is "-"
-        keep[..., slot] = more | signed
+        field[..., slot] = np.where(more, k - 10 * q + 48, 45 * signed)  # 45 is "-"
         k, signed = q, more & neg
     field[..., h] = 46  # "."
-    field[..., h + 6] = np.frombuffer(seps + b" ", np.uint8)
-    keep[:, -1, h + 6] = False
-    for (i, j), s in zip(np.argwhere(slow).tolist(), one_by_one):
+    field[..., h + 6] = np.frombuffer(seps + b"\0", np.uint8)
+    for (i, j), s in zip(np.argwhere(slow).tolist(), one_by_one):  # k is 0: s covers all shown
         field[i, j, h + 6 - len(s) : h + 6] = np.frombuffer(s, np.uint8)
-        keep[i, j, :h] = np.arange(h) >= h + 6 - len(s)
 
     text = np.concatenate(
         [np.broadcast_to(np.frombuffer(prefix, np.uint8), (rows, len(prefix))),
          field.reshape(rows, n * (h + 7)), suffixes], axis=1)
-    kept = np.concatenate(
-        [np.ones((rows, len(prefix)), bool), keep.reshape(rows, n * (h + 7)),
-         np.ones(suffixes.shape, bool)], axis=1)
-    return np.compress(kept.ravel(), text.ravel()).tobytes(), np.count_nonzero(kept, axis=1)
+    return text[text != 0].tobytes()
 
 
 def emit_svg(
@@ -341,8 +329,8 @@ def emit_svg(
     """
     geometry = cp.patch.triangle.geometry
     if projection == "auto":
-        projection = _DEFAULT_PROJECTION[geometry]
-    if projection not in _ALLOWED[geometry]:
+        projection = _PROJECTIONS[geometry][0]
+    if projection not in _PROJECTIONS[geometry]:
         raise DomainError(
             f"projection {projection!r} does not fit {geometry.value} geometry"
         )
@@ -351,7 +339,7 @@ def emit_svg(
     if size < 1:
         raise DomainError("size must be at least 1")
 
-    patch, n, s = cp.patch, len(cp.patch.tiles), subdivision
+    patch, s = cp.patch, subdivision
     ts = np.linspace(0.0, 1.0, s + 1)
     if projection in ("disk", "orthographic"):
         x0 = y0 = -1.05
@@ -370,15 +358,10 @@ def emit_svg(
         x0, y0 = float(cx) - span / 2, float(cy) - span / 2
     stroke = _fmt(span * 0.003).encode("ascii")
 
-    # a side is on a merged-tile boundary when the triangle across lies
-    # in another merged tile or outside the patch; strokes are drawn in
-    # polygon order, triangle by triangle, sides in order
-    order = np.fromiter((i for poly in cp.polygons for i in poly), int, n)
-    owner, rank = np.empty(n, int), np.empty(n, int)
-    owner[order] = np.repeat(np.arange(len(cp.polygons)), list(map(len, cp.polygons)))
-    rank[order] = np.arange(n)
+    # a tile's triangles form a coset of the stabilizer, so a side is a tile
+    # edge unless its mirror is a stabilizer mirror and the triangle across is in the patch
     across = np.array(patch.neighbours)[:, _SIDE_MIRRORS]
-    boundary = (across < 0) | (owner[across] != owner[:, None])
+    boundary = (across < 0) | ~np.isin(_SIDE_MIRRORS, required_words(cp.kind, Scope.FULL))
 
     fill_tails = np.frombuffer(
         b"".join(b'Z" fill="' + f.encode("ascii") + b'" stroke="none"/>'
@@ -390,7 +373,9 @@ def emit_svg(
     )
     fill_seps, stroke_seps = (b" L" * (3 * s))[:-1], (b" L" * (s + 1))[:-1]
     colours = np.array(cp.colours) - 1
-    strokes: list[bytes | None] = [None] * (3 * n)
+    # each block's tile edges, projected, to be formatted after every fill:
+    # held that long as bytes, they would fragment the heap the SVG grows in
+    strokes: list[np.ndarray] = []
     svg = io.BytesIO()
     svg.write(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
@@ -400,19 +385,11 @@ def emit_svg(
     )
     for ids, xy in _drawn_blocks(patch, projection, ts):
         ring = xy[:, :, :-1].reshape(len(ids), 6 * s)
-        svg.write(_decimal_rows(ring, fill_seps, b'\n<path d="M', fill_tails[colours[ids]])[0])
-        # strokes are written in polygon order after every fill, so each
-        # is cut out of its block's bytes and kept until then
-        edge = boundary[ids]
-        keys = (rank[ids][:, None] * 3 + np.arange(3))[edge]
-        data, lengths = _decimal_rows(
-            xy[edge].reshape(len(keys), 2 * s + 2), stroke_seps, b'\n<path d="M',
-            np.broadcast_to(stroke_tail, (len(keys), stroke_tail.size)),
-        )
-        ends = np.cumsum(lengths).tolist()
-        for key, start, end in zip(keys.tolist(), [0] + ends, ends):
-            strokes[key] = data[start:end]
-    svg.writelines(d for d in strokes if d is not None)
+        svg.write(_decimal_rows(ring, fill_seps, b'\n<path d="M', fill_tails[colours[ids]]))
+        strokes.append(xy[boundary[ids]].reshape(-1, 2 * s + 2))
+    for edges in strokes:
+        svg.write(_decimal_rows(edges, stroke_seps, b'\n<path d="M',
+                                np.broadcast_to(stroke_tail, (len(edges), stroke_tail.size))))
     if projection == "disk":
         svg.write(b'\n<circle cx="0" cy="0" r="1" fill="none" stroke="#1a1a1a" '
                   b'stroke-width="%s"/>' % stroke)

@@ -39,7 +39,7 @@ from colsym.errors import DomainError, InternalError, ResourceLimit
 from colsym.geometry import FundamentalTriangle, form_matrix
 from colsym.lowindex import ClassList
 from colsym.presentations import Geometry, Presentation
-from colsym.render import _DEFAULT_PROJECTION, _TILT, ColouredPatch, _project, palette
+from colsym.render import _PROJECTIONS, _TILT, ColouredPatch, _project, palette
 from colsym.words import (
     A, B, C, REFLECTIONS, XGEN, XINV, ZGEN, ZINV, Alphabet, Word,
 )
@@ -629,11 +629,12 @@ def emit_svg_per_triangle(
     corners are its tile matrix times the fundamental corners; its
     sides are geodesics of subdivision + 1 points, projected and
     formatted once, and kept for the strokes where the triangle across
-    lies in another merged tile or outside the patch.
+    lies in another merged tile of cp.polygons or outside the patch.  The
+    strokes follow every fill, triangle by triangle in patch order.
     """
     geometry = cp.patch.triangle.geometry
     if projection == "auto":
-        projection = _DEFAULT_PROJECTION[geometry]
+        projection = _PROJECTIONS[geometry][0]
     patch = cp.patch
     fills = palette(cp.k, palette_seed)
     J = form_matrix(geometry)
@@ -691,9 +692,8 @@ def emit_svg_per_triangle(
         f'<rect x="{_fmt(x0)}" y="{_fmt(y0)}" width="{_fmt(span)}" height="{_fmt(span)}" fill="#ffffff"/>',
     ]
     parts += fill_paths
-    for poly in cp.polygons:
-        for i in poly:
-            parts += (f'<path d="{d}" {stroke_attrs}/>' for d in edges.get(i, ()))
+    for i in sorted(edges):
+        parts += (f'<path d="{d}" {stroke_attrs}/>' for d in edges[i])
     if projection == "disk":
         parts.append(
             f'<circle cx="0" cy="0" r="1" fill="none" stroke="#1a1a1a" '

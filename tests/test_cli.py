@@ -73,6 +73,19 @@ def test_census_rotation_strategies(capsys, cache_dir):
     assert out_a.strip() == "[3.7.3.7] rotation <= 15: 1, 7, 9, 14^{6}, 15^{2}"
 
 
+def test_census_rotation_defaults_to_route_b(capsys, tmp_path):
+    cache = str(tmp_path / "cache")
+    args = ["census", "--p", "7", "--q", "3", "--tiling", "laves",
+            "--scope", "rotation", "--max-colours", "15"]
+    code, out, err = run_cli(capsys, *args, "--cache-dir", cache)
+    assert code == 0 and err.endswith("strategy b\n")
+    # route b searches the rotation group only
+    assert sorted(os.listdir(cache)) == ["vondyck-7-3.json"]
+    assert run_cli(capsys, *args, "--strategy", "a", "--cache-dir", cache)[1] == out
+    _, doc, _ = run_cli(capsys, *args, "--format", "json", "--cache-dir", cache)
+    assert json.loads(doc)["strategy"] == "b"
+
+
 def test_domain_error_exit_code(capsys, cache_dir):
     code, _, err = run_cli(
         capsys, "census", "--p", "7", "--q", "3", "--max-colours", "0",

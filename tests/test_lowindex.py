@@ -8,12 +8,13 @@ from hypothesis import given, settings, strategies as st
 import colsym.lowindex
 from colsym.cache import cached_provider, serialize_class_list
 from colsym.census import colouring_classes, colouring_seeds
+from colsym.cli import main
 from colsym.coset import CosetTable, canonical_table
 from colsym.errors import DomainError, ResourceLimit
 from colsym.lowindex import UNSEEDED, Seed, _search, low_index_classes
 from colsym.presentations import Presentation, triangle_group, von_dyck_group
 from colsym.subgroups import fixed_cosets, orientation_sides, transform_subgroup
-from colsym.words import A, B, C, REFLECTIONS, XGEN, ZGEN
+from colsym.words import A, B, C, REFLECTIONS, ROTATIONS, XGEN, ZGEN, ZINV
 from oracle import class_counts, classes_at_index, oracle_classes, validate
 
 SMALL_GROUPS = [
@@ -293,6 +294,32 @@ def test_jobs_capped_at_the_cpus(monkeypatch):
         pools.clear()
         assert [t.flat() for t in low_index_classes(G, 20, jobs=jobs).tables] == serial
         assert pools == forked
+
+
+def test_jobs_run_serially_where_fork_is_missing(monkeypatch, capsys):
+    def no_fork(method):
+        raise ValueError(f"cannot find context for {method!r}")
+
+    G = triangle_group(7, 3)
+    serial = [t.flat() for t in low_index_classes(G, 20).tables]
+    _cpus(monkeypatch, 2)
+    monkeypatch.setattr(colsym.lowindex, "get_all_start_methods", lambda: ["spawn"])
+    monkeypatch.setattr(colsym.lowindex, "get_context", no_fork)
+    assert [t.flat() for t in low_index_classes(G, 20, jobs=2).tables] == serial
+    argv = ["census", "--p", "7", "--q", "3", "--max-colours", "20", "--jobs", "2", "--no-cache"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "(7^3) full <= 20: 1, 8, 15\n"
+
+
+@pytest.mark.parametrize("p, q, bound", [(7, 3, 16), (5, 4, 12), (8, 3, 14)])
+def test_relators_with_inverse_letters(p, q, bound):
+    # z^p written as Z^p gives the Z column trace words of its own, so an
+    # edge deduced in the z column is scanned from its twin entry too
+    V = von_dyck_group(p, q)[0]
+    W = Presentation(ROTATIONS, ((XGEN,) * q, (ZINV,) * p, (XGEN, ZGEN) * 2), "vondyck-Z")
+    for seeds_v, seeds_w in ((None, None), ((Seed(((ZGEN,),)),), (Seed(((ZINV,),)),))):
+        expected = [t.flat() for t in low_index_classes(V, bound, seeds=seeds_v).tables]
+        assert [t.flat() for t in low_index_classes(W, bound, seeds=seeds_w).tables] == expected
 
 
 SEEDED_GRID = [
