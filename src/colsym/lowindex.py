@@ -37,10 +37,10 @@ the last one stopped.  So backtracking undoes two stacks: the entries
 set, and the root records (a root fixed, a comparison advanced).
 An unseeded walk has no words, so every coset is a fixed root.
 
-The walk is one loop over an explicit stack of open nodes, not a
-recursion: the frames under it do not grow with the branch depth, so
-neither Python's recursion limit bounds the index nor the caller's
-stack depth changes the speed.
+The walk loops over an explicit stack of open nodes, so neither the
+recursion limit bounds the index nor the caller's stack depth changes
+the speed.  A visit to a node unwinds to the heights it opened at and
+tries its next coset from the frontier row (the rows above are full).
 """
 from __future__ import annotations
 
@@ -53,8 +53,8 @@ from .errors import DomainError, InternalError, ResourceLimit
 from .presentations import Presentation
 from .words import Word
 
-# branch depth whose subtrees the walk deals out to the parts in turn; on
-# (7,3) <= 64 with 2 parts on 2 CPUs, 12 beat 10 and 14 (1.37 s against 2.07 and 1.67)
+# branch depth whose subtrees the walk deals out to the parts in turn; (7,3) <= 96,
+# jobs=2, 2 CPUs: 12 beat 10 and 14 in 7 of 7 rounds (median 1.06 s against 1.16, 1.09)
 _SPLIT = 12
 
 
@@ -143,11 +143,11 @@ def _search(
     The seed words are scanned at coset 0 after every deduction, next
     to the relator scans (propagate).
 
-    Backtracking undoes two stacks together: the entries set (trail),
-    and the root records (roots_trail): each root that settle fixes,
-    and each root comparison that rejectable advances.  The root
-    records change how a verdict is reached, never which branches are
-    pruned.
+    Backtracking undoes two stacks to a node's heights when it opened:
+    the entries set (trail), and the root records (roots_trail): each
+    root that settle fixes, and each comparison that rejectable
+    advances.  They change how a verdict is reached, never which
+    branches are pruned.
 
     Every part walks the same top of the tree.  The nodes reached at
     branch depth _SPLIT are numbered in walk order, across the walks,
@@ -360,12 +360,12 @@ def _search(
         """Depth-first walk of the tree below the propagated root.
 
         path holds the open nodes, root first, each as [pos, n, next
-        beta, marks of the child descended into]; a node's branch depth
-        is its place on path.  Each pass of the loop opens one node (the
-        frontier pos and coset count n of the entry just set) and then
-        descends from the deepest open node into its next live child,
-        unwinding the child it came back from and popping the nodes that
-        have none left.
+        beta, trail and roots_trail heights when opened]; its branch
+        depth is its place on path.  Each pass of the loop opens one node
+        (the frontier pos and coset count n of the entry just set), then
+        visits the deepest: it unwinds to the node's heights and descends
+        into its next live child, or pops it if none is left.  Children
+        start at the frontier row pos // m: every row above it is full.
         """
         nonlocal nodes, dealt
         path: list[list[int]] = []
@@ -387,12 +387,11 @@ def _search(
                     nodes += 1
                     if node_budget is not None and nodes > node_budget:
                         raise ResourceLimit(f"node budget {node_budget} exceeded")
-                    path.append([pos, n, 0, 0, 0])
+                    path.append([pos, n, pos // m, len(trail), len(roots_trail)])
             while path:
                 node = path[-1]
                 pos, n, beta, mark, roots_mark = node
-                if beta:
-                    unwind(mark, roots_mark)
+                unwind(mark, roots_mark)
                 alpha, c = divmod(pos, m)
                 ic = inv[c]
                 for beta in range(beta, n + 1 if n < N else n):
@@ -401,7 +400,6 @@ def _search(
                             continue
                     else:
                         parity[beta] = parity[alpha] ^ 1
-                    mark, roots_mark = len(trail), len(roots_trail)
                     table[pos] = beta
                     trail.append(pos)
                     p2 = beta * m + ic
@@ -417,7 +415,7 @@ def _search(
                 else:
                     path.pop()
                     continue
-                node[2:] = beta + 1, mark, roots_mark
+                node[2] = beta + 1
                 if beta == n:
                     n += 1
                 break

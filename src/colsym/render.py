@@ -322,10 +322,9 @@ def emit_svg(
     subdivision: int = 12,
     size: int = 700,
 ) -> bytes:
-    """Draw the coloured patch; returns the SVG bytes, optionally writing.
-
-    out may be a path or a binary file object.  The output is a pure
-    function of the arguments: rendering twice gives identical bytes.
+    """Draw the coloured patch; returns the SVG bytes, also written to the
+    path out if one is given.  The output is a pure function of the
+    arguments: rendering twice gives identical bytes.
     """
     geometry = cp.patch.triangle.geometry
     if projection == "auto":
@@ -397,9 +396,6 @@ def emit_svg(
     data = svg.getvalue()
 
     if out is not None:
-        if hasattr(out, "write"):
-            out.write(data)
-        else:
-            with open(out, "wb") as fh:
-                fh.write(data)
+        with open(out, "wb") as fh:
+            fh.write(data)
     return data

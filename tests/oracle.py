@@ -19,6 +19,9 @@ possible:
 * free_reduce, apply_generator_map, word_matrix: words reduced, mapped
   by a homomorphism and multiplied out as mirror matrices, letter by
   letter;
+* full_scope_via_rotations, twist_on_cosets: the full-scope classes of
+  a tiling read off the rotation group's classes, with no reflection
+  search;
 * emit_svg_per_triangle: the SVG drawn one triangle at a time, the
   route emit_svg batches into arrays;
 * word_str, parse_word, generator_columns, class_counts,
@@ -34,11 +37,11 @@ from typing import Iterable
 import numpy as np
 
 from colsym.census import colour_permutation
-from colsym.coset import CosetTable, reroot
+from colsym.coset import CosetTable, canonical_table, reroot
 from colsym.errors import DomainError, InternalError, ResourceLimit
 from colsym.geometry import FundamentalTriangle, form_matrix
-from colsym.lowindex import ClassList
-from colsym.presentations import Geometry, Presentation
+from colsym.lowindex import ClassList, Seed, low_index_classes
+from colsym.presentations import Geometry, Presentation, von_dyck_group
 from colsym.render import _PROJECTIONS, _TILT, ColouredPatch, _project, palette
 from colsym.words import (
     A, B, C, REFLECTIONS, XGEN, XINV, ZGEN, ZINV, Alphabet, Word,
@@ -517,6 +520,71 @@ def rotation_word_as_reflections(w: Word) -> Word:
     for g in w:
         out.extend(ROTATION_AS_REFLECTIONS[g])
     return free_reduce(tuple(out), REFLECTIONS)
+
+
+# For the tile mirrors a and b: the rotation word of r g for each
+# reflection letter g (ab = x, ac = xz, ba = X, bc = z), and conjugation
+# by r on the rotation generators (a x a = X, a z a = x Z X; b x b = X, b z b = Z).
+MIRROR_TIMES_LETTER: dict[int, tuple[Word, Word, Word]] = {
+    A: ((), (XGEN,), (XGEN, ZGEN)),
+    B: ((XINV,), (), (ZGEN,)),
+}
+MIRROR_TWIST: dict[int, dict[int, Word]] = {
+    A: {XGEN: (XINV,), ZGEN: (XGEN, ZINV, XINV)},
+    B: {XGEN: (XINV,), ZGEN: (ZINV,)},
+}
+
+
+def full_scope_via_rotations(p: int, q: int, r1: int, r2: int, max_index: int) -> set[CosetTable]:
+    """Canonical tables of the classes of subgroups S of the reflection
+    group, of index <= max_index, that contain a conjugate of <r1, r2>,
+    found from the rotation group G+ alone.
+
+    T = S ∩ G+ has S's index, contains the tile rotation r1 r2, and is
+    fixed by σ, conjugation by r1; conversely each such T gives
+    S = T ∪ r1 T.  So for each von Dyck class and each coset its tile
+    rotation fixes, T is re-rooted there and kept if σ fixes it.  S's
+    cosets are T's, and Su g = S r1 u g = S σ(u) (r1 g), so the letter g
+    takes coset i to π(i) followed by the rotation word of r1 g.  The von
+    Dyck search has one seed, so no seed exclusion and no oriented walk.
+    """
+    vd, _ = von_dyck_group(p, q)
+    times = MIRROR_TIMES_LETTER[r1]
+    rotation = times[r2]
+    images = [apply_generator_map((g,), MIRROR_TWIST[r1], vd.alphabet)
+              for g in range(vd.alphabet.size)]
+    found: set[CosetTable] = set()
+    for t in low_index_classes(vd, max_index, seeds=(Seed((rotation,)),)).tables:
+        for e in range(t.n):
+            if t.apply(e, rotation) != e:
+                continue
+            u = reroot(t, e)
+            pi = twist_on_cosets(u, images)
+            if pi is not None:
+                rows = tuple(tuple(u.apply(pi[i], w) for w in times) for i in range(u.n))
+                found.add(canonical_table(CosetTable(REFLECTIONS, rows)))
+    return found
+
+
+def twist_on_cosets(t: CosetTable, images: list[Word]) -> list[int] | None:
+    """π: Tu ↦ Tσ(u) for the automorphism σ sending letter g to images[g],
+    or None if it is not well defined, that is, if σ(T) is not T.
+
+    BFS sets π(i g) = π(i) σ(g) along tree edges and checks every other
+    edge against it.
+    """
+    pi = [-1] * t.n
+    pi[0] = 0
+    bfs = [0]
+    for i in bfs:  # grows as it goes
+        for g, w in enumerate(images):
+            j, k = t.rows[i][g], t.apply(pi[i], w)
+            if pi[j] < 0:
+                pi[j] = k
+                bfs.append(j)
+            elif pi[j] != k:
+                return None
+    return pi
 
 
 def sign_parity(w: Word) -> int:

@@ -7,6 +7,7 @@ from colsym.census import (
     Scope,
     TilingKind,
     census,
+    colouring_classes,
     colour_permutation,
     format_census,
     required_words,
@@ -19,6 +20,7 @@ from colsym.words import A, B, C, REFLECTIONS
 from oracle import (
     colours_transitive,
     compose_permutations,
+    full_scope_via_rotations,
     oracle_classes,
     permutation_homomorphism_check,
 )
@@ -173,6 +175,19 @@ def test_census_rejects_unknown_strategy_in_every_scope(provider):
                 7, 3, TilingKind.PQ, scope, 8,
                 strategy="no-such-route", classes_provider=provider,
             )
+
+
+@pytest.mark.parametrize("p, q", [(7, 3), (8, 3), (5, 4)])
+def test_full_scope_classes_through_the_rotation_group(p, q):
+    # each full-scope class S, table for table, from its rotation half
+    # T = S ∩ G+ (see full_scope_via_rotations), at the golden bounds
+    G = triangle_group(p, q)
+    for kind in TilingKind:
+        bound = goldens.FULL_BOUNDS[(p, q, kind)]
+        words = required_words(kind, Scope.FULL)
+        expected = {t for t in colouring_classes(G, bound).tables if fixed_cosets(t, words)}
+        (r1,), (r2,) = words
+        assert full_scope_via_rotations(p, q, r1, r2, bound) == expected
 
 
 def test_required_words():

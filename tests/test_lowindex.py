@@ -206,6 +206,30 @@ def test_class_lists_pinned_byte_for_byte(pres, bound, classes, digest):
     assert hashlib.sha256(line.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("pres, bound, serial, parts", [
+    (triangle_group(7, 3), 64,
+     "7f5dbfb7667690f7b0f0df0ce3bd79d38eda11daaf934197b1a4f829a7a4d6cf",
+     ("f077b0d58312a69b6d47aa31f1cff7c7c413a515c026b601f3d6361e2db41083",
+      "168b74af968a3b2c46e53c9a0b576f368f4619b8bbd56e29a58b432acb10db24",
+      "fea8fbae86721b8459d4efd3400b48e2ba1ebe9ef3137e9e3c3d2afc08ed3e54")),
+    (von_dyck_group(7, 3)[0], 32,
+     "c05d050a628210ec28c4b5fff1c4112e7ca408e6fd4e29743f16367b834f1786",
+     ("397dd82ca5d501751a9f29e8cc6ee19ba5246a0418bb1fd5881636e8617e8c26",
+      "421110212687b532aced1d324f971830790805047b4cc904c0272b451cd13607",
+      "efb1bcd9f295916573789973cbbf9960e32fc7d937d2c224cb318a0cfee7ffac")),
+], ids=["triangle-7-3-64", "vondyck-7-3-32"])
+def test_walk_order_pinned(pres, bound, serial, parts):
+    # the raw tables in the order the walks complete them, serially and
+    # in each of 3 parts: the class-list pins sort them, so only this
+    # shows a change to the walk that reaches the same classes otherwise
+    def digest(rows):
+        return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+    seeds = colouring_seeds(pres)
+    assert digest(_search(pres, bound, seeds)) == serial
+    assert tuple(digest(_search(pres, bound, seeds, part=k, parts=3)) for k in range(3)) == parts
+
+
 def _frame_depth():
     f, depth = sys._getframe(1), 0
     while f is not None:
