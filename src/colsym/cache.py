@@ -24,13 +24,13 @@ from .coset import CosetTable
 from .errors import CacheError, DomainError, ParseError
 from .census import colouring_seeds
 from .lowindex import ClassList, low_index_classes
-from .presentations import Presentation
+from .presentations import Presentation, triangle_group, von_dyck_group
 
 SCHEMA_VERSION = 3  # 3: colouring classes only; 2 held every class
 
 ENV_VAR = "COLSYM_CACHE_DIR"
 
-_NAME_RE = re.compile(r"(triangle|vondyck)-\d+-\d+")
+_NAME_RE = re.compile(r"(triangle|vondyck)-(\d+)-(\d+)")
 _TMP_PREFIX = "colsym-"  # of the temp files store_classes writes before renaming
 # colsym's own files: class lists, schema 1's one file per bound searched
 # (triangle_7_3_idx48.json), and the temp files of interrupted writes
@@ -64,9 +64,10 @@ def _json(line: str):
         raise ParseError(f"not valid JSON: {e}") from None
 
 
-def _header(line: str) -> dict:
-    """The first line of a class-list file, checked to be of this schema and engine."""
-    header = _json(line)
+def parse_class_list(text: str, pres: Presentation) -> ClassList:
+    """The class list of pres that serialize_class_list wrote as text."""
+    first, _, rest = text.partition("\n")
+    header = _json(first)
     if not isinstance(header, dict):
         raise ParseError("header is not an object")
     if header.get("schema_version") != SCHEMA_VERSION:
@@ -75,15 +76,7 @@ def _header(line: str) -> dict:
         raise ParseError(f"written by engine {header.get('engine')!r}, not {__version__}")
     if not all(type(header.get(k)) is int for k in ("max_index", "classes")):
         raise ParseError("missing or malformed max_index or classes")
-    return header
-
-
-def parse_class_list(text: str, pres: Presentation) -> ClassList:
-    """The class list of pres that serialize_class_list wrote as text."""
-    first, _, rest = text.partition("\n")
-    header = _header(first)
-    relators = [list(r) for r in pres.relators]
-    if header.get("name") != pres.name or header.get("relators") != relators:
+    if header.get("name") != pres.name or header.get("relators") != [list(r) for r in pres.relators]:
         raise ParseError(f"class list of another presentation than {pres.name!r}")
     max_index = header["max_index"]
     raw_tables = _json(rest)
@@ -188,22 +181,24 @@ def _own_files(cache_dir: str) -> list[str]:
 
 
 def cache_entries(cache_dir: str | None = None) -> list[dict]:
-    """What the cache holds, read from the file headers: one dict per
-    class-list file, by name.  max_index and classes are None for a file
-    no request would be served from."""
+    """What the cache holds: one dict per class-list file, by name, each
+    read whole by load_classes for the group its name spells.  max_index
+    and classes are None for a file no request would be served from."""
     cache_dir = cache_dir or default_cache_dir()
     out = []
     for fn in _own_files(cache_dir):
         if fn.endswith(".json"):
-            entry = {"name": fn[:-5], "max_index": None, "classes": None}
-            try:
-                with open(os.path.join(cache_dir, fn), "r", encoding="ascii") as fh:
-                    header = _header(fh.readline())
-                if header.get("name") == entry["name"]:
-                    entry.update(max_index=header["max_index"], classes=header["classes"])
-            except (OSError, ValueError, ParseError):
-                pass
-            out.append(entry)
+            cl, m = None, _NAME_RE.fullmatch(fn[:-5])
+            if m:
+                p, q = int(m[2]), int(m[3])
+                try:
+                    pres = triangle_group(p, q) if m[1] == "triangle" else von_dyck_group(p, q)[0]
+                except DomainError:  # the name spells no group
+                    pres = None
+                if pres and pres.name == m[0]:
+                    cl = load_classes(pres, 1, cache_dir)
+            out.append({"name": fn[:-5], "max_index": cl.max_index if cl else None,
+                        "classes": len(cl.tables) if cl else None})
     return out
 
 

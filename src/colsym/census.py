@@ -52,6 +52,10 @@ class Scope(Enum):
     ROTATION = "rotation"
 
 
+# the two mirrors through a tile's centre; their product is the tile rotation
+TILE_MIRRORS = {TilingKind.PQ: (B, C), TilingKind.QP: (A, B), TilingKind.LAVES: (A, C)}
+
+
 def required_words(kind: TilingKind, scope: Scope) -> tuple[Word, ...]:
     """Stabilizer words a colouring subgroup must contain, up to conjugacy.
 
@@ -59,17 +63,8 @@ def required_words(kind: TilingKind, scope: Scope) -> tuple[Word, ...]:
     scope: the single rotation about the tile centre (as a reflection
     word; it is a product of two mirrors).
     """
-    if scope is Scope.FULL:
-        return {
-            TilingKind.PQ: ((B,), (C,)),
-            TilingKind.QP: ((A,), (B,)),
-            TilingKind.LAVES: ((A,), (C,)),
-        }[kind]
-    return {
-        TilingKind.PQ: ((B, C),),
-        TilingKind.QP: ((A, B),),
-        TilingKind.LAVES: ((A, C),),
-    }[kind]
+    r1, r2 = TILE_MIRRORS[kind]
+    return ((r1,), (r2,)) if scope is Scope.FULL else ((r1, r2),)
 
 
 def rotation_required_word(kind: TilingKind) -> Word:

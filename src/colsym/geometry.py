@@ -23,6 +23,9 @@ from .errors import DomainError, ResourceLimit
 from .presentations import Geometry, classify_geometry
 from .words import A, B, C, Word
 
+# the most triangles a patch may hold; a deeper patch is a ResourceLimit
+TILE_BUDGET = 200_000
+
 
 def form_matrix(geometry: Geometry) -> np.ndarray:
     if geometry is Geometry.HYPERBOLIC:
@@ -183,9 +186,7 @@ def _link_descents(nbrs: list[list[int]], i: int, g: int, orders) -> None:
             nbrs[cur][h] = u
 
 
-def generate_patch(
-    p: int, q: int, depth: int, *, tile_budget: int = 200_000
-) -> TrianglePatch:
+def generate_patch(p: int, q: int, depth: int) -> TrianglePatch:
     """Breadth-first ball of reduced words, one tile per group element.
 
     Each new tile is linked at once to every tile one step inward, so a
@@ -206,10 +207,8 @@ def generate_patch(
             for g in (A, B, C):
                 if nbrs[i][g] >= 0:
                     continue  # i.g is nearer the centre or already made
-                if len(tiles) >= tile_budget:
-                    raise ResourceLimit(
-                        f"tile budget {tile_budget} exceeded at depth {d}"
-                    )
+                if len(tiles) >= TILE_BUDGET:
+                    raise ResourceLimit(f"tile budget {TILE_BUDGET} exceeded at depth {d}")
                 u = len(tiles)
                 tiles.append(Tile(t.word + (g,), t.matrix @ mirrors[g]))
                 nbrs.append([-1, -1, -1])

@@ -147,7 +147,8 @@ def _search(
     the entries set (trail), and the root records (roots_trail): each
     root that settle fixes, and each comparison that rejectable
     advances.  They change how a verdict is reached, never which
-    branches are pruned.
+    branches are pruned.  prune=False skips the cuts of partial tables
+    (rejectable); the tests keep that walk as the pruned one's reference.
 
     Every part walks the same top of the tree.  The nodes reached at
     branch depth _SPLIT are numbered in walk order, across the walks,
@@ -436,9 +437,8 @@ def _search(
 
 
 def _worker(args) -> list[tuple[tuple[int, ...], ...]]:
-    pres, max_index, seeds, node_budget, prune, part, parts = args
-    return _search(pres, max_index, seeds, node_budget=node_budget, prune=prune,
-                   part=part, parts=parts)
+    pres, max_index, seeds, node_budget, part, parts = args
+    return _search(pres, max_index, seeds, node_budget=node_budget, part=part, parts=parts)
 
 
 def _cpus() -> int:
@@ -456,7 +456,6 @@ def low_index_classes(
     seeds: tuple[Seed, ...] | None = None,
     node_budget: int | None = None,
     jobs: int = 1,
-    prune: bool = True,
 ) -> ClassList:
     """Conjugacy classes of subgroups of index <= max_index.
 
@@ -492,9 +491,9 @@ def low_index_classes(
 
     parts = min(jobs, _cpus()) if "fork" in get_all_start_methods() else 1
     if parts == 1:
-        results = _search(pres, max_index, walks, node_budget=node_budget, prune=prune)
+        results = _search(pres, max_index, walks, node_budget=node_budget)
     else:
-        args = [(pres, max_index, walks, node_budget, prune, part, parts) for part in range(parts)]
+        args = [(pres, max_index, walks, node_budget, part, parts) for part in range(parts)]
         with get_context("fork").Pool(parts) as pool:
             results = [rows for found in pool.map(_worker, args) for rows in found]
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .census import Scope, TilingKind, required_words
+from .census import TILE_MIRRORS, Scope, TilingKind, colour_permutation
 from .coset import CosetTable
 from .errors import DomainError, InternalError, MergeInconsistency
 from .geometry import TrianglePatch, form_matrix
@@ -82,8 +82,7 @@ def colour_patch(
     with no colour and is completed to an even one by a stabilizer
     mirror, which lands in the same merged tile by construction.
     """
-    words = required_words(kind, Scope.FULL)
-    r1, r2 = words[0][0], words[1][0]
+    r1, r2 = TILE_MIRRORS[kind]
     alphabet = table.alphabet
     n_tiles = len(patch.tiles)
     colour_of = _coset_colours(table, scope)
@@ -106,19 +105,15 @@ def colour_patch(
         for g in (r1, r2):
             j = nbrs[i][g]
             if 0 <= j < i:
-                root[i] = root[j]
+                r = root[i] = root[j]
+                if colours[i] != colours[r]:
+                    raise MergeInconsistency(
+                        f"merged tile of triangle {r} got colours {colours[r]} and "
+                        f"{colours[i]}: the subgroup does not contain this tile stabilizer"
+                    )
                 break
         groups.setdefault(root[i], []).append(i)
     polygons = tuple(tuple(g) for g in groups.values())
-
-    for poly in polygons:
-        first = colours[poly[0]]
-        for i in poly[1:]:
-            if colours[i] != first:
-                raise MergeInconsistency(
-                    f"merged tile {poly} got colours {first} and {colours[i]}: "
-                    "the subgroup does not contain this tile stabilizer"
-                )
 
     size = {TilingKind.PQ: 2 * patch.p, TilingKind.QP: 2 * patch.q, TilingKind.LAVES: 4}[
         kind
@@ -141,8 +136,7 @@ def verify_perfect_on_patch(cp: ColouredPatch, w: Word) -> bool:
     table = cp.table
     image = cp.patch.image(w)
     colour_of = _coset_colours(table, cp.scope)
-    iw = table.alphabet.inverse_word(w)
-    moved = {c: colour_of[table.apply(i, iw)] for i, c in enumerate(colour_of) if c}
+    moved = {c: colour_of[j] for c, j in zip(colour_of, colour_permutation(table, w)) if c}
     colours = cp.colours
     return all(moved.get(colours[i]) == colours[j] for i, j in enumerate(image) if j >= 0)
 
@@ -360,7 +354,7 @@ def emit_svg(
     # a tile's triangles form a coset of the stabilizer, so a side is a tile
     # edge unless its mirror is a stabilizer mirror and the triangle across is in the patch
     across = np.array(patch.neighbours)[:, _SIDE_MIRRORS]
-    boundary = (across < 0) | ~np.isin(_SIDE_MIRRORS, required_words(cp.kind, Scope.FULL))
+    boundary = (across < 0) | ~np.isin(_SIDE_MIRRORS, TILE_MIRRORS[cp.kind])
 
     fill_tails = np.frombuffer(
         b"".join(b'Z" fill="' + f.encode("ascii") + b'" stroke="none"/>'

@@ -22,6 +22,9 @@ possible:
 * full_scope_via_rotations, twist_on_cosets: the full-scope classes of
   a tiling read off the rotation group's classes, with no reflection
   search;
+* hom_counts, subgroup_counts, subgroups_in_classes: the number of
+  subgroups of each index of a von Dyck group, from the characters of
+  S_n with no search, and the same number read off a class list;
 * emit_svg_per_triangle: the SVG drawn one triangle at a time, the
   route emit_svg batches into arrays;
 * word_str, parse_word, generator_columns, class_counts,
@@ -29,6 +32,7 @@ possible:
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -585,6 +589,140 @@ def twist_on_cosets(t: CosetTable, images: list[Word]) -> list[int] | None:
             elif pi[j] != k:
                 return None
     return pi
+
+
+# The von Dyck group <x, z | x^q, z^p, (xz)^2> is <x, z, y | x^q, z^p,
+# y^2, x z y>, y = (xz)^-1; each tile rotation is, up to inverse, one of
+# the triple's letters, and its slot in (x, z, y) is listed here.
+TRIPLE_SLOT: dict[Word, int] = {(XGEN,): 0, (ZGEN,): 1, (XGEN, ZGEN): 2}
+
+
+def _rim_hooks(lam: tuple[int, ...], length: int):
+    """(sign, lam less a rim hook) for each rim hook of that length: on the
+    beta-set, a bead moves down `length` to a free place, and the sign
+    is -1 to the power of the beads it passes."""
+    top = len(lam) - 1
+    beta = [x + top - i for i, x in enumerate(lam)]
+    for b in beta:
+        c = b - length
+        if c >= 0 and c not in beta:
+            rest = sorted([x for x in beta if x != b] + [c], reverse=True)
+            mu = tuple(x for x in (v - top + i for i, v in enumerate(rest)) if x)
+            yield (-1) ** sum(c < x < b for x in beta), mu
+
+
+@functools.cache
+def _dimension(lam: tuple[int, ...]) -> int:
+    """f^lam, the number of standard tableaux, by the hook length formula."""
+    cols = [sum(x > j for x in lam) for j in range(lam[0])] if lam else []
+    hooks = math.prod(x - j + cols[j] - i - 1 for i, x in enumerate(lam) for j in range(x))
+    return math.factorial(sum(lam)) // hooks
+
+
+@functools.cache
+def _character(lam: tuple[int, ...], cycles: tuple[int, ...]) -> int:
+    """chi^lam on a permutation with these cycles of length > 1 and fixed
+    points for the rest, by the Murnaghan-Nakayama rule."""
+    if not cycles:
+        return _dimension(lam)
+    return sum(s * _character(mu, cycles[1:]) for s, mu in _rim_hooks(lam, cycles[0]))
+
+
+def _cycle_types(n: int, lengths: tuple[int, ...]):
+    """(cycles, z) for each multiset of cycle lengths from `lengths`, each
+    > 1 and in decreasing order, with sum at most n; z is the product of
+    d^k k! over the lengths d taken k times."""
+    if not lengths:
+        yield (), 1
+        return
+    d = lengths[0]
+    for k in range(n // d + 1):
+        for rest, z in _cycle_types(n - k * d, lengths[1:]):
+            yield (d,) * k + rest, z * d**k * math.factorial(k)
+
+
+def _partitions(n: int, most: int | None = None):
+    if n == 0:
+        yield ()
+    for first in range(min(n, most or n), 0, -1):
+        for rest in _partitions(n - first, first):
+            yield (first,) + rest
+
+
+@functools.cache
+def hom_counts(p: int, q: int, max_n: int, free: int | None = None) -> tuple[int, ...]:
+    """|Hom(G, S_n)| for n = 0..max_n, G the von Dyck group (p, q).
+
+    Frobenius's formula counts the triples (x, z, y) of S_n with
+    x z y = 1 and x^q = z^p = y^2 = 1 as (1/n!) times the sum, over the
+    irreducible characters chi of degree f, of f^2 c_q c_p c_2.  Here
+    c_m sums |K| chi(K) / f over the classes K whose cycle lengths
+    divide m; each term is a central character value, so c_m is an
+    integer.  With free set, the letter in that slot of (x, z, y) must
+    move every point: its classes are those with no fixed point.
+    """
+    lengths = [tuple(d for d in range(m, 1, -1) if m % d == 0) for m in (q, p, 2)]
+    counts = [1]
+    for n in range(1, max_n + 1):
+        order = math.factorial(n)
+        total = 0
+        for lam in _partitions(n):
+            f = _dimension(lam)
+            term = f * f
+            for slot, ds in enumerate(lengths):
+                central = 0
+                for cycles, z in _cycle_types(n, ds):
+                    fixed = n - sum(cycles)
+                    if not (fixed and slot == free):
+                        central += order // (z * math.factorial(fixed)) * _character(lam, cycles)
+                assert central % f == 0
+                term *= central // f
+            total += term
+        assert total % order == 0
+        counts.append(total // order)
+    return tuple(counts)
+
+
+def subgroup_counts(p: int, q: int, max_n: int, rotation: Word | None = None) -> list[int]:
+    """a_n, the number of subgroups of index n of the von Dyck group (p, q),
+    for n = 0..max_n (a_0 = 0); with a tile rotation given, only those
+    that contain a conjugate of it, that is, whose cosets it does not all
+    move.
+
+    M. Hall Jr., "Subgroups of finite index in free groups" (1949): the
+    transitive actions on n points, with point 1 marked, number
+    t_n = h_n - sum over k < n of C(n-1, k-1) t_k h_(n-k), where h_n
+    counts every action (the orbit of point 1 has k points), and each
+    subgroup of index n is the stabilizer of point 1 in (n - 1)! of them.
+    Whether a letter moves every point is settled orbit by orbit, so the
+    recurrence holds for the actions where it does, too.
+    """
+
+    def hall(h: tuple[int, ...]) -> list[int]:
+        t = [0] * (max_n + 1)
+        for n in range(1, max_n + 1):
+            t[n] = h[n] - sum(math.comb(n - 1, k - 1) * t[k] * h[n - k] for k in range(1, n))
+            assert t[n] % math.factorial(n - 1) == 0
+        return [x // math.factorial(max(n - 1, 0)) for n, x in enumerate(t)]
+
+    every = hall(hom_counts(p, q, max_n))
+    if rotation is None:
+        return every
+    moving = hall(hom_counts(p, q, max_n, free=TRIPLE_SLOT[rotation]))
+    return [a - b for a, b in zip(every, moving)]
+
+
+def subgroups_in_classes(tables: Iterable[CosetTable], max_n: int) -> list[int]:
+    """Subgroups per index, n = 0..max_n, in the classes of these
+    canonical tables: a class of index n holds n / e subgroups, where e
+    counts the cosets whose re-rooting is the table itself (e is the
+    index of the subgroup in its normalizer)."""
+    out = [0] * (max_n + 1)
+    for t in tables:
+        selves = sum(reroot(t, i).rows == t.rows for i in range(t.n))
+        assert t.n % selves == 0
+        out[t.n] += t.n // selves
+    return out
 
 
 def sign_parity(w: Word) -> int:

@@ -11,9 +11,11 @@ from colsym.census import (
     colour_permutation,
     format_census,
     required_words,
+    rotation_required_word,
 )
 from colsym.coset import CosetTable
 from colsym.errors import DomainError
+from colsym.lowindex import low_index_classes
 from colsym.presentations import triangle_group, von_dyck_group
 from colsym.subgroups import fixed_cosets, orientation_sides
 from colsym.words import A, B, C, REFLECTIONS
@@ -23,6 +25,8 @@ from oracle import (
     full_scope_via_rotations,
     oracle_classes,
     permutation_homomorphism_check,
+    subgroup_counts,
+    subgroups_in_classes,
 )
 
 
@@ -188,6 +192,25 @@ def test_full_scope_classes_through_the_rotation_group(p, q):
         expected = {t for t in colouring_classes(G, bound).tables if fixed_cosets(t, words)}
         (r1,), (r2,) = words
         assert full_scope_via_rotations(p, q, r1, r2, bound) == expected
+
+
+@pytest.mark.parametrize("p, q", [(7, 3), (8, 3), (5, 4)])
+def test_von_dyck_subgroups_counted_exactly(p, q):
+    # every subgroup of index <= 20, counted from the characters of S_n
+    classes = low_index_classes(von_dyck_group(p, q)[0], 20).tables
+    assert subgroups_in_classes(classes, 20) == subgroup_counts(p, q, 20)
+
+
+@pytest.mark.parametrize("p, q", [(7, 3), (8, 3), (5, 4)])
+def test_route_b_subgroups_counted_exactly(p, q):
+    # route b's qualifying classes per tiling, to the rotation golden bound,
+    # against the subgroups whose cosets the tile rotation does not all move
+    bound = goldens.ROTATION_BOUNDS[(p, q, TilingKind.PQ)]
+    classes = colouring_classes(von_dyck_group(p, q)[0], bound).tables
+    for kind in TilingKind:
+        word = rotation_required_word(kind)
+        qualifying = [t for t in classes if fixed_cosets(t, (word,))]
+        assert subgroups_in_classes(qualifying, bound) == subgroup_counts(p, q, bound, word)
 
 
 def test_required_words():

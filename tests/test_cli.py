@@ -2,13 +2,22 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import colsym
+import colsym.cli
+from colsym import goldens
+from colsym.cache import store_classes
+from colsym.census import TilingKind, colouring_classes
 from colsym.cli import main
+from colsym.coset import canonical_table
 from colsym.geometry import generate_patch
+from colsym.presentations import triangle_group, von_dyck_group
+from colsym.subgroups import fixed_cosets, transform_subgroup
+from colsym.words import A, ZGEN
 
 
 @pytest.fixture()
@@ -304,6 +313,115 @@ def test_cache_subcommands(capsys, tmp_path):
     assert "removed 1" in out
     code, out, _ = run_cli(capsys, "cache", "ls", "--cache-dir", cache_dir)
     assert "# empty" in out
+
+
+def doctor_rotation_classes(monkeypatch, edit):
+    """Serve the CLI every von Dyck class list with its tables passed through edit."""
+    real = colsym.cli.cached_provider
+
+    def factory(*args, **kwargs):
+        provider = real(*args, **kwargs)
+
+        def doctored(pres, max_index):
+            cl = provider(pres, max_index)
+            return replace(cl, tables=edit(cl.tables)) if pres.name.startswith("vondyck") else cl
+
+        return doctored
+
+    monkeypatch.setattr(colsym.cli, "cached_provider", factory)
+
+
+ROTATION_CENSUS = ("census", "--p", "7", "--q", "3", "--scope", "rotation", "--max-colours", "24")
+
+
+def test_rotation_routes_that_disagree_exit_1(capsys, cache_dir, monkeypatch):
+    # both of a twin pair go, so route b stays consistent but counts no 22
+    doctor_rotation_classes(monkeypatch, lambda ts: tuple(t for t in ts if t.n != 22))
+    code, out, err = run_cli(capsys, *ROTATION_CENSUS, "--strategy", "both",
+                             "--cache-dir", cache_dir)
+    assert (code, out) == (1, "")
+    assert "rotation strategies disagree" in err
+
+
+def test_twist_outside_the_class_list_exits_1(capsys, cache_dir, monkeypatch):
+    sigma = von_dyck_group(7, 3)[1]
+
+    def drop_one_twin(tables):
+        i = next(i for i, t in enumerate(tables) if fixed_cosets(t, ((ZGEN,),))
+                 and canonical_table(transform_subgroup(t, sigma)) != t)
+        return tables[:i] + tables[i + 1:]
+
+    doctor_rotation_classes(monkeypatch, drop_one_twin)
+    code, out, err = run_cli(capsys, *ROTATION_CENSUS, "--strategy", "b", "--cache-dir", cache_dir)
+    assert (code, out) == (1, "")
+    assert "mirror twist left the qualifying class list" in err
+
+
+def test_twist_that_is_no_involution_exits_1(capsys, cache_dir, monkeypatch):
+    # a class listed twice: both copies twist to the second
+    doctor_rotation_classes(monkeypatch, lambda ts: ts + ts[:1])
+    code, out, err = run_cli(capsys, *ROTATION_CENSUS, "--strategy", "b", "--cache-dir", cache_dir)
+    assert (code, out) == (1, "")
+    assert "mirror twist does not act as an involution" in err
+
+
+def test_selftest_prints_fail_for_a_mismatched_row(capsys, cache_dir, monkeypatch):
+    row, last = goldens.FULL_ROWS[(7, 3, TilingKind.PQ)]
+    monkeypatch.setitem(goldens.FULL_ROWS, (7, 3, TilingKind.PQ), ({**row, 8: 2}, last))
+    code, out, _ = run_cli(capsys, "selftest", "--level", "fast", "--cache-dir", cache_dir)
+    assert code == 1
+    lines = out.splitlines()
+    assert "FAIL full (7^3): at 8 colours: expected 2, computed 1" in lines
+    assert sum(l.startswith("FAIL ") for l in lines) == 1
+    assert lines[-1].startswith("selftest fast: FAIL")
+
+
+def test_verify_prints_fail_for_an_inconsistent_word(capsys, cache_dir, monkeypatch):
+    monkeypatch.setattr(colsym.cli, "verify_perfect_on_patch", lambda cp, w: w[0] != A)
+    code, out, _ = run_cli(capsys, "verify", "--p", "7", "--q", "3", "--colours", "8",
+                           "--depth", "6", "--words", "10", "--cache-dir", cache_dir)
+    assert code == 1
+    lines = out.splitlines()
+    bad = [l for l in lines if l.startswith("FAIL word (0,")]
+    assert bad and all(l.endswith("does not permute colours consistently") for l in bad)
+    assert lines[-1].startswith(f"FAIL (7^3) full k=8: {10 - len(bad)}/10 words consistent")
+    assert len(lines) == len(bad) + 1
+
+
+def _cut_tables(header, tables):
+    return header, tables[: len(tables) // 2]
+
+
+def _other_relators(header, tables):
+    doc = json.loads(header)
+    doc["relators"] = doc["relators"][:-1]
+    return json.dumps(doc), tables
+
+
+@pytest.mark.parametrize("breakage", [_cut_tables, _other_relators], ids=lambda f: f.__name__[1:])
+def test_cache_ls_marks_a_file_load_refuses(capsys, tmp_path, breakage):
+    path = store_classes(colouring_classes(triangle_group(4, 3), 8), str(tmp_path))
+    with open(path) as fh:
+        header, tables = fh.read().splitlines()
+    with open(path, "w") as fh:
+        fh.write("%s\n%s\n" % breakage(header, tables))
+    code, out, _ = run_cli(capsys, "cache", "ls", "--cache-dir", str(tmp_path))
+    assert code == 0
+    assert out.splitlines()[1:] == ["triangle-4-3   corrupt or stale"]
+
+
+def test_cache_ls_marks_a_name_that_spells_no_group(capsys, tmp_path):
+    text = Path(store_classes(colouring_classes(triangle_group(4, 3), 6), str(tmp_path))).read_text()
+    for name in ("triangle-2-3", "triangle-04-3", "vondyck-4-3"):
+        (tmp_path / f"{name}.json").write_text(text)
+    code, out, _ = run_cli(capsys, "cache", "ls", "--cache-dir", str(tmp_path))
+    assert code == 0
+    assert out.splitlines()[1:] == [
+        "triangle-04-3  corrupt or stale",
+        "triangle-2-3   corrupt or stale",
+        "triangle-4-3   max_index=  6 classes=9",
+        "vondyck-4-3    corrupt or stale",
+    ]
 
 
 def test_installed_entry_point(cache_dir, tmp_path):

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import colsym.geometry
 from colsym.census import Scope, TilingKind, census
 from colsym.errors import DomainError, ResourceLimit
 from colsym.geometry import form_matrix, fundamental_triangle, generate_patch
@@ -166,13 +167,14 @@ def test_merged_tiles_never_exceed_a_tile(provider):
         assert max(len(poly) for poly in cp.polygons) == cp.polygon_size
 
 
-def test_depth_zero_and_errors():
+def test_depth_zero_and_errors(monkeypatch):
     patch = generate_patch(7, 3, 0)
     assert len(patch.tiles) == 1
     with pytest.raises(DomainError):
         generate_patch(7, 3, -1)
+    monkeypatch.setattr(colsym.geometry, "TILE_BUDGET", 100)
     with pytest.raises(ResourceLimit):
-        generate_patch(7, 3, 12, tile_budget=100)
+        generate_patch(7, 3, 12)
 
 
 def test_geometry_matches_classification():

@@ -1,6 +1,7 @@
 import hashlib
 import os
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -58,9 +59,8 @@ def test_classes_are_valid_canonical_and_sorted(pres):
 
 @pytest.mark.parametrize("pres", SMALL_GROUPS, ids=lambda p: p.name)
 def test_prune_changes_nothing(pres):
-    with_prune = low_index_classes(pres, 5)
-    without = low_index_classes(pres, 5, prune=False)
-    assert [t.flat() for t in with_prune.tables] == [t.flat() for t in without.tables]
+    # the cuts only drop subtrees that complete no table: same tables, same order
+    assert _search(pres, 5, prune=False) == _search(pres, 5)
 
 
 def test_deterministic_and_jobs_equal():
@@ -133,7 +133,7 @@ def test_at_index_and_counts_agree():
 def test_class_count_never_depends_on_pruning(pq, k):
     G = triangle_group(*pq)
     a = class_counts(low_index_classes(G, k))
-    b = class_counts(low_index_classes(G, k, prune=False))
+    b = Counter(len(rows) for rows in _search(G, k, prune=False))
     assert a == b
 
 
