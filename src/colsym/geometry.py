@@ -8,9 +8,9 @@ at a fixed base point, one leg along the plane y = 0 (mirror c) and the
 hypotenuse side at polar angle pi/p (mirror b); mirror a is the far
 side, opposite the pi/p corner.
 
-A patch of the tiling is a table of the tiles across each tile's three
-mirrors, grown breadth-first by word length; the Coxeter relations
-decide exactly which words meet, and matrices only place the drawing.
+A patch is a table of the tiles across each tile's three mirrors, grown
+breadth-first by word length; the Coxeter relations decide exactly which
+words meet, and matrices, made a level at a time, only place the drawing.
 """
 from __future__ import annotations
 
@@ -190,30 +190,35 @@ def generate_patch(p: int, q: int, depth: int) -> TrianglePatch:
     """Breadth-first ball of reduced words, one tile per group element.
 
     Each new tile is linked at once to every tile one step inward, so a
-    link already set leads inward or to a tile already made.  A tile's
-    matrix is the product of its word's mirrors, left to right.
+    link already set leads inward or to a tile already made.  Then the
+    matrices are made a level at a time, each tile's its parent's times
+    its last mirror: the product of its word's mirrors, left to right.
     """
     if depth < 0:
         raise DomainError("depth must be nonnegative")
     tri = fundamental_triangle(p, q)
-    mirrors = tri.mirrors
     orders = ((1, q, 2), (q, 1, p), (2, p, 1))  # m(g, h) of the Coxeter group
-    tiles: list[Tile] = [Tile((), np.eye(3))]
+    words: list[Word] = [()]
+    steps = [(0, -1)]  # each tile's parent and last letter; the centre has none
     nbrs: list[list[int]] = [[-1, -1, -1]]
-    level = range(1)  # the outermost tiles so far; empty once a finite group ends
+    ends = [0, 1]  # level d is tiles ends[d] to ends[d + 1] - 1, empty once a finite group ends
     for d in range(1, depth + 1):
-        for i in level:
-            t = tiles[i]
+        for i in range(ends[-2], ends[-1]):
             for g in (A, B, C):
                 if nbrs[i][g] >= 0:
                     continue  # i.g is nearer the centre or already made
-                if len(tiles) >= TILE_BUDGET:
+                if len(words) >= TILE_BUDGET:
                     raise ResourceLimit(f"tile budget {TILE_BUDGET} exceeded at depth {d}")
-                u = len(tiles)
-                tiles.append(Tile(t.word + (g,), t.matrix @ mirrors[g]))
+                u = len(words)
+                words.append(words[i] + (g,))
+                steps.append((i, g))
                 nbrs.append([-1, -1, -1])
                 nbrs[i][g] = u
                 nbrs[u][g] = i
                 _link_descents(nbrs, i, g, orders)
-        level = range(level.stop, len(tiles))
-    return TrianglePatch(tri, depth, tuple(tiles), tuple(map(tuple, nbrs)))
+        ends.append(len(words))
+    parent, last = np.array(steps).T
+    mats = np.tile(np.eye(3), (len(words), 1, 1))
+    for a, b in zip(ends[1:], ends[2:]):  # one stacked product per level
+        mats[a:b] = mats[parent[a:b]] @ np.array(tri.mirrors)[last[a:b]]
+    return TrianglePatch(tri, depth, tuple(map(Tile, words, mats)), tuple(map(tuple, nbrs)))

@@ -81,19 +81,24 @@ def colour_patch(
     colours are its cosets there; an odd triangle word reaches a coset
     with no colour and is completed to an even one by a stabilizer
     mirror, which lands in the same merged tile by construction.
+
+    The cosets come in one pass: a triangle x whose word starts with g
+    has coset(x) = rows[coset(g.x)][g], and g.x is shorter, so earlier.
+    In rotation scope the pass also runs from the second root rows[0][r2].
     """
     r1, r2 = TILE_MIRRORS[kind]
-    alphabet = table.alphabet
+    rows = table.rows
     n_tiles = len(patch.tiles)
     colour_of = _coset_colours(table, scope)
 
-    colours: list[int] = []
-    for t in patch.tiles:
-        iw = alphabet.inverse_word(t.word)
-        cos = table.apply(0, iw)
-        if not colour_of[cos]:
-            cos = table.apply(0, (r2,) + iw)
-        colours.append(colour_of[cos])
+    cosets = [[0]] if scope is Scope.FULL else [[0], [rows[0][r2]]]
+    across = [patch.image((g,)) for g in (A, B, C)] if patch.depth else []  # depth 0: one triangle
+    for x, t in enumerate(patch.tiles[1:], 1):
+        g = t.word[0]
+        for cos in cosets:
+            cos.append(rows[cos[across[g][x]]][g])
+    # in full scope both lists are the one list, whose cosets all have colours
+    colours = [colour_of[c] or colour_of[d] for c, d in zip(cosets[0], cosets[-1])]
 
     # group triangles into merged tiles: stepping inward across the two
     # stabilizer mirrors ends at the tile's nearest triangle, the coset's

@@ -14,6 +14,8 @@ possible:
   force over permutation images;
 * validate: the invariants of a complete coset table, checked one by
   one;
+* colours_by_words: each triangle's colour read off the table along
+  its reversed word, the route colour_patch replaces by a recurrence;
 * colour-permutation, histogram, matrix and word helpers used by the
   property checks;
 * free_reduce, apply_generator_map, word_matrix: words reduced, mapped
@@ -40,13 +42,15 @@ from typing import Iterable
 
 import numpy as np
 
-from colsym.census import colour_permutation
+from colsym.census import TILE_MIRRORS, Scope, TilingKind, colour_permutation
 from colsym.coset import CosetTable, canonical_table, reroot
 from colsym.errors import DomainError, InternalError, ResourceLimit
-from colsym.geometry import FundamentalTriangle, form_matrix
+from colsym.geometry import FundamentalTriangle, TrianglePatch, form_matrix
 from colsym.lowindex import ClassList, Seed, low_index_classes
 from colsym.presentations import Geometry, Presentation, von_dyck_group
-from colsym.render import _PROJECTIONS, _TILT, ColouredPatch, _project, palette
+from colsym.render import (
+    _PROJECTIONS, _TILT, ColouredPatch, _coset_colours, _project, palette
+)
 from colsym.words import (
     A, B, C, REFLECTIONS, XGEN, XINV, ZGEN, ZINV, Alphabet, Word,
 )
@@ -486,6 +490,27 @@ def colours_transitive(t: CosetTable) -> bool:
                 reached.add(j)
                 stack.append(j)
     return len(reached) == t.n
+
+
+def colours_by_words(
+    patch: TrianglePatch, table: CosetTable, kind: TilingKind, scope: Scope
+) -> tuple[int, ...]:
+    """Each triangle's colour, from the coset its reversed word reaches.
+
+    The colour of triangle f(F) is the coset of f^-1.  In rotation scope
+    an odd word reaches a coset with no colour, and the stabilizer mirror
+    r2 completes it to the even coset of the same merged tile.
+    """
+    r2 = TILE_MIRRORS[kind][1]
+    colour_of = _coset_colours(table, scope)
+    colours = []
+    for t in patch.tiles:
+        iw = table.alphabet.inverse_word(t.word)
+        cos = table.apply(0, iw)
+        if not colour_of[cos]:
+            cos = table.apply(0, (r2,) + iw)
+        colours.append(colour_of[cos])
+    return tuple(colours)
 
 
 def colour_histogram(cp: ColouredPatch, complete_only: bool = True) -> dict[int, int]:

@@ -105,15 +105,19 @@ def test_quantized_dedup_matches_exact_arithmetic():
 
 
 def test_patch_words_are_reduced_and_consistent():
-    patch = generate_patch(7, 3, 6)
-    tri = patch.triangle
-    words = [t.word for t in patch.tiles]
-    assert len(set(words)) == len(words)
-    assert words[0] == ()
-    for t in patch.tiles:
-        assert all(u != v for u, v in zip(t.word, t.word[1:]))
-        assert np.array_equal(word_matrix(tri, t.word), t.matrix)
-        assert len(t.word) <= 6
+    # the matrices are made a level at a time, yet each is exactly its
+    # word's mirrors multiplied left to right, to the last tile of the
+    # patch or of the whole (3,5) sphere
+    for pq, depth in (((7, 3), 16), ((3, 5), 40)):
+        patch = generate_patch(*pq, depth)
+        tri = patch.triangle
+        words = [t.word for t in patch.tiles]
+        assert len(set(words)) == len(words)
+        assert words[0] == ()
+        for t in patch.tiles:
+            assert all(u != v for u, v in zip(t.word, t.word[1:]))
+            assert np.array_equal(word_matrix(tri, t.word), t.matrix)
+            assert len(t.word) <= depth
 
 
 def test_neighbour_table_matches_matrix_route():

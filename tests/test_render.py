@@ -14,7 +14,7 @@ from colsym.render import (
     _decimal_rows, _geodesics, colour_patch, emit_svg, palette, verify_perfect_on_patch
 )
 from colsym.words import A, B, C
-from oracle import colour_histogram, emit_svg_per_triangle
+from oracle import colour_histogram, colours_by_words, emit_svg_per_triangle
 
 
 def rep_table(provider, p, q, kind, scope, k, pick=0):
@@ -105,6 +105,28 @@ def test_rotation_scope_needs_orientation_subgroup(provider):
     t = rep_table(provider, 7, 3, TilingKind.PQ, Scope.FULL, 8)
     with pytest.raises(DomainError):
         colour_patch(generate_patch(7, 3, 3), t, TilingKind.PQ, Scope.ROTATION)
+
+
+# p, q, the deepest patch and the colour bound of the cross-check grid:
+# two hyperbolic tilings, two whole spheres and two Euclidean ones
+COLOURING_GRID = [(7, 3, 12, 14), (5, 4, 10, 12), (4, 3, 40, 12), (3, 5, 40, 20),
+                  (4, 4, 14, 10), (6, 3, 14, 10)]
+
+
+@pytest.mark.parametrize("p, q, depth, k", COLOURING_GRID, ids=str)
+def test_colours_match_the_per_word_route(provider, p, q, depth, k):
+    # the first-letter recurrence against each triangle's reversed word
+    # walked through the table, for every representative up to k colours
+    patches = [generate_patch(p, q, d) for d in (0, 1, depth)]
+    for kind in TilingKind:
+        for scope in Scope:
+            entries = census(p, q, kind, scope, k, classes_provider=provider).entries
+            assert entries
+            for rep in (r for e in entries for r in e.representatives):
+                for patch in patches:
+                    got = colour_patch(patch, rep.table, kind, scope).colours
+                    assert got == colours_by_words(patch, rep.table, kind, scope), (
+                        kind, scope, patch.depth)
 
 
 def test_svg_well_formed_and_deterministic(board):
