@@ -64,7 +64,9 @@ def main() -> int:
             f"_{scope.value}_k{k}_{pick}.svg"
         )
         path = os.path.join(args.out, name)
-        data = emit_svg(cp, out=path)
+        data = emit_svg(cp)
+        with open(path, "wb") as fh:
+            fh.write(data)
         print(
             f"{path}: {kind.display(p, q)} {scope.value} k={k}, "
             f"{len(cp.polygons)} tiles, {len(data)} bytes "

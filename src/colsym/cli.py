@@ -254,7 +254,7 @@ def cmd_verify(args) -> int:
             print(f"FAIL word {w} does not permute colours consistently")
     # each word w is checked on every triangle within depth - len(w)
     reach = args.depth - max(map(len, words))
-    checked = sum(len(t.word) <= reach for t in patch.tiles)
+    checked = sum(len(w) <= reach for w in patch.tiles)
     status = "PASS" if bad == 0 else "FAIL"
     print(
         f"{status} {kind.display(args.p, args.q)} {scope.value} "

@@ -15,7 +15,7 @@ words meet, and matrices, made a level at a time, only place the drawing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,14 +40,10 @@ class FundamentalTriangle:
     p: int
     q: int
     geometry: Geometry
-    mirrors: tuple[np.ndarray, np.ndarray, np.ndarray]  # reflections a, b, c
-    corner_p: np.ndarray  # angle pi/p, centre of a p-gon tile
-    corner_right: np.ndarray  # right angle, centre of a Laves tile
-    corner_q: np.ndarray  # angle pi/q, centre of a q-gon tile
-
-    @property
-    def corners(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return (self.corner_p, self.corner_right, self.corner_q)
+    mirrors: np.ndarray  # (3, 3, 3): the reflections a, b, c
+    # (3, 3), one corner per row: the pi/p corner (centre of a p-gon tile),
+    # the right angle (centre of a Laves tile), the pi/q corner (a q-gon's)
+    corners: np.ndarray
 
 
 def _reflection(n: np.ndarray, J: np.ndarray) -> np.ndarray:
@@ -69,16 +65,14 @@ def fundamental_triangle(p: int, q: int) -> FundamentalTriangle:
     ap, aq = math.pi / p, math.pi / q
 
     if geometry is Geometry.EUCLIDEAN:
-        corner_p = np.array([0.0, 0.0, 1.0])
-        corner_right = np.array([1.0, 0.0, 1.0])
-        corner_q = np.array([1.0, math.tan(ap), 1.0])
-        mc = np.array([[1.0, 0, 0], [0, -1.0, 0], [0, 0, 1.0]])
+        corners = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 1.0], [1.0, math.tan(ap), 1.0]])
         c2, s2 = math.cos(2 * ap), math.sin(2 * ap)
-        mb = np.array([[c2, s2, 0], [s2, -c2, 0], [0, 0, 1.0]])
-        ma = np.array([[-1.0, 0, 2.0], [0, 1.0, 0], [0, 0, 1.0]])
-        return FundamentalTriangle(
-            p, q, geometry, (ma, mb, mc), corner_p, corner_right, corner_q
-        )
+        mirrors = np.array([
+            [[-1.0, 0, 2.0], [0, 1.0, 0], [0, 0, 1.0]],
+            [[c2, s2, 0], [s2, -c2, 0], [0, 0, 1.0]],
+            [[1.0, 0, 0], [0, -1.0, 0], [0, 0, 1.0]],
+        ])
+        return FundamentalTriangle(p, q, geometry, mirrors, corners)
 
     J = form_matrix(geometry)
     leg = math.cos(aq) / math.sin(ap)
@@ -87,42 +81,38 @@ def fundamental_triangle(p: int, q: int) -> FundamentalTriangle:
         sl, sh = math.sqrt(1 - leg * leg), math.sqrt(1 - hyp * hyp)
     else:
         sl, sh = math.sqrt(leg * leg - 1), math.sqrt(hyp * hyp - 1)
-    corner_p = np.array([0.0, 0.0, 1.0])
-    corner_right = np.array([sl, 0.0, leg])
-    corner_q = np.array([sh * math.cos(ap), sh * math.sin(ap), hyp])
+    corners = np.array(
+        [[0.0, 0.0, 1.0], [sl, 0.0, leg], [sh * math.cos(ap), sh * math.sin(ap), hyp]]
+    )
 
     nc = np.array([0.0, 1.0, 0.0])
     nb = np.array([math.sin(ap), -math.cos(ap), 0.0])
-    na = J @ np.cross(corner_right, corner_q)
+    na = J @ np.cross(corners[1], corners[2])
     na = na / math.sqrt(float(na @ J @ na))
-    interior = corner_p + corner_right + corner_q
+    interior = corners.sum(axis=0)
     if float(interior @ J @ na) < 0:
         na = -na
 
-    mirrors = (_reflection(na, J), _reflection(nb, J), _reflection(nc, J))
-    return FundamentalTriangle(
-        p, q, geometry, mirrors, corner_p, corner_right, corner_q
-    )
-
-
-@dataclass(frozen=True)
-class Tile:
-    word: Word
-    matrix: np.ndarray = field(compare=False)
+    mirrors = np.array([_reflection(na, J), _reflection(nb, J), _reflection(nc, J)])
+    return FundamentalTriangle(p, q, geometry, mirrors, corners)
 
 
 @dataclass(frozen=True, eq=False)
 class TrianglePatch:
     """All tiles within a word-length ball of the fundamental triangle.
 
-    neighbours[i][g] is the tile i.g across mirror g, or -1 outside the
-    patch.  Tiles are numbered by word length and a link joins adjacent
-    lengths, so 0 <= neighbours[i][g] < i exactly when g steps inward.
+    tiles[i] is tile i's reduced word, and matrices[i] the product of
+    its mirrors, left to right, which maps the fundamental triangle onto
+    it.  neighbours[i][g] is the tile i.g across mirror g, or -1 outside
+    the patch.  Tiles are numbered by word length and a link joins
+    adjacent lengths, so 0 <= neighbours[i][g] < i exactly when g steps
+    inward.
     """
 
     triangle: FundamentalTriangle
     depth: int
-    tiles: tuple[Tile, ...]
+    tiles: tuple[Word, ...]
+    matrices: np.ndarray  # (len(tiles), 3, 3)
     neighbours: tuple[tuple[int, int, int], ...]
 
     @property
@@ -156,8 +146,8 @@ class TrianglePatch:
             )
         nbrs = self.neighbours
         image = [self.walk(0, w)]
-        for t, links in zip(self.tiles[1:], nbrs[1:]):
-            g = t.word[-1]
+        for word, links in zip(self.tiles[1:], nbrs[1:]):
+            g = word[-1]
             y = image[links[g]]
             image.append(nbrs[y][g] if y >= 0 else -1)
         return image
@@ -220,5 +210,5 @@ def generate_patch(p: int, q: int, depth: int) -> TrianglePatch:
     parent, last = np.array(steps).T
     mats = np.tile(np.eye(3), (len(words), 1, 1))
     for a, b in zip(ends[1:], ends[2:]):  # one stacked product per level
-        mats[a:b] = mats[parent[a:b]] @ np.array(tri.mirrors)[last[a:b]]
-    return TrianglePatch(tri, depth, tuple(map(Tile, words, mats)), tuple(map(tuple, nbrs)))
+        mats[a:b] = mats[parent[a:b]] @ tri.mirrors[last[a:b]]
+    return TrianglePatch(tri, depth, tuple(words), mats, tuple(map(tuple, nbrs)))

@@ -6,9 +6,8 @@ whose matching inverse slot is free, then one fresh coset.  New entries
 are propagated through the relators (a scan of a relator with a single
 undefined gap forces that entry; a completed scan that fails to close is
 a contradiction).  An edge a -c-> b sets two entries, but the relator
-cycles through it are scanned once, from a: the cycles that leave b by
-c^-1 are those same cycles read backwards when c is a reflection, and
-there are none when c^-1 is an inverse letter, which no relator uses.
+cycles through it are scanned once, from a: a cycle that leaves b by
+c^-1 is, read backwards, one that leaves a by c (see _trace_words).
 Because cosets are introduced in scan order, every complete table
 produced is standardized, and distinct complete tables are distinct
 subgroups.
@@ -85,21 +84,17 @@ UNSEEDED = (Seed(()),)  # one walk that every subgroup passes
 
 
 def _trace_words(pres: Presentation) -> tuple[tuple[Word, ...], ...]:
-    """For each column, the relator rotations starting with that letter.
+    """For each letter, the rotations of the relators and of their
+    inverses that start with that letter.
 
     Scanning these at a coset whose entry in that column was just set
-    finds every deduction and contradiction the new entry implies.
-    Length-2 relators of the form g g^-1 (the involution relators, since
-    the reflection letters are their own inverses) are structural: the
-    table stores both directions of every edge, so they cannot fail and
-    are left out of the trace lists.
-
-    An involution letter's list also holds the rotations of each
-    relator's inverse, so every cycle through an edge a -c-> b is traced
-    from a alone: the cycle that leaves b by c is, read backwards, one
-    that leaves a by c.  In the triangle groups these are rotations of
-    the relator itself ((cd)^k read backwards is (dc)^k), so nothing is
-    added there.
+    finds every deduction and contradiction the new edge a -c-> b
+    implies: a cycle through it that leaves b by c^-1 is, read
+    backwards, a rotation of an inverse relator that leaves a by c, so
+    the edge's tail traces them all.  Length-2 relators of the form
+    g g^-1 (the involution relators, since the reflection letters are
+    their own inverses) are structural: the table stores both directions
+    of every edge, so they cannot fail and are left out of the lists.
     """
     alphabet = pres.alphabet
     inv = alphabet.inv
@@ -108,10 +103,10 @@ def _trace_words(pres: Presentation) -> tuple[tuple[Word, ...], ...]:
         if len(rel) == 2 and rel[1] == inv[rel[0]]:
             continue
         seen: set[Word] = set()
-        for w, own in ((rel, True), (alphabet.inverse_word(rel), False)):
+        for w in (rel, alphabet.inverse_word(rel)):
             for k in range(len(w)):
                 rot = w[k:] + w[:k]
-                if rot not in seen and (own or inv[rot[0]] == rot[0]):
+                if rot not in seen:
                     seen.add(rot)
                     per_col[rot[0]].append(rot)
     return tuple(tuple(ws) for ws in per_col)
@@ -160,10 +155,6 @@ def _search(
     inv = pres.alphabet.inv
     N = max_index
     trace = _trace_words(pres)
-    # an edge sets two entries, but its first entry's scans trace every
-    # cycle through it unless the twin's column is another letter with
-    # trace words of its own (an X or Z branch of a von Dyck walk)
-    twin = [inv[c] != c and bool(trace[inv[c]]) for c in range(m)]
     relators = pres.relators
 
     table = [-1] * (N * m)
@@ -229,8 +220,6 @@ def _search(
             if p2 != p1:
                 table[p2] = f
                 trail.append(p2)
-                if twin[c]:
-                    stack.append(p2)
         return True
 
     def propagate(stack: list[int]) -> bool:
@@ -408,8 +397,6 @@ def _search(
                     if p2 != pos:
                         table[p2] = alpha
                         trail.append(p2)
-                        if twin[c]:
-                            stack.append(p2)
                     if propagate(stack) and settle(mark) and not (prune and rejectable()):
                         break
                     unwind(mark, roots_mark)
@@ -429,8 +416,7 @@ def _search(
         excluded = tuple(s.words for s in seeds[:j] if oriented or not s.oriented)
         stack: list[int] = []
         # the root is one coset, so this checks every entry the seed words set
-        if (all(scan(0, w, stack) for w in words) and propagate(stack)
-                and not any(fixes(0, ws) for ws in excluded)):
+        if all(scan(0, w, stack) for w in words) and propagate(stack) and settle(0):
             walk()
         unwind(0, 0)
     return results

@@ -93,8 +93,8 @@ def colour_patch(
 
     cosets = [[0]] if scope is Scope.FULL else [[0], [rows[0][r2]]]
     across = [patch.image((g,)) for g in (A, B, C)] if patch.depth else []  # depth 0: one triangle
-    for x, t in enumerate(patch.tiles[1:], 1):
-        g = t.word[0]
+    for x, word in enumerate(patch.tiles[1:], 1):
+        g = word[0]
         for cos in cosets:
             cos.append(rows[cos[across[g][x]]][g])
     # in full scope both lists are the one list, whose cosets all have colours
@@ -218,12 +218,12 @@ def _drawn_blocks(patch: TrianglePatch, projection: str, ts: np.ndarray):
     runs from its corner s to corner s + 1 (mod 3).  The orthographic
     projection leaves out triangles on the far side of the sphere.
     """
-    geometry, tiles, n = patch.triangle.geometry, patch.tiles, len(patch.tiles)
-    corners = np.array(patch.triangle.corners)  # one corner per row
+    geometry, n = patch.triangle.geometry, len(patch.tiles)
     for start in range(0, n, _BLOCK):
         ids = np.arange(start, min(start + _BLOCK, n))
-        mats = np.array([t.matrix for t in tiles[start : start + _BLOCK]])
-        pts = np.einsum("nij,kj->nki", mats, corners)  # (triangle, corner, xyz)
+        pts = np.einsum(  # (triangle, corner, xyz)
+            "nij,kj->nki", patch.matrices[start : start + _BLOCK], patch.triangle.corners
+        )
         if projection == "orthographic":
             near = (pts.sum(axis=1) / 3.0) @ _TILT[2] > 0.0
             pts, ids = pts[near], ids[near]
@@ -314,16 +314,14 @@ def _decimal_rows(
 
 def emit_svg(
     cp: ColouredPatch,
-    out=None,
     *,
     projection: str = "auto",
     palette_seed: int = 0,
     subdivision: int = 12,
     size: int = 700,
 ) -> bytes:
-    """Draw the coloured patch; returns the SVG bytes, also written to the
-    path out if one is given.  The output is a pure function of the
-    arguments: rendering twice gives identical bytes.
+    """Draw the coloured patch as SVG bytes.  The output is a pure
+    function of the arguments: rendering twice gives identical bytes.
     """
     geometry = cp.patch.triangle.geometry
     if projection == "auto":
@@ -392,9 +390,4 @@ def emit_svg(
         svg.write(b'\n<circle cx="0" cy="0" r="1" fill="none" stroke="#1a1a1a" '
                   b'stroke-width="%s"/>' % stroke)
     svg.write(b"\n</svg>")
-    data = svg.getvalue()
-
-    if out is not None:
-        with open(out, "wb") as fh:
-            fh.write(data)
-    return data
+    return svg.getvalue()

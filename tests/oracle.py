@@ -504,8 +504,8 @@ def colours_by_words(
     r2 = TILE_MIRRORS[kind][1]
     colour_of = _coset_colours(table, scope)
     colours = []
-    for t in patch.tiles:
-        iw = table.alphabet.inverse_word(t.word)
+    for word in patch.tiles:
+        iw = table.alphabet.inverse_word(word)
         cos = table.apply(0, iw)
         if not colour_of[cos]:
             cos = table.apply(0, (r2,) + iw)
@@ -884,7 +884,7 @@ def emit_svg_per_triangle(
     edges: dict[int, list[str]] = {}
     lo, hi = np.full(2, np.inf), np.full(2, -np.inf)
     for i, links in enumerate(patch.neighbours):
-        M = patch.tiles[i].matrix
+        M = patch.matrices[i]
         corners = tuple(M @ v for v in patch.triangle.corners)
         if projection == "orthographic" and not (_TILT @ (sum(corners) / 3.0))[2] > 0.0:
             continue  # on the far side of the sphere

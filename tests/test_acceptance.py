@@ -328,8 +328,8 @@ def test_c09_geometric_realization_is_faithful():
     for p, q in ((7, 3), (5, 4)):
         patch = generate_patch(p, q, 10)
         tri = patch.triangle
-        for tile in patch.tiles:
-            drift = float(np.max(np.abs(word_matrix(tri, tile.word) - tile.matrix)))
+        for w, M in zip(patch.tiles, patch.matrices):
+            drift = float(np.max(np.abs(word_matrix(tri, w) - M)))
             worst_drift = max(worst_drift, drift)
 
     cube_tiles = len(generate_patch(4, 3, 40).tiles)

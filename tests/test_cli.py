@@ -256,7 +256,7 @@ def test_verify_command(capsys, cache_dir):
     assert code == 0
     assert "25/25" in out
     patch = generate_patch(7, 3, 14)
-    inner = sum(len(t.word) <= 14 - 12 for t in patch.tiles)
+    inner = sum(len(w) <= 14 - 12 for w in patch.tiles)
     assert inner == 9
     assert out.rstrip().endswith(
         f"each checked on at least {inner} of {len(patch.tiles)} triangles"

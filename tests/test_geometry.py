@@ -58,13 +58,14 @@ def test_corners_fixed_by_their_mirrors(pq):
     # is fixed by exactly the other two mirrors
     tri = fundamental_triangle(*pq)
     ma, mb, mc = tri.mirrors
+    corner_p, corner_right, corner_q = tri.corners
     for M in (mb, mc):
-        assert np.allclose(M @ tri.corner_p, tri.corner_p, atol=1e-9)
+        assert np.allclose(M @ corner_p, corner_p, atol=1e-9)
     for M in (ma, mb):
-        assert np.allclose(M @ tri.corner_q, tri.corner_q, atol=1e-9)
+        assert np.allclose(M @ corner_q, corner_q, atol=1e-9)
     for M in (ma, mc):
-        assert np.allclose(M @ tri.corner_right, tri.corner_right, atol=1e-9)
-    assert not np.allclose(ma @ tri.corner_p, tri.corner_p, atol=1e-6)
+        assert np.allclose(M @ corner_right, corner_right, atol=1e-9)
+    assert not np.allclose(ma @ corner_p, corner_p, atol=1e-6)
 
 
 def test_spherical_patches_close_at_group_order():
@@ -111,13 +112,14 @@ def test_patch_words_are_reduced_and_consistent():
     for pq, depth in (((7, 3), 16), ((3, 5), 40)):
         patch = generate_patch(*pq, depth)
         tri = patch.triangle
-        words = [t.word for t in patch.tiles]
+        words = patch.tiles
         assert len(set(words)) == len(words)
         assert words[0] == ()
-        for t in patch.tiles:
-            assert all(u != v for u, v in zip(t.word, t.word[1:]))
-            assert np.array_equal(word_matrix(tri, t.word), t.matrix)
-            assert len(t.word) <= depth
+        assert patch.matrices.shape == (len(words), 3, 3)
+        for w, M in zip(words, patch.matrices):
+            assert all(u != v for u, v in zip(w, w[1:]))
+            assert np.array_equal(word_matrix(tri, w), M)
+            assert len(w) <= depth
 
 
 def test_neighbour_table_matches_matrix_route():
@@ -126,17 +128,17 @@ def test_neighbour_table_matches_matrix_route():
     rng = random.Random(11)
     for p, q in ((4, 3), (4, 4), (7, 3), (5, 4), (3, 6)):
         patch = generate_patch(p, q, 10)
-        tri, tiles = patch.triangle, patch.tiles
-        rounded = np.round(np.array([t.matrix.ravel() for t in tiles]), 6)
-        assert len(np.unique(rounded, axis=0)) == len(tiles)
-        lengths = [len(t.word) for t in tiles]
+        tri, mats = patch.triangle, patch.matrices
+        rounded = np.round(mats.reshape(-1, 9), 6)
+        assert len(np.unique(rounded, axis=0)) == len(patch.tiles)
+        lengths = [len(w) for w in patch.tiles]
         for i, links in enumerate(patch.neighbours):
             for g, j in enumerate(links):
                 if j < 0:
                     assert lengths[i] == patch.depth  # only the rim has outside links
                     continue
                 assert patch.neighbours[j][g] == i
-                assert np.allclose(tiles[j].matrix, tiles[i].matrix @ tri.mirrors[g], atol=1e-6)
+                assert np.allclose(mats[j], mats[i] @ tri.mirrors[g], atol=1e-6)
         words = [(A,), (B, C), (C, A, B), (A, B, A, C, B, C)]
         for _ in range(6):
             # random words up to the patch depth, the longest image accepts
@@ -150,7 +152,7 @@ def test_neighbour_table_matches_matrix_route():
             assert image[0] == patch.walk(0, w)
             for i, j in enumerate(image):
                 if j >= 0:
-                    assert np.allclose(tiles[j].matrix, M @ tiles[i].matrix, atol=1e-6)
+                    assert np.allclose(mats[j], M @ mats[i], atol=1e-6)
                 else:
                     # every tile within depth - len(w) of the centre is mapped
                     assert lengths[i] > patch.depth - len(w)

@@ -293,12 +293,6 @@ def test_orthographic_draws_the_near_hemisphere(provider, p, q, triangles):
     assert svg.count(b'stroke="none"') == triangles // 2
 
 
-def test_svg_write_to_path(tmp_path, board):
-    out = tmp_path / "board.svg"
-    data = emit_svg(board, out=str(out))
-    assert out.read_bytes() == data
-
-
 def test_palette():
     assert palette(1) == palette(1)
     assert len(palette(12)) == 12
