@@ -22,7 +22,7 @@ import tempfile
 from . import __version__
 from .coset import CosetTable
 from .errors import CacheError, DomainError, ParseError
-from .census import colouring_seeds
+from .census import colouring_classes
 from .lowindex import ClassList, low_index_classes
 from .presentations import Presentation, triangle_group, von_dyck_group
 
@@ -141,11 +141,12 @@ def cached_provider(
 ):
     """A classes_provider for census() backed by the disk cache.
 
-    It serves colouring classes: one search per group, with all of
-    census.colouring_seeds.  Within one process it also keeps the
-    largest list it has seen of each presentation, so a census pass over
-    several tilings enumerates each group once and any smaller request
-    is served by trimming.
+    It serves census.colouring_classes, each of whose searches gets the
+    jobs and its own node budget.  It keeps the largest list it has seen
+    of each presentation in a memo, so a census pass over several
+    tilings enumerates each group once and a smaller request is served
+    by trimming.  A reflection group's rotation half comes through the
+    memo and cache too, so its search files the von Dyck group's list.
     """
     if jobs < 1:
         raise DomainError("jobs must be at least 1")
@@ -153,13 +154,15 @@ def cached_provider(
         raise DomainError("node_budget must be at least 0")
     memo: dict[Presentation, ClassList] = {}
 
-    def provider(pres: Presentation, max_index: int) -> ClassList:
+    def search(pres: Presentation, max_index: int, seeds) -> ClassList:
+        return low_index_classes(pres, max_index, seeds=seeds, jobs=jobs, node_budget=node_budget)
+
+    def lookup(pres: Presentation, max_index: int, half=None) -> ClassList:
         cl = memo.get(pres)
         if cl is None or cl.max_index < max_index:
             cl = load_classes(pres, max_index, cache_dir) if enabled else None
             if cl is None:
-                cl = low_index_classes(pres, max_index, seeds=colouring_seeds(pres),
-                                       jobs=jobs, node_budget=node_budget)
+                cl = colouring_classes(pres, max_index, search=search, rotation_classes=half)
                 if enabled:
                     try:
                         store_classes(cl, cache_dir)
@@ -169,6 +172,11 @@ def cached_provider(
         if cl.max_index == max_index:
             return cl
         return ClassList(pres, max_index, tuple(t for t in cl.tables if t.n <= max_index))
+
+    def provider(pres: Presentation, max_index: int) -> ClassList:
+        # the rotation half is looked up, not provided: a provider that
+        # passed itself would hold its memo in a reference cycle
+        return lookup(pres, max_index, lookup)
 
     return provider
 

@@ -69,35 +69,66 @@ def required_words(kind: TilingKind, scope: Scope) -> tuple[Word, ...]:
 
 def rotation_required_word(kind: TilingKind) -> Word:
     """The tile-centre rotation in the letters of the rotation group."""
-    return {
-        TilingKind.PQ: (ZGEN,),
-        TilingKind.QP: (XGEN,),
-        TilingKind.LAVES: (XGEN, ZGEN),
-    }[kind]
+    return {TilingKind.PQ: (ZGEN,), TilingKind.QP: (XGEN,), TilingKind.LAVES: (XGEN, ZGEN)}[kind]
 
 
 def colouring_seeds(pres: Presentation) -> tuple[Seed, ...]:
-    """The seeds of the classes that colour some tiling of pres's group.
+    """The seeds of the search for the classes that colour some tiling.
 
     Over the reflection alphabet: each tiling's two mirrors (full
-    scope), and each tile rotation in an orientation subgroup (rotation
-    scope, route a).  Over the rotation alphabet: each tile rotation
-    (route b).  A class that colours no tiling contains a conjugate of
-    none of them, so a search seeded with these finds every class a
-    census keeps.
+    scope; colouring_classes adds the rotation scope's classes).  Over
+    the rotation alphabet: each tile rotation.  A class that colours no
+    tiling in that scope contains a conjugate of none of them, so a
+    search seeded with these finds every class such a census keeps.
     """
     if pres.alphabet == REFLECTIONS:
-        return tuple(Seed(required_words(k, Scope.FULL)) for k in TilingKind) + tuple(
-            Seed(required_words(k, Scope.ROTATION), oriented=True) for k in TilingKind
-        )
+        return tuple(Seed(required_words(k, Scope.FULL)) for k in TilingKind)
     if pres.alphabet == ROTATIONS:
         return tuple(Seed((rotation_required_word(k),)) for k in TilingKind)
     raise DomainError(f"no tiling seeds over the alphabet {pres.alphabet.names}")
 
 
-def colouring_classes(pres: Presentation, max_index: int) -> ClassList:
-    """The default classes_provider: the classes that colour some tiling."""
-    return low_index_classes(pres, max_index, seeds=colouring_seeds(pres))
+# the rotation word of a g for each reflection letter g (aa = 1, ab = x,
+# ac = xz); that of g a is its inverse, as every letter is an involution
+_A_TIMES: tuple[Word, ...] = ((), (XGEN,), (XGEN, ZGEN))
+
+
+def _lift(t: CosetTable) -> CosetTable:
+    """The reflection-group table of t's von Dyck subgroup H, of index 2k.
+
+    Coset i is H u_i, where u_i reaches coset i of t, and coset k + i is
+    H u_i a.  As H u_i g = H u_i w(g a) a and H u_i a g = H u_i w(a g),
+    letter g takes i to k + i w(g a), and k + i to i w(a g).
+    """
+    k, g_a = t.n, [t.alphabet.inverse_word(w) for w in _A_TIMES]
+    rows = [tuple(k + t.apply(i, w) for w in g_a) for i in range(k)]
+    rows += [tuple(t.apply(i, w) for w in _A_TIMES) for i in range(k)]
+    return CosetTable(REFLECTIONS, tuple(rows))
+
+
+def colouring_classes(pres: Presentation, max_index: int, *, search=low_index_classes,
+                      rotation_classes=None) -> ClassList:
+    """The default classes_provider: the classes that colour some tiling.
+
+    search(pres, max_index, seeds=...) finds them over the rotation
+    alphabet, and the full-scope ones over the reflection alphabet.  The
+    rotation scope's are orientation subgroups there, and one of index
+    2k is an index-k subgroup of the von Dyck group (p and q read off the
+    relators).  So that group's classes to max_index // 2, from
+    rotation_classes (a provider's lookup; by default this function),
+    are lifted (_lift) and put in canonical form, which merges each pair
+    of twins.  Holding no mirror, none of them is a full-scope class.
+    """
+    cl = search(pres, max_index, seeds=colouring_seeds(pres))
+    if pres.alphabet != REFLECTIONS or max_index < 2:
+        return cl
+    orders = {r[:2]: len(r) // 2 for r in pres.relators}  # (bc)^p and (ab)^q
+    p, q = orders.get((B, C), 0), orders.get((A, B), 0)
+    if set(triangle_group(p, q).relators) != set(pres.relators):
+        raise DomainError(f"{pres.name!r} is not a triangle group")
+    half = (rotation_classes or colouring_classes)(von_dyck_group(p, q)[0], max_index // 2)
+    tables = {*cl.tables, *(canonical_table(_lift(t)) for t in half.tables)}
+    return ClassList(pres, max_index, tuple(sorted(tables, key=lambda t: (t.n, t.flat()))))
 
 
 @dataclass(frozen=True)

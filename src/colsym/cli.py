@@ -58,9 +58,10 @@ def _budget_options(sp: argparse.ArgumentParser) -> None:
         "--max-nodes",
         type=int,
         default=None,
-        help="abort the subgroup search after this many search nodes, counted "
-        "per search process over all the seed walks of a group, shared top "
-        "included, so the total grows with --jobs",
+        help="abort a subgroup search after this many search nodes, counted "
+        "per search process over all the seed walks of the search, shared top "
+        "included, so the total grows with --jobs; a reflection group's two "
+        "searches, its mirror walks and its rotation half, each get the budget",
     )
 
 
@@ -141,12 +142,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _provider(args):
-    return cached_provider(
-        args.cache_dir,
-        enabled=not args.no_cache,
-        jobs=args.jobs,
-        node_budget=args.max_nodes,
-    )
+    return cached_provider(args.cache_dir, enabled=not args.no_cache, jobs=args.jobs,
+                           node_budget=args.max_nodes)
 
 
 def _representative(args, k: int):
@@ -183,15 +180,8 @@ def _write(path: str, data: bytes) -> None:
 
 
 def cmd_census(args) -> int:
-    report = census(
-        args.p,
-        args.q,
-        TilingKind(args.tiling),
-        Scope(args.scope),
-        args.max_colours,
-        strategy=args.strategy,
-        classes_provider=_provider(args),
-    )
+    report = census(args.p, args.q, TilingKind(args.tiling), Scope(args.scope), args.max_colours,
+                    strategy=args.strategy, classes_provider=_provider(args))
     text = format_census(report, args.format)
     if args.out:
         _write(args.out, (text + "\n").encode("ascii"))
@@ -266,12 +256,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    ok = run_selftest(
-        args.level,
-        jobs=args.jobs,
-        cache_dir=args.cache_dir,
-        use_cache=not args.no_cache,
-    )
+    ok = run_selftest(args.level, jobs=args.jobs, cache_dir=args.cache_dir,
+                      use_cache=not args.no_cache)
     return 0 if ok else 1
 
 

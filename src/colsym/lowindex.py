@@ -24,9 +24,8 @@ coset 0, so they are scanned there after every deduction, next to the
 relators, and a table is compared only with its re-rootings at cosets
 the words fix.  The walks run in seed order, and a walk leaves
 to an earlier one every class that walk finds: it prunes a node as soon
-as some coset is fixed by every word of an earlier seed, unless that
-seed is oriented and this one is not.  So the colouring seeds (the
-unoriented ones first) yield each class from one walk.
+as some coset is fixed by every word of an earlier seed.  So the walks
+yield each class from one walk.
 
 Down a branch the table only grows, so the root bookkeeping lives on
 the trail next to the entries.  A root the seed words fix stays fixed,
@@ -68,16 +67,9 @@ class ClassList:
 
 @dataclass(frozen=True)
 class Seed:
-    """Words that must fix coset 0 of every table a seeded walk makes.
-
-    oriented asks for orientation subgroups only: every coset gets a
-    parity, and every letter joins cosets of opposite parity.  It needs
-    the reflection alphabet, where every letter reverses orientation,
-    with relators and seed words of even length.
-    """
+    """Words that must fix coset 0 of every table a seeded walk makes."""
 
     words: tuple[Word, ...]
-    oriented: bool = False
 
 
 UNSEEDED = (Seed(()),)  # one walk that every subgroup passes
@@ -158,11 +150,6 @@ def _search(
     relators = pres.relators
 
     table = [-1] * (N * m)
-    # side of each coset, kept by oriented walks: set where a coset is made
-    # and checked where a branch joins two; a deduction closes a relator or
-    # seed word of even length along alternating edges, so it joins
-    # opposite sides unchecked
-    parity = [0] * N
     trail: list[int] = []
     # roots other than 0 that every seed word fixes, in the order found; a
     # root stays fixed below the node that fixed it, and its record on
@@ -183,10 +170,8 @@ def _search(
     nodes = 0
     dealt = -1  # walk-order number of the last node reached at depth _SPLIT
     words: tuple[Word, ...] = ()  # the seed words of the current walk
-    oriented = False
-    # the words of each earlier seed whose walk finds every class that this
-    # walk completes below a node where those words fix a coset: every
-    # unoriented seed, and the oriented ones too when this walk is oriented
+    # the words of each earlier seed, whose walk finds every class that this
+    # walk completes below a node where those words fix a coset
     excluded: tuple[tuple[Word, ...], ...] = ()
 
     def scan(alpha: int, w: Word, stack: list[int]) -> bool:
@@ -385,11 +370,8 @@ def _search(
                 alpha, c = divmod(pos, m)
                 ic = inv[c]
                 for beta in range(beta, n + 1 if n < N else n):
-                    if beta < n:
-                        if table[beta * m + ic] >= 0 or (oriented and parity[beta] == parity[alpha]):
-                            continue
-                    else:
-                        parity[beta] = parity[alpha] ^ 1
+                    if beta < n and table[beta * m + ic] >= 0:
+                        continue
                     table[pos] = beta
                     trail.append(pos)
                     p2 = beta * m + ic
@@ -412,8 +394,7 @@ def _search(
 
     for j, seed in enumerate(seeds):
         words = seed.words
-        oriented = seed.oriented
-        excluded = tuple(s.words for s in seeds[:j] if oriented or not s.oriented)
+        excluded = tuple(s.words for s in seeds[:j])
         stack: list[int] = []
         # the root is one coset, so this checks every entry the seed words set
         if all(scan(0, w, stack) for w in words) and propagate(stack) and settle(0):
@@ -447,8 +428,7 @@ def low_index_classes(
 
     seeds=None finds every class.  Otherwise each Seed gets one walk,
     and the list holds the classes of subgroups that contain a
-    conjugate of some seed's subgroup (orientation subgroups only, for
-    an oriented seed).  Either way it is one standardized table per
+    conjugate of some seed's subgroup.  Either way it is one standardized table per
     class, each the lexicographic minimum of all its re-rootings,
     sorted by (index, serialized rows).  jobs > 1 runs one part of the
     search per forked worker process (see _search), but never more parts
@@ -466,14 +446,6 @@ def low_index_classes(
     walks = UNSEEDED if seeds is None else tuple(seeds)
     if not walks:
         raise DomainError("seeds must hold at least one seed")
-    oriented = [s for s in walks if s.oriented]
-    if oriented and (
-        any(pres.alphabet.inv[c] != c for c in range(pres.alphabet.size))
-        or any(len(w) % 2 for w in pres.relators)
-        or any(len(w) % 2 for s in oriented for w in s.words)
-    ):
-        raise DomainError("an oriented seed needs the reflection alphabet, "
-                          "relators and seed words of even length")
 
     parts = min(jobs, _cpus()) if "fork" in get_all_start_methods() else 1
     if parts == 1:
@@ -483,9 +455,8 @@ def low_index_classes(
         with get_context("fork").Pool(parts) as pool:
             results = [rows for found in pool.map(_worker, args) for rows in found]
 
-    # a seeded walk's table is least over its fixed roots only, and an
-    # oriented seed does not exclude a later unoriented one, so a class
-    # with conjugates of both is found by both walks
-    found = {t.rows: t for t in (canonical_table(CosetTable(pres.alphabet, rows)) for rows in results)}
-    tables = sorted(found.values(), key=lambda t: (t.n, t.flat()))
+    # each class comes from one walk, as a table least over its fixed roots
+    # only: the class representative is its canonical form
+    tables = sorted((canonical_table(CosetTable(pres.alphabet, rows)) for rows in results),
+                    key=lambda t: (t.n, t.flat()))
     return ClassList(pres, max_index, tuple(tables))

@@ -24,6 +24,9 @@ possible:
 * full_scope_via_rotations, twist_on_cosets: the full-scope classes of
   a tiling read off the rotation group's classes, with no reflection
   search;
+* colouring_classes_by_walks, COLOURING_SPECIFICATION: the colouring
+  classes of a reflection group from reflection-group walks alone, with
+  no von Dyck lift, and the six ways a class colours a tiling;
 * hom_counts, subgroup_counts, subgroups_in_classes: the number of
   subgroups of each index of a von Dyck group, from the characters of
   S_n with no search, and the same number read off a class list;
@@ -47,10 +50,11 @@ from colsym.coset import CosetTable, canonical_table, reroot
 from colsym.errors import DomainError, InternalError, ResourceLimit
 from colsym.geometry import FundamentalTriangle, TrianglePatch, form_matrix
 from colsym.lowindex import ClassList, Seed, low_index_classes
-from colsym.presentations import Geometry, Presentation, von_dyck_group
+from colsym.presentations import Geometry, Presentation, triangle_group, von_dyck_group
 from colsym.render import (
     _PROJECTIONS, _TILT, ColouredPatch, _coset_colours, _project, palette
 )
+from colsym.subgroups import orientation_sides
 from colsym.words import (
     A, B, C, REFLECTIONS, XGEN, XINV, ZGEN, ZINV, Alphabet, Word,
 )
@@ -420,12 +424,20 @@ def oracle_classes(pres: Presentation, index: int) -> OracleCount:
     return OracleCount(index, len(witnesses), tuple(witnesses))
 
 
-def oracle_seeded_count(pres: Presentation, res: OracleCount, seeds) -> int:
-    """How many of the oracle's classes a search seeded with `seeds` finds.
+# The six ways a class of the reflection group colours a tiling, as
+# (words, oriented): each tiling's two tile mirrors (full scope), and each
+# tile rotation in an orientation subgroup (rotation scope).
+COLOURING_SPECIFICATION: tuple[tuple[tuple[Word, ...], bool], ...] = tuple(
+    (((r1,), (r2,)), False) for r1, r2 in TILE_MIRRORS.values()
+) + tuple((((r1, r2),), True) for r1, r2 in TILE_MIRRORS.values())
 
-    A class counts when, for some seed, one point of its witness action
-    is fixed by every seed word, and, for an oriented seed, every letter
-    joins the two sides of a 2-colouring of the points.
+
+def oracle_seeded_count(pres: Presentation, res: OracleCount, spec) -> int:
+    """How many of the oracle's classes meet one of `spec`'s (words, oriented).
+
+    A class counts when, for some entry, one point of its witness action
+    is fixed by every word, and, where oriented, every letter joins the
+    two sides of a 2-colouring of the points.
     """
     n = res.index
     inv = pres.alphabet.inv
@@ -454,9 +466,9 @@ def oracle_seeded_count(pres: Presentation, res: OracleCount, seeds) -> int:
                 elif side[j] == side[i]:
                     two_sided = False
         count += any(
-            (two_sided or not seed.oriented)
-            and any(all(image(i, w) == i for w in seed.words) for i in range(n))
-            for seed in seeds
+            (two_sided or not oriented)
+            and any(all(image(i, w) == i for w in words) for i in range(n))
+            for words, oriented in spec
         )
     return count
 
@@ -575,7 +587,7 @@ def full_scope_via_rotations(p: int, q: int, r1: int, r2: int, max_index: int) -
     rotation fixes, T is re-rooted there and kept if σ fixes it.  S's
     cosets are T's, and Su g = S r1 u g = S σ(u) (r1 g), so the letter g
     takes coset i to π(i) followed by the rotation word of r1 g.  The von
-    Dyck search has one seed, so no seed exclusion and no oriented walk.
+    Dyck search has one seed, so no seed exclusion.
     """
     vd, _ = von_dyck_group(p, q)
     times = MIRROR_TIMES_LETTER[r1]
@@ -593,6 +605,25 @@ def full_scope_via_rotations(p: int, q: int, r1: int, r2: int, max_index: int) -
                 rows = tuple(tuple(u.apply(pi[i], w) for w in times) for i in range(u.n))
                 found.add(canonical_table(CosetTable(REFLECTIONS, rows)))
     return found
+
+
+def colouring_classes_by_walks(p: int, q: int, max_index: int) -> ClassList:
+    """The classes that colour some tiling of the (p, q) reflection group,
+    found by reflection-group walks alone.
+
+    They are the classes the three mirror-pair seeds find, together with,
+    for each tiling, the classes of an unoriented walk seeded with its
+    tile rotation r1 r2 that orientation_sides finds to be orientation
+    subgroups.  The package lifts these from the von Dyck group instead.
+    """
+    G = triangle_group(p, q)
+    pairs = TILE_MIRRORS.values()
+    mirrors = tuple(Seed(((r1,), (r2,))) for r1, r2 in pairs)
+    found = set(low_index_classes(G, max_index, seeds=mirrors).tables)
+    for r1, r2 in pairs:
+        walk = low_index_classes(G, max_index, seeds=(Seed(((r1, r2),)),))
+        found.update(t for t in walk.tables if orientation_sides(t) is not None)
+    return ClassList(G, max_index, tuple(sorted(found, key=lambda t: (t.n, t.flat()))))
 
 
 def twist_on_cosets(t: CosetTable, images: list[Word]) -> list[int] | None:

@@ -1,5 +1,7 @@
+import gc
 import json
 import os
+import weakref
 
 import pytest
 
@@ -162,23 +164,43 @@ def test_cached_provider_memoizes_and_persists(tmp_path, monkeypatch):
     monkeypatch.setattr("colsym.cache.low_index_classes", counting)
 
     prov = cached_provider(str(tmp_path))
-    G = triangle_group(4, 3)
+    G, V = triangle_group(4, 3), von_dyck_group(4, 3)[0]
     first = prov(G, 6)
     again = prov(G, 6)
     smaller = prov(G, 3)
-    assert calls == [("triangle-4-3", 6)]  # memo served the repeats
+    # the reflection search brought its rotation half to 3, and the memo
+    # served the repeats and the half
+    assert prov(V, 3).max_index == 3
+    searched = [("triangle-4-3", 6), ("vondyck-4-3", 3)]
+    assert calls == searched
     assert [t.flat() for t in first.tables] == [t.flat() for t in again.tables]
     assert all(t.n <= 3 for t in smaller.tables)
 
-    # a second provider over the same directory reads the disk copy
+    # a second provider over the same directory reads the disk copies
     prov2 = cached_provider(str(tmp_path))
     prov2(G, 6)
-    assert calls == [("triangle-4-3", 6)]
+    prov2(V, 3)
+    assert calls == searched
 
     # with the cache disabled every call recomputes
     prov3 = cached_provider(str(tmp_path), enabled=False)
     prov3(G, 2)
-    assert calls == [("triangle-4-3", 6), ("triangle-4-3", 2)]
+    assert calls == searched + [("triangle-4-3", 2), ("vondyck-4-3", 1)]
+
+
+def test_provider_frees_its_memo_without_the_cycle_collector(tmp_path):
+    # the provider holds no reference cycle, so dropping it frees the
+    # lists of both halves at once
+    gc.disable()
+    try:
+        prov = cached_provider(str(tmp_path), enabled=False)
+        lists = (prov(triangle_group(4, 3), 6), prov(von_dyck_group(4, 3)[0], 3))
+        held = [weakref.ref(cl) for cl in lists]
+        del lists
+        del prov
+        assert [ref() for ref in held] == [None, None]
+    finally:
+        gc.enable()
 
 
 def test_cache_clear(tmp_path, classes, monkeypatch):
@@ -218,22 +240,26 @@ def test_uncacheable_presentation(tmp_path, classes):
 
 
 def test_provider_searches_an_uncacheable_presentation(tmp_path):
-    # the cube group under a name the cache cannot file: a miss, not an error
+    # the cube group under a name the cache cannot file: a miss, not an
+    # error; its rotation half, read off the relators, is filed as usual
     cube = Presentation(REFLECTIONS, triangle_group(4, 3).relators, "my-cube")
     got = cached_provider(str(tmp_path))(cube, 4)
     assert [t.flat() for t in got.tables] == [
         t.flat() for t in colouring_classes(cube, 4).tables
     ]
-    assert os.listdir(tmp_path) == []
+    assert os.listdir(tmp_path) == ["vondyck-4-3.json"]
 
 
 def test_one_file_per_group_holds_the_largest_search(tmp_path, monkeypatch):
     G = triangle_group(4, 3)
     cached_provider(str(tmp_path))(G, 4)
     cached_provider(str(tmp_path))(G, 6)
-    assert os.listdir(tmp_path) == ["triangle-4-3.json"]
+    # the search of G also filed its rotation half, to half the bound
+    assert sorted(os.listdir(tmp_path)) == ["triangle-4-3.json", "vondyck-4-3.json"]
+    V = von_dyck_group(4, 3)[0]
     assert cache_entries(str(tmp_path)) == [
-        {"name": "triangle-4-3", "max_index": 6, "classes": len(colouring_classes(G, 6).tables)}
+        {"name": "triangle-4-3", "max_index": 6, "classes": len(colouring_classes(G, 6).tables)},
+        {"name": "vondyck-4-3", "max_index": 3, "classes": len(colouring_classes(V, 3).tables)},
     ]
     searched = _counting(monkeypatch, "low_index_classes")
     got = cached_provider(str(tmp_path))(G, 5)
@@ -247,9 +273,9 @@ def test_stale_file_at_a_larger_bound_is_replaced(tmp_path, classes, monkeypatch
     _rewrite_header(path, engine="0.0.0")
     searched = _counting(monkeypatch, "low_index_classes")
     got = cached_provider(str(tmp_path))(triangle_group(4, 3), 4)
-    assert searched == [("triangle-4-3", 4)]
+    assert searched == [("triangle-4-3", 4), ("vondyck-4-3", 2)]
     assert [t.flat() for t in got.tables] == [t.flat() for t in classes.tables if t.n <= 4]
-    assert os.listdir(tmp_path) == ["triangle-4-3.json"]
+    assert sorted(os.listdir(tmp_path)) == ["triangle-4-3.json", "vondyck-4-3.json"]
     header = _header_line(path)
     assert (header["engine"], header["max_index"]) == (__version__, 4)
 

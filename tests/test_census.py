@@ -3,6 +3,7 @@ import json
 import pytest
 
 from colsym import goldens
+from colsym.cache import serialize_class_list
 from colsym.census import (
     Scope,
     TilingKind,
@@ -16,10 +17,11 @@ from colsym.census import (
 from colsym.coset import CosetTable
 from colsym.errors import DomainError
 from colsym.lowindex import low_index_classes
-from colsym.presentations import triangle_group, von_dyck_group
+from colsym.presentations import Presentation, triangle_group, von_dyck_group
 from colsym.subgroups import fixed_cosets, orientation_sides
 from colsym.words import A, B, C, REFLECTIONS
 from oracle import (
+    colouring_classes_by_walks,
     colours_transitive,
     compose_permutations,
     full_scope_via_rotations,
@@ -192,6 +194,26 @@ def test_full_scope_classes_through_the_rotation_group(p, q):
         expected = {t for t in colouring_classes(G, bound).tables if fixed_cosets(t, words)}
         (r1,), (r2,) = words
         assert full_scope_via_rotations(p, q, r1, r2, bound) == expected
+
+
+@pytest.mark.parametrize("p, q, bound", [
+    (7, 3, 64), (7, 3, 33), (8, 3, 36), (5, 4, 34), (4, 4, 60), (6, 3, 40), (4, 3, 30), (3, 5, 30),
+])
+def test_lifted_rotation_half_matches_the_reflection_walks(p, q, bound):
+    # the rotation scope's classes lifted from the von Dyck group to half
+    # the bound (rounded down at 33), byte for byte against unoriented
+    # reflection walks kept to orientation subgroups
+    got = colouring_classes(triangle_group(p, q), bound)
+    assert serialize_class_list(got) == serialize_class_list(colouring_classes_by_walks(p, q, bound))
+
+
+def test_colouring_classes_need_a_triangle_group():
+    # the rotation half is read off the relators (bc)^p and (ab)^q
+    renamed = Presentation(REFLECTIONS, triangle_group(5, 4).relators[::-1], "renamed")
+    assert colouring_classes(renamed, 12).tables == colouring_classes(triangle_group(5, 4), 12).tables
+    for relators in (((A, A),), triangle_group(5, 4).relators + ((A, B, C) * 2,)):
+        with pytest.raises(DomainError):
+            colouring_classes(Presentation(REFLECTIONS, relators, "other"), 4)
 
 
 @pytest.mark.parametrize("p, q", [(7, 3), (8, 3), (5, 4)])

@@ -11,10 +11,12 @@ import colsym
 import colsym.cli
 from colsym import goldens
 from colsym.cache import store_classes
-from colsym.census import TilingKind, colouring_classes
+from colsym.census import TilingKind, colouring_classes, colouring_seeds
 from colsym.cli import main
 from colsym.coset import canonical_table
+from colsym.errors import ResourceLimit
 from colsym.geometry import generate_patch
+from colsym.lowindex import _search
 from colsym.presentations import triangle_group, von_dyck_group
 from colsym.subgroups import fixed_cosets, transform_subgroup
 from colsym.words import A, ZGEN
@@ -153,6 +155,24 @@ def test_resource_limit_exit_code(capsys, cache_dir):
     )
     assert code == 3
     assert "resource" in err
+
+
+def test_budget_bounds_each_of_the_two_searches(capsys):
+    # a full-scope (4^3) census to 24 searches the mirror walks to 24 in 23
+    # nodes and the rotation half to 12 in 24: 23 stops the second search,
+    # and 24, short of the two searches' sum, lets both run
+    G, V = triangle_group(4, 3), von_dyck_group(4, 3)[0]
+    _search(G, 24, colouring_seeds(G), node_budget=23)
+    with pytest.raises(ResourceLimit):
+        _search(V, 12, colouring_seeds(V), node_budget=23)
+    _search(V, 12, colouring_seeds(V), node_budget=24)
+    census = ("census", "--p", "4", "--q", "3", "--max-colours", "24", "--no-cache")
+    code, out, err = run_cli(capsys, *census, "--max-nodes", "23")
+    assert (code, out) == (3, "")
+    assert "resource" in err
+    code, out, _ = run_cli(capsys, *census, "--max-nodes", "24")
+    assert (code, out) == run_cli(capsys, *census)[:2]
+    assert code == 0
 
 
 def test_selftest_takes_no_search_budget():
@@ -304,13 +324,15 @@ def test_cache_subcommands(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "cache", "ls", "--cache-dir", cache_dir)
     assert code == 0
     # the search to 8 replaced the one to 6: one file for the group, with
-    # the 11 of the cube group's 17 classes to index 8 that colour a tiling
+    # the 11 of the cube group's 17 classes to index 8 that colour a tiling,
+    # and one for its rotation half, searched to 4 along with it
     assert [l for l in out.splitlines() if not l.startswith("#")] == [
-        "triangle-4-3   max_index=  8 classes=11"
+        "triangle-4-3   max_index=  8 classes=11",
+        "vondyck-4-3    max_index=  4 classes=4",
     ]
     code, out, _ = run_cli(capsys, "cache", "clear", "--cache-dir", cache_dir)
     assert code == 0
-    assert "removed 1" in out
+    assert "removed 2" in out
     code, out, _ = run_cli(capsys, "cache", "ls", "--cache-dir", cache_dir)
     assert "# empty" in out
 

@@ -14,7 +14,7 @@ from colsym.coset import CosetTable, canonical_table
 from colsym.errors import DomainError, ResourceLimit
 from colsym.lowindex import UNSEEDED, Seed, _search, low_index_classes
 from colsym.presentations import Presentation, triangle_group, von_dyck_group
-from colsym.subgroups import fixed_cosets, orientation_sides, transform_subgroup
+from colsym.subgroups import fixed_cosets, transform_subgroup
 from colsym.words import A, B, C, REFLECTIONS, ROTATIONS, XGEN, ZGEN, ZINV
 from oracle import class_counts, classes_at_index, oracle_classes, validate
 
@@ -172,10 +172,10 @@ def test_node_budget_enforced_in_workers(monkeypatch):
 @pytest.mark.parametrize(
     "pres, bound, seeded, nodes",
     [
-        (triangle_group(7, 3), 64, True, 11_017),
+        (triangle_group(7, 3), 64, True, 6_268),
         (von_dyck_group(7, 3)[0], 32, True, 2_951),
-        (triangle_group(8, 3), 36, True, 4_481),
-        (triangle_group(5, 4), 34, True, 7_230),
+        (triangle_group(8, 3), 36, True, 2_969),
+        (triangle_group(5, 4), 34, True, 5_330),
         (triangle_group(7, 3), 20, False, 468),
         (von_dyck_group(8, 3)[0], 18, False, 1_113),
     ],
@@ -208,10 +208,10 @@ def test_class_lists_pinned_byte_for_byte(pres, bound, classes, digest):
 
 @pytest.mark.parametrize("pres, bound, serial, parts", [
     (triangle_group(7, 3), 64,
-     "7f5dbfb7667690f7b0f0df0ce3bd79d38eda11daaf934197b1a4f829a7a4d6cf",
-     ("f077b0d58312a69b6d47aa31f1cff7c7c413a515c026b601f3d6361e2db41083",
-      "168b74af968a3b2c46e53c9a0b576f368f4619b8bbd56e29a58b432acb10db24",
-      "fea8fbae86721b8459d4efd3400b48e2ba1ebe9ef3137e9e3c3d2afc08ed3e54")),
+     "0c961214001a83b1616a130eda4eec737faa09c44f2d3a017e168354d82ec0e5",
+     ("5abe63bd07af67451e54e1b257f638525a370ad7c702c96851bcf601fb8c266b",
+      "3de15c3495733667f77ffd7c3e75a785caf25b2e6928abb3278ef8637d1a450e",
+      "f40c4e937b2ce10c9a15138bf93a00340962cb5b30bb083fda96f6d786d39abd")),
     (von_dyck_group(7, 3)[0], 32,
      "c05d050a628210ec28c4b5fff1c4112e7ca408e6fd4e29743f16367b834f1786",
      ("397dd82ca5d501751a9f29e8cc6ee19ba5246a0418bb1fd5881636e8617e8c26",
@@ -238,13 +238,13 @@ def _frame_depth():
 
 
 def test_the_walk_does_not_recurse():
-    # the seeded (7,3) <= 64 walk branches 69 deep, yet 40 frames above
+    # the seeded (7,3) <= 64 walk branches 68 deep, yet 40 frames above
     # this one are room enough: the walk keeps its open nodes on a list
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(_frame_depth() + 40)
     try:
         G, V = triangle_group(7, 3), von_dyck_group(7, 3)[0]
-        assert len(_search(G, 64, colouring_seeds(G))) == 197
+        assert len(_search(G, 64, colouring_seeds(G))) == 132
         assert len(_search(V, 32, colouring_seeds(V))) == 108
     finally:
         sys.setrecursionlimit(limit)
@@ -281,16 +281,20 @@ def _least_budget(pres, bound, seeds):
 
 def test_one_budget_counts_every_seed_walk():
     G = triangle_group(7, 3)
-    # an orientation subgroup holds no mirror, so neither walk can
-    # exclude a node of the other: the two walks spend one budget
-    full, oriented = Seed(((A,), (C,))), Seed(((A, B),), oriented=True)
+    # a coset fixed by ab and bc is fixed by the rotation half, a normal
+    # subgroup of index 2: its row and its a-neighbour's close up into a
+    # table of index at most 2, and one fixed by a mirror has index 1, a
+    # leaf.  So neither walk can exclude a node of the other, in either
+    # order, and the two walks spend one budget
+    full, half = Seed(((A,), (C,))), Seed(((A, B), (B, C)))
     need_full = _least_budget(G, 24, (full,))
-    need_oriented = _least_budget(G, 24, (oriented,))
-    assert need_full > 1 and need_oriented > 1
-    both = need_full + need_oriented
-    low_index_classes(G, 24, seeds=(full, oriented), node_budget=both)
-    with pytest.raises(ResourceLimit):
-        low_index_classes(G, 24, seeds=(full, oriented), node_budget=both - 1)
+    need_half = _least_budget(G, 24, (half,))
+    assert need_full > 1 and need_half == 1  # the half's walk branches at its root only
+    both = need_full + need_half
+    for seeds in ((full, half), (half, full)):
+        low_index_classes(G, 24, seeds=seeds, node_budget=both)
+        with pytest.raises(ResourceLimit):
+            low_index_classes(G, 24, seeds=seeds, node_budget=both - 1)
     # a repeated seed's walk is cut at its root: it costs one walk's nodes
     low_index_classes(G, 24, seeds=(full, full), node_budget=need_full)
     with pytest.raises(ResourceLimit):
@@ -364,10 +368,7 @@ def test_seeded_equals_filtered_unseeded(pres, bound, jobs, monkeypatch):
     seeds = colouring_seeds(pres)
 
     def colours(t):
-        return any(
-            fixed_cosets(t, s.words) and (not s.oriented or orientation_sides(t) is not None)
-            for s in seeds
-        )
+        return any(fixed_cosets(t, s.words) for s in seeds)
 
     unseeded = low_index_classes(pres, bound).tables
     expected = [t.flat() for t in unseeded if colours(t)]
@@ -403,11 +404,7 @@ def test_each_seed_walk_finds_one_table_per_class():
 
 def _seed_lists(pres):
     seeds = colouring_seeds(pres)
-    lists = [seeds, seeds[::-1], (seeds[-1],) * 2]
-    if pres.alphabet == REFLECTIONS:
-        full, oriented = Seed(((A, B),)), Seed(((A, B),), oriented=True)
-        lists += [(full, oriented), (oriented, full)]
-    return lists
+    return [seeds, seeds[::-1], (seeds[-1],) * 2]
 
 
 @pytest.mark.parametrize(
@@ -437,15 +434,6 @@ def test_bad_seeds():
     G = triangle_group(4, 3)
     with pytest.raises(DomainError):
         low_index_classes(G, 4, seeds=())
-    vd, _ = von_dyck_group(4, 3)
-    with pytest.raises(DomainError):
-        low_index_classes(vd, 4, seeds=(Seed(((XGEN, ZGEN),), oriented=True),))
-    # an odd word reverses orientation, so no orientation subgroup holds it
-    with pytest.raises(DomainError):
-        low_index_classes(G, 4, seeds=(Seed(((A, C, A),), oriented=True),))
-    odd = Presentation(REFLECTIONS, G.relators + ((A, B, C),), "odd")
-    with pytest.raises(DomainError):
-        low_index_classes(odd, 4, seeds=(Seed(((A, C),), oriented=True),))
 
 
 def test_bad_arguments(tmp_path):
