@@ -108,7 +108,7 @@ def _lift(t: CosetTable) -> CosetTable:
 
 def colouring_classes(pres: Presentation, max_index: int, *, search=low_index_classes,
                       rotation_classes=None) -> ClassList:
-    """The default classes_provider: the classes that colour some tiling.
+    """The classes that colour some tiling, as census's default provider serves them.
 
     search(pres, max_index, seeds=...) finds them over the rotation
     alphabet, and the full-scope ones over the reflection alphabet.  The
@@ -165,6 +165,20 @@ def _rerooted_record(t: CosetTable, fixed: frozenset[int]) -> SubgroupRecord:
     return SubgroupRecord(reroot(t, min(fixed)))
 
 
+def _memoized_provider():
+    """colouring_classes, each group and bound searched once: route a's
+    rotation half and route b share the von Dyck search.  The half is
+    looked up, not provided, so no reference cycle holds the memo."""
+    memo: dict[tuple[Presentation, int], ClassList] = {}
+
+    def lookup(pres: Presentation, max_index: int, half=None) -> ClassList:
+        if (pres, max_index) not in memo:
+            memo[pres, max_index] = colouring_classes(pres, max_index, rotation_classes=half)
+        return memo[pres, max_index]
+
+    return lambda pres, max_index: lookup(pres, max_index, lookup)
+
+
 def census(
     p: int,
     q: int,
@@ -187,7 +201,8 @@ def census(
     they agree.  classes_provider(presentation, max_index) -> ClassList
     lets callers interpose a cache (see cache.cached_provider, which
     also takes the search's jobs and node budget); the default,
-    colouring_classes, runs the seeded search directly.  A provider
+    colouring_classes, runs the seeded search directly, each group and
+    bound once a call.  A provider
     may return more classes than those that colour the tiling, every
     class included: the census keeps only the colouring ones.
     """
@@ -199,7 +214,7 @@ def census(
         raise DomainError(f"bad scope: {scope!r}")
     if strategy not in ("a", "b", "both"):
         raise DomainError(f"unknown strategy {strategy!r}")
-    provider = classes_provider or colouring_classes
+    provider = classes_provider or _memoized_provider()
 
     started = time.perf_counter()
     if scope is Scope.FULL or strategy == "a":

@@ -243,8 +243,7 @@ def cmd_verify(args) -> int:
             bad += 1
             print(f"FAIL word {w} does not permute colours consistently")
     # each word w is checked on every triangle within depth - len(w)
-    reach = args.depth - max(map(len, words))
-    checked = sum(len(w) <= reach for w in patch.tiles)
+    checked = patch.ends[args.depth - max(map(len, words)) + 1]
     status = "PASS" if bad == 0 else "FAIL"
     print(
         f"{status} {kind.display(args.p, args.q)} {scope.value} "

@@ -8,14 +8,16 @@ at a fixed base point, one leg along the plane y = 0 (mirror c) and the
 hypotenuse side at polar angle pi/p (mirror b); mirror a is the far
 side, opposite the pi/p corner.
 
-A patch is a table of the tiles across each tile's three mirrors, grown
-breadth-first by word length; the Coxeter relations decide exactly which
-words meet, and matrices, made a level at a time, only place the drawing.
+A patch is an (n, 3) array of the tiles across each tile's three
+mirrors, grown a level (a word length) at a time by array gathers over
+the level; the Coxeter relations decide exactly which words meet, and
+matrices, made a level at a time too, only place the drawing.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import permutations
 
 import numpy as np
 
@@ -101,19 +103,23 @@ def fundamental_triangle(p: int, q: int) -> FundamentalTriangle:
 class TrianglePatch:
     """All tiles within a word-length ball of the fundamental triangle.
 
-    tiles[i] is tile i's reduced word, and matrices[i] the product of
-    its mirrors, left to right, which maps the fundamental triangle onto
-    it.  neighbours[i][g] is the tile i.g across mirror g, or -1 outside
-    the patch.  Tiles are numbered by word length and a link joins
-    adjacent lengths, so 0 <= neighbours[i][g] < i exactly when g steps
-    inward.
+    Tiles are numbered by word length: level d, the tiles of words of d
+    letters, is tiles ends[d] to ends[d + 1] - 1 (empty once a finite
+    group runs out).  tiles[i] is tile i's reduced word, last[i] its last
+    letter (-1 for the centre), and matrices[i] the product of its
+    mirrors, left to right, which maps the fundamental triangle onto it.
+    neighbours[i, g] is the tile i.g across mirror g, or -1 outside the
+    patch.  A link joins adjacent levels, so 0 <= neighbours[i, g] < i
+    exactly when g steps inward.
     """
 
     triangle: FundamentalTriangle
     depth: int
     tiles: tuple[Word, ...]
     matrices: np.ndarray  # (len(tiles), 3, 3)
-    neighbours: tuple[tuple[int, int, int], ...]
+    neighbours: np.ndarray  # (len(tiles), 3) int
+    last: np.ndarray  # (len(tiles),) int
+    ends: tuple[int, ...]  # depth + 2 level boundaries, from 0 to len(tiles)
 
     @property
     def p(self) -> int:
@@ -123,92 +129,91 @@ class TrianglePatch:
     def q(self) -> int:
         return self.triangle.q
 
+    @property
+    def parents(self) -> np.ndarray:
+        """neighbours[i, last[i]], tile i's word less its last letter (i >= 1)."""
+        return self.neighbours[np.arange(len(self.last)), self.last]
+
     def walk(self, i: int, w: Word) -> int:
         """The tile i.w, or -1 once the walk leaves the patch."""
         for g in w:
             if i < 0:
                 break
-            i = self.neighbours[i][g]
+            i = int(self.neighbours[i, g])
         return i
 
-    def image(self, w: Word) -> list[int]:
+    def image(self, w: Word) -> np.ndarray:
         """The tile w.x for each tile x, or -1 where it is not found.
 
-        A tile x = parent.g, with g the last letter of its word, has
-        w.x = (w.parent).g, and parents come first in tile order, so one
-        pass from w.e = walk(0, w) maps x wherever the images of its
-        ancestors stay in the patch.  That covers every tile within
-        depth - len(w) of the centre; w longer than the depth is an error.
+        A tile x = parent.g, with g its last letter, has w.x = (w.parent).g,
+        and parents lie one level nearer the centre, so a level at a time
+        from w.e = walk(0, w) maps x wherever the images of its ancestors
+        stay in the patch.  That covers every tile within depth - len(w)
+        of the centre; w longer than the depth is an error.
         """
         if len(w) > self.depth:
             raise DomainError(
                 f"a word of {len(w)} letters is longer than the patch depth {self.depth}"
             )
-        nbrs = self.neighbours
-        image = [self.walk(0, w)]
-        for word, links in zip(self.tiles[1:], nbrs[1:]):
-            g = word[-1]
-            y = image[links[g]]
-            image.append(nbrs[y][g] if y >= 0 else -1)
+        nbrs, last, parent = self.neighbours, self.last, self.parents
+        image = np.empty(len(last), np.intp)
+        image[0] = self.walk(0, w)
+        for a, b in zip(self.ends[1:], self.ends[2:]):
+            y = image[parent[a:b]]
+            image[a:b] = np.where(y >= 0, nbrs[y, last[a:b]], -1)
         return image
-
-
-def _link_descents(nbrs: list[list[int]], i: int, g: int, orders) -> None:
-    """Link the new tile u = i.g to its other inward neighbours.
-
-    Mirror h is a descent of u exactly when the walk from i by h, g, h,
-    ... steps inward m(g,h) - 1 times; going on alternating for as many
-    steps outward goes round the 2m-gon to u.h.
-    """
-    u = nbrs[i][g]
-    for h in (A, B, C):
-        if h == g:
-            continue
-        m = orders[g][h]
-        cur, s = i, h
-        for step in range(2 * m - 2):
-            nxt = nbrs[cur][s]
-            if step < m - 1 and not 0 <= nxt < cur:
-                break  # h is not a descent of u
-            cur, s = nxt, g if s == h else h
-        else:
-            nbrs[u][h] = cur
-            nbrs[cur][h] = u
 
 
 def generate_patch(p: int, q: int, depth: int) -> TrianglePatch:
     """Breadth-first ball of reduced words, one tile per group element.
 
-    Each new tile is linked at once to every tile one step inward, so a
-    link already set leads inward or to a tile already made.  Then the
-    matrices are made a level at a time, each tile's its parent's times
-    its last mirror: the product of its word's mirrors, left to right.
+    A level at a time: each tile i of the outer level and mirror g with no
+    link yet (an ascent) gives a candidate u = i.g.  Mirror h != g is a
+    descent of u exactly when the walk from i by h, g, h, ... steps
+    inward m(g, h) - 1 times; going on alternating for as many steps
+    outward goes round the 2m-gon to u.h.  u is made by its candidate
+    with the least tile i, the one a tile-by-tile breadth-first search
+    meets first, so the numbering is that search's, and it is linked
+    both ways to every tile one step inward.  Its matrix is its parent's
+    times its last mirror, one stacked product per level: the product of
+    its word's mirrors, left to right.
     """
     if depth < 0:
         raise DomainError("depth must be nonnegative")
     tri = fundamental_triangle(p, q)
     orders = ((1, q, 2), (q, 1, p), (2, p, 1))  # m(g, h) of the Coxeter group
     words: list[Word] = [()]
-    steps = [(0, -1)]  # each tile's parent and last letter; the centre has none
-    nbrs: list[list[int]] = [[-1, -1, -1]]
-    ends = [0, 1]  # level d is tiles ends[d] to ends[d + 1] - 1, empty once a finite group ends
+    nbrs = np.full((1, 3), -1)
+    lasts = [np.full(1, -1)]
+    mats = [np.eye(3)[None]]  # one stacked product per level
+    ends = [0, 1]
     for d in range(1, depth + 1):
-        for i in range(ends[-2], ends[-1]):
-            for g in (A, B, C):
-                if nbrs[i][g] >= 0:
-                    continue  # i.g is nearer the centre or already made
-                if len(words) >= TILE_BUDGET:
-                    raise ResourceLimit(f"tile budget {TILE_BUDGET} exceeded at depth {d}")
-                u = len(words)
-                words.append(words[i] + (g,))
-                steps.append((i, g))
-                nbrs.append([-1, -1, -1])
-                nbrs[i][g] = u
-                nbrs[u][g] = i
-                _link_descents(nbrs, i, g, orders)
+        a, b = ends[-2], ends[-1]
+        i, g = np.nonzero(nbrs[a:b] < 0)  # the ascents, in (i, g) order
+        i += a
+        down = np.full((len(i), 3), -1)  # each candidate u's tiles u.h one step inward
+        down[np.arange(len(i)), g] = i
+        for s, h in permutations((A, B, C), 2):
+            m, k = orders[s][h], np.flatnonzero(g == s)
+            cur = i[k]
+            for step in range(2 * m - 2):
+                nxt = nbrs[cur, h if step % 2 == 0 else s]
+                if step < m - 1:  # keep the walks still stepping inward
+                    keep = (0 <= nxt) & (nxt < cur)
+                    k, nxt = k[keep], nxt[keep]
+                cur = nxt
+            down[k, h] = cur
+        made = ((down < 0) | (down >= i[:, None])).all(axis=1)
+        new = down[made]
+        if b + len(new) > TILE_BUDGET:
+            raise ResourceLimit(f"tile budget {TILE_BUDGET} exceeded at depth {d}")
+        u, h = np.nonzero(new >= 0)
+        nbrs = np.concatenate([nbrs, new])
+        nbrs[new[u, h], h] = u + b
+        up, last = i[made], g[made]
+        words += [words[x] + (y,) for x, y in zip(up.tolist(), last.tolist())]
+        lasts.append(last)
+        mats.append(mats[-1][up - a] @ tri.mirrors[last])
         ends.append(len(words))
-    parent, last = np.array(steps).T
-    mats = np.tile(np.eye(3), (len(words), 1, 1))
-    for a, b in zip(ends[1:], ends[2:]):  # one stacked product per level
-        mats[a:b] = mats[parent[a:b]] @ tri.mirrors[last[a:b]]
-    return TrianglePatch(tri, depth, tuple(words), mats, tuple(map(tuple, nbrs)))
+    return TrianglePatch(tri, depth, tuple(words), np.concatenate(mats), nbrs,
+                         np.concatenate(lasts), tuple(ends))

@@ -44,7 +44,7 @@ class ColouredPatch:
     kind: TilingKind
     scope: Scope
     k: int  # number of colours
-    colours: tuple[int, ...]  # per triangle, 1-based
+    colours: np.ndarray  # per triangle, 1-based
     polygons: tuple[tuple[int, ...], ...]  # triangle ids per merged tile
     polygon_size: int  # triangles in a complete merged tile
 
@@ -82,49 +82,55 @@ def colour_patch(
     with no colour and is completed to an even one by a stabilizer
     mirror, which lands in the same merged tile by construction.
 
-    The cosets come in one pass: a triangle x whose word starts with g
-    has coset(x) = rows[coset(g.x)][g], and g.x is shorter, so earlier.
-    In rotation scope the pass also runs from the second root rows[0][r2].
+    The cosets come a level at a time: a triangle x whose word starts
+    with g, as its parent's does, has coset(x) = rows[coset(g.x)][g],
+    and g.x is g.parent stepped across x's last mirror, one level nearer
+    the centre.  In rotation scope the cosets also run from the second
+    root rows[0][r2].  A merged tile's root is its triangle nearest the
+    centre: the root of x is that of x's inward r1 neighbour, failing
+    that of its inward r2 neighbour, or else x itself.
     """
     r1, r2 = TILE_MIRRORS[kind]
-    rows = table.rows
-    n_tiles = len(patch.tiles)
-    colour_of = _coset_colours(table, scope)
+    rows = np.array(table.rows)
+    colour_of = np.array(_coset_colours(table, scope))
+    nbrs, last, parent = patch.neighbours, patch.last, patch.parents
+    n = len(last)
 
-    cosets = [[0]] if scope is Scope.FULL else [[0], [rows[0][r2]]]
-    across = [patch.image((g,)) for g in (A, B, C)] if patch.depth else []  # depth 0: one triangle
-    for x, word in enumerate(patch.tiles[1:], 1):
-        g = word[0]
-        for cos in cosets:
-            cos.append(rows[cos[across[g][x]]][g])
-    # in full scope both lists are the one list, whose cosets all have colours
-    colours = [colour_of[c] or colour_of[d] for c, d in zip(cosets[0], cosets[-1])]
+    cosets = np.empty((n, 1 if scope is Scope.FULL else 2), np.intp)
+    cosets[0] = 0 if scope is Scope.FULL else (0, rows[0, r2])
+    first, shorter = last.copy(), np.zeros(n, np.intp)  # right on level 1
+    root = np.arange(n)
+    for a, b in zip(patch.ends[1:], patch.ends[2:]):
+        if a > 1:
+            up = parent[a:b]
+            first[a:b] = first[up]
+            shorter[a:b] = nbrs[shorter[up], last[a:b]]
+        cosets[a:b] = rows[cosets[shorter[a:b]], first[a:b, None]]
+        inward = (0 <= nbrs[a:b]) & (nbrs[a:b] < a)
+        root[a:b] = np.where(inward[:, r1], root[nbrs[a:b, r1]],
+                             np.where(inward[:, r2], root[nbrs[a:b, r2]], root[a:b]))
+    # in full scope both columns are the one column, whose cosets all have colours
+    by_root = colour_of[cosets]
+    colours = np.where(by_root[:, 0] > 0, by_root[:, 0], by_root[:, -1])
 
-    # group triangles into merged tiles: stepping inward across the two
-    # stabilizer mirrors ends at the tile's nearest triangle, the coset's
-    # minimal element and so the first of its group in patch order
-    nbrs = patch.neighbours
-    root = list(range(n_tiles))
-    groups: dict[int, list[int]] = {}
-    for i in range(n_tiles):
-        for g in (r1, r2):
-            j = nbrs[i][g]
-            if 0 <= j < i:
-                r = root[i] = root[j]
-                if colours[i] != colours[r]:
-                    raise MergeInconsistency(
-                        f"merged tile of triangle {r} got colours {colours[r]} and "
-                        f"{colours[i]}: the subgroup does not contain this tile stabilizer"
-                    )
-                break
-        groups.setdefault(root[i], []).append(i)
-    polygons = tuple(tuple(g) for g in groups.values())
+    clash = np.flatnonzero(colours != colours[root])
+    if len(clash):
+        i = clash[0]
+        r = root[i]
+        raise MergeInconsistency(
+            f"merged tile of triangle {r} got colours {colours[r]} and "
+            f"{colours[i]}: the subgroup does not contain this tile stabilizer"
+        )
+    order = np.argsort(root, kind="stable")
+    cuts = [0, *(np.flatnonzero(np.diff(root[order])) + 1).tolist(), n]
+    members = order.tolist()
+    polygons = tuple(tuple(members[s:e]) for s, e in zip(cuts, cuts[1:]))
 
     size = {TilingKind.PQ: 2 * patch.p, TilingKind.QP: 2 * patch.q, TilingKind.LAVES: 4}[
         kind
     ]
     return ColouredPatch(
-        patch, table, kind, scope, max(colour_of), tuple(colours), polygons, size
+        patch, table, kind, scope, int(colour_of.max()), colours, polygons, size
     )
 
 
@@ -140,10 +146,12 @@ def verify_perfect_on_patch(cp: ColouredPatch, w: Word) -> bool:
     """
     table = cp.table
     image = cp.patch.image(w)
-    colour_of = _coset_colours(table, cp.scope)
-    moved = {c: colour_of[j] for c, j in zip(colour_of, colour_permutation(table, w)) if c}
-    colours = cp.colours
-    return all(moved.get(colours[i]) == colours[j] for i, j in enumerate(image) if j >= 0)
+    colour_of = np.array(_coset_colours(table, cp.scope))
+    moved = np.zeros(cp.k + 1, np.intp)  # colour c goes to moved[c]; 0 is no colour
+    moved[colour_of] = colour_of[list(colour_permutation(table, w))]
+    colours = np.asarray(cp.colours)
+    inside = image >= 0
+    return bool((moved[colours[inside]] == colours[image[inside]]).all())
 
 
 # ---------------------------------------------------------------- SVG
@@ -356,7 +364,7 @@ def emit_svg(
 
     # a tile's triangles form a coset of the stabilizer, so a side is a tile
     # edge unless its mirror is a stabilizer mirror and the triangle across is in the patch
-    across = np.array(patch.neighbours)[:, _SIDE_MIRRORS]
+    across = patch.neighbours[:, _SIDE_MIRRORS]
     boundary = (across < 0) | ~np.isin(_SIDE_MIRRORS, TILE_MIRRORS[cp.kind])
 
     fill_tails = np.frombuffer(
@@ -368,7 +376,7 @@ def emit_svg(
         + b'" stroke-linecap="round"/>', np.uint8
     )
     fill_seps, stroke_seps = (b" L" * (3 * s))[:-1], (b" L" * (s + 1))[:-1]
-    colours = np.array(cp.colours) - 1
+    colours = np.asarray(cp.colours) - 1
     # each block's tile edges, projected, to be formatted after every fill:
     # held that long as bytes, they would fragment the heap the SVG grows in
     strokes: list[np.ndarray] = []

@@ -16,6 +16,11 @@ possible:
   one;
 * colours_by_words: each triangle's colour read off the table along
   its reversed word, the route colour_patch replaces by a recurrence;
+* merged_tiles_per_triangle: merged tiles found one triangle at a
+  time, the route colour_patch takes a level at a time;
+* patches_per_triangle, image_per_triangle: patches grown and mapped
+  one triangle at a time, the routes generate_patch and
+  TrianglePatch.image take a level at a time;
 * colour-permutation, histogram, matrix and word helpers used by the
   property checks;
 * free_reduce, apply_generator_map, word_matrix: words reduced, mapped
@@ -41,14 +46,16 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from colsym.census import TILE_MIRRORS, Scope, TilingKind, colour_permutation
 from colsym.coset import CosetTable, canonical_table, reroot
 from colsym.errors import DomainError, InternalError, ResourceLimit
-from colsym.geometry import FundamentalTriangle, TrianglePatch, form_matrix
+from colsym.geometry import (
+    FundamentalTriangle, TrianglePatch, form_matrix, fundamental_triangle,
+)
 from colsym.lowindex import ClassList, Seed, low_index_classes
 from colsym.presentations import Geometry, Presentation, triangle_group, von_dyck_group
 from colsym.render import (
@@ -523,6 +530,112 @@ def colours_by_words(
             cos = table.apply(0, (r2,) + iw)
         colours.append(colour_of[cos])
     return tuple(colours)
+
+
+@dataclass(frozen=True)
+class SequentialPatch:
+    """A patch as the tile-by-tile breadth-first search builds it."""
+
+    tiles: tuple[Word, ...]
+    neighbours: list[list[int]]
+    matrices: np.ndarray
+    ends: list[int]  # level d is tiles ends[d] to ends[d + 1] - 1
+    steps: list[tuple[int, int]]  # each tile's parent and last letter, but the centre's
+
+
+def _link_descents(nbrs: list[list[int]], i: int, g: int, orders) -> None:
+    """Link the new tile u = i.g to its other inward neighbours.
+
+    Mirror h is a descent of u exactly when the walk from i by h, g, h,
+    ... steps inward m(g,h) - 1 times; going on alternating for as many
+    steps outward goes round the 2m-gon to u.h.
+    """
+    u = nbrs[i][g]
+    for h in (A, B, C):
+        if h == g:
+            continue
+        m = orders[g][h]
+        cur, s = i, h
+        for step in range(2 * m - 2):
+            nxt = nbrs[cur][s]
+            if step < m - 1 and not 0 <= nxt < cur:
+                break  # h is not a descent of u
+            cur, s = nxt, g if s == h else h
+        else:
+            nbrs[u][h] = cur
+            nbrs[cur][h] = u
+
+
+def patches_per_triangle(p: int, q: int, depth: int) -> Iterator[SequentialPatch]:
+    """The patches of depth 0 to depth, grown one tile at a time.
+
+    The route generate_patch takes a level at a time: each tile in turn,
+    and each of its mirrors with no link yet, makes a new tile, linked at
+    once to every tile one step inward, and its matrix, its parent's
+    times its last mirror.  The patch of each depth is yielded as soon as
+    its last level is made, a copy of the search's state.
+    """
+    tri = fundamental_triangle(p, q)
+    orders = ((1, q, 2), (q, 1, p), (2, p, 1))
+    words: list[Word] = [()]
+    nbrs: list[list[int]] = [[-1, -1, -1]]
+    mats = [np.eye(3)]
+    steps: list[tuple[int, int]] = []
+    ends = [0, 1]
+    for d in range(depth + 1):
+        if d:
+            for i in range(ends[-2], ends[-1]):
+                for g in (A, B, C):
+                    if nbrs[i][g] >= 0:
+                        continue
+                    u = len(words)
+                    words.append(words[i] + (g,))
+                    steps.append((i, g))
+                    nbrs.append([-1, -1, -1])
+                    mats.append(mats[i] @ tri.mirrors[g])
+                    nbrs[i][g] = u
+                    nbrs[u][g] = i
+                    _link_descents(nbrs, i, g, orders)
+            ends.append(len(words))
+        yield SequentialPatch(tuple(words), [list(links) for links in nbrs], np.array(mats),
+                              list(ends), list(steps))
+
+
+def image_per_triangle(patch: SequentialPatch, w: Word) -> list[int]:
+    """The tile w.x for each tile x, or -1, one tile at a time in tile order.
+
+    A tile x = parent.g goes to (w.parent).g, and its parent comes earlier.
+    """
+    nbrs = patch.neighbours
+    y = 0
+    for g in w:
+        y = nbrs[y][g] if y >= 0 else -1
+    image = [y]
+    for parent, g in patch.steps:
+        y = image[parent]
+        image.append(nbrs[y][g] if y >= 0 else -1)
+    return image
+
+
+def merged_tiles_per_triangle(neighbours, kind: TilingKind):
+    """Each triangle's merged-tile root, and the merged tiles, one triangle at a time.
+
+    A step inward across a stabilizer mirror, r1 tried before r2, leads
+    to an earlier triangle of the same merged tile; a triangle with no
+    such step is its tile's root.  The tiles come in the order of their
+    roots, each in tile order.
+    """
+    r1, r2 = TILE_MIRRORS[kind]
+    root = list(range(len(neighbours)))
+    groups: dict[int, list[int]] = {}
+    for i, links in enumerate(neighbours):
+        for g in (r1, r2):
+            j = links[g]
+            if 0 <= j < i:
+                root[i] = root[j]
+                break
+        groups.setdefault(root[i], []).append(i)
+    return root, tuple(tuple(g) for g in groups.values())
 
 
 def colour_histogram(cp: ColouredPatch, complete_only: bool = True) -> dict[int, int]:

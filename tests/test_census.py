@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import colsym.lowindex
 from colsym import goldens
 from colsym.cache import serialize_class_list
 from colsym.census import (
@@ -83,6 +84,21 @@ def test_golden_rows_to_their_published_ends(provider):
             assert report.multiplicities() == row
             checked += 1
     assert checked == 18
+
+
+def test_default_provider_searches_each_group_once(monkeypatch):
+    # route a's rotation half and route b need the same von Dyck list:
+    # with no provider given, one call searches it once
+    searched = []
+    search = colsym.lowindex._search
+
+    def counted(pres, max_index, seeds, **kwargs):
+        searched.append((pres.name, max_index))
+        return search(pres, max_index, seeds, **kwargs)
+
+    monkeypatch.setattr(colsym.lowindex, "_search", counted)
+    census(7, 3, TilingKind.LAVES, Scope.ROTATION, 24, strategy="both")
+    assert searched == [("triangle-7-3", 48), ("vondyck-7-3", 24)]
 
 
 def test_rotation_strategies_agree_euclidean(provider):

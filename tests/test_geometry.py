@@ -12,7 +12,7 @@ from colsym.geometry import form_matrix, fundamental_triangle, generate_patch
 from colsym.presentations import Geometry, classify_geometry, triangle_group
 from colsym.render import colour_patch
 from colsym.words import A, B, C
-from oracle import form_residual, word_matrix
+from oracle import form_residual, image_per_triangle, patches_per_triangle, word_matrix
 
 # Steinberg's growth series, the benchmark's exact oracle of patch sizes
 sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -158,6 +158,33 @@ def test_neighbour_table_matches_matrix_route():
                     assert lengths[i] > patch.depth - len(w)
         with pytest.raises(DomainError):
             patch.image((A, B) * 5 + (A,))  # one letter longer than the depth
+
+
+# five infinite groups, and two spheres whose levels run out at 9 and 15
+LEVEL_GRID = [(7, 3), (8, 3), (5, 4), (4, 4), (6, 3), (4, 3), (3, 5)]
+
+
+@pytest.mark.parametrize("pq", LEVEL_GRID, ids=str)
+def test_levels_match_the_per_triangle_route(pq):
+    # the patch a level at a time against the tile-by-tile search, at
+    # depths 0, 1, 2 and 10 to 34: the same words, links and matrices bit
+    # for bit, and the same image of a random word of every length
+    rng = random.Random(sum(pq))
+    depths = {0, 1, 2, *range(10, 35)}
+    for depth, slow in enumerate(patches_per_triangle(*pq, 34)):
+        if depth not in depths:
+            continue
+        patch = generate_patch(*pq, depth)
+        assert patch.tiles == slow.tiles
+        assert patch.ends == tuple(slow.ends)
+        assert patch.neighbours.tolist() == slow.neighbours
+        assert patch.matrices.tobytes() == slow.matrices.tobytes()
+        assert patch.last.tolist() == [-1] + [w[-1] for w in slow.tiles[1:]]
+        for length in range(depth + 1):
+            w = [rng.randrange(3)] if length else []
+            while len(w) < length:
+                w.append(rng.choice([g for g in (A, B, C) if g != w[-1]]))
+            assert patch.image(tuple(w)).tolist() == image_per_triangle(slow, tuple(w))
 
 
 def test_patch_sizes_follow_the_growth_series():

@@ -1,4 +1,5 @@
 import hashlib
+import re
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 
@@ -14,7 +15,9 @@ from colsym.render import (
     _decimal_rows, _geodesics, colour_patch, emit_svg, palette, verify_perfect_on_patch
 )
 from colsym.words import A, B, C
-from oracle import colour_histogram, colours_by_words, emit_svg_per_triangle
+from oracle import (
+    colour_histogram, colours_by_words, emit_svg_per_triangle, merged_tiles_per_triangle
+)
 
 
 def rep_table(provider, p, q, kind, scope, k, pick=0):
@@ -78,6 +81,19 @@ def test_wrong_kind_merge_fails(provider):
         colour_patch(generate_patch(4, 4, 3), t, TilingKind.PQ)
 
 
+def test_merge_clash_names_the_first_triangle_and_its_root(provider):
+    # the first triangle in tile order whose colour differs from its
+    # merged tile's root, found one triangle at a time
+    t = rep_table(provider, 4, 4, TilingKind.QP, Scope.FULL, 2)
+    patch = generate_patch(4, 4, 3)
+    colours = colours_by_words(patch, t, TilingKind.PQ, Scope.FULL)
+    root, _ = merged_tiles_per_triangle(patch.neighbours.tolist(), TilingKind.PQ)
+    i = next(x for x, r in enumerate(root) if colours[x] != colours[r])
+    message = f"merged tile of triangle {root[i]} got colours {colours[root[i]]} and {colours[i]}: "
+    with pytest.raises(MergeInconsistency, match="^" + re.escape(message)):
+        colour_patch(patch, t, TilingKind.PQ)
+
+
 def test_histogram(board):
     hist = colour_histogram(board)
     assert set(hist) == {1, 2}
@@ -116,7 +132,8 @@ COLOURING_GRID = [(7, 3, 12, 14), (5, 4, 10, 12), (4, 3, 40, 12), (3, 5, 40, 20)
 @pytest.mark.parametrize("p, q, depth, k", COLOURING_GRID, ids=str)
 def test_colours_match_the_per_word_route(provider, p, q, depth, k):
     # the first-letter recurrence against each triangle's reversed word
-    # walked through the table, for every representative up to k colours
+    # walked through the table, and the merged tiles a level at a time
+    # against one triangle at a time, for every representative up to k colours
     patches = [generate_patch(p, q, d) for d in (0, 1, depth)]
     for kind in TilingKind:
         for scope in Scope:
@@ -124,9 +141,11 @@ def test_colours_match_the_per_word_route(provider, p, q, depth, k):
             assert entries
             for rep in (r for e in entries for r in e.representatives):
                 for patch in patches:
-                    got = colour_patch(patch, rep.table, kind, scope).colours
-                    assert got == colours_by_words(patch, rep.table, kind, scope), (
-                        kind, scope, patch.depth)
+                    cp = colour_patch(patch, rep.table, kind, scope)
+                    want = colours_by_words(patch, rep.table, kind, scope)
+                    assert cp.colours.tolist() == list(want), (kind, scope, patch.depth)
+                    _, polygons = merged_tiles_per_triangle(patch.neighbours.tolist(), kind)
+                    assert cp.polygons == polygons, (kind, scope, patch.depth)
 
 
 def test_svg_well_formed_and_deterministic(board):
