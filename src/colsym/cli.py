@@ -249,7 +249,7 @@ def cmd_verify(args) -> int:
         f"{status} {kind.display(args.p, args.q)} {scope.value} "
         f"k={cp.k}: {args.words - bad}/{args.words} words consistent "
         f"on {len(cp.polygons)} tiles, each checked on at least "
-        f"{checked} of {len(patch.tiles)} triangles"
+        f"{checked} of {patch.ends[-1]} triangles"
     )
     return 0 if bad == 0 else 1
 

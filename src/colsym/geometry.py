@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import permutations
 
 import numpy as np
@@ -105,21 +106,20 @@ class TrianglePatch:
 
     Tiles are numbered by word length: level d, the tiles of words of d
     letters, is tiles ends[d] to ends[d + 1] - 1 (empty once a finite
-    group runs out).  tiles[i] is tile i's reduced word, last[i] its last
-    letter (-1 for the centre), and matrices[i] the product of its
-    mirrors, left to right, which maps the fundamental triangle onto it.
-    neighbours[i, g] is the tile i.g across mirror g, or -1 outside the
-    patch.  A link joins adjacent levels, so 0 <= neighbours[i, g] < i
-    exactly when g steps inward.
+    group runs out), n = ends[-1] in all.  last[i] is tile i's last letter
+    (-1 for the centre), and matrices[i] the product of its mirrors, left
+    to right, which maps the fundamental triangle onto it.  neighbours[i,
+    g] is the tile i.g across mirror g, or -1 outside the patch.  A link
+    joins adjacent levels, so 0 <= neighbours[i, g] < i exactly when g
+    steps inward.  The reduced words, tiles, are built on first read.
     """
 
     triangle: FundamentalTriangle
     depth: int
-    tiles: tuple[Word, ...]
-    matrices: np.ndarray  # (len(tiles), 3, 3)
-    neighbours: np.ndarray  # (len(tiles), 3) int
-    last: np.ndarray  # (len(tiles),) int
-    ends: tuple[int, ...]  # depth + 2 level boundaries, from 0 to len(tiles)
+    matrices: np.ndarray  # (n, 3, 3)
+    neighbours: np.ndarray  # (n, 3) int
+    last: np.ndarray  # (n,) int
+    ends: tuple[int, ...]  # depth + 2 level boundaries, from 0 to n
 
     @property
     def p(self) -> int:
@@ -133,6 +133,14 @@ class TrianglePatch:
     def parents(self) -> np.ndarray:
         """neighbours[i, last[i]], tile i's word less its last letter (i >= 1)."""
         return self.neighbours[np.arange(len(self.last)), self.last]
+
+    @cached_property
+    def tiles(self) -> tuple[Word, ...]:
+        """tiles[i] is tile i's reduced word, its parent's and its last letter."""
+        words, parent, last = [()], self.parents.tolist(), self.last.tolist()
+        for a, b in zip(self.ends[1:], self.ends[2:]):
+            words += [words[x] + (g,) for x, g in zip(parent[a:b], last[a:b])]
+        return tuple(words)
 
     def walk(self, i: int, w: Word) -> int:
         """The tile i.w, or -1 once the walk leaves the patch."""
@@ -182,7 +190,6 @@ def generate_patch(p: int, q: int, depth: int) -> TrianglePatch:
         raise DomainError("depth must be nonnegative")
     tri = fundamental_triangle(p, q)
     orders = ((1, q, 2), (q, 1, p), (2, p, 1))  # m(g, h) of the Coxeter group
-    words: list[Word] = [()]
     nbrs = np.full((1, 3), -1)
     lasts = [np.full(1, -1)]
     mats = [np.eye(3)[None]]  # one stacked product per level
@@ -197,6 +204,8 @@ def generate_patch(p: int, q: int, depth: int) -> TrianglePatch:
             m, k = orders[s][h], np.flatnonzero(g == s)
             cur = i[k]
             for step in range(2 * m - 2):
+                if not len(k):  # no candidate left, or none with last letter s
+                    break
                 nxt = nbrs[cur, h if step % 2 == 0 else s]
                 if step < m - 1:  # keep the walks still stepping inward
                     keep = (0 <= nxt) & (nxt < cur)
@@ -211,9 +220,8 @@ def generate_patch(p: int, q: int, depth: int) -> TrianglePatch:
         nbrs = np.concatenate([nbrs, new])
         nbrs[new[u, h], h] = u + b
         up, last = i[made], g[made]
-        words += [words[x] + (y,) for x, y in zip(up.tolist(), last.tolist())]
         lasts.append(last)
         mats.append(mats[-1][up - a] @ tri.mirrors[last])
-        ends.append(len(words))
-    return TrianglePatch(tri, depth, tuple(words), np.concatenate(mats), nbrs,
-                         np.concatenate(lasts), tuple(ends))
+        ends.append(len(nbrs))
+    return TrianglePatch(tri, depth, np.concatenate(mats), nbrs, np.concatenate(lasts),
+                         tuple(ends))

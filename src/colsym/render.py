@@ -6,18 +6,18 @@ chosen tiling by the stabilizer mirrors, each group gets one colour,
 and a subgroup that does not actually contain the stabilizer gets
 caught red-handed when a group straddles two colours.
 
-The drawing pipeline is deliberately dumb: subdivide geodesic edges,
-project, format floats at fixed precision, a block of triangles at a
-time.  Each triangle is filled, in patch order; then the tile edges are
-stroked, in patch order too.  Equal inputs give byte-equal SVG.
+The drawing pipeline is deliberately dumb: the base triangle's geodesic
+sides are subdivided once, moved onto a block of triangles at a time by
+their matrices and projected, and each point is formatted once.  Each
+triangle is filled, then the tile edges are stroked from the same
+points, both in patch order.  Equal inputs give byte-equal SVG.
 
 Every number is written as "%.5f" writes it, except that -0.00000 is
-written 0.00000.  Path coordinates are formatted a block of paths at a
-time by _decimal_rows: integer arithmetic builds the digits in a
-character array, and only a number that arithmetic might round
-differently (a scaled fraction at one half, or a magnitude of about
-21,475 or more) is formatted by Python.  A non-finite coordinate raises
-InternalError instead of writing nan or inf into the picture.
+written 0.00000.  _decimal_fields formats a block of points at a time:
+integer arithmetic builds the digits in a character array, and only a
+number that arithmetic might round differently (a scaled fraction at one
+half, or a magnitude of about 21,475 or more) is formatted by Python.  A
+non-finite coordinate raises InternalError instead of writing nan or inf.
 """
 from __future__ import annotations
 
@@ -222,26 +222,25 @@ def _geodesics(
 def _drawn_blocks(patch: TrianglePatch, projection: str, ts: np.ndarray):
     """Yield (ids, sides) for each block of triangles drawn in projection.
 
-    sides is (len(ids), 3, len(ts), 2): side s of a triangle, projected,
-    runs from its corner s to corner s + 1 (mod 3).  The orthographic
-    projection leaves out triangles on the far side of the sphere.
+    sides is (len(ids), 3, len(ts), 2): side s of a triangle, the base
+    triangle's side s moved by its matrix (an isometry keeps geodesics and
+    arc length) and projected, runs from corner s to corner s + 1 (mod 3).
+    The orthographic projection leaves out triangles on the far side.
     """
-    geometry, n = patch.triangle.geometry, len(patch.tiles)
+    tri, n = patch.triangle, len(patch.last)
+    base = _geodesics(tri.corners, np.roll(tri.corners, -1, axis=0), tri.geometry, ts)
     for start in range(0, n, _BLOCK):
         ids = np.arange(start, min(start + _BLOCK, n))
-        pts = np.einsum(  # (triangle, corner, xyz)
-            "nij,kj->nki", patch.matrices[start : start + _BLOCK], patch.triangle.corners
-        )
-        if projection == "orthographic":
-            near = (pts.sum(axis=1) / 3.0) @ _TILT[2] > 0.0
+        pts = (patch.matrices[start : start + _BLOCK] @ base.reshape(-1, 3).T).transpose(0, 2, 1)
+        if projection == "orthographic":  # by the corners, each side's first point
+            near = (pts[:, :: len(ts)].sum(axis=1) / 3.0) @ _TILT[2] > 0.0
             pts, ids = pts[near], ids[near]
         # guard drift so points sit exactly on their surface before projecting
-        if geometry is Geometry.EUCLIDEAN:
+        if tri.geometry is Geometry.EUCLIDEAN:
             pts = pts / pts[..., 2:]
         else:
-            pts = pts / np.sqrt(np.maximum(1e-300, _form(pts, pts, geometry)))[..., None]
-        arcs = _geodesics(pts, np.roll(pts, -1, axis=1), geometry, ts)
-        yield ids, _project(arcs.reshape(-1, 3), projection).reshape(len(ids), 3, len(ts), 2)
+            pts = pts / np.sqrt(np.maximum(1e-300, _form(pts, pts, tri.geometry)))[..., None]
+        yield ids, _project(pts.reshape(-1, 3), projection).reshape(len(ids), 3, len(ts), 2)
 
 
 def palette(k: int, seed: int = 0) -> tuple[str, ...]:
@@ -260,28 +259,23 @@ def _fmt(v: float) -> str:
     return "0.00000" if s == "-0.00000" else s
 
 
-def _decimal_rows(
-    values: np.ndarray, seps: bytes, prefix: bytes, suffixes: np.ndarray
-) -> bytes:
-    """Rows of numbers written as _fmt writes them, joined.
+def _decimal_fields(values: np.ndarray) -> np.ndarray:
+    """Each number of values written as _fmt writes it, in a uint8 field.
 
-    values is a (rows, n) float array.  Row i is written as prefix, its n
-    numbers with seps[j] between numbers j and j + 1, then suffixes[i],
-    a row of the (rows, width) uint8 array suffixes; none holds a 0 byte.
-
+    The fields are values.shape + (h + 7,): h slots for the sign and the
+    digits before the point, right-aligned, then the point, five digits
+    and a slot for the separator _joined_rows writes; the rest are 0.
     Each number is k = rint(|x| * 1e5) hundred-thousandths, put digit by
-    digit into a fixed-width field of a zero-filled uint8 array; slots
-    that must not show stay 0, and the nonzero bytes are the block.
-    "%.5f" rounds the exact value of x.  The product |x| * 1e5 is
-    correctly rounded and every half n + 1/2 is a double, so the product
-    can land on a half but never crosses one: off a half, rint rounds as
-    "%.5f" does.  Only numbers whose scaled fraction lies within a few
-    ulps of one half, or whose scaled magnitude reaches 2^31, are written
-    one at a time, by _fmt.  A non-finite number is an InternalError.
+    digit into its field.  "%.5f" rounds the exact value of x.  The
+    product |x| * 1e5 is correctly rounded and every half n + 1/2 is a
+    double, so the product can land on a half but never crosses one: off
+    a half, rint rounds as "%.5f" does.  Only numbers whose scaled
+    fraction lies within a few ulps of one half, or whose scaled magnitude
+    reaches 2^31, are written one at a time, by _fmt.  A non-finite
+    number is an InternalError.
     """
     if not np.isfinite(values).all():
         raise InternalError("non-finite coordinate in SVG path data")
-    rows, n = values.shape
     # scaled magnitudes from top up go to _fmt, so k fits int32, whose
     # digit arithmetic runs four times faster than int64's
     top = 2.0**31
@@ -294,10 +288,7 @@ def _decimal_rows(
     whole = len(str(int(k.max(initial=0)) // 100_000))  # most digits before the point
     h = max([whole + 1] + [len(s) - 6 for s in one_by_one])
 
-    # the field of one number: h slots for the sign and the digits before
-    # the point, right-aligned, then the point, five digits and the
-    # separator that follows the number (0 after the last)
-    field = np.zeros((rows, n, h + 7), np.uint8)
+    field = np.zeros((*values.shape, h + 7), np.uint8)
     for slot in [*range(h + 5, h, -1), h - 1]:  # the digits always shown
         q = k // 10
         field[..., slot] = k - 10 * q + 48
@@ -310,13 +301,23 @@ def _decimal_rows(
         field[..., slot] = np.where(more, k - 10 * q + 48, 45 * signed)  # 45 is "-"
         k, signed = q, more & neg
     field[..., h] = 46  # "."
-    field[..., h + 6] = np.frombuffer(seps + b"\0", np.uint8)
-    for (i, j), s in zip(np.argwhere(slow).tolist(), one_by_one):  # k is 0: s covers all shown
-        field[i, j, h + 6 - len(s) : h + 6] = np.frombuffer(s, np.uint8)
+    for i, s in zip(np.flatnonzero(slow).tolist(), one_by_one):  # k is 0: s covers all shown
+        field.reshape(-1, h + 7)[i, h + 6 - len(s) : h + 6] = np.frombuffer(s, np.uint8)
+    return field
 
+
+def _joined_rows(fields: np.ndarray, seps: bytes, prefix: bytes, suffixes: np.ndarray) -> bytes:
+    """Rows of (rows, n, width) _decimal_fields joined, less their 0 bytes.
+
+    Row i is prefix, its n numbers with seps[j] after number j, then
+    suffixes[i], a row of the uint8 array suffixes; none holds a 0 byte.
+    """
+    rows, n, width = fields.shape
     text = np.concatenate(
         [np.broadcast_to(np.frombuffer(prefix, np.uint8), (rows, len(prefix))),
-         field.reshape(rows, n * (h + 7)), suffixes], axis=1)
+         fields.reshape(rows, n * width), suffixes], axis=1)
+    at = len(prefix) + width - 1  # each field's separator slot, 0 after the row's last
+    text[:, at : at + n * width : width] = np.frombuffer(seps + b"\0", np.uint8)
     return text[text != 0].tobytes()
 
 
@@ -377,7 +378,7 @@ def emit_svg(
     )
     fill_seps, stroke_seps = (b" L" * (3 * s))[:-1], (b" L" * (s + 1))[:-1]
     colours = np.asarray(cp.colours) - 1
-    # each block's tile edges, projected, to be formatted after every fill:
+    # each block's tile edges, formatted, to be joined after every fill:
     # held that long as bytes, they would fragment the heap the SVG grows in
     strokes: list[np.ndarray] = []
     svg = io.BytesIO()
@@ -388,12 +389,13 @@ def emit_svg(
         f'fill="#ffffff"/>'.encode("ascii")
     )
     for ids, xy in _drawn_blocks(patch, projection, ts):
-        ring = xy[:, :, :-1].reshape(len(ids), 6 * s)
-        svg.write(_decimal_rows(ring, fill_seps, b'\n<path d="M', fill_tails[colours[ids]]))
-        strokes.append(xy[boundary[ids]].reshape(-1, 2 * s + 2))
+        field = _decimal_fields(xy)  # each point formatted once
+        ring = field[:, :, :-1].reshape(len(ids), 6 * s, -1)  # each side but its end
+        svg.write(_joined_rows(ring, fill_seps, b'\n<path d="M', fill_tails[colours[ids]]))
+        strokes.append(field[boundary[ids]].reshape(-1, 2 * s + 2, field.shape[-1]))
     for edges in strokes:
-        svg.write(_decimal_rows(edges, stroke_seps, b'\n<path d="M',
-                                np.broadcast_to(stroke_tail, (len(edges), stroke_tail.size))))
+        svg.write(_joined_rows(edges, stroke_seps, b'\n<path d="M',
+                               np.broadcast_to(stroke_tail, (len(edges), stroke_tail.size))))
     if projection == "disk":
         svg.write(b'\n<circle cx="0" cy="0" r="1" fill="none" stroke="#1a1a1a" '
                   b'stroke-width="%s"/>' % stroke)

@@ -108,7 +108,7 @@ def run_selftest(
                     alternates = False
         checks.append(
             ("checkerboard alternation on patch", alternates,
-             f"{len(patch.tiles)} triangles")
+             f"{patch.ends[-1]} triangles")
         )
         words = ((A,), (B,), (C,), (A, B), (B, C), (A, C), (A, B, C), (A, B, A, C))
         perfect = all(verify_perfect_on_patch(cp, w) for w in words)

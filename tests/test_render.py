@@ -12,7 +12,8 @@ from colsym.errors import DomainError, InternalError, MergeInconsistency
 from colsym.geometry import generate_patch
 from colsym.presentations import Geometry
 from colsym.render import (
-    _decimal_rows, _geodesics, colour_patch, emit_svg, palette, verify_perfect_on_patch
+    _decimal_fields, _geodesics, _joined_rows, colour_patch, emit_svg, palette,
+    verify_perfect_on_patch,
 )
 from colsym.words import A, B, C
 from oracle import (
@@ -312,6 +313,32 @@ def test_orthographic_draws_the_near_hemisphere(provider, p, q, triangles):
     assert svg.count(b'stroke="none"') == triangles // 2
 
 
+@pytest.mark.parametrize("p, q, projection", [
+    (7, 3, "disk"), (4, 3, "stereographic"), (4, 3, "orthographic"), (4, 4, "identity"),
+])
+def test_drawn_points_are_put_back_on_their_surface(provider, p, q, projection):
+    # matrices that drift off the isometries, here all by a common factor,
+    # draw the same picture: every point is put back on its surface before
+    # it is projected
+    t = rep_table(provider, p, q, TilingKind.PQ, Scope.FULL, 1)
+    patch = generate_patch(p, q, 8)
+    cp = colour_patch(patch, t, TilingKind.PQ)
+    drifted = replace(cp, patch=replace(patch, matrices=patch.matrices * 1.001))
+    assert emit_svg(drifted, projection=projection) == emit_svg(cp, projection=projection)
+
+
+def test_drawing_builds_no_tile_words(provider):
+    # the words are built only when read, and nothing on the way from a
+    # patch to its picture reads them
+    t = rep_table(provider, 7, 3, TilingKind.PQ, Scope.FULL, 8)
+    patch = generate_patch(7, 3, 12)
+    cp = colour_patch(patch, t, TilingKind.PQ)
+    assert all(verify_perfect_on_patch(cp, w) for w in ((A,), (B, C), (C, A, B)))
+    emit_svg(cp)
+    assert "tiles" not in patch.__dict__
+    assert len(patch.tiles) == patch.ends[-1] and "tiles" in patch.__dict__
+
+
 def test_palette():
     assert palette(1) == palette(1)
     assert len(palette(12)) == 12
@@ -321,7 +348,7 @@ def test_palette():
 
 
 def decimal_rows_one_by_one(values, seps, prefix, suffixes):
-    """The rows _decimal_rows writes, each number by b"%.5f"."""
+    """The rows _joined_rows writes from _decimal_fields, each number by b"%.5f"."""
     rows = []
     for row, suffix in zip(values.tolist(), suffixes.tolist()):
         nums = [b"0.00000" if b == b"-0.00000" else b for b in (b"%.5f" % x for x in row)]
@@ -334,8 +361,15 @@ def check_decimal_rows(rows, n):
     values = np.array(rows, float).reshape(len(rows), n)
     seps = (b" L" * n)[: n - 1]
     suffixes = (np.arange(len(rows))[:, None] % 26 + np.array([65, 97])).astype(np.uint8)
-    data = _decimal_rows(values, seps, b"M", suffixes)
+    fields = _decimal_fields(values)
+    data = _joined_rows(fields, seps, b"M", suffixes)
     assert data == b"".join(decimal_rows_one_by_one(values, seps, b"M", suffixes))
+    # a gather of the fields formatted up front, as emit_svg joins a fill
+    # ring and its strokes: the rows backwards, every other number
+    pick = (slice(None, None, -1), slice(None, None, 2))
+    part, part_seps = values[pick], seps[: (n + 1) // 2 - 1]
+    data = _joined_rows(fields[pick], part_seps, b"M", suffixes[::-1])
+    assert data == b"".join(decimal_rows_one_by_one(part, part_seps, b"M", suffixes[::-1]))
 
 
 def nudge(x, steps):
@@ -389,4 +423,4 @@ def test_decimal_rows_match_percent_format(case):
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_decimal_rows_reject_non_finite(bad):
     with pytest.raises(InternalError):
-        _decimal_rows(np.array([[0.5, bad]]), b" ", b"M", np.zeros((1, 0), np.uint8))
+        _decimal_fields(np.array([[0.5, bad]]))
