@@ -6,14 +6,16 @@
     colsym selftest --level full
     colsym cache ls
 
-Exit codes: 0 success, 1 a verification or internal consistency check
-failed, 2 bad usage or parameters outside the supported domain,
-3 a resource budget was exceeded.
+verify checks the symmetry group's generators on every triangle of a
+patch.  Exit codes: 0 success, 1 a verification or internal consistency
+check failed, 2 bad usage, parameters outside the supported domain or
+output that cannot be written, 3 a resource budget was exceeded.
 """
 from __future__ import annotations
 
 import argparse
-import random
+import contextlib
+import io
 import sys
 
 from .cache import cache_clear, cache_entries, cached_provider, default_cache_dir
@@ -116,13 +118,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--depth",
         type=int,
         default=16,
-        help="patch radius in triangles (default 16); words are 1 to "
-        "min(12, depth) letters long, even in rotation scope",
+        help="patch radius in triangles (default 16, at least 1, or 2 in "
+        "rotation scope); each generator is checked on every triangle it "
+        "maps into the patch",
     )
-    sp.add_argument(
-        "--words", type=int, default=50, help="random symmetries to test (at least 1)"
-    )
-    sp.add_argument("--seed", type=int, default=0)
     _budget_options(sp)
 
     sp = sub.add_parser("selftest", help="recompute and compare the frozen results")
@@ -146,56 +145,58 @@ def _provider(args):
                            node_budget=args.max_nodes)
 
 
-def _representative(args, k: int):
-    """The census representative selected by --colours/--pick."""
+def _coloured_patch(args, depth: int):
+    """The census representative selected by --colours/--pick, coloured on a patch."""
     kind = TilingKind(args.tiling)
     scope = Scope(args.scope)
-    report = census(args.p, args.q, kind, scope, k, classes_provider=_provider(args))
+    report = census(args.p, args.q, kind, scope, args.colours, classes_provider=_provider(args))
     for e in report.entries:
-        if e.colours == k:
+        if e.colours == args.colours:
             if not 0 <= args.pick < len(e.representatives):
                 raise DomainError(
                     f"--pick {args.pick} out of range: {len(e.representatives)} "
-                    f"colourings with {k} colours"
+                    f"colourings with {args.colours} colours"
                 )
-            return report, e.representatives[args.pick].table
+            table = e.representatives[args.pick].table
+            return colour_patch(generate_patch(args.p, args.q, depth), table, kind, scope)
     raise DomainError(
         f"no perfect colouring of {kind.display(args.p, args.q)} "
-        f"({scope.value} scope) with {k} colours"
+        f"({scope.value} scope) with {args.colours} colours"
     )
 
 
-def _default_depth(p: int, q: int) -> int:
-    # a spherical patch stops growing once the group is exhausted, so a
-    # generous depth just means "the whole tiling" there
-    return 40 if classify_geometry(p, q) is Geometry.SPHERICAL else 5
-
-
-def _write(path: str, data: bytes) -> None:
+def _write(path: str | None, data: bytes) -> None:
+    """Write data to the file at path, or to stdout without one."""
     try:
-        with open(path, "wb") as fh:
+        with open(path, "wb") if path else contextlib.nullcontext(sys.stdout.buffer) as fh:
             fh.write(data)
+            fh.flush()
     except OSError as e:
-        raise DomainError(f"cannot write {path}: {e.strerror}") from None
+        raise DomainError(f"cannot write {path or 'stdout'}: {e.strerror}") from None
+
+
+# the mirrors, or in rotation scope the rotations gh, generate the symmetries;
+# as l(g.x) = l(x) +- 1, checking them on every triangle they map into the
+# patch checks every word w on the triangles within depth - len(w)
+GENERATORS = {
+    Scope.FULL: ((A,), (B,), (C,)),
+    Scope.ROTATION: tuple((g, h) for g in (A, B, C) for h in (A, B, C) if g != h),
+}
 
 
 def cmd_census(args) -> int:
     report = census(args.p, args.q, TilingKind(args.tiling), Scope(args.scope), args.max_colours,
                     strategy=args.strategy, classes_provider=_provider(args))
-    text = format_census(report, args.format)
-    if args.out:
-        _write(args.out, (text + "\n").encode("ascii"))
-    else:
-        print(text)
+    _write(args.out, f"{format_census(report, args.format)}\n".encode())
     print(f"# {report.elapsed:.2f}s, strategy {report.strategy}", file=sys.stderr)
     return 0
 
 
 def cmd_render(args) -> int:
-    _, table = _representative(args, args.colours)
-    depth = args.depth if args.depth is not None else _default_depth(args.p, args.q)
-    patch = generate_patch(args.p, args.q, depth)
-    cp = colour_patch(patch, table, TilingKind(args.tiling), Scope(args.scope))
+    # a spherical patch stops growing once the group is exhausted, so a
+    # generous depth just means "the whole tiling" there
+    default = 40 if classify_geometry(args.p, args.q) is Geometry.SPHERICAL else 5
+    cp = _coloured_patch(args, default if args.depth is None else args.depth)
     data = emit_svg(
         cp,
         projection=args.projection,
@@ -203,60 +204,38 @@ def cmd_render(args) -> int:
         subdivision=args.subdiv,
         size=args.size,
     )
+    _write(args.out, data)
     if args.out:
-        _write(args.out, data)
         print(f"# wrote {args.out}: {len(data)} bytes, {len(cp.polygons)} tiles",
               file=sys.stderr)
-    else:
-        sys.stdout.buffer.write(data)
     return 0
 
 
 def cmd_verify(args) -> int:
-    if args.words < 1:
-        raise DomainError("--words must be at least 1")
-    kind = TilingKind(args.tiling)
     scope = Scope(args.scope)
-    # a word is checkable when it is no longer than the patch depth, and
-    # only even words are colour symmetries in rotation scope
-    step = 2 if scope is Scope.ROTATION else 1
-    longest = min(12, args.depth) // step
-    if longest < 1:
-        raise DomainError(
-            f"--depth must be at least {step} to check {scope.value}-scope words"
-        )
-    _, table = _representative(args, args.colours)
-    patch = generate_patch(args.p, args.q, args.depth)
-    cp = colour_patch(patch, table, kind, scope)
-    rng = random.Random(args.seed)
-
-    def random_word():
-        w = []
-        for _ in range(step * rng.randint(1, longest)):
-            w.append(rng.choice([g for g in (A, B, C) if not w or g != w[-1]]))
-        return tuple(w)
-
-    words = [random_word() for _ in range(args.words)]
-    bad = 0
-    for w in words:
-        if not verify_perfect_on_patch(cp, w):
-            bad += 1
-            print(f"FAIL word {w} does not permute colours consistently")
-    # each word w is checked on every triangle within depth - len(w)
-    checked = patch.ends[args.depth - max(map(len, words)) + 1]
-    status = "PASS" if bad == 0 else "FAIL"
-    print(
-        f"{status} {kind.display(args.p, args.q)} {scope.value} "
-        f"k={cp.k}: {args.words - bad}/{args.words} words consistent "
+    generators = GENERATORS[scope]
+    step = len(generators[0])
+    if args.depth < step:
+        raise DomainError(f"--depth must be at least {step} in {scope.value} scope")
+    cp = _coloured_patch(args, args.depth)
+    lines = [f"FAIL generator {g} does not permute colours consistently"
+             for g in generators if not verify_perfect_on_patch(cp, g)]
+    good = len(generators) - len(lines)
+    lines.append(
+        f"{'FAIL' if lines else 'PASS'} {TilingKind(args.tiling).display(args.p, args.q)} "
+        f"{scope.value} k={cp.k}: {good}/{len(generators)} generators consistent "
         f"on {len(cp.polygons)} tiles, each checked on at least "
-        f"{checked} of {patch.ends[-1]} triangles"
+        f"{cp.patch.ends[args.depth - step + 1]} of {cp.patch.ends[-1]} triangles"
     )
-    return 0 if bad == 0 else 1
+    _write(None, "".join(f"{line}\n" for line in lines).encode())
+    return 0 if good == len(generators) else 1
 
 
 def cmd_selftest(args) -> int:
+    out = io.StringIO()
     ok = run_selftest(args.level, jobs=args.jobs, cache_dir=args.cache_dir,
-                      use_cache=not args.no_cache)
+                      use_cache=not args.no_cache, out=out)
+    _write(None, out.getvalue().encode())
     return 0 if ok else 1
 
 
@@ -264,17 +243,18 @@ def cmd_cache(args) -> int:
     directory = args.cache_dir or default_cache_dir()
     if args.action == "ls":
         entries = cache_entries(args.cache_dir)
-        print(f"# cache at {directory}")
+        lines = [f"# cache at {directory}"]
         for e in entries:
             if e["classes"] is None:
-                print(f"{e['name']:14s} corrupt or stale")
+                lines.append(f"{e['name']:14s} corrupt or stale")
             else:
-                print(f"{e['name']:14s} max_index={e['max_index']:3d} classes={e['classes']}")
+                lines.append(f"{e['name']:14s} max_index={e['max_index']:3d} "
+                             f"classes={e['classes']}")
         if not entries:
-            print("# empty")
+            lines.append("# empty")
     else:
-        removed = cache_clear(args.cache_dir)
-        print(f"# removed {removed} files from {directory}")
+        lines = [f"# removed {cache_clear(args.cache_dir)} files from {directory}"]
+    _write(None, "".join(f"{line}\n" for line in lines).encode())
     return 0
 
 

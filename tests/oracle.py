@@ -16,6 +16,8 @@ possible:
   one;
 * colours_by_words: each triangle's colour read off the table along
   its reversed word, the route colour_patch replaces by a recurrence;
+* random_words: random symmetries of a patch, the sample verify drew
+  before it checked the generators on every triangle;
 * merged_tiles_per_triangle: merged tiles found one triangle at a
   time, the route colour_patch takes a level at a time;
 * patches_per_triangle, image_per_triangle: patches grown and mapped
@@ -45,6 +47,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import random
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -530,6 +533,22 @@ def colours_by_words(
             cos = table.apply(0, (r2,) + iw)
         colours.append(colour_of[cos])
     return tuple(colours)
+
+
+def random_words(rng: random.Random, scope: Scope, depth: int, n: int) -> list[Word]:
+    """n random words of 1 to min(12, depth) letters, no letter twice in a row.
+
+    Only even words are colour symmetries in rotation scope, so there
+    every length is even.
+    """
+    step = 2 if scope is Scope.ROTATION else 1
+    words = []
+    for _ in range(n):
+        w: list[int] = []
+        for _ in range(step * rng.randint(1, min(12, depth) // step)):
+            w.append(rng.choice([g for g in (A, B, C) if not w or g != w[-1]]))
+        words.append(tuple(w))
+    return words
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import subprocess
@@ -111,15 +112,7 @@ def test_domain_error_exit_code(capsys, cache_dir):
     )
     assert code == 2
 
-    for words in ("-3", "0"):
-        code, out, err = run_cli(
-            capsys, "verify", "--p", "4", "--q", "3", "--colours", "3",
-            "--words", words, "--cache-dir", cache_dir,
-        )
-        assert (code, out) == (2, "")
-        assert "--words" in err
-
-    # no word fits a patch of depth 0, nor an even one a patch of depth 1
+    # no generator fits a patch of depth 0, nor a rotation one of depth 1
     for scope, depth in (("full", "0"), ("full", "-2"), ("rotation", "1")):
         code, out, err = run_cli(
             capsys, "verify", "--p", "7", "--q", "3", "--colours", "8",
@@ -256,43 +249,46 @@ def test_render_rejects_missing_colouring(capsys, cache_dir):
 
 
 def test_verify_command(capsys, cache_dir):
-    code, out, _ = run_cli(
-        capsys, "verify", "--p", "7", "--q", "3", "--tiling", "laves",
-        "--scope", "rotation", "--colours", "14", "--pick", "2",
-        "--depth", "4", "--words", "25", "--cache-dir", cache_dir,
-    )
-    assert code == 0
-    assert out.startswith("PASS")
-    assert "25/25" in out
-    # words are at most depth letters long, so each is checked at least on
-    # the triangles within depth - (longest word) of the centre
-    assert out.rstrip().endswith("each checked on at least 1 of 25 triangles")
+    # the six rotations gh are each two letters long, so each is checked at
+    # least on the triangles within depth - 2 of the centre
+    for depth, tiles, inner, n in (("4", 9, 9, 25), ("14", 111, 246, 370)):
+        code, out, _ = run_cli(
+            capsys, "verify", "--p", "7", "--q", "3", "--tiling", "laves",
+            "--scope", "rotation", "--colours", "14", "--pick", "2",
+            "--depth", depth, "--cache-dir", cache_dir,
+        )
+        assert code == 0
+        assert out == (
+            f"PASS [3.7.3.7] rotation k=14: 6/6 generators consistent on {tiles} "
+            f"tiles, each checked on at least {inner} of {n} triangles\n"
+        )
+        patch = generate_patch(7, 3, int(depth))
+        assert inner == sum(len(w) <= int(depth) - 2 for w in patch.tiles)
+        assert n == len(patch.tiles)
 
     code, out, _ = run_cli(
-        capsys, "verify", "--p", "7", "--q", "3", "--tiling", "laves",
-        "--scope", "rotation", "--colours", "14", "--pick", "2",
-        "--depth", "14", "--words", "25", "--cache-dir", cache_dir,
+        capsys, "verify", "--p", "7", "--q", "3", "--tiling", "qp",
+        "--scope", "rotation", "--colours", "14", "--pick", "3", "--cache-dir", cache_dir,
     )
     assert code == 0
-    assert "25/25" in out
-    patch = generate_patch(7, 3, 14)
-    inner = sum(len(w) <= 14 - 12 for w in patch.tiles)
-    assert inner == 9
-    assert out.rstrip().endswith(
-        f"each checked on at least {inner} of {len(patch.tiles)} triangles"
+    assert out == (
+        "PASS (3^7) rotation k=14: 6/6 generators consistent on 117 tiles, "
+        "each checked on at least 370 of 540 triangles\n"
     )
 
 
 def test_verify_default_depth_checks_more_than_the_centre(capsys, cache_dir):
-    # at the default depth every word is checked on the triangles within
-    # 16 - 12 = 4 of the centre, not on the centre alone
+    # at the default depth the mirrors are checked on every triangle within
+    # 16 - 1 = 15 of the centre, not on the centre alone
     code, out, _ = run_cli(
         capsys, "verify", "--p", "7", "--q", "3", "--colours", "8",
         "--cache-dir", cache_dir,
     )
     assert code == 0
-    assert out.startswith("PASS")
-    assert out.rstrip().endswith("each checked on at least 25 of 540 triangles")
+    assert out == (
+        "PASS (7^3) full k=8: 3/3 generators consistent on 68 tiles, "
+        "each checked on at least 448 of 540 triangles\n"
+    )
 
 
 def test_selftest_fast(capsys, cache_dir, monkeypatch):
@@ -401,13 +397,65 @@ def test_selftest_prints_fail_for_a_mismatched_row(capsys, cache_dir, monkeypatc
 def test_verify_prints_fail_for_an_inconsistent_word(capsys, cache_dir, monkeypatch):
     monkeypatch.setattr(colsym.cli, "verify_perfect_on_patch", lambda cp, w: w[0] != A)
     code, out, _ = run_cli(capsys, "verify", "--p", "7", "--q", "3", "--colours", "8",
-                           "--depth", "6", "--words", "10", "--cache-dir", cache_dir)
+                           "--depth", "6", "--cache-dir", cache_dir)
     assert code == 1
-    lines = out.splitlines()
-    bad = [l for l in lines if l.startswith("FAIL word (0,")]
-    assert bad and all(l.endswith("does not permute colours consistently") for l in bad)
-    assert lines[-1].startswith(f"FAIL (7^3) full k=8: {10 - len(bad)}/10 words consistent")
-    assert len(lines) == len(bad) + 1
+    assert out.splitlines() == [
+        "FAIL generator (0,) does not permute colours consistently",
+        "FAIL (7^3) full k=8: 2/3 generators consistent on 9 tiles, "
+        "each checked on at least 37 of 53 triangles",
+    ]
+
+    code, out, _ = run_cli(capsys, "verify", "--p", "7", "--q", "3", "--colours", "8",
+                           "--scope", "rotation", "--depth", "6", "--cache-dir", cache_dir)
+    assert code == 1
+    assert out.splitlines() == [
+        "FAIL generator (0, 1) does not permute colours consistently",
+        "FAIL generator (0, 2) does not permute colours consistently",
+        "FAIL (7^3) rotation k=8: 4/6 generators consistent on 9 tiles, "
+        "each checked on at least 25 of 53 triangles",
+    ]
+
+
+class _FullStdout:
+    """A stdout on a full disk: every write fails."""
+
+    def write(self, *_):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    flush = write
+
+    @property
+    def buffer(self):
+        return self
+
+
+def test_a_failed_write_to_stdout_is_a_one_line_error(capsys, cache_dir, monkeypatch):
+    # exit 1 means a verification failed, so a write that fails is exit 2,
+    # as with --out, and the error names stdout
+    monkeypatch.setattr(sys, "stdout", _FullStdout())
+    for argv in (
+        ("census", "--p", "7", "--q", "3", "--max-colours", "8"),
+        ("render", "--p", "4", "--q", "4", "--colours", "2"),
+        ("verify", "--p", "7", "--q", "3", "--colours", "8"),
+        ("selftest",),
+        ("cache", "ls"),
+    ):
+        code, _, err = run_cli(capsys, *argv, "--cache-dir", cache_dir)
+        assert (code, err.splitlines()[-1]) == (
+            2, "error: cannot write stdout: No space left on device"
+        ), argv
+        assert "Traceback" not in err
+
+
+def test_other_os_errors_are_not_write_errors(capsys, cache_dir, monkeypatch):
+    # an OSError from the work itself, say a failed fork under --jobs, is
+    # no usage error and keeps its traceback
+    def no_fork(*args, **kwargs):
+        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    monkeypatch.setattr(colsym.cli, "census", no_fork)
+    with pytest.raises(OSError):
+        main(["census", "--p", "7", "--q", "3", "--max-colours", "8", "--cache-dir", cache_dir])
 
 
 def _cut_tables(header, tables):

@@ -1,4 +1,6 @@
 import hashlib
+import itertools
+import random
 import re
 import xml.etree.ElementTree as ET
 from dataclasses import replace
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from colsym.census import Scope, TilingKind, census
+from colsym.cli import GENERATORS
 from colsym.errors import DomainError, InternalError, MergeInconsistency
 from colsym.geometry import generate_patch
 from colsym.presentations import Geometry
@@ -17,7 +20,8 @@ from colsym.render import (
 )
 from colsym.words import A, B, C
 from oracle import (
-    colour_histogram, colours_by_words, emit_svg_per_triangle, merged_tiles_per_triangle
+    colour_histogram, colours_by_words, emit_svg_per_triangle, merged_tiles_per_triangle,
+    random_words,
 )
 
 
@@ -72,6 +76,36 @@ def test_verify_detects_scrambled_colours(board):
     assert not all(
         verify_perfect_on_patch(bad, w) for w in ((A,), (B,), (C,), (A, B))
     )
+
+
+def test_generators_imply_every_word_and_catch_a_recoloured_tile(provider):
+    # l(g.x) = l(x) +- 1, so the generators, checked on every triangle they
+    # map into the patch, check every word w on the triangles within
+    # depth - len(w): on every census colouring they pass, and so does each
+    # random word, and a merged tile recoloured by one step fails them
+    rng = random.Random(0)
+    cases = caught = 0
+    for p, q in ((7, 3), (5, 4), (4, 4), (3, 5), (8, 3), (4, 3)):
+        patches = [generate_patch(p, q, depth) for depth in (2, 5, 9)]
+        for scope, kind in itertools.product(Scope, TilingKind):
+            report = census(p, q, kind, scope, 12, classes_provider=provider)
+            for rec in (r for e in report.entries for r in e.representatives[:2]):
+                for patch in patches:
+                    cp = colour_patch(patch, rec.table, kind, scope)
+                    assert all(verify_perfect_on_patch(cp, g) for g in GENERATORS[scope])
+                    words = random_words(rng, scope, patch.depth, 50)
+                    assert all(verify_perfect_on_patch(cp, w) for w in words)
+                    cases += 1
+                    if cp.k == 1:
+                        continue
+                    colours = np.array(cp.colours)
+                    tile = list(next(t for t in cp.polygons if 0 in t))
+                    colours[tile] = colours[tile] % cp.k + 1
+                    bad = replace(cp, colours=tuple(colours.tolist()))
+                    caught += not all(verify_perfect_on_patch(bad, g) for g in GENERATORS[scope])
+    # the k = 1 colourings, one per group, scope, tiling and depth, have no
+    # other colour to take
+    assert (cases, caught) == (561, 561 - 6 * 2 * 3 * 3)
 
 
 def test_wrong_kind_merge_fails(provider):
