@@ -20,6 +20,7 @@ from .errors import (
     ResourceLimit,
 )
 from .presentations import (
+    MIRROR_TWIST,
     Geometry,
     Presentation,
     classify_geometry,

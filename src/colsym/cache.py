@@ -200,7 +200,7 @@ def cache_entries(cache_dir: str | None = None) -> list[dict]:
             if m:
                 p, q = int(m[2]), int(m[3])
                 try:
-                    pres = triangle_group(p, q) if m[1] == "triangle" else von_dyck_group(p, q)[0]
+                    pres = triangle_group(p, q) if m[1] == "triangle" else von_dyck_group(p, q)
                 except DomainError:  # the name spells no group
                     pres = None
                 if pres and pres.name == m[0]:

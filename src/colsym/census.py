@@ -23,7 +23,7 @@ from enum import Enum
 from .coset import CosetTable, canonical_table, reroot
 from .errors import DomainError, InternalError
 from .lowindex import ClassList, Seed, low_index_classes
-from .presentations import Presentation, triangle_group, von_dyck_group
+from .presentations import MIRROR_TWIST, Presentation, triangle_group, von_dyck_group
 from .subgroups import (
     SubgroupRecord,
     fixed_cosets,
@@ -82,9 +82,9 @@ def colouring_seeds(pres: Presentation) -> tuple[Seed, ...]:
     search seeded with these finds every class such a census keeps.
     """
     if pres.alphabet == REFLECTIONS:
-        return tuple(Seed(required_words(k, Scope.FULL)) for k in TilingKind)
+        return tuple(required_words(k, Scope.FULL) for k in TilingKind)
     if pres.alphabet == ROTATIONS:
-        return tuple(Seed((rotation_required_word(k),)) for k in TilingKind)
+        return tuple((rotation_required_word(k),) for k in TilingKind)
     raise DomainError(f"no tiling seeds over the alphabet {pres.alphabet.names}")
 
 
@@ -126,7 +126,7 @@ def colouring_classes(pres: Presentation, max_index: int, *, search=low_index_cl
     p, q = orders.get((B, C), 0), orders.get((A, B), 0)
     if set(triangle_group(p, q).relators) != set(pres.relators):
         raise DomainError(f"{pres.name!r} is not a triangle group")
-    half = (rotation_classes or colouring_classes)(von_dyck_group(p, q)[0], max_index // 2)
+    half = (rotation_classes or colouring_classes)(von_dyck_group(p, q), max_index // 2)
     tables = {*cl.tables, *(canonical_table(_lift(t)) for t in half.tables)}
     return ClassList(pres, max_index, tuple(sorted(tables, key=lambda t: (t.n, t.flat()))))
 
@@ -217,12 +217,11 @@ def census(
     provider = classes_provider or _memoized_provider()
 
     started = time.perf_counter()
-    if scope is Scope.FULL or strategy == "a":
+    tag = "a" if scope is Scope.FULL else strategy  # the full scope has one route
+    if tag == "a":
         entries = _census_reflection(p, q, kind, scope, max_colours, provider)
-        tag = "a"
-    elif strategy == "b":
+    elif tag == "b":
         entries = _census_rotation_b(p, q, kind, max_colours, provider)
-        tag = "b"
     else:  # "both"
         ea = _census_reflection(p, q, kind, scope, max_colours, provider)
         eb = _census_rotation_b(p, q, kind, max_colours, provider)
@@ -234,7 +233,6 @@ def census(
                 f"a={ma} b={mb}"
             )
         entries = ea
-        tag = "both"
 
     return CensusReport(
         p=p,
@@ -285,15 +283,14 @@ def _census_rotation_b(p, q, kind, max_colours, provider) -> tuple[CensusEntry, 
     an involution, so each class has exactly one partner (possibly
     itself); the first class of each pair is counted.
     """
-    vd, sigma = von_dyck_group(p, q)
     word = rotation_required_word(kind)
-    classes = provider(vd, max_colours)
+    classes = provider(von_dyck_group(p, q), max_colours)
     # each qualifying class with the cosets its tile rotation fixes
     qualifying = [(t, fixed) for t in classes.tables if (fixed := fixed_cosets(t, (word,)))]
     slot = {t.rows: i for i, (t, _) in enumerate(qualifying)}
     partner = []
     for t, _ in qualifying:
-        j = slot.get(canonical_table(transform_subgroup(t, sigma)).rows)
+        j = slot.get(canonical_table(transform_subgroup(t, MIRROR_TWIST)).rows)
         if j is None:
             raise InternalError("mirror twist left the qualifying class list")
         partner.append(j)

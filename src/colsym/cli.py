@@ -77,14 +77,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("census", help="count colourings by number of colours")
     _common_options(sp)
     sp.add_argument("--max-colours", type=int, required=True)
-    sp.add_argument(
-        "--strategy",
-        choices=["a", "b", "both"],
-        default="b",
-        help="rotation scope route: via the reflection group (a), via the "
-        "rotation group with mirror fusion (b, the default, which searches "
-        "least), or both with a cross-check",
-    )
     sp.add_argument("--format", choices=["plain", "json", "csv"], default="plain")
     sp.add_argument("--out", default=None, help="write to this file instead of stdout")
     _budget_options(sp)
@@ -165,6 +157,12 @@ def _coloured_patch(args, depth: int):
     )
 
 
+def _note(text: str) -> None:
+    """Write text to stderr; one that cannot be written loses the text, not the exit code."""
+    with contextlib.suppress(OSError):
+        sys.stderr.write(text)
+
+
 def _write(path: str | None, data: bytes) -> None:
     """Write data to the file at path, or to stdout without one."""
     try:
@@ -185,10 +183,11 @@ GENERATORS = {
 
 
 def cmd_census(args) -> int:
+    # rotation scope takes route b, which searches least; selftest cross-checks both routes
     report = census(args.p, args.q, TilingKind(args.tiling), Scope(args.scope), args.max_colours,
-                    strategy=args.strategy, classes_provider=_provider(args))
+                    strategy="b", classes_provider=_provider(args))
     _write(args.out, f"{format_census(report, args.format)}\n".encode())
-    print(f"# {report.elapsed:.2f}s, strategy {report.strategy}", file=sys.stderr)
+    _note(f"# {report.elapsed:.2f}s, strategy {report.strategy}\n")
     return 0
 
 
@@ -206,8 +205,7 @@ def cmd_render(args) -> int:
     )
     _write(args.out, data)
     if args.out:
-        print(f"# wrote {args.out}: {len(data)} bytes, {len(cp.polygons)} tiles",
-              file=sys.stderr)
+        _note(f"# wrote {args.out}: {len(data)} bytes, {len(cp.polygons)} tiles\n")
     return 0
 
 
@@ -232,10 +230,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    out = io.StringIO()
+    out, err = io.StringIO(), io.StringIO()
     ok = run_selftest(args.level, jobs=args.jobs, cache_dir=args.cache_dir,
-                      use_cache=not args.no_cache, out=out)
+                      use_cache=not args.no_cache, out=out, err=err)
     _write(None, out.getvalue().encode())
+    _note(err.getvalue())
     return 0 if ok else 1
 
 
@@ -270,13 +269,13 @@ def main(argv=None) -> int:
     try:
         return handler(args)
     except DomainError as e:
-        print(f"error: {e}", file=sys.stderr)
+        _note(f"error: {e}\n")
         return 2
     except ResourceLimit as e:
-        print(f"resource limit: {e}", file=sys.stderr)
+        _note(f"resource limit: {e}\n")
         return 3
     except ColsymError as e:
-        print(f"consistency failure: {e}", file=sys.stderr)
+        _note(f"consistency failure: {e}\n")
         return 1
 
 

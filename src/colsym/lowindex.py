@@ -65,14 +65,10 @@ class ClassList:
     tables: tuple[CosetTable, ...]
 
 
-@dataclass(frozen=True)
-class Seed:
-    """Words that must fix coset 0 of every table a seeded walk makes."""
+# words that must fix coset 0 of every table a seeded walk makes
+Seed = tuple[Word, ...]
 
-    words: tuple[Word, ...]
-
-
-UNSEEDED = (Seed(()),)  # one walk that every subgroup passes
+UNSEEDED: tuple[Seed, ...] = ((),)  # one walk that every subgroup passes
 
 
 def _trace_words(pres: Presentation) -> tuple[tuple[Word, ...], ...]:
@@ -169,10 +165,10 @@ def _search(
     results: list[tuple[tuple[int, ...], ...]] = []
     nodes = 0
     dealt = -1  # walk-order number of the last node reached at depth _SPLIT
-    words: tuple[Word, ...] = ()  # the seed words of the current walk
+    words: Seed = ()  # the seed words of the current walk
     # the words of each earlier seed, whose walk finds every class that this
     # walk completes below a node where those words fix a coset
-    excluded: tuple[tuple[Word, ...], ...] = ()
+    excluded: tuple[Seed, ...] = ()
 
     def scan(alpha: int, w: Word, stack: list[int]) -> bool:
         """Trace w from alpha, pushing deductions; False on contradiction."""
@@ -392,9 +388,8 @@ def _search(
             else:
                 return
 
-    for j, seed in enumerate(seeds):
-        words = seed.words
-        excluded = tuple(s.words for s in seeds[:j])
+    for j, words in enumerate(seeds):
+        excluded = seeds[:j]
         stack: list[int] = []
         # the root is one coset, so this checks every entry the seed words set
         if all(scan(0, w, stack) for w in words) and propagate(stack) and settle(0):
@@ -426,7 +421,7 @@ def low_index_classes(
 ) -> ClassList:
     """Conjugacy classes of subgroups of index <= max_index.
 
-    seeds=None finds every class.  Otherwise each Seed gets one walk,
+    seeds=None finds every class.  Otherwise each seed gets one walk,
     and the list holds the classes of subgroups that contain a
     conjugate of some seed's subgroup.  Either way it is one standardized table per
     class, each the lexicographic minimum of all its re-rootings,

@@ -95,22 +95,19 @@ def triangle_group(p: int, q: int) -> Presentation:
     return Presentation(REFLECTIONS, relators, f"triangle-{p}-{q}")
 
 
-def von_dyck_group(p: int, q: int) -> tuple[Presentation, dict[int, Word]]:
-    """Rotation group <x,z | x^q, z^p, (xz)^2> plus its mirror twist.
+# the outer automorphism of every von Dyck group induced by conjugating
+# with the reflection a: x -> x^-1 and z -> x z^-1 x^-1 (since
+# a(bc)a = (ab)(ca)); applied to a subgroup it tells whether two
+# rotation-conjugacy classes fuse under the full reflection group
+MIRROR_TWIST: dict[int, Word] = {XGEN: (XINV,), ZGEN: (XGEN, ZINV, XINV)}
 
-    Returns the presentation together with the generator map of the
-    outer automorphism induced by conjugating with the reflection a:
-    x -> x^-1 and z -> x z^-1 x^-1 (since a(bc)a = (ab)(ca)).  Applying
-    it to a subgroup tells whether two rotation-conjugacy classes fuse
-    under the full reflection group.
-    """
+
+def von_dyck_group(p: int, q: int) -> Presentation:
+    """Rotation group <x,z | x^q, z^p, (xz)^2>; MIRROR_TWIST is its mirror twist."""
     _check_pq(p, q)
     relators = (
         (XGEN,) * q,
         (ZGEN,) * p,
         (XGEN, ZGEN) * 2,
     )
-    pres = Presentation(ROTATIONS, relators, f"vondyck-{p}-{q}")
-    sigma = {XGEN: (XINV,), ZGEN: (XGEN, ZINV, XINV)}
-    return pres, sigma
-
+    return Presentation(ROTATIONS, relators, f"vondyck-{p}-{q}")

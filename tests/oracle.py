@@ -59,7 +59,7 @@ from colsym.errors import DomainError, InternalError, ResourceLimit
 from colsym.geometry import (
     FundamentalTriangle, TrianglePatch, form_matrix, fundamental_triangle,
 )
-from colsym.lowindex import ClassList, Seed, low_index_classes
+from colsym.lowindex import ClassList, low_index_classes
 from colsym.presentations import Geometry, Presentation, triangle_group, von_dyck_group
 from colsym.render import (
     _PROJECTIONS, _TILT, ColouredPatch, _coset_colours, _project, palette
@@ -721,13 +721,13 @@ def full_scope_via_rotations(p: int, q: int, r1: int, r2: int, max_index: int) -
     takes coset i to π(i) followed by the rotation word of r1 g.  The von
     Dyck search has one seed, so no seed exclusion.
     """
-    vd, _ = von_dyck_group(p, q)
+    vd = von_dyck_group(p, q)
     times = MIRROR_TIMES_LETTER[r1]
     rotation = times[r2]
     images = [apply_generator_map((g,), MIRROR_TWIST[r1], vd.alphabet)
               for g in range(vd.alphabet.size)]
     found: set[CosetTable] = set()
-    for t in low_index_classes(vd, max_index, seeds=(Seed((rotation,)),)).tables:
+    for t in low_index_classes(vd, max_index, seeds=((rotation,),)).tables:
         for e in range(t.n):
             if t.apply(e, rotation) != e:
                 continue
@@ -750,10 +750,10 @@ def colouring_classes_by_walks(p: int, q: int, max_index: int) -> ClassList:
     """
     G = triangle_group(p, q)
     pairs = TILE_MIRRORS.values()
-    mirrors = tuple(Seed(((r1,), (r2,))) for r1, r2 in pairs)
+    mirrors = tuple(((r1,), (r2,)) for r1, r2 in pairs)
     found = set(low_index_classes(G, max_index, seeds=mirrors).tables)
     for r1, r2 in pairs:
-        walk = low_index_classes(G, max_index, seeds=(Seed(((r1, r2),)),))
+        walk = low_index_classes(G, max_index, seeds=(((r1, r2),),))
         found.update(t for t in walk.tables if orientation_sides(t) is not None)
     return ClassList(G, max_index, tuple(sorted(found, key=lambda t: (t.n, t.flat()))))
 

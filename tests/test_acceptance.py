@@ -21,6 +21,7 @@ from colsym.census import (
     colour_permutation,
     required_words,
 )
+from colsym.cli import GENERATORS
 from colsym.geometry import fundamental_triangle, generate_patch
 from colsym.lowindex import low_index_classes
 from colsym.presentations import triangle_group
@@ -34,6 +35,7 @@ from oracle import (
     oracle_classes,
     oracle_seeded_count,
     permutation_homomorphism_check,
+    random_words,
     word_matrix,
 )
 
@@ -235,15 +237,6 @@ def test_c07_property_suite_on_every_representative(
     reps_seen = 0
     bad = []
 
-    def random_word(parity_even):
-        length = rng.randint(1, 10)
-        if parity_even and length % 2:
-            length += 1
-        w = []
-        for _ in range(length):
-            w.append(rng.choice([g for g in (A, B, C) if not w or g != w[-1]]))
-        return tuple(w)
-
     for p, q, kind, scope, report in labelled:
         mult = report.multiplicities()
         if mult.get(1) != 1:
@@ -251,7 +244,7 @@ def test_c07_property_suite_on_every_representative(
             continue
         words = required_words(kind, scope)
         if (p, q) not in patches:
-            patches[(p, q)] = generate_patch(p, q, 10)  # as deep as the longest word
+            patches[(p, q)] = generate_patch(p, q, 10)
         patch = patches[(p, q)]
         for entry in report.entries:
             for rec in entry.representatives:
@@ -264,11 +257,10 @@ def test_c07_property_suite_on_every_representative(
                 if not colours_transitive(t):
                     bad.append(f"{label}: colours not transitive")
                     continue
+                pairs = random_words(rng, Scope.FULL, 10, 400)
                 homo_ok = all(
-                    permutation_homomorphism_check(
-                        t, random_word(False), random_word(False)
-                    )
-                    for _ in range(200)
+                    permutation_homomorphism_check(t, u, v)
+                    for u, v in zip(pairs[::2], pairs[1::2])
                 )
                 if not homo_ok:
                     bad.append(f"{label}: permutation map is not a homomorphism")
@@ -279,12 +271,10 @@ def test_c07_property_suite_on_every_representative(
                 ):
                     bad.append(f"{label}: merged polygon not monochrome")
                     continue
-                even_only = scope is Scope.ROTATION
-                if not all(
-                    verify_perfect_on_patch(cp, random_word(even_only))
-                    for _ in range(20)
-                ):
-                    bad.append(f"{label}: a word failed the patch check")
+                # exact: l(g.x) = l(x) +- 1, so the generators checked on
+                # every triangle check every word as far as the patch allows
+                if not all(verify_perfect_on_patch(cp, g) for g in GENERATORS[scope]):
+                    bad.append(f"{label}: a generator failed the patch check")
     elapsed = time.perf_counter() - started
     check(
         "property suite holds on every census representative",

@@ -92,7 +92,7 @@ def test_smaller_bound_is_a_miss(tmp_path, classes):
     store_classes(classes, str(tmp_path))
     assert load_classes(triangle_group(4, 3), 7, str(tmp_path)) is None
     assert load_classes(triangle_group(7, 3), 6, str(tmp_path)) is None
-    assert load_classes(von_dyck_group(4, 3)[0], 6, str(tmp_path)) is None
+    assert load_classes(von_dyck_group(4, 3), 6, str(tmp_path)) is None
 
 
 def test_corrupt_file_is_a_silent_miss(tmp_path, classes):
@@ -150,7 +150,7 @@ def test_parse_rejects_malformed_documents(classes):
         with pytest.raises(ParseError):
             parse_class_list(text, G)
     with pytest.raises(ParseError):
-        parse_class_list(serialize_class_list(classes), von_dyck_group(4, 3)[0])
+        parse_class_list(serialize_class_list(classes), von_dyck_group(4, 3))
 
 
 def test_cached_provider_memoizes_and_persists(tmp_path, monkeypatch):
@@ -164,7 +164,7 @@ def test_cached_provider_memoizes_and_persists(tmp_path, monkeypatch):
     monkeypatch.setattr("colsym.cache.low_index_classes", counting)
 
     prov = cached_provider(str(tmp_path))
-    G, V = triangle_group(4, 3), von_dyck_group(4, 3)[0]
+    G, V = triangle_group(4, 3), von_dyck_group(4, 3)
     first = prov(G, 6)
     again = prov(G, 6)
     smaller = prov(G, 3)
@@ -194,7 +194,7 @@ def test_provider_frees_its_memo_without_the_cycle_collector(tmp_path):
     gc.disable()
     try:
         prov = cached_provider(str(tmp_path), enabled=False)
-        lists = (prov(triangle_group(4, 3), 6), prov(von_dyck_group(4, 3)[0], 3))
+        lists = (prov(triangle_group(4, 3), 6), prov(von_dyck_group(4, 3), 3))
         held = [weakref.ref(cl) for cl in lists]
         del lists
         del prov
@@ -205,7 +205,7 @@ def test_provider_frees_its_memo_without_the_cycle_collector(tmp_path):
 
 def test_cache_clear(tmp_path, classes, monkeypatch):
     store_classes(classes, str(tmp_path))
-    store_classes(colouring_classes(von_dyck_group(4, 3)[0], 4), str(tmp_path))
+    store_classes(colouring_classes(von_dyck_group(4, 3), 4), str(tmp_path))
     assert len(cache_entries(str(tmp_path))) == 2
     # schema 1 kept one file per bound; such files are colsym's too
     (tmp_path / "triangle_4_3_idx8.json").write_text("{}")
@@ -256,7 +256,7 @@ def test_one_file_per_group_holds_the_largest_search(tmp_path, monkeypatch):
     cached_provider(str(tmp_path))(G, 6)
     # the search of G also filed its rotation half, to half the bound
     assert sorted(os.listdir(tmp_path)) == ["triangle-4-3.json", "vondyck-4-3.json"]
-    V = von_dyck_group(4, 3)[0]
+    V = von_dyck_group(4, 3)
     assert cache_entries(str(tmp_path)) == [
         {"name": "triangle-4-3", "max_index": 6, "classes": len(colouring_classes(G, 6).tables)},
         {"name": "vondyck-4-3", "max_index": 3, "classes": len(colouring_classes(V, 3).tables)},

@@ -71,7 +71,7 @@ def test_golden_rows_to_their_published_ends(provider):
         full = max(last for key, (_, last) in goldens.FULL_ROWS.items() if key[:2] == (p, q))
         rotation = max(last for key, (_, last) in goldens.ROTATION_ROWS.items() if key[:2] == (p, q))
         provider(triangle_group(p, q), max(full, 2 * rotation))  # largest request first
-        provider(von_dyck_group(p, q)[0], rotation)
+        provider(von_dyck_group(p, q), rotation)
     checked = 0
     for rows, scope, strategy in (
         (goldens.FULL_ROWS, Scope.FULL, "a"),
@@ -235,7 +235,7 @@ def test_colouring_classes_need_a_triangle_group():
 @pytest.mark.parametrize("p, q", [(7, 3), (8, 3), (5, 4)])
 def test_von_dyck_subgroups_counted_exactly(p, q):
     # every subgroup of index <= 20, counted from the characters of S_n
-    classes = low_index_classes(von_dyck_group(p, q)[0], 20).tables
+    classes = low_index_classes(von_dyck_group(p, q), 20).tables
     assert subgroups_in_classes(classes, 20) == subgroup_counts(p, q, 20)
 
 
@@ -244,7 +244,7 @@ def test_route_b_subgroups_counted_exactly(p, q):
     # route b's qualifying classes per tiling, to the rotation golden bound,
     # against the subgroups whose cosets the tile rotation does not all move
     bound = goldens.ROTATION_BOUNDS[(p, q, TilingKind.PQ)]
-    classes = colouring_classes(von_dyck_group(p, q)[0], bound).tables
+    classes = colouring_classes(von_dyck_group(p, q), bound).tables
     for kind in TilingKind:
         word = rotation_required_word(kind)
         qualifying = [t for t in classes if fixed_cosets(t, (word,))]

@@ -11,14 +11,16 @@ import pytest
 import colsym
 import colsym.cli
 from colsym import goldens
-from colsym.cache import store_classes
-from colsym.census import TilingKind, colouring_classes, colouring_seeds
+from colsym.cache import cached_provider, store_classes
+from colsym.census import (
+    Scope, TilingKind, census, colouring_classes, colouring_seeds, format_census,
+)
 from colsym.cli import main
 from colsym.coset import canonical_table
 from colsym.errors import ResourceLimit
 from colsym.geometry import generate_patch
 from colsym.lowindex import _search
-from colsym.presentations import triangle_group, von_dyck_group
+from colsym.presentations import MIRROR_TWIST, triangle_group, von_dyck_group
 from colsym.subgroups import fixed_cosets, transform_subgroup
 from colsym.words import A, ZGEN
 
@@ -74,15 +76,15 @@ def test_census_to_file(tmp_path, capsys, cache_dir):
 
 
 def test_census_rotation_strategies(capsys, cache_dir):
-    args = [
-        "census", "--p", "7", "--q", "3", "--tiling", "laves",
+    provider = cached_provider(cache_dir)
+    lines = {format_census(census(7, 3, TilingKind.LAVES, Scope.ROTATION, 15, strategy=s,
+                                  classes_provider=provider)) for s in ("a", "b", "both")}
+    code, out, _ = run_cli(
+        capsys, "census", "--p", "7", "--q", "3", "--tiling", "laves",
         "--scope", "rotation", "--max-colours", "15", "--cache-dir", cache_dir,
-    ]
-    _, out_a, _ = run_cli(capsys, *args, "--strategy", "a")
-    _, out_b, _ = run_cli(capsys, *args, "--strategy", "b")
-    _, out_both, _ = run_cli(capsys, *args, "--strategy", "both")
-    assert out_a == out_b == out_both
-    assert out_a.strip() == "[3.7.3.7] rotation <= 15: 1, 7, 9, 14^{6}, 15^{2}"
+    )
+    assert code == 0 and lines == {out.strip()}
+    assert out.strip() == "[3.7.3.7] rotation <= 15: 1, 7, 9, 14^{6}, 15^{2}"
 
 
 def test_census_rotation_defaults_to_route_b(capsys, tmp_path):
@@ -93,7 +95,6 @@ def test_census_rotation_defaults_to_route_b(capsys, tmp_path):
     assert code == 0 and err.endswith("strategy b\n")
     # route b searches the rotation group only
     assert sorted(os.listdir(cache)) == ["vondyck-7-3.json"]
-    assert run_cli(capsys, *args, "--strategy", "a", "--cache-dir", cache)[1] == out
     _, doc, _ = run_cli(capsys, *args, "--format", "json", "--cache-dir", cache)
     assert json.loads(doc)["strategy"] == "b"
 
@@ -154,7 +155,7 @@ def test_budget_bounds_each_of_the_two_searches(capsys):
     # a full-scope (4^3) census to 24 searches the mirror walks to 24 in 23
     # nodes and the rotation half to 12 in 24: 23 stops the second search,
     # and 24, short of the two searches' sum, lets both run
-    G, V = triangle_group(4, 3), von_dyck_group(4, 3)[0]
+    G, V = triangle_group(4, 3), von_dyck_group(4, 3)
     _search(G, 24, colouring_seeds(G), node_budget=23)
     with pytest.raises(ResourceLimit):
         _search(V, 12, colouring_seeds(V), node_budget=23)
@@ -206,6 +207,14 @@ def test_usage_error_exit_code(cache_dir):
     with pytest.raises(SystemExit):
         main(["census", "--p", "7", "--q", "3", "--max-colours", "9",
               "--tiling", "heptagonal"])
+
+
+def test_strategy_is_no_census_option(cache_dir):
+    # rotation scope takes route b; selftest runs both routes
+    with pytest.raises(SystemExit) as exc:
+        main(["census", "--p", "7", "--q", "3", "--scope", "rotation", "--max-colours", "9",
+              "--strategy", "b", "--cache-dir", cache_dir])
+    assert exc.value.code == 2
 
 
 def test_render_and_determinism(tmp_path, capsys, cache_dir):
@@ -334,8 +343,8 @@ def test_cache_subcommands(capsys, tmp_path):
 
 
 def doctor_rotation_classes(monkeypatch, edit):
-    """Serve the CLI every von Dyck class list with its tables passed through edit."""
-    real = colsym.cli.cached_provider
+    """Serve the CLI and selftest every von Dyck class list with its tables passed through edit."""
+    real = colsym.cache.cached_provider
 
     def factory(*args, **kwargs):
         provider = real(*args, **kwargs)
@@ -346,31 +355,30 @@ def doctor_rotation_classes(monkeypatch, edit):
 
         return doctored
 
-    monkeypatch.setattr(colsym.cli, "cached_provider", factory)
+    for module in (colsym.cli, colsym.selftest):
+        monkeypatch.setattr(module, "cached_provider", factory)
 
 
 ROTATION_CENSUS = ("census", "--p", "7", "--q", "3", "--scope", "rotation", "--max-colours", "24")
 
 
 def test_rotation_routes_that_disagree_exit_1(capsys, cache_dir, monkeypatch):
-    # both of a twin pair go, so route b stays consistent but counts no 22
+    # both of a twin pair go, so route b stays consistent but counts no 22;
+    # selftest runs the rotation rows by both routes
     doctor_rotation_classes(monkeypatch, lambda ts: tuple(t for t in ts if t.n != 22))
-    code, out, err = run_cli(capsys, *ROTATION_CENSUS, "--strategy", "both",
-                             "--cache-dir", cache_dir)
+    code, out, err = run_cli(capsys, "selftest", "--level", "fast", "--cache-dir", cache_dir)
     assert (code, out) == (1, "")
     assert "rotation strategies disagree" in err
 
 
 def test_twist_outside_the_class_list_exits_1(capsys, cache_dir, monkeypatch):
-    sigma = von_dyck_group(7, 3)[1]
-
     def drop_one_twin(tables):
         i = next(i for i, t in enumerate(tables) if fixed_cosets(t, ((ZGEN,),))
-                 and canonical_table(transform_subgroup(t, sigma)) != t)
+                 and canonical_table(transform_subgroup(t, MIRROR_TWIST)) != t)
         return tables[:i] + tables[i + 1:]
 
     doctor_rotation_classes(monkeypatch, drop_one_twin)
-    code, out, err = run_cli(capsys, *ROTATION_CENSUS, "--strategy", "b", "--cache-dir", cache_dir)
+    code, out, err = run_cli(capsys, *ROTATION_CENSUS, "--cache-dir", cache_dir)
     assert (code, out) == (1, "")
     assert "mirror twist left the qualifying class list" in err
 
@@ -378,7 +386,7 @@ def test_twist_outside_the_class_list_exits_1(capsys, cache_dir, monkeypatch):
 def test_twist_that_is_no_involution_exits_1(capsys, cache_dir, monkeypatch):
     # a class listed twice: both copies twist to the second
     doctor_rotation_classes(monkeypatch, lambda ts: ts + ts[:1])
-    code, out, err = run_cli(capsys, *ROTATION_CENSUS, "--strategy", "b", "--cache-dir", cache_dir)
+    code, out, err = run_cli(capsys, *ROTATION_CENSUS, "--cache-dir", cache_dir)
     assert (code, out) == (1, "")
     assert "mirror twist does not act as an involution" in err
 
@@ -416,8 +424,8 @@ def test_verify_prints_fail_for_an_inconsistent_word(capsys, cache_dir, monkeypa
     ]
 
 
-class _FullStdout:
-    """A stdout on a full disk: every write fails."""
+class _FullStream:
+    """A stdout or stderr on a full disk: every write fails."""
 
     def write(self, *_):
         raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
@@ -432,7 +440,7 @@ class _FullStdout:
 def test_a_failed_write_to_stdout_is_a_one_line_error(capsys, cache_dir, monkeypatch):
     # exit 1 means a verification failed, so a write that fails is exit 2,
     # as with --out, and the error names stdout
-    monkeypatch.setattr(sys, "stdout", _FullStdout())
+    monkeypatch.setattr(sys, "stdout", _FullStream())
     for argv in (
         ("census", "--p", "7", "--q", "3", "--max-colours", "8"),
         ("render", "--p", "4", "--q", "4", "--colours", "2"),
@@ -445,6 +453,22 @@ def test_a_failed_write_to_stdout_is_a_one_line_error(capsys, cache_dir, monkeyp
             2, "error: cannot write stdout: No space left on device"
         ), argv
         assert "Traceback" not in err
+
+
+def test_a_failed_write_to_stderr_keeps_stdout_and_the_exit_code(
+        capsys, cache_dir, monkeypatch, tmp_path):
+    # stderr carries only notes and error messages: losing them loses no
+    # output, and exit 1 still means only a failed check
+    monkeypatch.setattr(sys, "stderr", _FullStream())
+    census_args = ("census", "--q", "3", "--max-colours", "10", "--cache-dir", cache_dir)
+    assert run_cli(capsys, *census_args, "--p", "7")[:2] == (0, "(7^3) full <= 10: 1, 8\n")
+    assert run_cli(capsys, *census_args, "--p", "2")[:2] == (2, "")
+    code, out, _ = run_cli(capsys, "selftest", "--level", "fast", "--cache-dir", cache_dir)
+    assert code == 0 and out.splitlines()[-1].startswith("selftest fast: PASS")
+    svg = tmp_path / "board.svg"
+    code, out, _ = run_cli(capsys, "render", "--p", "4", "--q", "4", "--colours", "2",
+                           "--depth", "4", "--out", str(svg), "--cache-dir", cache_dir)
+    assert (code, out) == (0, "") and svg.read_bytes().startswith(b"<svg")
 
 
 def test_other_os_errors_are_not_write_errors(capsys, cache_dir, monkeypatch):

@@ -126,7 +126,7 @@ def test_subgroup_cosets_match_matrix_cosets():
 
 
 def test_von_dyck_regular_table():
-    vd, _ = von_dyck_group(4, 3)
+    vd = von_dyck_group(4, 3)
     t = enumerate_cosets(vd, [])
     assert t.n == 24  # rotation group of the cube
     assert validate(t, vd).ok

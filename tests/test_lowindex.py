@@ -12,8 +12,8 @@ from colsym.census import colouring_classes, colouring_seeds
 from colsym.cli import main
 from colsym.coset import CosetTable, canonical_table
 from colsym.errors import DomainError, ResourceLimit
-from colsym.lowindex import UNSEEDED, Seed, _search, low_index_classes
-from colsym.presentations import Presentation, triangle_group, von_dyck_group
+from colsym.lowindex import UNSEEDED, _search, low_index_classes
+from colsym.presentations import MIRROR_TWIST, Presentation, triangle_group, von_dyck_group
 from colsym.subgroups import fixed_cosets, transform_subgroup
 from colsym.words import A, B, C, REFLECTIONS, ROTATIONS, XGEN, ZGEN, ZINV
 from oracle import class_counts, classes_at_index, oracle_classes, validate
@@ -22,8 +22,8 @@ SMALL_GROUPS = [
     triangle_group(4, 3),
     triangle_group(4, 4),
     triangle_group(7, 3),
-    von_dyck_group(4, 3)[0],
-    von_dyck_group(7, 3)[0],
+    von_dyck_group(4, 3),
+    von_dyck_group(7, 3),
 ]
 
 
@@ -36,7 +36,7 @@ def test_counts_against_oracle_cube():
 
 
 def test_counts_against_oracle_von_dyck():
-    vd, _ = von_dyck_group(4, 3)
+    vd = von_dyck_group(4, 3)
     cl = low_index_classes(vd, 5)
     counts = class_counts(cl)
     for k in range(1, 6):
@@ -74,7 +74,7 @@ def test_deterministic_and_jobs_equal():
 
 @pytest.mark.parametrize(
     "pres, bound",
-    [(triangle_group(7, 3), 20), (von_dyck_group(7, 3)[0], 16), (triangle_group(5, 4), 10)],
+    [(triangle_group(7, 3), 20), (von_dyck_group(7, 3), 16), (triangle_group(5, 4), 10)],
     ids=lambda x: getattr(x, "name", x),
 )
 def test_parts_split_the_serial_search(pres, bound):
@@ -140,14 +140,13 @@ def test_class_count_never_depends_on_pruning(pq, k):
 def test_mirror_twist_permutes_classes():
     # transforming by the outer automorphism maps the class list to
     # itself (as canonical tables) and is an involution on it
-    vd, sigma = von_dyck_group(7, 3)
-    cl = low_index_classes(vd, 8)
+    cl = low_index_classes(von_dyck_group(7, 3), 8)
     canon = {t.flat() for t in cl.tables}
     for t in cl.tables:
-        image = canonical_table(transform_subgroup(t, sigma))
+        image = canonical_table(transform_subgroup(t, MIRROR_TWIST))
         assert image.n == t.n
         assert image.flat() in canon
-        back = canonical_table(transform_subgroup(image, sigma))
+        back = canonical_table(transform_subgroup(image, MIRROR_TWIST))
         assert back == t
 
 
@@ -157,7 +156,7 @@ def test_node_budget_enforced():
         low_index_classes(G, 20, node_budget=50)
     # 0 is a budget: it holds a walk that its seed words complete at
     # the root, and stops any walk that must branch
-    whole = Seed(((A,), (B,), (C,)))
+    whole = ((A,), (B,), (C,))
     assert len(low_index_classes(G, 4, seeds=(whole,), node_budget=0).tables) == 1
     with pytest.raises(ResourceLimit):
         low_index_classes(G, 4, node_budget=0)
@@ -173,11 +172,11 @@ def test_node_budget_enforced_in_workers(monkeypatch):
     "pres, bound, seeded, nodes",
     [
         (triangle_group(7, 3), 64, True, 6_268),
-        (von_dyck_group(7, 3)[0], 32, True, 2_951),
+        (von_dyck_group(7, 3), 32, True, 2_951),
         (triangle_group(8, 3), 36, True, 2_969),
         (triangle_group(5, 4), 34, True, 5_330),
         (triangle_group(7, 3), 20, False, 468),
-        (von_dyck_group(8, 3)[0], 18, False, 1_113),
+        (von_dyck_group(8, 3), 18, False, 1_113),
     ],
     ids=lambda x: getattr(x, "name", x),
 )
@@ -194,7 +193,7 @@ def test_search_node_counts_are_pinned(pres, bound, seeded, nodes):
 @pytest.mark.parametrize("pres,bound,classes,digest", [
     (triangle_group(7, 3), 64, 197,
      "174e21534af6d9bf39eb1f7bcb2b0eae0f7aede45a20504452e20abcda923bef"),
-    (von_dyck_group(7, 3)[0], 32, 108,
+    (von_dyck_group(7, 3), 32, 108,
      "c99c8fef4e4bc62e9005d7e3d5c820375d61aecda7b8e067b1860741ae666384"),
 ])
 def test_class_lists_pinned_byte_for_byte(pres, bound, classes, digest):
@@ -212,7 +211,7 @@ def test_class_lists_pinned_byte_for_byte(pres, bound, classes, digest):
      ("5abe63bd07af67451e54e1b257f638525a370ad7c702c96851bcf601fb8c266b",
       "3de15c3495733667f77ffd7c3e75a785caf25b2e6928abb3278ef8637d1a450e",
       "f40c4e937b2ce10c9a15138bf93a00340962cb5b30bb083fda96f6d786d39abd")),
-    (von_dyck_group(7, 3)[0], 32,
+    (von_dyck_group(7, 3), 32,
      "c05d050a628210ec28c4b5fff1c4112e7ca408e6fd4e29743f16367b834f1786",
      ("397dd82ca5d501751a9f29e8cc6ee19ba5246a0418bb1fd5881636e8617e8c26",
       "421110212687b532aced1d324f971830790805047b4cc904c0272b451cd13607",
@@ -243,7 +242,7 @@ def test_the_walk_does_not_recurse():
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(_frame_depth() + 40)
     try:
-        G, V = triangle_group(7, 3), von_dyck_group(7, 3)[0]
+        G, V = triangle_group(7, 3), von_dyck_group(7, 3)
         assert len(_search(G, 64, colouring_seeds(G))) == 132
         assert len(_search(V, 32, colouring_seeds(V))) == 108
     finally:
@@ -253,7 +252,7 @@ def test_the_walk_does_not_recurse():
 def test_index_bound_past_the_frame_limit():
     # only a branch makes a coset, so a table of index n lies n - 1
     # branches deep: past Python's 1,000 frames here at index 968
-    G, seeds = triangle_group(4, 4), (Seed(((B,), (C,))),)
+    G, seeds = triangle_group(4, 4), (((B,), (C,)),)
     wide = low_index_classes(G, 1000, seeds=seeds).tables
     narrow = low_index_classes(G, 900, seeds=seeds).tables
     assert len(wide) == 53 and len(narrow) == 51
@@ -286,7 +285,7 @@ def test_one_budget_counts_every_seed_walk():
     # table of index at most 2, and one fixed by a mirror has index 1, a
     # leaf.  So neither walk can exclude a node of the other, in either
     # order, and the two walks spend one budget
-    full, half = Seed(((A,), (C,))), Seed(((A, B), (B, C)))
+    full, half = ((A,), (C,)), ((A, B), (B, C))
     need_full = _least_budget(G, 24, (full,))
     need_half = _least_budget(G, 24, (half,))
     assert need_full > 1 and need_half == 1  # the half's walk branches at its root only
@@ -343,21 +342,21 @@ def test_jobs_run_serially_where_fork_is_missing(monkeypatch, capsys):
 def test_relators_with_inverse_letters(p, q, bound):
     # z^p written as Z^p gives the Z column trace words of its own, so an
     # edge deduced in the z column is scanned from its twin entry too
-    V = von_dyck_group(p, q)[0]
+    V = von_dyck_group(p, q)
     W = Presentation(ROTATIONS, ((XGEN,) * q, (ZINV,) * p, (XGEN, ZGEN) * 2), "vondyck-Z")
-    for seeds_v, seeds_w in ((None, None), ((Seed(((ZGEN,),)),), (Seed(((ZINV,),)),))):
+    for seeds_v, seeds_w in ((None, None), ((((ZGEN,),),), (((ZINV,),),))):
         expected = [t.flat() for t in low_index_classes(V, bound, seeds=seeds_v).tables]
         assert [t.flat() for t in low_index_classes(W, bound, seeds=seeds_w).tables] == expected
 
 
 SEEDED_GRID = [
-    (triangle_group(7, 3), 24), (von_dyck_group(7, 3)[0], 18),
-    (triangle_group(8, 3), 16), (von_dyck_group(8, 3)[0], 12),
-    (triangle_group(5, 4), 14), (von_dyck_group(5, 4)[0], 12),
-    (triangle_group(4, 3), 24), (von_dyck_group(4, 3)[0], 12),
-    (triangle_group(3, 5), 30), (von_dyck_group(3, 5)[0], 20),
-    (triangle_group(4, 4), 12), (von_dyck_group(4, 4)[0], 10),
-    (triangle_group(3, 6), 12), (von_dyck_group(3, 6)[0], 10),
+    (triangle_group(7, 3), 24), (von_dyck_group(7, 3), 18),
+    (triangle_group(8, 3), 16), (von_dyck_group(8, 3), 12),
+    (triangle_group(5, 4), 14), (von_dyck_group(5, 4), 12),
+    (triangle_group(4, 3), 24), (von_dyck_group(4, 3), 12),
+    (triangle_group(3, 5), 30), (von_dyck_group(3, 5), 20),
+    (triangle_group(4, 4), 12), (von_dyck_group(4, 4), 10),
+    (triangle_group(3, 6), 12), (von_dyck_group(3, 6), 10),
 ]
 
 
@@ -368,7 +367,7 @@ def test_seeded_equals_filtered_unseeded(pres, bound, jobs, monkeypatch):
     seeds = colouring_seeds(pres)
 
     def colours(t):
-        return any(fixed_cosets(t, s.words) for s in seeds)
+        return any(fixed_cosets(t, s) for s in seeds)
 
     unseeded = low_index_classes(pres, bound).tables
     expected = [t.flat() for t in unseeded if colours(t)]
@@ -398,7 +397,7 @@ def test_each_seed_walk_finds_one_table_per_class():
     for seed in colouring_seeds(G):
         found = [CosetTable(G.alphabet, rows) for rows in _search(G, 20, (seed,))]
         assert found
-        assert all(0 in fixed_cosets(t, seed.words) for t in found)
+        assert all(0 in fixed_cosets(t, seed) for t in found)
         assert len({canonical_table(t) for t in found}) == len(found)
 
 
@@ -409,7 +408,7 @@ def _seed_lists(pres):
 
 @pytest.mark.parametrize(
     "pres, bound",
-    [(triangle_group(7, 3), 24), (triangle_group(5, 4), 20), (von_dyck_group(7, 3)[0], 20)],
+    [(triangle_group(7, 3), 24), (triangle_group(5, 4), 20), (von_dyck_group(7, 3), 20)],
     ids=lambda x: getattr(x, "name", x),
 )
 def test_seed_exclusion_keeps_the_union_of_the_walks(pres, bound):

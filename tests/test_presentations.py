@@ -2,6 +2,7 @@ import pytest
 
 from colsym.errors import DomainError
 from colsym.presentations import (
+    MIRROR_TWIST,
     Geometry,
     Presentation,
     classify_geometry,
@@ -68,22 +69,21 @@ def test_presentation_validation():
 
 
 def test_von_dyck_relators():
-    vd, sigma = von_dyck_group(7, 3)
-    assert vd.alphabet is ROTATIONS
+    vd = von_dyck_group(7, 3)
+    assert isinstance(vd, Presentation) and vd.alphabet is ROTATIONS
     assert vd.relators == (
         (XGEN,) * 3,
         (ZGEN,) * 7,
         (XGEN, ZGEN) * 2,
     )
-    assert set(sigma) == {XGEN, ZGEN}
+    assert set(MIRROR_TWIST) == {XGEN, ZGEN}
 
 
 def test_mirror_twist_is_an_involution():
     # conjugation by a mirror applied twice restores each generator
-    _, sigma = von_dyck_group(5, 4)
     for g in (XGEN, ZGEN):
-        once = sigma[g]
-        twice = apply_generator_map(once, sigma, ROTATIONS)
+        once = MIRROR_TWIST[g]
+        twice = apply_generator_map(once, MIRROR_TWIST, ROTATIONS)
         assert free_reduce(twice, ROTATIONS) == (g,)
 
 
@@ -96,9 +96,8 @@ def test_mirror_twist_respects_relators():
 
     for p, q in ((7, 3), (5, 4), (4, 3)):
         tri = fundamental_triangle(p, q)
-        vd, sigma = von_dyck_group(p, q)
-        for rel in vd.relators:
-            image = apply_generator_map(rel, sigma, ROTATIONS)
+        for rel in von_dyck_group(p, q).relators:
+            image = apply_generator_map(rel, MIRROR_TWIST, ROTATIONS)
             M = word_matrix(tri, rotation_word_as_reflections(image))
             assert np.max(np.abs(M - np.eye(3))) < 1e-9
 

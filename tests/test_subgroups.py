@@ -3,7 +3,7 @@ import pytest
 from colsym.coset import canonical_table, reroot
 from colsym.errors import DomainError
 from colsym.lowindex import low_index_classes
-from colsym.presentations import triangle_group, von_dyck_group
+from colsym.presentations import MIRROR_TWIST, triangle_group, von_dyck_group
 from colsym.subgroups import (
     fixed_cosets,
     orientation_sides,
@@ -71,7 +71,7 @@ def test_orientation_two_ways():
 
 
 def test_orientation_rejects_signed_alphabet():
-    vd, _ = von_dyck_group(4, 3)
+    vd = von_dyck_group(4, 3)
     t = enumerate_cosets(vd, [(XGEN,)])
     with pytest.raises(DomainError):
         orientation_sides(t)
@@ -99,7 +99,7 @@ def test_conjugate_in():
 
 
 def test_transform_subgroup_identity_map():
-    vd, _ = von_dyck_group(7, 3)
+    vd = von_dyck_group(7, 3)
     identity = {XGEN: (XGEN,), ZGEN: (ZGEN,)}
     for t in low_index_classes(vd, 6).tables:
         assert transform_subgroup(t, identity) == t
@@ -109,8 +109,8 @@ def test_transform_subgroup_identity_map():
 def test_mirror_twist_matches_todd_coxeter(provider, p, q, bound):
     # read off the table, the twisted subgroup must be the one that
     # Todd-Coxeter enumerates from the twisted Schreier generators
-    vd, sigma = von_dyck_group(p, q)
+    vd = von_dyck_group(p, q)
     for t in provider(vd, bound).tables:
-        gens = [apply_generator_map(w, sigma, vd.alphabet) for w in schreier_generators(t)]
+        gens = [apply_generator_map(w, MIRROR_TWIST, vd.alphabet) for w in schreier_generators(t)]
         expected = enumerate_cosets(vd, gens, max_cosets=200 * bound)
-        assert canonical_table(transform_subgroup(t, sigma)) == canonical_table(expected)
+        assert canonical_table(transform_subgroup(t, MIRROR_TWIST)) == canonical_table(expected)
