@@ -1,16 +1,19 @@
-"""Disk cache for class lists, so each heavy enumeration runs once.
+"""Class lists kept in memory, and on disk in a directory the caller names.
 
-One file per presentation, `<name>.json` (e.g. `triangle-7-3.json`),
-holds its colouring classes (those of census.colouring_classes: the
-classes that colour some tiling of the group) to the largest index
-bound searched so far: the search output at bound N literally contains
-the output at every n < N, so a smaller request is served by trimming,
-and a larger one searches and atomically replaces the file.  A file is
-two JSON lines, a header (schema, engine version, presentation name and
-relators, bound, class count) and the flat coset tables.  A corrupt file, or one of another
-schema, engine or presentation, is a miss that the next search
-replaces, so a change to what the search outputs must bump
-__version__ or SCHEMA_VERSION.
+cached_provider keeps the largest list it has seen of each presentation
+for its own life.  Given a cache directory it also keeps one file per
+presentation, `<name>.json` (e.g. `triangle-7-3.json`), holding its
+colouring classes (those of census.colouring_classes: the classes that
+colour some tiling of the group) to the largest index bound searched so
+far: the search output at bound N literally contains the output at
+every n < N, so a smaller request is served by trimming, and a larger
+one searches and atomically replaces the file.  Without a directory no
+file is read or written.  A file is two JSON lines, a header (schema,
+engine version, presentation name and relators, bound, class count)
+and the flat coset tables.  A corrupt file, or one of another schema,
+engine or presentation, is a miss that the next search replaces, so a
+change to what the search outputs must bump __version__ or
+SCHEMA_VERSION.
 """
 from __future__ import annotations
 
@@ -24,29 +27,17 @@ from .coset import CosetTable
 from .errors import CacheError, DomainError, ParseError
 from .census import colouring_classes
 from .lowindex import ClassList, low_index_classes
-from .presentations import Presentation, triangle_group, von_dyck_group
+from .presentations import Presentation
 
 SCHEMA_VERSION = 3  # 3: colouring classes only; 2 held every class
 
-ENV_VAR = "COLSYM_CACHE_DIR"
-
 _NAME_RE = re.compile(r"(triangle|vondyck)-(\d+)-(\d+)")
-_TMP_PREFIX = "colsym-"  # of the temp files store_classes writes before renaming
-# colsym's own files: class lists, schema 1's one file per bound searched
-# (triangle_7_3_idx48.json), and the temp files of interrupted writes
-_FILE_RE = re.compile(
-    rf"{_NAME_RE.pattern}\.json|(triangle|vondyck)_\d+_\d+_idx\d+\.json|{_TMP_PREFIX}.*\.tmp"
-)
 
 
-def default_cache_dir() -> str:
-    return os.environ.get(ENV_VAR) or os.path.join(os.path.expanduser("~"), ".cache", "colsym")
-
-
-def _path(pres: Presentation, cache_dir: str | None) -> str:
+def _path(pres: Presentation, cache_dir: str) -> str:
     if not _NAME_RE.fullmatch(pres.name):
         raise CacheError(f"presentation {pres.name!r} is not cacheable")
-    return os.path.join(cache_dir or default_cache_dir(), pres.name + ".json")
+    return os.path.join(cache_dir, pres.name + ".json")
 
 
 def serialize_class_list(cl: ClassList) -> str:
@@ -97,9 +88,7 @@ def parse_class_list(text: str, pres: Presentation) -> ClassList:
     return ClassList(pres, max_index, tuple(tables))
 
 
-def load_classes(
-    pres: Presentation, max_index: int, cache_dir: str | None = None
-) -> ClassList | None:
+def load_classes(pres: Presentation, max_index: int, cache_dir: str) -> ClassList | None:
     """The stored list of pres, untrimmed, if it reaches max_index; else None."""
     try:
         with open(_path(pres, cache_dir), "r", encoding="ascii") as fh:
@@ -109,14 +98,13 @@ def load_classes(
     return cl if cl.max_index >= max_index else None
 
 
-def store_classes(cl: ClassList, cache_dir: str | None = None) -> str:
+def store_classes(cl: ClassList, cache_dir: str) -> str:
     """Atomically replace the presentation's file with cl; returns its path."""
     path = _path(cl.presentation, cache_dir)
-    cache_dir = os.path.dirname(path)
     data = serialize_class_list(cl)
     try:
         os.makedirs(cache_dir, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix=_TMP_PREFIX, suffix=".tmp")
+        fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix="colsym-", suffix=".tmp")
     except OSError as e:
         raise CacheError(f"cannot write to cache dir {cache_dir}: {e}") from None
     try:
@@ -132,14 +120,8 @@ def store_classes(cl: ClassList, cache_dir: str | None = None) -> str:
     return path
 
 
-def cached_provider(
-    cache_dir: str | None = None,
-    *,
-    enabled: bool = True,
-    jobs: int = 1,
-    node_budget: int | None = None,
-):
-    """A classes_provider for census() backed by the disk cache.
+def cached_provider(cache_dir: str | None = None, *, jobs: int = 1, node_budget: int | None = None):
+    """A classes_provider for census(), backed by the files in cache_dir if given.
 
     It serves census.colouring_classes, each of whose searches gets the
     jobs and its own node budget.  It keeps the largest list it has seen
@@ -160,10 +142,10 @@ def cached_provider(
     def lookup(pres: Presentation, max_index: int, half=None) -> ClassList:
         cl = memo.get(pres)
         if cl is None or cl.max_index < max_index:
-            cl = load_classes(pres, max_index, cache_dir) if enabled else None
+            cl = load_classes(pres, max_index, cache_dir) if cache_dir else None
             if cl is None:
                 cl = colouring_classes(pres, max_index, search=search, rotation_classes=half)
-                if enabled:
+                if cache_dir:
                     try:
                         store_classes(cl, cache_dir)
                     except CacheError:
@@ -180,45 +162,3 @@ def cached_provider(
 
     return provider
 
-
-def _own_files(cache_dir: str) -> list[str]:
-    """Class-list files of this schema or of schema 1, and colsym's temp files."""
-    if not os.path.isdir(cache_dir):
-        return []
-    return sorted(fn for fn in os.listdir(cache_dir) if _FILE_RE.fullmatch(fn))
-
-
-def cache_entries(cache_dir: str | None = None) -> list[dict]:
-    """What the cache holds: one dict per class-list file, by name, each
-    read whole by load_classes for the group its name spells.  max_index
-    and classes are None for a file no request would be served from."""
-    cache_dir = cache_dir or default_cache_dir()
-    out = []
-    for fn in _own_files(cache_dir):
-        if fn.endswith(".json"):
-            cl, m = None, _NAME_RE.fullmatch(fn[:-5])
-            if m:
-                p, q = int(m[2]), int(m[3])
-                try:
-                    pres = triangle_group(p, q) if m[1] == "triangle" else von_dyck_group(p, q)
-                except DomainError:  # the name spells no group
-                    pres = None
-                if pres and pres.name == m[0]:
-                    cl = load_classes(pres, 1, cache_dir)
-            out.append({"name": fn[:-5], "max_index": cl.max_index if cl else None,
-                        "classes": len(cl.tables) if cl else None})
-    return out
-
-
-def cache_clear(cache_dir: str | None = None) -> int:
-    """Delete class-list files and colsym's own temp files; returns how
-    many went away.  Other files in the directory are left alone."""
-    cache_dir = cache_dir or default_cache_dir()
-    n = 0
-    for fn in _own_files(cache_dir):
-        try:
-            os.unlink(os.path.join(cache_dir, fn))
-            n += 1
-        except OSError:
-            pass
-    return n

@@ -165,20 +165,6 @@ def _rerooted_record(t: CosetTable, fixed: frozenset[int]) -> SubgroupRecord:
     return SubgroupRecord(reroot(t, min(fixed)))
 
 
-def _memoized_provider():
-    """colouring_classes, each group and bound searched once: route a's
-    rotation half and route b share the von Dyck search.  The half is
-    looked up, not provided, so no reference cycle holds the memo."""
-    memo: dict[tuple[Presentation, int], ClassList] = {}
-
-    def lookup(pres: Presentation, max_index: int, half=None) -> ClassList:
-        if (pres, max_index) not in memo:
-            memo[pres, max_index] = colouring_classes(pres, max_index, rotation_classes=half)
-        return memo[pres, max_index]
-
-    return lambda pres, max_index: lookup(pres, max_index, lookup)
-
-
 def census(
     p: int,
     q: int,
@@ -199,12 +185,11 @@ def census(
     the rotation group directly and fuses conjugacy classes that the
     mirror twist identifies.  strategy "both" runs the two and insists
     they agree.  classes_provider(presentation, max_index) -> ClassList
-    lets callers interpose a cache (see cache.cached_provider, which
-    also takes the search's jobs and node budget); the default,
-    colouring_classes, runs the seeded search directly, each group and
-    bound once a call.  A provider
-    may return more classes than those that colour the tiling, every
-    class included: the census keeps only the colouring ones.
+    supplies the classes; the default, cache.cached_provider() with no
+    directory, searches each group once a call and touches no file.  A
+    provider may return more classes than those that colour the
+    tiling, every class included: the census keeps only the colouring
+    ones.
     """
     if max_colours < 1:
         raise DomainError("max_colours must be at least 1")
@@ -214,7 +199,8 @@ def census(
         raise DomainError(f"bad scope: {scope!r}")
     if strategy not in ("a", "b", "both"):
         raise DomainError(f"unknown strategy {strategy!r}")
-    provider = classes_provider or _memoized_provider()
+    from .cache import cached_provider  # here, as cache imports this module
+    provider = classes_provider or cached_provider()
 
     started = time.perf_counter()
     tag = "a" if scope is Scope.FULL else strategy  # the full scope has one route

@@ -3,11 +3,12 @@
     colsym census   --p 7 --q 3 --tiling laves --max-colours 42
     colsym render   --p 4 --q 4 --tiling pq --colours 2 --out board.svg
     colsym verify   --p 7 --q 3 --tiling pq --scope rotation --colours 22
-    colsym selftest --level full
-    colsym cache ls
+    colsym selftest --level full --cache-dir ~/.cache/colsym
 
 verify checks the symmetry group's generators on every triangle of a
-patch.  Exit codes: 0 success, 1 a verification or internal consistency
+patch.  Searched class lists are kept on disk only in the directory
+--cache-dir names; without it a run reads and writes no file but
+--out.  Exit codes: 0 success, 1 a verification or internal consistency
 check failed, 2 bad usage, parameters outside the supported domain or
 output that cannot be written, 3 a resource budget was exceeded.
 """
@@ -18,7 +19,7 @@ import contextlib
 import io
 import sys
 
-from .cache import cache_clear, cache_entries, cached_provider, default_cache_dir
+from .cache import cached_provider
 from .census import Scope, TilingKind, census, format_census
 from .errors import ColsymError, DomainError, ResourceLimit
 from .geometry import generate_patch
@@ -50,8 +51,8 @@ def _provider_options(sp: argparse.ArgumentParser) -> None:
                     "per CPU this process may use, and one where the platform cannot fork: all "
                     "walk the shared top of the search tree, and the subtrees below a fixed depth "
                     "are dealt out in turn")
-    sp.add_argument("--no-cache", action="store_true", help="skip the disk cache")
-    sp.add_argument("--cache-dir", default=None, help="cache directory override")
+    sp.add_argument("--cache-dir", default=None, help="read and write class lists in this "
+                    "directory; without it no file is read or written")
 
 
 def _budget_options(sp: argparse.ArgumentParser) -> None:
@@ -125,16 +126,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _provider_options(sp)
 
-    sp = sub.add_parser("cache", help="inspect or clear the enumeration cache")
-    sp.add_argument("action", choices=["ls", "clear"])
-    sp.add_argument("--cache-dir", default=None)
-
     return ap
 
 
 def _provider(args):
-    return cached_provider(args.cache_dir, enabled=not args.no_cache, jobs=args.jobs,
-                           node_budget=args.max_nodes)
+    return cached_provider(args.cache_dir, jobs=args.jobs, node_budget=args.max_nodes)
 
 
 def _coloured_patch(args, depth: int):
@@ -231,30 +227,10 @@ def cmd_verify(args) -> int:
 
 def cmd_selftest(args) -> int:
     out, err = io.StringIO(), io.StringIO()
-    ok = run_selftest(args.level, jobs=args.jobs, cache_dir=args.cache_dir,
-                      use_cache=not args.no_cache, out=out, err=err)
+    ok = run_selftest(args.level, jobs=args.jobs, cache_dir=args.cache_dir, out=out, err=err)
     _write(None, out.getvalue().encode())
     _note(err.getvalue())
     return 0 if ok else 1
-
-
-def cmd_cache(args) -> int:
-    directory = args.cache_dir or default_cache_dir()
-    if args.action == "ls":
-        entries = cache_entries(args.cache_dir)
-        lines = [f"# cache at {directory}"]
-        for e in entries:
-            if e["classes"] is None:
-                lines.append(f"{e['name']:14s} corrupt or stale")
-            else:
-                lines.append(f"{e['name']:14s} max_index={e['max_index']:3d} "
-                             f"classes={e['classes']}")
-        if not entries:
-            lines.append("# empty")
-    else:
-        lines = [f"# removed {cache_clear(args.cache_dir)} files from {directory}"]
-    _write(None, "".join(f"{line}\n" for line in lines).encode())
-    return 0
 
 
 def main(argv=None) -> int:
@@ -264,7 +240,6 @@ def main(argv=None) -> int:
         "render": cmd_render,
         "verify": cmd_verify,
         "selftest": cmd_selftest,
-        "cache": cmd_cache,
     }[args.command]
     try:
         return handler(args)

@@ -28,7 +28,6 @@ def run_selftest(
     *,
     jobs: int = 1,
     cache_dir: str | None = None,
-    use_cache: bool = True,
     out=None,
     err=None,
 ) -> bool:
@@ -36,7 +35,7 @@ def run_selftest(
         raise ValueError(f"unknown selftest level {level!r}")
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err
-    provider = cached_provider(cache_dir, enabled=use_cache, jobs=jobs)
+    provider = cached_provider(cache_dir, jobs=jobs)
     started = time.perf_counter()
     checks: list[tuple[str, bool, str]] = []
 

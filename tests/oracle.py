@@ -37,6 +37,8 @@ possible:
 * hom_counts, subgroup_counts, subgroups_in_classes: the number of
   subgroups of each index of a von Dyck group, from the characters of
   S_n with no search, and the same number read off a class list;
+* euclidean_counts: the census of the (4^4) and (6^3) tilings in closed
+  form, from the ideals of Z[i] and Z[w];
 * emit_svg_per_triangle: the SVG drawn one triangle at a time, the
   route emit_svg batches into arrays;
 * word_str, parse_word, generator_columns, class_counts,
@@ -911,6 +913,53 @@ def subgroups_in_classes(tables: Iterable[CosetTable], max_n: int) -> list[int]:
         assert t.n % selves == 0
         out[t.n] += t.n // selves
     return out
+
+
+def euclidean_counts(p: int, q: int, scope: Scope, n: int) -> dict[int, int]:
+    """The census multiplicities of the pq tiling (4^4) or (6^3) to n
+    colours, in closed form, with no search.
+
+    The tile centres form a lattice T: the ring R = Z[i] for (4^4), or
+    Z[w] with w a primitive cube root of 1 for (6^3).  The symmetry
+    group is G = T x| P, with P = D4 or D6 the point group of a tile,
+    and its rotations are G+ = T x| P+, with P+ = C4 or C6.  Colourings
+    are counted up to every symmetry of the tiling, so conjugacy is
+    taken in G whatever the scope.  A subgroup H of the scope's group
+    that holds the stabilizer P_t of a tile t is L x| P_t, where
+    L = H n T is invariant under P_t's point group and has index
+    [T : L] = [G : H] (resp. [G+ : H]); every such L gives one.  For one
+    L, the subgroups of all the tiles are conjugate by translations, and
+    conjugation by (v, g) in G maps L to g(L).  So the colourings with
+    k colours are the orbits of P on the invariant sublattices of
+    index k.
+
+    A sublattice closed under the tile rotation, multiplication by i
+    (resp. -w^2), is an ideal of R: a principal ideal (a), of index
+    N(a) = |a|^2.  R has sum over d | k of chi(d) ideals of norm k, with
+    chi the character mod 4 (chi(d) = 0, 1, 0, -1 for d = 0..3 mod 4)
+    for Z[i], and the one mod 3 (0, 1, -1) for Z[w].  A mirror of P maps
+    (a) to (conj a).  Conjugation swaps the two primes over a split
+    rational prime, and fixes the inert primes and the ramified one,
+    1 + i of norm 2 (resp. sqrt(-3) of norm 3).  So the self-conjugate
+    ideals are (m) and (m (1 + i)) (resp. (m sqrt(-3))), m = 1, 2, ...:
+    one of norm k if k = m^2 or 2 m^2 (resp. 3 m^2), none otherwise.
+
+    Full scope: L is invariant under the mirrors too, so it is a
+    self-conjugate ideal, alone in its orbit.  Rotation scope: every
+    ideal, and an orbit is a self-conjugate ideal or a pair (a), (conj a),
+    so the count is (ideals + self-conjugate ideals) / 2.
+    """
+    ramified, chi = {(4, 4): (2, (0, 1, 0, -1)), (6, 3): (3, (0, 1, -1))}[p, q]
+
+    def full(k: int) -> int:
+        return (math.isqrt(k) ** 2 == k) + (k % ramified == 0 and math.isqrt(k // ramified) ** 2 == k // ramified)
+
+    def ideals(k: int) -> int:
+        return sum(chi[d % len(chi)] for d in range(1, k + 1) if k % d == 0)
+
+    counts = {k: full(k) if scope is Scope.FULL else (ideals(k) + full(k)) // 2
+              for k in range(1, n + 1)}
+    return {k: c for k, c in counts.items() if c}
 
 
 def sign_parity(w: Word) -> int:

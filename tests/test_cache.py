@@ -8,10 +8,7 @@ import pytest
 import colsym.cache
 from colsym import __version__
 from colsym.cache import (
-    cache_clear,
-    cache_entries,
     cached_provider,
-    default_cache_dir,
     load_classes,
     parse_class_list,
     serialize_class_list,
@@ -100,13 +97,13 @@ def test_corrupt_file_is_a_silent_miss(tmp_path, classes):
     with open(path, "w") as fh:
         fh.write("{ not json")
     assert load_classes(triangle_group(4, 3), 6, str(tmp_path)) is None
-    listing = cache_entries(str(tmp_path))
-    assert len(listing) == 1
-    assert listing[0]["classes"] is None
+    assert load_classes(triangle_group(4, 3), 1, str(tmp_path)) is None
+    assert os.listdir(tmp_path) == ["triangle-4-3.json"]
     with open(path, "wb") as fh:
         fh.write(b"\xff\xfe not ascii")
     assert load_classes(triangle_group(4, 3), 6, str(tmp_path)) is None
-    assert cache_entries(str(tmp_path))[0]["classes"] is None
+    assert load_classes(triangle_group(4, 3), 1, str(tmp_path)) is None
+    assert os.listdir(tmp_path) == ["triangle-4-3.json"]
 
 
 def test_other_engine_is_recomputed_and_overwritten(tmp_path, classes):
@@ -182,18 +179,30 @@ def test_cached_provider_memoizes_and_persists(tmp_path, monkeypatch):
     prov2(V, 3)
     assert calls == searched
 
-    # with the cache disabled every call recomputes
-    prov3 = cached_provider(str(tmp_path), enabled=False)
+    # without a directory a new provider searches again
+    prov3 = cached_provider()
     prov3(G, 2)
     assert calls == searched + [("triangle-4-3", 2), ("vondyck-4-3", 1)]
 
 
-def test_provider_frees_its_memo_without_the_cycle_collector(tmp_path):
+def test_provider_without_a_directory_touches_no_file(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a provider without a directory used the disk")
+
+    monkeypatch.setattr(colsym.cache, "load_classes", refuse)
+    monkeypatch.setattr(colsym.cache, "store_classes", refuse)
+    prov = cached_provider()
+    G = triangle_group(4, 3)
+    assert [t.flat() for t in prov(G, 6).tables] == [t.flat() for t in colouring_classes(G, 6).tables]
+    assert prov(von_dyck_group(4, 3), 3).max_index == 3
+
+
+def test_provider_frees_its_memo_without_the_cycle_collector():
     # the provider holds no reference cycle, so dropping it frees the
     # lists of both halves at once
     gc.disable()
     try:
-        prov = cached_provider(str(tmp_path), enabled=False)
+        prov = cached_provider()
         lists = (prov(triangle_group(4, 3), 6), prov(von_dyck_group(4, 3), 3))
         held = [weakref.ref(cl) for cl in lists]
         del lists
@@ -201,35 +210,6 @@ def test_provider_frees_its_memo_without_the_cycle_collector(tmp_path):
         assert [ref() for ref in held] == [None, None]
     finally:
         gc.enable()
-
-
-def test_cache_clear(tmp_path, classes, monkeypatch):
-    store_classes(classes, str(tmp_path))
-    store_classes(colouring_classes(von_dyck_group(4, 3), 4), str(tmp_path))
-    assert len(cache_entries(str(tmp_path))) == 2
-    # schema 1 kept one file per bound; such files are colsym's too
-    (tmp_path / "triangle_4_3_idx8.json").write_text("{}")
-    assert [e["name"] for e in cache_entries(str(tmp_path))] == [
-        "triangle-4-3", "triangle_4_3_idx8", "vondyck-4-3"
-    ]
-    # a temp file left by an interrupted store is colsym's to remove
-    with monkeypatch.context() as m:
-        m.setattr(os, "replace", lambda src, dst: None)
-        store_classes(classes, str(tmp_path))
-    foreign = tmp_path / "notes.tmp"
-    foreign.write_text("not ours")
-    assert cache_clear(str(tmp_path)) == 4
-    assert cache_entries(str(tmp_path)) == []
-    assert os.listdir(tmp_path) == ["notes.tmp"]
-    assert foreign.read_text() == "not ours"
-    assert cache_clear(str(tmp_path)) == 0
-
-
-def test_default_cache_dir_env(monkeypatch, tmp_path):
-    monkeypatch.setenv("COLSYM_CACHE_DIR", str(tmp_path / "alt"))
-    assert default_cache_dir() == str(tmp_path / "alt")
-    monkeypatch.delenv("COLSYM_CACHE_DIR")
-    assert "colsym" in default_cache_dir()
 
 
 def test_uncacheable_presentation(tmp_path, classes):
@@ -257,10 +237,12 @@ def test_one_file_per_group_holds_the_largest_search(tmp_path, monkeypatch):
     # the search of G also filed its rotation half, to half the bound
     assert sorted(os.listdir(tmp_path)) == ["triangle-4-3.json", "vondyck-4-3.json"]
     V = von_dyck_group(4, 3)
-    assert cache_entries(str(tmp_path)) == [
-        {"name": "triangle-4-3", "max_index": 6, "classes": len(colouring_classes(G, 6).tables)},
-        {"name": "vondyck-4-3", "max_index": 3, "classes": len(colouring_classes(V, 3).tables)},
-    ]
+    for pres, bound in ((G, 6), (V, 3)):
+        stored = load_classes(pres, 1, str(tmp_path))
+        assert stored.max_index == bound
+        assert [t.flat() for t in stored.tables] == [
+            t.flat() for t in colouring_classes(pres, bound).tables
+        ]
     searched = _counting(monkeypatch, "low_index_classes")
     got = cached_provider(str(tmp_path))(G, 5)
     assert searched == []

@@ -14,20 +14,23 @@ from colsym.census import (
     format_census,
     required_words,
     rotation_required_word,
+    _lift,
 )
 from colsym.coset import CosetTable
 from colsym.errors import DomainError
 from colsym.lowindex import low_index_classes
 from colsym.presentations import Presentation, triangle_group, von_dyck_group
 from colsym.subgroups import fixed_cosets, orientation_sides
-from colsym.words import A, B, C, REFLECTIONS
+from colsym.words import A, B, C, REFLECTIONS, XGEN, ZGEN
 from oracle import (
     colouring_classes_by_walks,
     colours_transitive,
     compose_permutations,
+    euclidean_counts,
     full_scope_via_rotations,
     oracle_classes,
     permutation_homomorphism_check,
+    rotation_word_as_reflections,
     subgroup_counts,
     subgroups_in_classes,
 )
@@ -107,6 +110,16 @@ def test_rotation_strategies_agree_euclidean(provider):
             4, 4, kind, Scope.ROTATION, 6, strategy="both", classes_provider=provider
         )
         assert rep.strategy == "both"
+
+
+@pytest.mark.parametrize("p, q", [(4, 4), (6, 3)])
+def test_euclidean_censuses_match_the_closed_form(p, q):
+    # rotation scope by both routes, so route a's lifted von Dyck classes
+    # are counted against the ideals of Z[i] and Z[w] too
+    full = census(p, q, TilingKind.PQ, Scope.FULL, 100)
+    assert full.multiplicities() == euclidean_counts(p, q, Scope.FULL, 100)
+    rotation = census(p, q, TilingKind.PQ, Scope.ROTATION, 50, strategy="both")
+    assert rotation.multiplicities() == euclidean_counts(p, q, Scope.ROTATION, 50)
 
 
 def test_census_entries_shape(provider):
@@ -221,6 +234,19 @@ def test_lifted_rotation_half_matches_the_reflection_walks(p, q, bound):
     # reflection walks kept to orientation subgroups
     got = colouring_classes(triangle_group(p, q), bound)
     assert serialize_class_list(got) == serialize_class_list(colouring_classes_by_walks(p, q, bound))
+
+
+@pytest.mark.parametrize("p, q", [(7, 3), (4, 4)])
+def test_lift_labels_the_cosets_as_documented(p, q):
+    # coset i of the lift is H u_i and coset k + i is H u_i a.  Lifting
+    # a H a instead, as swapping w(g a) and w(a g) does, gives the same
+    # canonical class, so only the labelling tells the two apart
+    for t in colouring_classes(von_dyck_group(p, q), 12).tables:
+        lifted, k = _lift(t), t.n
+        for i in range(k):
+            assert lifted.apply(i, (A,)) == k + i
+            for g in (XGEN, ZGEN):
+                assert lifted.apply(i, rotation_word_as_reflections((g,))) == t.apply(i, (g,))
 
 
 def test_colouring_classes_need_a_triangle_group():

@@ -11,9 +11,9 @@ import pytest
 import colsym
 import colsym.cli
 from colsym import goldens
-from colsym.cache import cached_provider, store_classes
+from colsym.cache import cached_provider
 from colsym.census import (
-    Scope, TilingKind, census, colouring_classes, colouring_seeds, format_census,
+    Scope, TilingKind, census, colouring_seeds, format_census,
 )
 from colsym.cli import main
 from colsym.coset import canonical_table
@@ -145,7 +145,7 @@ def test_unwritable_out_is_a_usage_error(tmp_path, capsys, cache_dir):
 def test_resource_limit_exit_code(capsys, cache_dir):
     code, _, err = run_cli(
         capsys, "census", "--p", "7", "--q", "3", "--max-colours", "20",
-        "--max-nodes", "40", "--no-cache",
+        "--max-nodes", "40",
     )
     assert code == 3
     assert "resource" in err
@@ -160,7 +160,7 @@ def test_budget_bounds_each_of_the_two_searches(capsys):
     with pytest.raises(ResourceLimit):
         _search(V, 12, colouring_seeds(V), node_budget=23)
     _search(V, 12, colouring_seeds(V), node_budget=24)
-    census = ("census", "--p", "4", "--q", "3", "--max-colours", "24", "--no-cache")
+    census = ("census", "--p", "4", "--q", "3", "--max-colours", "24")
     code, out, err = run_cli(capsys, *census, "--max-nodes", "23")
     assert (code, out) == (3, "")
     assert "resource" in err
@@ -187,7 +187,7 @@ def test_jobs_below_one_is_refused_on_a_warm_cache(capsys, cache_dir):
 
 def test_negative_max_nodes_is_refused_cold_and_warm(capsys, cache_dir):
     args = ["census", "--p", "4", "--q", "3", "--max-colours", "6"]
-    for where in (["--no-cache"], ["--cache-dir", cache_dir]):  # cold
+    for where in ([], ["--cache-dir", cache_dir]):  # cold
         code, out, err = run_cli(capsys, *args, *where, "--max-nodes", "-1")
         assert (code, out) == (2, "")
         assert "node_budget" in err
@@ -215,6 +215,34 @@ def test_strategy_is_no_census_option(cache_dir):
         main(["census", "--p", "7", "--q", "3", "--scope", "rotation", "--max-colours", "9",
               "--strategy", "b", "--cache-dir", cache_dir])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("census", "--p", "7", "--q", "3", "--max-colours", "8", "--no-cache"),
+    ("selftest", "--no-cache"),
+    ("cache", "ls"),
+    ("cache", "clear"),
+])
+def test_the_cache_switch_and_subcommand_are_gone(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+
+
+def test_a_run_without_cache_dir_writes_no_file(capsys, tmp_path, monkeypatch):
+    # nothing lands in the home directory, the working directory or a
+    # directory the environment names: only --out is written
+    monkeypatch.setenv("HOME", str(tmp_path))
+    monkeypatch.setenv("COLSYM_CACHE_DIR", str(tmp_path / "env-cache"))
+    monkeypatch.chdir(tmp_path)
+    for argv in (
+        ("census", "--p", "7", "--q", "3", "--scope", "rotation", "--max-colours", "22"),
+        ("render", "--p", "4", "--q", "4", "--colours", "2", "--depth", "4", "--out", "board.svg"),
+        ("verify", "--p", "7", "--q", "3", "--colours", "8", "--depth", "6"),
+        ("selftest",),
+    ):
+        assert run_cli(capsys, *argv)[0] == 0, argv
+    assert [(d, sorted(fs)) for d, _, fs in os.walk(tmp_path)] == [(str(tmp_path), ["board.svg"])]
 
 
 def test_render_and_determinism(tmp_path, capsys, cache_dir):
@@ -321,27 +349,6 @@ def test_selftest_fast(capsys, cache_dir, monkeypatch):
     assert sorted(searched) == sorted(set(searched))
 
 
-def test_cache_subcommands(capsys, tmp_path):
-    cache_dir = str(tmp_path / "cache")
-    for bound in ("6", "8"):
-        run_cli(capsys, "census", "--p", "4", "--q", "3", "--max-colours", bound,
-                "--cache-dir", cache_dir)
-    code, out, _ = run_cli(capsys, "cache", "ls", "--cache-dir", cache_dir)
-    assert code == 0
-    # the search to 8 replaced the one to 6: one file for the group, with
-    # the 11 of the cube group's 17 classes to index 8 that colour a tiling,
-    # and one for its rotation half, searched to 4 along with it
-    assert [l for l in out.splitlines() if not l.startswith("#")] == [
-        "triangle-4-3   max_index=  8 classes=11",
-        "vondyck-4-3    max_index=  4 classes=4",
-    ]
-    code, out, _ = run_cli(capsys, "cache", "clear", "--cache-dir", cache_dir)
-    assert code == 0
-    assert "removed 2" in out
-    code, out, _ = run_cli(capsys, "cache", "ls", "--cache-dir", cache_dir)
-    assert "# empty" in out
-
-
 def doctor_rotation_classes(monkeypatch, edit):
     """Serve the CLI and selftest every von Dyck class list with its tables passed through edit."""
     real = colsym.cache.cached_provider
@@ -446,7 +453,6 @@ def test_a_failed_write_to_stdout_is_a_one_line_error(capsys, cache_dir, monkeyp
         ("render", "--p", "4", "--q", "4", "--colours", "2"),
         ("verify", "--p", "7", "--q", "3", "--colours", "8"),
         ("selftest",),
-        ("cache", "ls"),
     ):
         code, _, err = run_cli(capsys, *argv, "--cache-dir", cache_dir)
         assert (code, err.splitlines()[-1]) == (
@@ -480,42 +486,6 @@ def test_other_os_errors_are_not_write_errors(capsys, cache_dir, monkeypatch):
     monkeypatch.setattr(colsym.cli, "census", no_fork)
     with pytest.raises(OSError):
         main(["census", "--p", "7", "--q", "3", "--max-colours", "8", "--cache-dir", cache_dir])
-
-
-def _cut_tables(header, tables):
-    return header, tables[: len(tables) // 2]
-
-
-def _other_relators(header, tables):
-    doc = json.loads(header)
-    doc["relators"] = doc["relators"][:-1]
-    return json.dumps(doc), tables
-
-
-@pytest.mark.parametrize("breakage", [_cut_tables, _other_relators], ids=lambda f: f.__name__[1:])
-def test_cache_ls_marks_a_file_load_refuses(capsys, tmp_path, breakage):
-    path = store_classes(colouring_classes(triangle_group(4, 3), 8), str(tmp_path))
-    with open(path) as fh:
-        header, tables = fh.read().splitlines()
-    with open(path, "w") as fh:
-        fh.write("%s\n%s\n" % breakage(header, tables))
-    code, out, _ = run_cli(capsys, "cache", "ls", "--cache-dir", str(tmp_path))
-    assert code == 0
-    assert out.splitlines()[1:] == ["triangle-4-3   corrupt or stale"]
-
-
-def test_cache_ls_marks_a_name_that_spells_no_group(capsys, tmp_path):
-    text = Path(store_classes(colouring_classes(triangle_group(4, 3), 6), str(tmp_path))).read_text()
-    for name in ("triangle-2-3", "triangle-04-3", "vondyck-4-3"):
-        (tmp_path / f"{name}.json").write_text(text)
-    code, out, _ = run_cli(capsys, "cache", "ls", "--cache-dir", str(tmp_path))
-    assert code == 0
-    assert out.splitlines()[1:] == [
-        "triangle-04-3  corrupt or stale",
-        "triangle-2-3   corrupt or stale",
-        "triangle-4-3   max_index=  6 classes=9",
-        "vondyck-4-3    corrupt or stale",
-    ]
 
 
 def test_installed_entry_point(cache_dir, tmp_path):

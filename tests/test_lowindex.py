@@ -333,7 +333,7 @@ def test_jobs_run_serially_where_fork_is_missing(monkeypatch, capsys):
     monkeypatch.setattr(colsym.lowindex, "get_all_start_methods", lambda: ["spawn"])
     monkeypatch.setattr(colsym.lowindex, "get_context", no_fork)
     assert [t.flat() for t in low_index_classes(G, 20, jobs=2).tables] == serial
-    argv = ["census", "--p", "7", "--q", "3", "--max-colours", "20", "--jobs", "2", "--no-cache"]
+    argv = ["census", "--p", "7", "--q", "3", "--max-colours", "20", "--jobs", "2"]
     assert main(argv) == 0
     assert capsys.readouterr().out == "(7^3) full <= 20: 1, 8, 15\n"
 
