@@ -17,6 +17,7 @@ single rotation fixing the tile centre.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -172,19 +173,22 @@ def census(
     scope: Scope,
     max_colours: int,
     *,
-    strategy: str = "a",
+    strategy: str = "b",
     classes_provider=None,
 ) -> CensusReport:
     """All perfect colourings of the tiling with at most max_colours colours.
 
     scope=FULL admits every symmetry of the tiling; scope=ROTATION only
     the orientation-preserving ones.  For the rotation scope two
-    independent routes exist: strategy "a" enumerates subgroups of the
-    full reflection group up to twice the colour bound and keeps the
-    orientation-preserving ones; strategy "b" enumerates subgroups of
-    the rotation group directly and fuses conjugacy classes that the
-    mirror twist identifies.  strategy "both" runs the two and insists
-    they agree.  classes_provider(presentation, max_index) -> ClassList
+    independent routes exist, and they give the same entries: strategy
+    "a" enumerates subgroups of the full reflection group up to twice
+    the colour bound and keeps the orientation-preserving ones; strategy
+    "b", the default, enumerates subgroups of the rotation group
+    directly, fuses conjugacy classes that the mirror twist identifies,
+    and lifts the classes it keeps to the reflection group, so the
+    strategy chooses the cost, never the answer.  strategy "both" runs
+    the two, insists their multiplicities agree, and returns route a's
+    report.  classes_provider(presentation, max_index) -> ClassList
     supplies the classes; the default, cache.cached_provider() with no
     directory, searches each group once a call and touches no file.  A
     provider may return more classes than those that colour the
@@ -204,21 +208,22 @@ def census(
 
     started = time.perf_counter()
     tag = "a" if scope is Scope.FULL else strategy  # the full scope has one route
-    if tag == "a":
-        entries = _census_reflection(p, q, kind, scope, max_colours, provider)
-    elif tag == "b":
-        entries = _census_rotation_b(p, q, kind, max_colours, provider)
-    else:  # "both"
-        ea = _census_reflection(p, q, kind, scope, max_colours, provider)
-        eb = _census_rotation_b(p, q, kind, max_colours, provider)
-        ma = {e.colours: e.count for e in ea}
-        mb = {e.colours: e.count for e in eb}
+    if tag == "b":
+        kept = _census_rotation_b(p, q, kind, max_colours, provider)
+        # in the reflection group's class-list order, so the entries are route a's
+        tables = sorted((canonical_table(_lift(t)) for t in kept), key=lambda t: (t.n, t.flat()))
+    else:
+        scale = 1 if scope is Scope.FULL else 2
+        tables = provider(triangle_group(p, q), scale * max_colours).tables
+    entries = _census_reflection(tables, kind, scope)
+    if tag == "both":
+        ma = {e.colours: e.count for e in entries}
+        mb = Counter(t.n for t in _census_rotation_b(p, q, kind, max_colours, provider))
         if ma != mb:
             raise InternalError(
                 f"rotation strategies disagree for ({p},{q}) {kind.value}: "
-                f"a={ma} b={mb}"
+                f"a={ma} b={dict(sorted(mb.items()))}"
             )
-        entries = ea
 
     return CensusReport(
         p=p,
@@ -232,62 +237,49 @@ def census(
     )
 
 
-def _bucket(records: dict[int, list[SubgroupRecord]]) -> tuple[CensusEntry, ...]:
-    return tuple(
-        CensusEntry(k, len(recs), tuple(recs))
-        for k, recs in sorted(records.items())
-    )
-
-
-def _census_reflection(p, q, kind, scope, max_colours, provider) -> tuple[CensusEntry, ...]:
-    """Full scope, or rotation scope via the reflection group (route a).
+def _census_reflection(tables, kind, scope) -> tuple[CensusEntry, ...]:
+    """The entries of the reflection-group tables that colour the tiling.
 
     An index-k subgroup of the rotation half has index 2k in the full
     group, and conjugacy classes taken in the full group are exactly
     what "colourings up to symmetry of the uncoloured tiling" means,
-    reflections included.
+    reflections included.  So in rotation scope only the orientation
+    subgroups count, each at half its index.
     """
     scale = 1 if scope is Scope.FULL else 2
     words = required_words(kind, scope)
-    classes = provider(triangle_group(p, q), scale * max_colours)
     buckets: dict[int, list[SubgroupRecord]] = {}
-    for t in classes.tables:
+    for t in tables:
         if scale == 2 and orientation_sides(t) is None:
             continue
         fixed = fixed_cosets(t, words)
         if fixed:
             buckets.setdefault(t.n // scale, []).append(_rerooted_record(t, fixed))
-    return _bucket(buckets)
+    return tuple(CensusEntry(k, len(recs), tuple(recs)) for k, recs in sorted(buckets.items()))
 
 
-def _census_rotation_b(p, q, kind, max_colours, provider) -> tuple[CensusEntry, ...]:
-    """Rotation scope via the rotation group itself.
+def _census_rotation_b(p, q, kind, max_colours, provider) -> list[CosetTable]:
+    """The rotation group's classes that colour the tiling, one of each twin pair.
 
     Classes there are conjugacy classes under rotations only; the mirror
     twist (an outer automorphism) can identify two of them, and such a
     pair is one colouring class of the unoriented tiling.  The twist is
     an involution, so each class has exactly one partner (possibly
-    itself); the first class of each pair is counted.
+    itself); the first class of each pair is kept.
     """
     word = rotation_required_word(kind)
     classes = provider(von_dyck_group(p, q), max_colours)
-    # each qualifying class with the cosets its tile rotation fixes
-    qualifying = [(t, fixed) for t in classes.tables if (fixed := fixed_cosets(t, (word,)))]
-    slot = {t.rows: i for i, (t, _) in enumerate(qualifying)}
+    qualifying = [t for t in classes.tables if fixed_cosets(t, (word,))]
+    slot = {t.rows: i for i, t in enumerate(qualifying)}
     partner = []
-    for t, _ in qualifying:
+    for t in qualifying:
         j = slot.get(canonical_table(transform_subgroup(t, MIRROR_TWIST)).rows)
         if j is None:
             raise InternalError("mirror twist left the qualifying class list")
         partner.append(j)
-
-    buckets: dict[int, list[SubgroupRecord]] = {}
-    for i, (t, fixed) in enumerate(qualifying):
-        if partner[partner[i]] != i:
-            raise InternalError("mirror twist does not act as an involution")
-        if partner[i] >= i:  # keep the first class of each fused pair
-            buckets.setdefault(t.n, []).append(_rerooted_record(t, fixed))
-    return _bucket(buckets)
+    if any(partner[j] != i for i, j in enumerate(partner)):
+        raise InternalError("mirror twist does not act as an involution")
+    return [t for i, t in enumerate(qualifying) if partner[i] >= i]
 
 
 def colour_permutation(t: CosetTable, w: Word) -> tuple[int, ...]:

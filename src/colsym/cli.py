@@ -179,9 +179,8 @@ GENERATORS = {
 
 
 def cmd_census(args) -> int:
-    # rotation scope takes route b, which searches least; selftest cross-checks both routes
     report = census(args.p, args.q, TilingKind(args.tiling), Scope(args.scope), args.max_colours,
-                    strategy="b", classes_provider=_provider(args))
+                    classes_provider=_provider(args))
     _write(args.out, f"{format_census(report, args.format)}\n".encode())
     _note(f"# {report.elapsed:.2f}s, strategy {report.strategy}\n")
     return 0

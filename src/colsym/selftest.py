@@ -43,14 +43,13 @@ def run_selftest(
         if scope is Scope.FULL:
             row, last = goldens.FULL_ROWS[(p, q, kind)]
             bound = goldens.FULL_BOUNDS[(p, q, kind)]
-            strategy = "a"
         else:
             row, last = goldens.ROTATION_ROWS[(p, q, kind)]
             bound = goldens.ROTATION_BOUNDS[(p, q, kind)]
-            strategy = "both"  # also cross-checks the two rotation routes
+        # "both" cross-checks the two rotation routes; the full scope has one route
         rep = census(
             p, q, kind, scope, bound,
-            strategy=strategy, classes_provider=provider,
+            strategy="both", classes_provider=provider,
         )
         print(format_census(rep), file=out)
         ok, detail = goldens.matches_row(rep, row, last)

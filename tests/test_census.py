@@ -4,7 +4,7 @@ import pytest
 
 import colsym.lowindex
 from colsym import goldens
-from colsym.cache import serialize_class_list
+from colsym.cache import cached_provider, serialize_class_list
 from colsym.census import (
     Scope,
     TilingKind,
@@ -14,13 +14,14 @@ from colsym.census import (
     format_census,
     required_words,
     rotation_required_word,
+    _census_rotation_b,
     _lift,
 )
-from colsym.coset import CosetTable
+from colsym.coset import CosetTable, canonical_table
 from colsym.errors import DomainError
 from colsym.lowindex import low_index_classes
-from colsym.presentations import Presentation, triangle_group, von_dyck_group
-from colsym.subgroups import fixed_cosets, orientation_sides
+from colsym.presentations import MIRROR_TWIST, Presentation, triangle_group, von_dyck_group
+from colsym.subgroups import fixed_cosets, orientation_sides, transform_subgroup
 from colsym.words import A, B, C, REFLECTIONS, XGEN, ZGEN
 from oracle import (
     colouring_classes_by_walks,
@@ -89,9 +90,8 @@ def test_golden_rows_to_their_published_ends(provider):
     assert checked == 18
 
 
-def test_default_provider_searches_each_group_once(monkeypatch):
-    # route a's rotation half and route b need the same von Dyck list:
-    # with no provider given, one call searches it once
+def record_searches(monkeypatch):
+    """The (group, bound) of every search from here on, in call order."""
     searched = []
     search = colsym.lowindex._search
 
@@ -100,8 +100,52 @@ def test_default_provider_searches_each_group_once(monkeypatch):
         return search(pres, max_index, seeds, **kwargs)
 
     monkeypatch.setattr(colsym.lowindex, "_search", counted)
+    return searched
+
+
+def test_default_provider_searches_each_group_once(monkeypatch):
+    # route a's rotation half and route b need the same von Dyck list:
+    # with no provider given, one call searches it once
+    searched = record_searches(monkeypatch)
     census(7, 3, TilingKind.LAVES, Scope.ROTATION, 24, strategy="both")
     assert searched == [("triangle-7-3", 48), ("vondyck-7-3", 24)]
+
+
+def test_default_rotation_census_searches_only_the_von_dyck_group(monkeypatch):
+    searched = record_searches(monkeypatch)
+    census(7, 3, TilingKind.LAVES, Scope.ROTATION, 24)
+    assert searched == [("vondyck-7-3", 24)]
+
+
+@pytest.mark.parametrize("p, q, bound", [
+    (7, 3, 24), (8, 3, 18), (5, 4, 17), (4, 4, 40), (6, 3, 30), (4, 3, 12), (3, 5, 30),
+])
+def test_rotation_strategies_give_equal_entries(p, q, bound, provider):
+    # route b lifts the classes it keeps, so every strategy returns route
+    # a's representatives: the same tables, in the same order, rooted alike
+    for kind in TilingKind:
+        default = census(p, q, kind, Scope.ROTATION, bound, classes_provider=provider)
+        assert default.strategy == "b"
+        for strategy in ("a", "both"):
+            report = census(p, q, kind, Scope.ROTATION, bound, strategy=strategy,
+                            classes_provider=provider)
+            assert report.entries == default.entries
+
+
+def test_route_b_keeps_the_first_class_of_each_twin_pair(provider):
+    # twins lift to one class, so only route b's own list shows which it kept
+    classes = provider(von_dyck_group(7, 3), 24).tables
+    pairs = 0
+    for kind in TilingKind:
+        qualifying = [t for t in classes if fixed_cosets(t, (rotation_required_word(kind),))]
+        kept = _census_rotation_b(7, 3, kind, 24, provider)
+        twins = [canonical_table(transform_subgroup(t, MIRROR_TWIST)) for t in kept]
+        assert kept == [t for t in qualifying if t in kept]
+        assert len({*kept, *twins}) == len(qualifying)
+        assert set(kept).isdisjoint(u for t, u in zip(kept, twins) if u != t)
+        assert all(qualifying.index(t) < qualifying.index(u) for t, u in zip(kept, twins) if u != t)
+        pairs += sum(u != t for t, u in zip(kept, twins))
+    assert pairs > 0
 
 
 def test_rotation_strategies_agree_euclidean(provider):
@@ -115,11 +159,14 @@ def test_rotation_strategies_agree_euclidean(provider):
 @pytest.mark.parametrize("p, q", [(4, 4), (6, 3)])
 def test_euclidean_censuses_match_the_closed_form(p, q):
     # rotation scope by both routes, so route a's lifted von Dyck classes
-    # are counted against the ideals of Z[i] and Z[w] too
-    full = census(p, q, TilingKind.PQ, Scope.FULL, 100)
-    assert full.multiplicities() == euclidean_counts(p, q, Scope.FULL, 100)
-    rotation = census(p, q, TilingKind.PQ, Scope.ROTATION, 50, strategy="both")
-    assert rotation.multiplicities() == euclidean_counts(p, q, Scope.ROTATION, 50)
+    # are counted against the ideals of Z[i] and Z[w] too; (4^4) is
+    # self-dual, so its qp tiling has the pq counts
+    provider = cached_provider()
+    for kind in (TilingKind.PQ, TilingKind.QP) if p == q else (TilingKind.PQ,):
+        full = census(p, q, kind, Scope.FULL, 100, classes_provider=provider)
+        assert full.multiplicities() == euclidean_counts(p, q, Scope.FULL, 100)
+        rotation = census(p, q, kind, Scope.ROTATION, 50, strategy="both", classes_provider=provider)
+        assert rotation.multiplicities() == euclidean_counts(p, q, Scope.ROTATION, 50)
 
 
 def test_census_entries_shape(provider):

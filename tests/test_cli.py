@@ -169,6 +169,17 @@ def test_budget_bounds_each_of_the_two_searches(capsys):
     assert code == 0
 
 
+def test_rotation_verify_fits_a_budget_the_mirror_walks_exceed(capsys):
+    # rotation scope searches only the von Dyck group, here to 14 in at most
+    # 200 nodes; the reflection group's mirror walks to 28 would take more
+    G = triangle_group(7, 3)
+    with pytest.raises(ResourceLimit):
+        _search(G, 28, colouring_seeds(G), node_budget=200)
+    code, out, _ = run_cli(capsys, "verify", "--p", "7", "--q", "3", "--tiling", "laves",
+                           "--scope", "rotation", "--colours", "14", "--max-nodes", "200")
+    assert code == 0 and out.startswith("PASS [3.7.3.7] rotation k=14: 6/6 ")
+
+
 def test_selftest_takes_no_search_budget():
     # the selftest always searches to the frozen bounds, so a node budget
     # it would not apply is refused as a usage error
@@ -256,6 +267,15 @@ def test_render_and_determinism(tmp_path, capsys, cache_dir):
         assert code == 0
     assert svg1.read_bytes() == svg2.read_bytes()
     assert svg1.read_bytes().startswith(b"<svg")
+
+
+def test_rotation_render_and_verify_search_only_the_von_dyck_group(capsys, tmp_path):
+    args = ("--p", "7", "--q", "3", "--tiling", "laves", "--scope", "rotation", "--colours", "14")
+    for command, extra in (("render", ("--out", str(tmp_path / "k14.svg"))), ("verify", ())):
+        cache = tmp_path / command
+        code, _, _ = run_cli(capsys, command, *args, *extra, "--cache-dir", str(cache))
+        assert code == 0
+        assert sorted(os.listdir(cache)) == ["vondyck-7-3.json"]
 
 
 def test_render_to_stdout(cache_dir, tmp_path):
