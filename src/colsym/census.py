@@ -161,9 +161,10 @@ def _rerooted_record(t: CosetTable, fixed: frozenset[int]) -> SubgroupRecord:
     once by the caller's filter).  Class representatives are canonical
     tables whose base coset need not be fixed by the stabilizer words;
     colouring machinery needs literal membership, so each stored
-    representative is re-rooted first.
+    representative is re-rooted first; at coset 0 that is t itself, as
+    a canonical table is standardized.
     """
-    return SubgroupRecord(reroot(t, min(fixed)))
+    return SubgroupRecord(t if 0 in fixed else reroot(t, min(fixed)))
 
 
 def census(

@@ -41,18 +41,18 @@ class CosetTable:
         return tuple(v for row in self.rows for v in row)
 
 
-def _renumbered(t: CosetTable, base: int, bound: list[int] | None = None) -> list[int] | None:
+def _renumbered(t: CosetTable, base: int, bound: list[int] | None, loc: list[int]) -> list[int] | None:
     """t's entries, row-major, with `base` moved to slot 0; None if above bound.
 
     Cosets are relabelled in first-visit order of a column-ordered BFS
     from base, and each entry is relabelled as the BFS reads it.  Given
     bound, the entries of another renumbering of t, the BFS stops at the
     first entry above bound's with all earlier entries equal, and returns
-    None; once one falls below bound's, it compares no more.
+    None; once one falls below bound's, it compares no more.  loc is
+    t.n slots of -1, which a None result leaves as they were.
     """
     rows = t.rows
     order = [base]
-    loc = [-1] * t.n
     loc[base] = 0
     flat: list[int] = []
     less = bound is None  # decided below bound; compare no more
@@ -66,6 +66,8 @@ def _renumbered(t: CosetTable, base: int, bound: list[int] | None = None) -> lis
             if not less:
                 b = bound[len(flat)]
                 if e > b:
+                    for o in order:
+                        loc[o] = -1
                     return None
                 less = e < b
             flat.append(e)
@@ -86,7 +88,7 @@ def reroot(t: CosetTable, base: int) -> CosetTable:
     The result is the table of the conjugate subgroup w S w^-1 where w
     is any word carrying coset 0 to base.
     """
-    return _table(t, _renumbered(t, base))
+    return _table(t, _renumbered(t, base, None, [-1] * t.n))
 
 
 def canonical_table(t: CosetTable) -> CosetTable:
@@ -98,9 +100,9 @@ def canonical_table(t: CosetTable) -> CosetTable:
     far as its bound, so a base is dropped at the first entry above it
     and only the least table is built.
     """
-    best = None
+    best, loc = None, [-1] * t.n  # loc is reused while the bases lose
     for base in range(t.n):
-        flat = _renumbered(t, base, best)
+        flat = _renumbered(t, base, best, loc)
         if flat is not None:
-            best = flat
+            best, loc = flat, [-1] * t.n
     return _table(t, best)

@@ -20,12 +20,12 @@ partial table prunes whole subtrees that can no longer win.
 A seeded walk finds only the classes of subgroups that contain a
 conjugate of H, the subgroup generated by the seed words (Sims,
 Computation with Finitely Presented Groups, ch. 5): the words must fix
-coset 0, so they are scanned there after every deduction, next to the
-relators, and a table is compared only with its re-rootings at cosets
-the words fix.  The walks run in seed order, and a walk leaves
-to an earlier one every class that walk finds: it prunes a node as soon
-as some coset is fixed by every word of an earlier seed.  So the walks
-yield each class from one walk.
+coset 0, so they are scanned there after a deduction, next to the
+relators, until the entries at the root close them; and a table is
+compared only with its re-rootings at cosets the words fix.  The walks
+run in seed order, and a walk leaves to an earlier one every class that
+walk finds: it prunes a node as soon as some coset is fixed by every
+word of an earlier seed.  So the walks yield each class from one walk.
 
 Down a branch the table only grows, so the root bookkeeping lives on
 the trail next to the entries.  A root the seed words fix stays fixed,
@@ -123,8 +123,9 @@ def _search(
     the root once the seed words are propagated.  One node budget counts
     the nodes of all the walks.
 
-    The seed words are scanned at coset 0 after every deduction, next
-    to the relator scans (propagate).
+    The seed words are scanned at coset 0 next to the relator scans
+    (propagate): all of them at the root, then only those the root left
+    open, since the walk never unwinds the root's entries.
 
     Backtracking undoes two stacks to a node's heights when it opened:
     the entries set (trail), and the root records (roots_trail): each
@@ -166,6 +167,7 @@ def _search(
     nodes = 0
     dealt = -1  # walk-order number of the last node reached at depth _SPLIT
     words: Seed = ()  # the seed words of the current walk
+    open_words: Seed = ()  # the words propagate scans: all, then those the root left open
     # the words of each earlier seed, whose walk finds every class that this
     # walk completes below a node where those words fix a coset
     excluded: tuple[Seed, ...] = ()
@@ -210,7 +212,7 @@ def _search(
             for w in trace[c]:
                 if not scan(alpha, w, stack):
                     return False
-            for w in words:
+            for w in open_words:
                 if not scan(0, w, stack):
                     return False
         return True
@@ -246,10 +248,10 @@ def _search(
 
     def unwind(mark: int, roots_mark: int) -> None:
         """Undo the entries and the root records since the marks."""
-        for p in trail[mark:]:
-            table[p] = -1
-        del trail[mark:]
-        for beta, i, cnt in reversed(roots_trail[roots_mark:]):
+        while len(trail) > mark:
+            table[trail.pop()] = -1
+        while len(roots_trail) > roots_mark:
+            beta, i, cnt = roots_trail.pop()
             if i < 0:  # settle fixed beta, the last of fixed
                 fixed.pop()
                 nus[beta][beta] = -1
@@ -259,7 +261,6 @@ def _search(
                 nu[mu[k]] = -1
             done[beta] = i
             count[beta] = cnt
-        del roots_trail[roots_mark:]
 
     def rejectable() -> bool:
         """True if no completion of this table can be its class minimum.
@@ -318,13 +319,14 @@ def _search(
         return tuple(tuple(table[i * m : (i + 1) * m]) for i in range(n))
 
     def closed(n: int) -> bool:
-        for alpha in range(n):
-            for rel in relators:
-                i = alpha
-                for g in rel:
-                    i = table[i * m + g]
-                if i != alpha:
-                    return False
+        cols = [table[c : n * m : m] for c in range(m)]
+        identity = list(range(n))
+        for rel in relators:
+            perm = identity
+            for g in rel:
+                perm = list(map(cols[g].__getitem__, perm))
+            if perm != identity:
+                return False
         return True
 
     def walk() -> None:
@@ -391,8 +393,10 @@ def _search(
     for j, words in enumerate(seeds):
         excluded = seeds[:j]
         stack: list[int] = []
+        open_words = words
         # the root is one coset, so this checks every entry the seed words set
         if all(scan(0, w, stack) for w in words) and propagate(stack) and settle(0):
+            open_words = tuple(w for w in words if not fixes(0, (w,)))
             walk()
         unwind(0, 0)
     return results
@@ -423,7 +427,8 @@ def low_index_classes(
 
     seeds=None finds every class.  Otherwise each seed gets one walk,
     and the list holds the classes of subgroups that contain a
-    conjugate of some seed's subgroup.  Either way it is one standardized table per
+    conjugate of some seed's subgroup; a seed word has at most two
+    letters (see settle).  Either way it is one standardized table per
     class, each the lexicographic minimum of all its re-rootings,
     sorted by (index, serialized rows).  jobs > 1 runs one part of the
     search per forked worker process (see _search), but never more parts
@@ -441,6 +446,8 @@ def low_index_classes(
     walks = UNSEEDED if seeds is None else tuple(seeds)
     if not walks:
         raise DomainError("seeds must hold at least one seed")
+    if any(len(w) > 2 for seed in walks for w in seed):
+        raise DomainError("a seed word has at most two letters")
 
     parts = min(jobs, _cpus()) if "fork" in get_all_start_methods() else 1
     if parts == 1:

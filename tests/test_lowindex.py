@@ -11,7 +11,7 @@ from colsym.cache import cached_provider, serialize_class_list
 from colsym.census import colouring_classes, colouring_seeds
 from colsym.cli import main
 from colsym.coset import CosetTable, canonical_table
-from colsym.errors import DomainError, ResourceLimit
+from colsym.errors import DomainError, InternalError, ResourceLimit
 from colsym.lowindex import UNSEEDED, _search, low_index_classes
 from colsym.presentations import MIRROR_TWIST, Presentation, triangle_group, von_dyck_group
 from colsym.subgroups import fixed_cosets, transform_subgroup
@@ -216,7 +216,23 @@ def test_class_lists_pinned_byte_for_byte(pres, bound, classes, digest):
      ("397dd82ca5d501751a9f29e8cc6ee19ba5246a0418bb1fd5881636e8617e8c26",
       "421110212687b532aced1d324f971830790805047b4cc904c0272b451cd13607",
       "efb1bcd9f295916573789973cbbf9960e32fc7d937d2c224cb318a0cfee7ffac")),
-], ids=["triangle-7-3-64", "vondyck-7-3-32"])
+    (triangle_group(8, 3), 36,
+     "a665d88f3bcf99d57595d86b5ea951bc9360c5a06110ece88fb9e7bfe56566a7",
+     ("ec13b402114998496b6ecda66c2591839be6cfb2527c8c13168af226ff9cb170",
+      "75875629b29ce78b4e55425ef87d5261e52da6dd8a409b486ae237aa6c85ca3a",
+      "58c9d1021942ecfe1dfa9ed72aa9221a792c2d49545516607a7614e39983d89e")),
+    (triangle_group(5, 4), 34,
+     "687e2798f14d760d7184ba436347cb586190726a41fea1f3691ac320d832c919",
+     ("5c2980cec63a63fdd2ec67b822ada02ef8dd44de8ec9d36bf1fec3ef48aa53c4",
+      "8e7394e1da07eb069841dcd9753268bc712b5f50cc03c261ff6b0375f96e612c",
+      "d97e149c2bad8380b7787b819de53641551e38cc1ece306b596dd1a5116a119f")),
+    (triangle_group(4, 4), 60,
+     "8ecb67dd7113efad7ef3a66320ef7992129a90479620c276a2703bb90a7d6151",
+     ("572f08ef56f0cbddb016ce234ee785165d235ea84a13c3d928b1c1c5245cc723",
+      "0139e34544ab3012590e9c819cecef8d57f5d6dc55ae6e5fb71f82a97e03b38a",
+      "3a26fb73a437085c48be15214e8af32314b078e8001f1ac851932b024b92bd97")),
+], ids=["triangle-7-3-64", "vondyck-7-3-32", "triangle-8-3-36", "triangle-5-4-34",
+        "triangle-4-4-60"])
 def test_walk_order_pinned(pres, bound, serial, parts):
     # the raw tables in the order the walks complete them, serially and
     # in each of 3 parts: the class-list pins sort them, so only this
@@ -433,6 +449,35 @@ def test_bad_seeds():
     G = triangle_group(4, 3)
     with pytest.raises(DomainError):
         low_index_classes(G, 4, seeds=())
+
+
+@pytest.mark.parametrize("pres, bound, seed", [
+    (triangle_group(5, 4), 20, ((B, C, B),)),
+    (von_dyck_group(7, 3), 28, ((XGEN, ZGEN, ZGEN),)),
+], ids=lambda x: getattr(x, "name", x))
+def test_seed_words_of_more_than_two_letters_are_refused(pres, bound, seed):
+    # settle finds a coset that a seed word fixes from the entry that
+    # closes the word's walk, which has that coset at one end only for a
+    # word of at most two letters; these seeds used to give a class twice
+    # (75 tables for 74 classes, and 73 for 72)
+    with pytest.raises(DomainError, match="at most two letters"):
+        low_index_classes(pres, bound, seeds=(seed,))
+    shorter = (seed[0][:2],)
+    expected = [t for t in low_index_classes(pres, bound).tables if fixed_cosets(t, shorter)]
+    assert low_index_classes(pres, bound, seeds=(shorter,)).tables == tuple(expected)
+
+
+@pytest.mark.parametrize("pres", [triangle_group(7, 3), von_dyck_group(7, 3)],
+                         ids=lambda p: p.name)
+def test_a_complete_table_that_fails_a_relator_raises(pres, monkeypatch):
+    # the walk scans the trace words of every relator but the last, so
+    # nothing deduces the last one's entries: the relator check on a
+    # complete table is what catches a table that breaks it
+    trace_words = colsym.lowindex._trace_words
+    short = Presentation(pres.alphabet, pres.relators[:-1], pres.name)
+    monkeypatch.setattr(colsym.lowindex, "_trace_words", lambda p: trace_words(short))
+    with pytest.raises(InternalError, match="complete table fails a relator"):
+        _search(pres, 8)
 
 
 def test_bad_arguments(tmp_path):
