@@ -28,18 +28,15 @@ from .presentations import (
     von_dyck_group,
 )
 from .words import REFLECTIONS, ROTATIONS, Word
-from .coset import CosetTable, canonical_table, reroot
-from .lowindex import ClassList, Seed, low_index_classes
-from .subgroups import (
-    SubgroupRecord,
-    fixed_cosets,
-    orientation_sides,
-    transform_subgroup,
+from .coset import (
+    CosetTable, canonical_table, fixed_cosets, orientation_sides, reroot, transform_subgroup,
 )
+from .lowindex import ClassList, Seed, low_index_classes
 from .census import (
     CensusEntry,
     CensusReport,
     Scope,
+    SubgroupRecord,
     TilingKind,
     census,
     colour_permutation,

@@ -21,16 +21,12 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .coset import CosetTable, canonical_table, reroot
+from .coset import (
+    CosetTable, canonical_table, fixed_cosets, orientation_sides, reroot, transform_subgroup,
+)
 from .errors import DomainError, InternalError
 from .lowindex import ClassList, Seed, low_index_classes
 from .presentations import MIRROR_TWIST, Presentation, triangle_group, von_dyck_group
-from .subgroups import (
-    SubgroupRecord,
-    fixed_cosets,
-    orientation_sides,
-    transform_subgroup,
-)
 from .words import A, B, C, REFLECTIONS, ROTATIONS, XGEN, ZGEN, Word
 
 
@@ -101,9 +97,9 @@ def _lift(t: CosetTable) -> CosetTable:
     H u_i a.  As H u_i g = H u_i w(g a) a and H u_i a g = H u_i w(a g),
     letter g takes i to k + i w(g a), and k + i to i w(a g).
     """
-    k, g_a = t.n, [t.alphabet.inverse_word(w) for w in _A_TIMES]
-    rows = [tuple(k + t.apply(i, w) for w in g_a) for i in range(k)]
-    rows += [tuple(t.apply(i, w) for w in _A_TIMES) for i in range(k)]
+    k, inverse = t.n, t.alphabet.inverse_word
+    rows = [tuple(k + i for i in row) for row in zip(*(t.action(inverse(w)) for w in _A_TIMES))]
+    rows += zip(*map(t.action, _A_TIMES))
     return CosetTable(REFLECTIONS, tuple(rows))
 
 
@@ -130,6 +126,13 @@ def colouring_classes(pres: Presentation, max_index: int, *, search=low_index_cl
     half = (rotation_classes or colouring_classes)(von_dyck_group(p, q), max_index // 2)
     tables = {*cl.tables, *(canonical_table(_lift(t)) for t in half.tables)}
     return ClassList(pres, max_index, tuple(sorted(tables, key=lambda t: (t.n, t.flat()))))
+
+
+@dataclass(frozen=True)
+class SubgroupRecord:
+    """A census representative: a table whose base coset the tile stabilizer fixes."""
+
+    table: CosetTable
 
 
 @dataclass(frozen=True)
@@ -196,8 +199,8 @@ def census(
     tiling, every class included: the census keeps only the colouring
     ones.
     """
-    if max_colours < 1:
-        raise DomainError("max_colours must be at least 1")
+    if not isinstance(max_colours, int) or max_colours < 1:
+        raise DomainError("max_colours must be an integer of at least 1")
     if not isinstance(kind, TilingKind):
         raise DomainError(f"bad tiling kind: {kind!r}")
     if not isinstance(scope, Scope):
@@ -290,8 +293,7 @@ def colour_permutation(t: CosetTable, w: Word) -> tuple[int, ...]:
     tile gF to wgF, so colour i goes to the coset reached from i by
     w^-1 on the right.
     """
-    iw = t.alphabet.inverse_word(w)
-    return tuple(t.apply(i, iw) for i in range(t.n))
+    return tuple(t.action(t.alphabet.inverse_word(w)))
 
 
 def format_census(report: CensusReport, style: str = "plain") -> str:

@@ -1,10 +1,17 @@
-"""Coset tables: re-rooting and canonical forms.
+"""Coset tables: the action of words, re-rooting and canonical forms.
 
 A coset table for a subgroup S of a group G presented on k letters is
 an n x k array: rows are cosets (row 0 is S itself), columns follow the
 alphabet, and entry (i, g) is the coset S w_i g.  A complete table is a
-transitive permutation representation of G on the cosets.  The tables
-themselves come from the low-index search (lowindex.py).
+transitive permutation representation of G on the cosets (Sims,
+Computation with Finitely Presented Groups, ch. 5), so a word acts as
+one permutation of them (CosetTable.action).  The tables themselves come
+from the low-index search (lowindex.py).
+
+The table determines its subgroup, the words that fix coset 0, so the
+predicates and transforms here need no generators: which cosets some
+words fix (fixed_cosets), orientation (a 2-colouring of the coset
+graph), and the image under an automorphism (precomposition).
 
 Re-rooting and canonical forms share one renumbering (_renumbered): a
 column-ordered BFS from a base coset, which the canonical form runs
@@ -29,16 +36,75 @@ class CosetTable:
     def n(self) -> int:
         return len(self.rows)
 
-    def apply(self, i: int, w: Word) -> int:
-        """Coset reached from coset i by reading w left to right."""
-        rows = self.rows
+    def action(self, w: Word) -> list[int]:
+        """The coset each coset reaches by reading w left to right."""
+        rows, perm = self.rows, list(range(self.n))
         for g in w:
-            i = rows[i][g]
-        return i
+            perm = [rows[i][g] for i in perm]
+        return perm
 
     def flat(self) -> tuple[int, ...]:
         """Row-major serialization; the key used for sorting and hashing."""
         return tuple(v for row in self.rows for v in row)
+
+
+def fixed_cosets(t: CosetTable, words) -> frozenset[int]:
+    """Cosets fixed by every one of the given words.
+
+    Coset i is fixed by w exactly when w lies in the subgroup conjugate
+    w_i S w_i^-1 attached to coset i, so a nonempty result says some
+    conjugate of S contains all the words.
+    """
+    fixed = range(t.n)
+    for w in words:
+        perm = t.action(w)
+        fixed = [i for i in fixed if perm[i] == i]
+    return frozenset(fixed)
+
+
+def orientation_sides(t: CosetTable) -> list[int] | None:
+    """Parity of the words reaching each coset, or None if it is not defined.
+
+    The subgroup is orientation-preserving exactly when the coset graph
+    is bipartite with every generator edge crossing sides, since each
+    reflection letter flips orientation.  Then coset i lies on side 0
+    when the words reaching it have even length and on side 1 when odd.
+    Only meaningful over the reflection alphabet, where every letter
+    reverses orientation.
+    """
+    if any(g != c for c, g in enumerate(t.alphabet.inv)):
+        raise DomainError("orientation test needs the reflection alphabet")
+    rows = t.rows
+    side = [-1] * t.n
+    side[0] = 0
+    stack = [0]
+    while stack:
+        i = stack.pop()
+        s = side[i]
+        for j in rows[i]:
+            if side[j] == -1:
+                side[j] = s ^ 1
+                stack.append(j)
+            elif side[j] == s:
+                return None
+    return side
+
+
+def transform_subgroup(t: CosetTable, gmap: dict[int, Word]) -> CosetTable:
+    """Coset table of the image of t's subgroup under an involutive automorphism.
+
+    gmap sends generator letters to words; an inverse letter goes to the
+    inverse of its partner's image.  Precomposing t's action with the
+    automorphism s (letter g acts as t.action(s(g))) gives another
+    transitive action.  Its base coset is stabilized by the preimage of
+    the subgroup under s, which is the image when s is an involution.
+    The result has t's index and base coset but is not standardized.
+    """
+    alphabet = t.alphabet
+    inv = alphabet.inv
+    images = [gmap[g] if g in gmap else alphabet.inverse_word(gmap[inv[g]])
+              for g in range(alphabet.size)]
+    return CosetTable(alphabet, tuple(zip(*(t.action(w) for w in images))))
 
 
 def _renumbered(t: CosetTable, base: int, bound: list[int] | None, loc: list[int]) -> list[int] | None:

@@ -186,8 +186,8 @@ def generate_patch(p: int, q: int, depth: int) -> TrianglePatch:
     times its last mirror, one stacked product per level: the product of
     its word's mirrors, left to right.
     """
-    if depth < 0:
-        raise DomainError("depth must be nonnegative")
+    if not isinstance(depth, int) or depth < 0:
+        raise DomainError("depth must be a nonnegative integer")
     tri = fundamental_triangle(p, q)
     orders = ((1, q, 2), (q, 1, p), (2, p, 1))  # m(g, h) of the Coxeter group
     nbrs = np.full((1, 3), -1)

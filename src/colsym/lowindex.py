@@ -155,9 +155,9 @@ def _search(
     # per root, its re-rooting so far: mu new index -> old coset, nu old
     # coset -> new index (nu[beta] is 0 just while beta is fixed), count
     # cosets numbered, done rows compared equal or N once beaten (larger on
-    # a defined prefix); backtracking restores count 1 and done 0 first
-    mus = [[beta] + [0] * (N - 1) for beta in range(N)]
-    nus = [[-1] * N for _ in range(N)]
+    # a defined prefix); backtracking restores count 1 and done 0 first.
+    # A coset's mu and nu are made when a branch first reaches it.
+    mus, nus = [[0] * N], [[-1] * N]
     count = [1] * N
     done = [0] * N
     # (root, done, count) before a comparison advanced, or (root, -1, 0)
@@ -371,6 +371,9 @@ def _search(
                     if beta < n and table[beta * m + ic] >= 0:
                         continue
                     table[pos] = beta
+                    if beta == n == len(nus):
+                        mus.append([beta] + [0] * (N - 1))
+                        nus.append([-1] * N)
                     trail.append(pos)
                     p2 = beta * m + ic
                     stack = [pos]
@@ -437,8 +440,8 @@ def low_index_classes(
     if given, bounds branch nodes per process, over all the walks and the
     shared top of the tree.
     """
-    if max_index < 1:
-        raise DomainError("max_index must be at least 1")
+    if not isinstance(max_index, int) or max_index < 1:
+        raise DomainError("max_index must be an integer of at least 1")
     if jobs < 1:
         raise DomainError("jobs must be at least 1")
     if node_budget is not None and node_budget < 0:

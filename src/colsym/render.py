@@ -29,11 +29,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .census import TILE_MIRRORS, Scope, TilingKind, colour_permutation
-from .coset import CosetTable
+from .coset import CosetTable, orientation_sides
 from .errors import DomainError, InternalError, MergeInconsistency
 from .geometry import TrianglePatch, form_matrix
 from .presentations import Geometry
-from .subgroups import orientation_sides
 from .words import A, B, C, Word
 
 

@@ -28,6 +28,8 @@ possible:
 * free_reduce, apply_generator_map, word_matrix: words reduced, mapped
   by a homomorphism and multiplied out as mirror matrices, letter by
   letter;
+* walk: the coset one coset reaches along a word, a letter at a time,
+  the route CosetTable.action takes for every coset at once;
 * full_scope_via_rotations, twist_on_cosets: the full-scope classes of
   a tiling read off the rotation group's classes, with no reflection
   search;
@@ -56,7 +58,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from colsym.census import TILE_MIRRORS, Scope, TilingKind, colour_permutation
-from colsym.coset import CosetTable, canonical_table, reroot
+from colsym.coset import CosetTable, canonical_table, orientation_sides, reroot
 from colsym.errors import DomainError, InternalError, ResourceLimit
 from colsym.geometry import (
     FundamentalTriangle, TrianglePatch, form_matrix, fundamental_triangle,
@@ -66,7 +68,6 @@ from colsym.presentations import Geometry, Presentation, triangle_group, von_dyc
 from colsym.render import (
     _PROJECTIONS, _TILT, ColouredPatch, _coset_colours, _project, palette
 )
-from colsym.subgroups import orientation_sides
 from colsym.words import (
     A, B, C, REFLECTIONS, XGEN, XINV, ZGEN, ZINV, Alphabet, Word,
 )
@@ -125,6 +126,13 @@ def word_matrix(tri: FundamentalTriangle, w: Word) -> np.ndarray:
     for g in w:
         M = M @ tri.mirrors[g]
     return M
+
+
+def walk(t: CosetTable, i: int, w: Word) -> int:
+    """Coset reached from coset i by reading w left to right."""
+    for g in w:
+        i = t.rows[i][g]
+    return i
 
 
 def generator_columns(alphabet: Alphabet) -> tuple[int, ...]:
@@ -530,9 +538,9 @@ def colours_by_words(
     colours = []
     for word in patch.tiles:
         iw = table.alphabet.inverse_word(word)
-        cos = table.apply(0, iw)
+        cos = walk(table, 0, iw)
         if not colour_of[cos]:
-            cos = table.apply(0, (r2,) + iw)
+            cos = walk(table, 0, (r2,) + iw)
         colours.append(colour_of[cos])
     return tuple(colours)
 
@@ -731,12 +739,12 @@ def full_scope_via_rotations(p: int, q: int, r1: int, r2: int, max_index: int) -
     found: set[CosetTable] = set()
     for t in low_index_classes(vd, max_index, seeds=((rotation,),)).tables:
         for e in range(t.n):
-            if t.apply(e, rotation) != e:
+            if walk(t, e, rotation) != e:
                 continue
             u = reroot(t, e)
             pi = twist_on_cosets(u, images)
             if pi is not None:
-                rows = tuple(tuple(u.apply(pi[i], w) for w in times) for i in range(u.n))
+                rows = tuple(tuple(walk(u, pi[i], w) for w in times) for i in range(u.n))
                 found.add(canonical_table(CosetTable(REFLECTIONS, rows)))
     return found
 
@@ -772,7 +780,7 @@ def twist_on_cosets(t: CosetTable, images: list[Word]) -> list[int] | None:
     bfs = [0]
     for i in bfs:  # grows as it goes
         for g, w in enumerate(images):
-            j, k = t.rows[i][g], t.apply(pi[i], w)
+            j, k = t.rows[i][g], walk(t, pi[i], w)
             if pi[j] < 0:
                 pi[j] = k
                 bfs.append(j)
@@ -1020,7 +1028,7 @@ def validate(t: CosetTable, pres: Presentation) -> ValidationReport:
         failures.append(f"not transitive: {len(seen)} of {n} cosets reachable from 0")
 
     for rel in pres.relators:
-        bad = next((i for i in range(n) if t.apply(i, rel) != i), None)
+        bad = next((i for i in range(n) if walk(t, i, rel) != i), None)
         if bad is not None:
             failures.append(
                 f"relator {word_str(t.alphabet, rel)} does not close at coset {bad}"

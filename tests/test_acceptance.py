@@ -22,11 +22,11 @@ from colsym.census import (
     required_words,
 )
 from colsym.cli import GENERATORS
+from colsym.coset import fixed_cosets
 from colsym.geometry import fundamental_triangle, generate_patch
 from colsym.lowindex import low_index_classes
 from colsym.presentations import triangle_group
 from colsym.render import colour_patch, emit_svg, verify_perfect_on_patch
-from colsym.subgroups import fixed_cosets
 from colsym.words import A, B, C
 from oracle import (
     COLOURING_SPECIFICATION,

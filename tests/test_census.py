@@ -17,11 +17,13 @@ from colsym.census import (
     _census_rotation_b,
     _lift,
 )
-from colsym.coset import CosetTable, canonical_table
+from colsym.coset import (
+    CosetTable, canonical_table, fixed_cosets, orientation_sides, transform_subgroup,
+)
 from colsym.errors import DomainError
+from colsym.geometry import generate_patch
 from colsym.lowindex import low_index_classes
 from colsym.presentations import MIRROR_TWIST, Presentation, triangle_group, von_dyck_group
-from colsym.subgroups import fixed_cosets, orientation_sides, transform_subgroup
 from colsym.words import A, B, C, REFLECTIONS, XGEN, ZGEN
 from oracle import (
     colouring_classes_by_walks,
@@ -180,7 +182,7 @@ def test_census_entries_shape(provider):
             # stored representative is re-rooted: its base coset is
             # literally fixed by the stabilizer words
             for w in required_words(TilingKind.PQ, Scope.FULL):
-                assert t.apply(0, w) == 0
+                assert t.action(w)[0] == 0
             assert colours_transitive(t)
 
 
@@ -194,7 +196,7 @@ def test_rotation_representatives_are_orientation_subgroups(provider):
             assert orientation_sides(rec.table) is not None
             assert rec.table.n == 2 * e.colours
             w = required_words(TilingKind.LAVES, Scope.ROTATION)[0]
-            assert rec.table.apply(0, w) == 0
+            assert rec.table.action(w)[0] == 0
 
 
 def test_full_contained_in_rotation(provider):
@@ -238,6 +240,17 @@ def test_format_census_styles(provider):
 
     with pytest.raises(DomainError):
         format_census(rep, "latex")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: census(7, 3, TilingKind.PQ, Scope.FULL, 8.5),
+    lambda: low_index_classes(triangle_group(7, 3), 8.0),
+    lambda: generate_patch(7, 3, 2.5),
+], ids=["census", "low_index_classes", "generate_patch"])
+def test_non_integer_bounds_are_refused(call):
+    # each used to raise TypeError from inside the work
+    with pytest.raises(DomainError):
+        call()
 
 
 def test_census_rejects_bad_arguments(provider):
@@ -291,9 +304,9 @@ def test_lift_labels_the_cosets_as_documented(p, q):
     for t in colouring_classes(von_dyck_group(p, q), 12).tables:
         lifted, k = _lift(t), t.n
         for i in range(k):
-            assert lifted.apply(i, (A,)) == k + i
+            assert lifted.action((A,))[i] == k + i
             for g in (XGEN, ZGEN):
-                assert lifted.apply(i, rotation_word_as_reflections((g,))) == t.apply(i, (g,))
+                assert lifted.action(rotation_word_as_reflections((g,)))[i] == t.action((g,))[i]
 
 
 def test_colouring_classes_need_a_triangle_group():

@@ -16,12 +16,11 @@ from colsym.census import (
     Scope, TilingKind, census, colouring_seeds, format_census,
 )
 from colsym.cli import main
-from colsym.coset import canonical_table
+from colsym.coset import canonical_table, fixed_cosets, transform_subgroup
 from colsym.errors import ResourceLimit
 from colsym.geometry import generate_patch
 from colsym.lowindex import _search
 from colsym.presentations import MIRROR_TWIST, triangle_group, von_dyck_group
-from colsym.subgroups import fixed_cosets, transform_subgroup
 from colsym.words import A, ZGEN
 
 

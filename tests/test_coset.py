@@ -5,15 +5,20 @@ by signed permutation matrices.  Every coset table the enumerator
 produces for a subgroup of it can therefore be compared entry by entry
 with honest matrix arithmetic.
 """
+import hashlib
+
 import numpy as np
 import pytest
 
-from colsym.coset import CosetTable, canonical_table, reroot
+from colsym.census import Scope, TilingKind, _lift, colour_permutation, required_words
+from colsym.coset import CosetTable, canonical_table, fixed_cosets, reroot, transform_subgroup
 from colsym.errors import DomainError, ResourceLimit
 from colsym.lowindex import low_index_classes
-from colsym.presentations import triangle_group, von_dyck_group
+from colsym.presentations import MIRROR_TWIST, triangle_group, von_dyck_group
 from colsym.words import A, B, C
-from oracle import canonical_by_rerooting, enumerate_cosets, standardize, transversal_words, validate
+from oracle import (
+    canonical_by_rerooting, enumerate_cosets, standardize, transversal_words, validate, walk,
+)
 
 MA = np.array([[0, 0, 1], [0, 1, 0], [1, 0, 0]])
 MB = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
@@ -69,7 +74,7 @@ def test_regular_table_matches_matrix_multiplication():
     for i, w in enumerate(trans):
         for g in (A, B, C):
             expected = coset_of_key[tuple((word_matrix(w) @ GEN_MATRICES[g]).ravel())]
-            assert t.apply(i, (g,)) == expected
+            assert t.action((g,))[i] == expected
 
 
 @pytest.mark.parametrize(
@@ -122,7 +127,7 @@ def test_subgroup_cosets_match_matrix_cosets():
     lookup = {ck: i for i, ck in enumerate(cosets)}
     for i, w in enumerate(trans):
         for g in (A, B, C):
-            assert t.apply(i, (g,)) == lookup[coset_key(w + (g,))]
+            assert t.action((g,))[i] == lookup[coset_key(w + (g,))]
 
 
 def test_von_dyck_regular_table():
@@ -206,3 +211,47 @@ def test_enumerate_rejects_bad_budget():
     G = triangle_group(4, 3)
     with pytest.raises(DomainError):
         enumerate_cosets(G, [], max_cosets=0)
+
+
+@pytest.mark.parametrize("pres, bound", [(triangle_group(7, 3), 24), (von_dyck_group(5, 4), 12)],
+                         ids=lambda x: getattr(x, "name", x))
+def test_action_against_a_walk_per_coset(pres, bound):
+    alphabet = pres.alphabet
+    inverse_pairs = [(g, alphabet.inv[g]) for g in range(alphabet.size)]
+    relators = [*pres.relators, *map(alphabet.inverse_word, pres.relators)]
+    words = [(), *((g,) for g in range(alphabet.size)), *inverse_pairs, *relators, (0, 2, 1, 2)]
+    for t in low_index_classes(pres, bound).tables:
+        for w in words:
+            assert t.action(w) == [walk(t, i, w) for i in range(t.n)]
+        for w in [(), *inverse_pairs, *relators]:
+            assert t.action(w) == list(range(t.n))
+
+
+def test_action_helpers_pinned():
+    # one sha256 over what fixed_cosets, transform_subgroup, _lift and
+    # colour_permutation give on the (7,3) classes to 40 and the von Dyck
+    # (7,3) classes to 20, recorded while each walked the table its own way
+    reflection = low_index_classes(triangle_group(7, 3), 40).tables
+    rotation = low_index_classes(von_dyck_group(7, 3), 20).tables
+    h = hashlib.sha256()
+    for t in reflection:
+        for kind in TilingKind:
+            for scope in Scope:
+                fixed = fixed_cosets(t, required_words(kind, scope))
+                assert type(fixed) is frozenset
+                h.update(repr(sorted(fixed)).encode())
+        for g in (A, B, C):
+            perm = colour_permutation(t, (g,))
+            assert type(perm) is tuple
+            h.update(repr(perm).encode())
+    for t in rotation:
+        twisted, lifted = transform_subgroup(t, MIRROR_TWIST), _lift(t)
+        for u in (twisted, lifted):
+            assert type(u.rows) is tuple and all(type(r) is tuple for r in u.rows)
+            h.update(repr(u.rows).encode())
+        # the twist is an involution: twice over, t's own rows, which hash alike
+        back = transform_subgroup(twisted, MIRROR_TWIST)
+        assert back == t and hash(back) == hash(t)
+        assert canonical_table(lifted) in set(reflection)
+    assert (len(reflection), len(rotation)) == (39, 17)
+    assert h.hexdigest() == "069b728a8cdcc39e28c401af2e677795cd0121aafc23cb75502fc39d69cf14d0"

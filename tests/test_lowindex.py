@@ -1,6 +1,7 @@
 import hashlib
 import os
 import sys
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -10,11 +11,10 @@ import colsym.lowindex
 from colsym.cache import cached_provider, serialize_class_list
 from colsym.census import colouring_classes, colouring_seeds
 from colsym.cli import main
-from colsym.coset import CosetTable, canonical_table
+from colsym.coset import CosetTable, canonical_table, fixed_cosets, transform_subgroup
 from colsym.errors import DomainError, InternalError, ResourceLimit
 from colsym.lowindex import UNSEEDED, _search, low_index_classes
 from colsym.presentations import MIRROR_TWIST, Presentation, triangle_group, von_dyck_group
-from colsym.subgroups import fixed_cosets, transform_subgroup
 from colsym.words import A, B, C, REFLECTIONS, ROTATIONS, XGEN, ZGEN, ZINV
 from oracle import class_counts, classes_at_index, oracle_classes, validate
 
@@ -478,6 +478,20 @@ def test_a_complete_table_that_fails_a_relator_raises(pres, monkeypatch):
     monkeypatch.setattr(colsym.lowindex, "_trace_words", lambda p: trace_words(short))
     with pytest.raises(InternalError, match="complete table fails a relator"):
         _search(pres, 8)
+
+
+def test_root_bookkeeping_is_made_for_the_cosets_reached():
+    # each coset's re-rooting lists are made when a branch first reaches it;
+    # made for every coset up front, they took 144 MB here before the first node
+    G = triangle_group(7, 3)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimit):
+            low_index_classes(G, 3000, seeds=colouring_seeds(G), node_budget=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10_000_000
 
 
 def test_bad_arguments(tmp_path):

@@ -1,14 +1,11 @@
 import pytest
 
-from colsym.coset import canonical_table, reroot
+from colsym.coset import (
+    canonical_table, fixed_cosets, orientation_sides, reroot, transform_subgroup,
+)
 from colsym.errors import DomainError
 from colsym.lowindex import low_index_classes
 from colsym.presentations import MIRROR_TWIST, triangle_group, von_dyck_group
-from colsym.subgroups import (
-    fixed_cosets,
-    orientation_sides,
-    transform_subgroup,
-)
 from colsym.words import A, B, C, XGEN, ZGEN
 from oracle import (
     apply_generator_map,
@@ -17,6 +14,7 @@ from oracle import (
     schreier_generators,
     sign_parity,
     transversal_words,
+    walk,
 )
 
 
@@ -27,7 +25,7 @@ def test_transversal_words_reach_their_cosets():
     assert trans[0] == ()
     assert len(trans) == t.n
     for i, w in enumerate(trans):
-        assert t.apply(0, w) == i
+        assert t.action(w)[0] == i
     # transversal words from a standardized table are shortlex minimal,
     # so their lengths never decrease
     assert all(len(trans[i]) <= len(trans[i + 1]) for i in range(t.n - 1))
@@ -38,7 +36,7 @@ def test_schreier_generators_fix_base_coset():
     for gens in ([(A,), (B,)], [(B,), (C,)], [(A, B)]):
         t = enumerate_cosets(G, gens)
         for w in schreier_generators(t):
-            assert t.apply(0, w) == 0
+            assert t.action(w)[0] == 0
             assert w != ()
 
 
@@ -48,7 +46,7 @@ def test_fixed_cosets():
     fx = fixed_cosets(t, [(B,), (C,)])
     assert 0 in fx
     assert fx == frozenset(
-        i for i in range(t.n) if t.apply(i, (B,)) == i and t.apply(i, (C,)) == i
+        i for i in range(t.n) if walk(t, i, (B,)) == i and walk(t, i, (C,)) == i
     )
     assert fixed_cosets(t, [()]) == frozenset(range(t.n))
 
