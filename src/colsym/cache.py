@@ -130,10 +130,10 @@ def cached_provider(cache_dir: str | None = None, *, jobs: int = 1, node_budget:
     by trimming.  A reflection group's rotation half comes through the
     memo and cache too, so its search files the von Dyck group's list.
     """
-    if jobs < 1:
-        raise DomainError("jobs must be at least 1")
-    if node_budget is not None and node_budget < 0:
-        raise DomainError("node_budget must be at least 0")
+    if not isinstance(jobs, int) or jobs < 1:
+        raise DomainError("jobs must be an integer of at least 1")
+    if node_budget is not None and (not isinstance(node_budget, int) or node_budget < 0):
+        raise DomainError("node_budget must be an integer of at least 0")
     memo: dict[Presentation, ClassList] = {}
 
     def search(pres: Presentation, max_index: int, seeds) -> ClassList:

@@ -36,9 +36,9 @@ class CosetTable:
     def n(self) -> int:
         return len(self.rows)
 
-    def action(self, w: Word) -> list[int]:
-        """The coset each coset reaches by reading w left to right."""
-        rows, perm = self.rows, list(range(self.n))
+    def action(self, w: Word, cosets=None) -> list[int]:
+        """The coset each of cosets (all by default) reaches by reading w left to right."""
+        rows, perm = self.rows, list(range(self.n) if cosets is None else cosets)
         for g in w:
             perm = [rows[i][g] for i in perm]
         return perm
@@ -56,9 +56,8 @@ def fixed_cosets(t: CosetTable, words) -> frozenset[int]:
     conjugate of S contains all the words.
     """
     fixed = range(t.n)
-    for w in words:
-        perm = t.action(w)
-        fixed = [i for i in fixed if perm[i] == i]
+    for w in words:  # each later word read only from the cosets still fixed
+        fixed = [i for i, j in zip(fixed, t.action(w, fixed)) if i == j]
     return frozenset(fixed)
 
 

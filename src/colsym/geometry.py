@@ -12,6 +12,7 @@ A patch is an (n, 3) array of the tiles across each tile's three
 mirrors, grown a level (a word length) at a time by array gathers over
 the level; the Coxeter relations decide exactly which words meet, and
 matrices, made a level at a time too, only place the drawing.
+numpy is imported inside the functions, so a census never loads it.
 """
 from __future__ import annotations
 
@@ -19,8 +20,6 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations
-
-import numpy as np
 
 from .errors import DomainError, ResourceLimit
 from .presentations import Geometry, classify_geometry
@@ -31,6 +30,7 @@ TILE_BUDGET = 200_000
 
 
 def form_matrix(geometry: Geometry) -> np.ndarray:
+    import numpy as np
     if geometry is Geometry.HYPERBOLIC:
         return np.diag([1.0, 1.0, -1.0])
     return np.eye(3)
@@ -51,6 +51,7 @@ class FundamentalTriangle:
 
 def _reflection(n: np.ndarray, J: np.ndarray) -> np.ndarray:
     """Reflection in the plane J-orthogonal to the unit normal n."""
+    import numpy as np
     return np.eye(3) - 2.0 * np.outer(n, J @ n)
 
 
@@ -64,6 +65,7 @@ def fundamental_triangle(p: int, q: int) -> FundamentalTriangle:
     Euclidean case only the shape matters and the leg is normalized to
     length 1.
     """
+    import numpy as np
     geometry = classify_geometry(p, q)
     ap, aq = math.pi / p, math.pi / q
 
@@ -132,6 +134,7 @@ class TrianglePatch:
     @property
     def parents(self) -> np.ndarray:
         """neighbours[i, last[i]], tile i's word less its last letter (i >= 1)."""
+        import numpy as np
         return self.neighbours[np.arange(len(self.last)), self.last]
 
     @cached_property
@@ -159,6 +162,7 @@ class TrianglePatch:
         stay in the patch.  That covers every tile within depth - len(w)
         of the centre; w longer than the depth is an error.
         """
+        import numpy as np
         if len(w) > self.depth:
             raise DomainError(
                 f"a word of {len(w)} letters is longer than the patch depth {self.depth}"
@@ -186,6 +190,7 @@ def generate_patch(p: int, q: int, depth: int) -> TrianglePatch:
     times its last mirror, one stacked product per level: the product of
     its word's mirrors, left to right.
     """
+    import numpy as np
     if not isinstance(depth, int) or depth < 0:
         raise DomainError("depth must be a nonnegative integer")
     tri = fundamental_triangle(p, q)

@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from multiprocessing import get_all_start_methods, get_context
 
 from .coset import CosetTable, canonical_table
 from .errors import DomainError, InternalError, ResourceLimit
@@ -442,22 +441,25 @@ def low_index_classes(
     """
     if not isinstance(max_index, int) or max_index < 1:
         raise DomainError("max_index must be an integer of at least 1")
-    if jobs < 1:
-        raise DomainError("jobs must be at least 1")
-    if node_budget is not None and node_budget < 0:
-        raise DomainError("node_budget must be at least 0")
+    if not isinstance(jobs, int) or jobs < 1:
+        raise DomainError("jobs must be an integer of at least 1")
+    if node_budget is not None and (not isinstance(node_budget, int) or node_budget < 0):
+        raise DomainError("node_budget must be an integer of at least 0")
     walks = UNSEEDED if seeds is None else tuple(seeds)
     if not walks:
         raise DomainError("seeds must hold at least one seed")
     if any(len(w) > 2 for seed in walks for w in seed):
         raise DomainError("a seed word has at most two letters")
 
-    parts = min(jobs, _cpus()) if "fork" in get_all_start_methods() else 1
+    parts = min(jobs, _cpus())
+    if parts > 1:  # multiprocessing is loaded only here
+        import multiprocessing
+        parts = parts if "fork" in multiprocessing.get_all_start_methods() else 1
     if parts == 1:
         results = _search(pres, max_index, walks, node_budget=node_budget)
     else:
         args = [(pres, max_index, walks, node_budget, part, parts) for part in range(parts)]
-        with get_context("fork").Pool(parts) as pool:
+        with multiprocessing.get_context("fork").Pool(parts) as pool:
             results = [rows for found in pool.map(_worker, args) for rows in found]
 
     # each class comes from one walk, as a table least over its fixed roots

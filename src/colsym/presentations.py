@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 
 from .errors import DomainError
 from .words import (
@@ -67,11 +66,10 @@ def _check_pq(p: int, q: int) -> None:
 def classify_geometry(p: int, q: int) -> Geometry:
     """Sign of 1/p + 1/q - 1/2 decides the geometry; exact arithmetic."""
     _check_pq(p, q)
-    s = Fraction(1, p) + Fraction(1, q)
-    half = Fraction(1, 2)
-    if s > half:
+    s = 4 - (p - 2) * (q - 2)  # 2pq (1/p + 1/q - 1/2), in integers
+    if s > 0:
         return Geometry.SPHERICAL
-    if s == half:
+    if s == 0:
         return Geometry.EUCLIDEAN
     return Geometry.HYPERBOLIC
 

@@ -18,6 +18,7 @@ integer arithmetic builds the digits in a character array, and only a
 number that arithmetic might round differently (a scaled fraction at one
 half, or a magnitude of about 21,475 or more) is formatted by Python.  A
 non-finite coordinate raises InternalError instead of writing nan or inf.
+numpy is imported inside the functions, so a census never loads it.
 """
 from __future__ import annotations
 
@@ -25,8 +26,6 @@ import colorsys
 import io
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .census import TILE_MIRRORS, Scope, TilingKind, colour_permutation
 from .coset import CosetTable, orientation_sides
@@ -89,6 +88,7 @@ def colour_patch(
     centre: the root of x is that of x's inward r1 neighbour, failing
     that of its inward r2 neighbour, or else x itself.
     """
+    import numpy as np
     r1, r2 = TILE_MIRRORS[kind]
     rows = np.array(table.rows)
     colour_of = np.array(_coset_colours(table, scope))
@@ -143,6 +143,7 @@ def verify_perfect_on_patch(cp: ColouredPatch, w: Word) -> bool:
     carries a rotation-scope colour to a coset with no colour, so it
     fails there: only rotations are colour symmetries of such a colouring.
     """
+    import numpy as np
     table = cp.table
     image = cp.patch.image(w)
     colour_of = np.array(_coset_colours(table, cp.scope))
@@ -163,20 +164,19 @@ _BLOCK = 256
 _SIDE_MIRRORS = [C, A, B]
 
 # fixed small tilt so no tiling vertex sits at the projection pole
-_TILT = np.array(
-    [
-        [1.0, 0, 0],
-        [0, math.cos(0.37), -math.sin(0.37)],
-        [0, math.sin(0.37), math.cos(0.37)],
-    ]
+_TILT = (
+    (1.0, 0.0, 0.0),
+    (0.0, math.cos(0.37), -math.sin(0.37)),
+    (0.0, math.sin(0.37), math.cos(0.37)),
 )
 
 
 def _project(points: np.ndarray, projection: str) -> np.ndarray:
+    import numpy as np
     if projection == "identity":
         return points[:, :2]
     if projection != "disk":
-        points = points @ _TILT.T
+        points = points @ np.transpose(_TILT)
     if projection == "orthographic":
         return points[:, :2]
     return points[:, :2] / (1.0 + points[:, 2:3])
@@ -205,6 +205,7 @@ def _geodesics(
     result is (..., len(ts), 3).  A side shorter than 1e-12 is drawn
     straight.
     """
+    import numpy as np
     w0, w1, div = 1 - ts, ts, np.ones(1)
     if geometry is not Geometry.EUCLIDEAN:
         cos = _form(u, v, geometry)
@@ -226,6 +227,7 @@ def _drawn_blocks(patch: TrianglePatch, projection: str, ts: np.ndarray):
     arc length) and projected, runs from corner s to corner s + 1 (mod 3).
     The orthographic projection leaves out triangles on the far side.
     """
+    import numpy as np
     tri, n = patch.triangle, len(patch.last)
     base = _geodesics(tri.corners, np.roll(tri.corners, -1, axis=0), tri.geometry, ts)
     for start in range(0, n, _BLOCK):
@@ -273,6 +275,7 @@ def _decimal_fields(values: np.ndarray) -> np.ndarray:
     reaches 2^31, are written one at a time, by _fmt.  A non-finite
     number is an InternalError.
     """
+    import numpy as np
     if not np.isfinite(values).all():
         raise InternalError("non-finite coordinate in SVG path data")
     # scaled magnitudes from top up go to _fmt, so k fits int32, whose
@@ -311,6 +314,7 @@ def _joined_rows(fields: np.ndarray, seps: bytes, prefix: bytes, suffixes: np.nd
     Row i is prefix, its n numbers with seps[j] after number j, then
     suffixes[i], a row of the uint8 array suffixes; none holds a 0 byte.
     """
+    import numpy as np
     rows, n, width = fields.shape
     text = np.concatenate(
         [np.broadcast_to(np.frombuffer(prefix, np.uint8), (rows, len(prefix))),
@@ -331,6 +335,7 @@ def emit_svg(
     """Draw the coloured patch as SVG bytes.  The output is a pure
     function of the arguments: rendering twice gives identical bytes.
     """
+    import numpy as np
     geometry = cp.patch.triangle.geometry
     if projection == "auto":
         projection = _PROJECTIONS[geometry][0]

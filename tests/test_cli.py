@@ -542,3 +542,29 @@ def test_installed_entry_point(cache_dir, tmp_path):
     res = run_colsym("census", "--p", "2", "--q", "3", "--max-colours", "4",
                      "--cache-dir", cache_dir)
     assert res.returncode == 2, res.stderr
+
+
+def test_census_work_loads_no_numpy(tmp_path):
+    # a census, a CLI census and a one-job search leave numpy and
+    # multiprocessing unloaded; the first patch loads numpy
+    script = (
+        "import sys\n"
+        "import colsym\n"
+        "from colsym import cli\n"
+        "from colsym.lowindex import low_index_classes\n"
+        "from colsym.presentations import von_dyck_group\n"
+        "assert cli.main(['census', '--p', '7', '--q', '3', '--max-colours', '20']) == 0\n"
+        "assert low_index_classes(von_dyck_group(7, 3), 12).tables\n"
+        "loaded = sorted({'numpy', 'multiprocessing'} & set(sys.modules))\n"
+        "assert not loaded, loaded\n"
+        "from colsym.geometry import generate_patch\n"
+        "patch = generate_patch(7, 3, 3)\n"
+        "assert 'numpy' in sys.modules and len(patch.last) > 0\n"
+        "print('ok')\n"
+    )
+    package_root = str(Path(colsym.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=package_root)
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         timeout=120, cwd=tmp_path, env=env)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "(7^3) full <= 20: 1, 8, 15\nok\n"

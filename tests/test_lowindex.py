@@ -1,4 +1,5 @@
 import hashlib
+import multiprocessing
 import os
 import sys
 import tracemalloc
@@ -322,14 +323,14 @@ def _cpus(monkeypatch, cpus):
 
 def test_jobs_capped_at_the_cpus(monkeypatch):
     pools = []
-    fork = colsym.lowindex.get_context("fork")
+    fork = multiprocessing.get_context("fork")
 
     class Recorder:
         def Pool(self, processes):
             pools.append(processes)
             return fork.Pool(processes)
 
-    monkeypatch.setattr(colsym.lowindex, "get_context", lambda method: Recorder())
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: Recorder())
     G = triangle_group(7, 3)
     serial = [t.flat() for t in low_index_classes(G, 20).tables]
     for cpus, jobs, forked in ((1, 3, []), (2, 3, [2]), (2, 2, [2]), (4, 3, [3])):
@@ -346,8 +347,8 @@ def test_jobs_run_serially_where_fork_is_missing(monkeypatch, capsys):
     G = triangle_group(7, 3)
     serial = [t.flat() for t in low_index_classes(G, 20).tables]
     _cpus(monkeypatch, 2)
-    monkeypatch.setattr(colsym.lowindex, "get_all_start_methods", lambda: ["spawn"])
-    monkeypatch.setattr(colsym.lowindex, "get_context", no_fork)
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    monkeypatch.setattr(multiprocessing, "get_context", no_fork)
     assert [t.flat() for t in low_index_classes(G, 20, jobs=2).tables] == serial
     argv = ["census", "--p", "7", "--q", "3", "--max-colours", "20", "--jobs", "2"]
     assert main(argv) == 0
@@ -504,6 +505,15 @@ def test_bad_arguments(tmp_path):
         low_index_classes(G, 3, node_budget=-1)
     with pytest.raises(DomainError):
         cached_provider(str(tmp_path), node_budget=-1)
+    # non-integers are refused too, not passed on to multiprocessing or taken as bounds
+    with pytest.raises(DomainError):
+        low_index_classes(G, 6, jobs=1.5)
+    with pytest.raises(DomainError):
+        low_index_classes(G, 6, node_budget=2.5)
+    with pytest.raises(DomainError):
+        cached_provider(jobs=1.5)
+    with pytest.raises(DomainError):
+        cached_provider(node_budget=2.5)
     with pytest.raises(DomainError):
         oracle_classes(G, 8)
     with pytest.raises(DomainError):

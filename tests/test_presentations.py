@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from colsym.errors import DomainError
@@ -37,6 +39,13 @@ def test_classify_geometry():
     assert classify_geometry(6, 3) is Geometry.EUCLIDEAN
     assert classify_geometry(7, 3) is Geometry.HYPERBOLIC
     assert classify_geometry(5, 4) is Geometry.HYPERBOLIC
+    # the sign of 1/p + 1/q - 1/2, in fractions
+    for p in range(3, 41):
+        for q in range(3, 41):
+            s = Fraction(1, p) + Fraction(1, q) - Fraction(1, 2)
+            expected = (Geometry.SPHERICAL if s > 0 else
+                        Geometry.EUCLIDEAN if s == 0 else Geometry.HYPERBOLIC)
+            assert classify_geometry(p, q) is expected, (p, q)
 
 
 def test_triangle_group_relators():
