@@ -27,7 +27,7 @@ from .coset import (
 from .errors import DomainError, InternalError
 from .lowindex import ClassList, Seed, low_index_classes
 from .presentations import MIRROR_TWIST, Presentation, triangle_group, von_dyck_group
-from .words import A, B, C, REFLECTIONS, ROTATIONS, XGEN, ZGEN, Word
+from .words import A, B, C, REFLECTIONS, ROTATIONS, XGEN, XINV, ZGEN, ZINV, Word
 
 
 class TilingKind(Enum):
@@ -85,21 +85,16 @@ def colouring_seeds(pres: Presentation) -> tuple[Seed, ...]:
     raise DomainError(f"no tiling seeds over the alphabet {pres.alphabet.names}")
 
 
-# the rotation word of a g for each reflection letter g (aa = 1, ab = x,
-# ac = xz); that of g a is its inverse, as every letter is an involution
-_A_TIMES: tuple[Word, ...] = ((), (XGEN,), (XGEN, ZGEN))
-
-
 def _lift(t: CosetTable) -> CosetTable:
     """The reflection-group table of t's von Dyck subgroup H, of index 2k.
 
     Coset i is H u_i, where u_i reaches coset i of t, and coset k + i is
-    H u_i a.  As H u_i g = H u_i w(g a) a and H u_i a g = H u_i w(a g),
-    letter g takes i to k + i w(g a), and k + i to i w(a g).
+    H u_i b.  As ab = x, cb = Z, ba = X and bc = z, letters a, b, c take
+    i to k + i x, k + i and k + i Z, and k + i to i X, i and i z.
     """
-    k, inverse = t.n, t.alphabet.inverse_word
-    rows = [tuple(k + i for i in row) for row in zip(*(t.action(inverse(w)) for w in _A_TIMES))]
-    rows += zip(*map(t.action, _A_TIMES))
+    k = t.n
+    rows = [(k + r[XGEN], k + i, k + r[ZINV]) for i, r in enumerate(t.rows)]
+    rows += [(r[XINV], i, r[ZGEN]) for i, r in enumerate(t.rows)]
     return CosetTable(REFLECTIONS, tuple(rows))
 
 
@@ -183,16 +178,17 @@ def census(
     """All perfect colourings of the tiling with at most max_colours colours.
 
     scope=FULL admits every symmetry of the tiling; scope=ROTATION only
-    the orientation-preserving ones.  For the rotation scope two
-    independent routes exist, and they give the same entries: strategy
-    "a" enumerates subgroups of the full reflection group up to twice
-    the colour bound and keeps the orientation-preserving ones; strategy
-    "b", the default, enumerates subgroups of the rotation group
-    directly, fuses conjugacy classes that the mirror twist identifies,
-    and lifts the classes it keeps to the reflection group, so the
-    strategy chooses the cost, never the answer.  strategy "both" runs
-    the two, insists their multiplicities agree, and returns route a's
-    report.  classes_provider(presentation, max_index) -> ClassList
+    the orientation-preserving ones.  For the rotation scope two routes
+    give the same entries: strategy "a" reads the reflection group's
+    classes to twice the colour bound and keeps the orientation
+    subgroups; strategy "b", the default, reads the rotation group's
+    classes, fuses the pairs that the mirror twist identifies, and lifts
+    the classes it keeps to the reflection group.  Under the default
+    provider both read one von Dyck search, lifted for route a by
+    colouring_classes, so strategy "both", which runs the two, insists
+    their multiplicities agree and returns route a's report, checks the
+    lift and the two filters against each other, and not the search.
+    classes_provider(presentation, max_index) -> ClassList
     supplies the classes; the default, cache.cached_provider() with no
     directory, searches each group once a call and touches no file.  A
     provider may return more classes than those that colour the

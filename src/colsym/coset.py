@@ -11,7 +11,7 @@ from the low-index search (lowindex.py).
 The table determines its subgroup, the words that fix coset 0, so the
 predicates and transforms here need no generators: which cosets some
 words fix (fixed_cosets), orientation (a 2-colouring of the coset
-graph), and the image under an automorphism (precomposition).
+graph), and the image under a letter permutation (its columns permuted).
 
 Re-rooting and canonical forms share one renumbering (_renumbered): a
 column-ordered BFS from a base coset, which the canonical form runs
@@ -89,21 +89,16 @@ def orientation_sides(t: CosetTable) -> list[int] | None:
     return side
 
 
-def transform_subgroup(t: CosetTable, gmap: dict[int, Word]) -> CosetTable:
-    """Coset table of the image of t's subgroup under an involutive automorphism.
+def transform_subgroup(t: CosetTable, perm: tuple[int, ...]) -> CosetTable:
+    """Coset table of the image of t's subgroup under an involutive letter permutation.
 
-    gmap sends generator letters to words; an inverse letter goes to the
-    inverse of its partner's image.  Precomposing t's action with the
-    automorphism s (letter g acts as t.action(s(g))) gives another
-    transitive action.  Its base coset is stabilized by the preimage of
-    the subgroup under s, which is the image when s is an involution.
-    The result has t's index and base coset but is not standardized.
+    Letter g acts as t's letter perm[g], which is another transitive
+    action when perm respects the inverse pairing and the relators.  Its
+    base coset is stabilized by the preimage of the subgroup under perm,
+    which is the image when perm is an involution.  The result has t's
+    index and base coset but is not standardized.
     """
-    alphabet = t.alphabet
-    inv = alphabet.inv
-    images = [gmap[g] if g in gmap else alphabet.inverse_word(gmap[inv[g]])
-              for g in range(alphabet.size)]
-    return CosetTable(alphabet, tuple(zip(*(t.action(w) for w in images))))
+    return CosetTable(t.alphabet, tuple(tuple(row[g] for g in perm) for row in t.rows))
 
 
 def _renumbered(t: CosetTable, base: int, bound: list[int] | None, loc: list[int]) -> list[int] | None:

@@ -94,10 +94,10 @@ def triangle_group(p: int, q: int) -> Presentation:
 
 
 # the outer automorphism of every von Dyck group induced by conjugating
-# with the reflection a: x -> x^-1 and z -> x z^-1 x^-1 (since
-# a(bc)a = (ab)(ca)); applied to a subgroup it tells whether two
-# rotation-conjugacy classes fuse under the full reflection group
-MIRROR_TWIST: dict[int, Word] = {XGEN: (XINV,), ZGEN: (XGEN, ZINV, XINV)}
+# with the reflection b, as the letter each letter goes to: b(ab)b = ba
+# and b(bc)b = cb, so x <-> X and z <-> Z; applied to a subgroup it tells
+# whether two rotation-conjugacy classes fuse under the full reflection group
+MIRROR_TWIST: tuple[int, ...] = (XINV, XGEN, ZINV, ZGEN)
 
 
 def von_dyck_group(p: int, q: int) -> Presentation:

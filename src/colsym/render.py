@@ -343,10 +343,10 @@ def emit_svg(
         raise DomainError(
             f"projection {projection!r} does not fit {geometry.value} geometry"
         )
-    if subdivision < 1:
-        raise DomainError("subdivision must be at least 1")
-    if size < 1:
-        raise DomainError("size must be at least 1")
+    if not isinstance(subdivision, int) or subdivision < 1:
+        raise DomainError("subdivision must be an integer of at least 1")
+    if not isinstance(size, int) or size < 1:
+        raise DomainError("size must be an integer of at least 1")
 
     patch, s = cp.patch, subdivision
     ts = np.linspace(0.0, 1.0, s + 1)

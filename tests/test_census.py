@@ -171,6 +171,21 @@ def test_euclidean_censuses_match_the_closed_form(p, q):
         assert rotation.multiplicities() == euclidean_counts(p, q, Scope.ROTATION, 50)
 
 
+def test_duality_swaps_the_tilings_and_mirrors_a_and_c():
+    # the letter map a <-> c carries triangle_group(q, p) onto (p, q), the
+    # tile stabilizer <c, b> of (q^p) onto <a, b> and <a, c> onto itself
+    provider = cached_provider()
+    for p, q, bound in ((7, 3, 64), (8, 3, 40), (5, 4, 40), (6, 3, 64)):
+        for scope, k in ((Scope.FULL, bound), (Scope.ROTATION, bound // 2)):
+            for kind, dual in ((TilingKind.QP, TilingKind.PQ), (TilingKind.LAVES, TilingKind.LAVES)):
+                here = census(p, q, kind, scope, k, classes_provider=provider).multiplicities()
+                assert here and here == census(q, p, dual, scope, k, classes_provider=provider).multiplicities()
+        swapped = (canonical_table(transform_subgroup(t, (C, B, A)))
+                   for t in provider(triangle_group(q, p), bound).tables)
+        got = tuple(sorted(swapped, key=lambda t: (t.n, t.flat())))
+        assert got == provider(triangle_group(p, q), bound).tables
+
+
 def test_census_entries_shape(provider):
     rep = census(7, 3, TilingKind.PQ, Scope.FULL, 24, classes_provider=provider)
     assert rep.multiplicities() == {1: 1, 8: 1, 15: 1, 22: 1, 24: 1}
@@ -298,13 +313,13 @@ def test_lifted_rotation_half_matches_the_reflection_walks(p, q, bound):
 
 @pytest.mark.parametrize("p, q", [(7, 3), (4, 4)])
 def test_lift_labels_the_cosets_as_documented(p, q):
-    # coset i of the lift is H u_i and coset k + i is H u_i a.  Lifting
-    # a H a instead, as swapping w(g a) and w(a g) does, gives the same
-    # canonical class, so only the labelling tells the two apart
+    # coset i of the lift is H u_i and coset k + i is H u_i b.  Lifting
+    # b H b instead, as swapping the two halves' columns does, gives the
+    # same canonical class, so only the labelling tells the two apart
     for t in colouring_classes(von_dyck_group(p, q), 12).tables:
         lifted, k = _lift(t), t.n
         for i in range(k):
-            assert lifted.action((A,))[i] == k + i
+            assert lifted.action((B,))[i] == k + i
             for g in (XGEN, ZGEN):
                 assert lifted.action(rotation_word_as_reflections((g,)))[i] == t.action((g,))[i]
 

@@ -22,6 +22,7 @@ from colsym.words import (
     ZGEN,
     ZINV,
 )
+from oracle import MIRROR_TWIST as WORD_TWIST
 from oracle import (
     apply_generator_map,
     free_reduce,
@@ -85,15 +86,18 @@ def test_von_dyck_relators():
         (ZGEN,) * 7,
         (XGEN, ZGEN) * 2,
     )
-    assert set(MIRROR_TWIST) == {XGEN, ZGEN}
+    # the twist is conjugation by b, letter for letter, and keeps the inverse pairing
+    assert {g: (MIRROR_TWIST[g],) for g in (XGEN, ZGEN)} == WORD_TWIST[B]
+    assert all(MIRROR_TWIST[ROTATIONS.inv[g]] == ROTATIONS.inv[MIRROR_TWIST[g]] for g in range(4))
 
 
 def test_mirror_twist_is_an_involution():
     # conjugation by a mirror applied twice restores each generator
-    for g in (XGEN, ZGEN):
-        once = MIRROR_TWIST[g]
-        twice = apply_generator_map(once, MIRROR_TWIST, ROTATIONS)
-        assert free_reduce(twice, ROTATIONS) == (g,)
+    assert all(MIRROR_TWIST[MIRROR_TWIST[g]] == g for g in range(ROTATIONS.size))
+    for gmap in (WORD_TWIST[A], WORD_TWIST[B]):
+        for g in (XGEN, ZGEN):
+            twice = apply_generator_map(gmap[g], gmap, ROTATIONS)
+            assert free_reduce(twice, ROTATIONS) == (g,)
 
 
 def test_mirror_twist_respects_relators():
@@ -106,9 +110,10 @@ def test_mirror_twist_respects_relators():
     for p, q in ((7, 3), (5, 4), (4, 3)):
         tri = fundamental_triangle(p, q)
         for rel in von_dyck_group(p, q).relators:
-            image = apply_generator_map(rel, MIRROR_TWIST, ROTATIONS)
-            M = word_matrix(tri, rotation_word_as_reflections(image))
-            assert np.max(np.abs(M - np.eye(3))) < 1e-9
+            for gmap in (WORD_TWIST[A], WORD_TWIST[B]):
+                image = apply_generator_map(rel, gmap, ROTATIONS)
+                M = word_matrix(tri, rotation_word_as_reflections(image))
+                assert np.max(np.abs(M - np.eye(3))) < 1e-9
 
 
 def test_rotation_word_as_reflections():

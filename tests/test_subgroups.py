@@ -6,7 +6,8 @@ from colsym.coset import (
 from colsym.errors import DomainError
 from colsym.lowindex import low_index_classes
 from colsym.presentations import MIRROR_TWIST, triangle_group, von_dyck_group
-from colsym.words import A, B, C, XGEN, ZGEN
+from colsym.words import A, B, C, XGEN
+from oracle import MIRROR_TWIST as WORD_TWIST
 from oracle import (
     apply_generator_map,
     conjugate_in,
@@ -98,17 +99,18 @@ def test_conjugate_in():
 
 def test_transform_subgroup_identity_map():
     vd = von_dyck_group(7, 3)
-    identity = {XGEN: (XGEN,), ZGEN: (ZGEN,)}
+    identity = tuple(range(vd.alphabet.size))
     for t in low_index_classes(vd, 6).tables:
         assert transform_subgroup(t, identity) == t
 
 
 @pytest.mark.parametrize("p,q,bound", [(7, 3, 30), (5, 4, 22), (8, 3, 22)])
 def test_mirror_twist_matches_todd_coxeter(provider, p, q, bound):
-    # read off the table, the twisted subgroup must be the one that
-    # Todd-Coxeter enumerates from the twisted Schreier generators
+    # the twisted subgroup read off the table by swapping columns
+    # (conjugation by b) must be conjugate to the one that Todd-Coxeter
+    # enumerates from the Schreier generators conjugated by a
     vd = von_dyck_group(p, q)
     for t in provider(vd, bound).tables:
-        gens = [apply_generator_map(w, MIRROR_TWIST, vd.alphabet) for w in schreier_generators(t)]
+        gens = [apply_generator_map(w, WORD_TWIST[A], vd.alphabet) for w in schreier_generators(t)]
         expected = enumerate_cosets(vd, gens, max_cosets=200 * bound)
         assert canonical_table(transform_subgroup(t, MIRROR_TWIST)) == canonical_table(expected)
