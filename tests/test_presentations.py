@@ -22,8 +22,8 @@ from colsym.words import (
     ZGEN,
     ZINV,
 )
-from oracle import MIRROR_TWIST as WORD_TWIST
 from oracle import (
+    MIRROR_TWIST as WORD_TWIST,
     apply_generator_map,
     free_reduce,
     rotation_word_as_reflections,
@@ -88,7 +88,8 @@ def test_von_dyck_relators():
     )
     # the twist is conjugation by b, letter for letter, and keeps the inverse pairing
     assert {g: (MIRROR_TWIST[g],) for g in (XGEN, ZGEN)} == WORD_TWIST[B]
-    assert all(MIRROR_TWIST[ROTATIONS.inv[g]] == ROTATIONS.inv[MIRROR_TWIST[g]] for g in range(4))
+    assert all(MIRROR_TWIST[ROTATIONS.inv[g]] == ROTATIONS.inv[MIRROR_TWIST[g]]
+               for g in range(ROTATIONS.size))
 
 
 def test_mirror_twist_is_an_involution():

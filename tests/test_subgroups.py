@@ -7,8 +7,8 @@ from colsym.errors import DomainError
 from colsym.lowindex import low_index_classes
 from colsym.presentations import MIRROR_TWIST, triangle_group, von_dyck_group
 from colsym.words import A, B, C, XGEN
-from oracle import MIRROR_TWIST as WORD_TWIST
 from oracle import (
+    MIRROR_TWIST as WORD_TWIST,
     apply_generator_map,
     conjugate_in,
     enumerate_cosets,
