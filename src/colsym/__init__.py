@@ -11,12 +11,10 @@ reflection groups of right triangles with angles pi/p and pi/q.
 __version__ = "0.1.0"
 
 from .errors import (
-    CacheError,
     ColsymError,
     DomainError,
     InternalError,
     MergeInconsistency,
-    ParseError,
     ResourceLimit,
 )
 from .presentations import (

@@ -24,7 +24,7 @@ import tempfile
 
 from . import __version__
 from .coset import CosetTable
-from .errors import CacheError, DomainError, ParseError
+from .errors import DomainError, check_count
 from .census import colouring_classes
 from .lowindex import ClassList, low_index_classes
 from .presentations import Presentation
@@ -36,53 +36,48 @@ _NAME_RE = re.compile(r"(triangle|vondyck)-(\d+)-(\d+)")
 
 def _path(pres: Presentation, cache_dir: str) -> str:
     if not _NAME_RE.fullmatch(pres.name):
-        raise CacheError(f"presentation {pres.name!r} is not cacheable")
+        raise DomainError(f"presentation {pres.name!r} is not cacheable")
     return os.path.join(cache_dir, pres.name + ".json")
 
 
+def _stamp(pres: Presentation) -> dict:
+    """The header fields a file of pres must hold to be read back: schema, engine, presentation."""
+    return {"schema_version": SCHEMA_VERSION, "engine": __version__, "name": pres.name,
+            "relators": [list(r) for r in pres.relators]}
+
+
 def serialize_class_list(cl: ClassList) -> str:
-    pres = cl.presentation
-    header = {"schema_version": SCHEMA_VERSION, "engine": __version__, "name": pres.name,
-              "relators": [list(r) for r in pres.relators], "max_index": cl.max_index,
-              "classes": len(cl.tables)}
+    header = {**_stamp(cl.presentation), "max_index": cl.max_index, "classes": len(cl.tables)}
     return f"{json.dumps(header)}\n{json.dumps([list(t.flat()) for t in cl.tables])}\n"
-
-
-def _json(line: str):
-    try:
-        return json.loads(line)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"not valid JSON: {e}") from None
 
 
 def parse_class_list(text: str, pres: Presentation) -> ClassList:
     """The class list of pres that serialize_class_list wrote as text."""
     first, _, rest = text.partition("\n")
-    header = _json(first)
+    try:
+        header, raw_tables = json.loads(first), json.loads(rest)
+    except json.JSONDecodeError as e:
+        raise DomainError(f"not valid JSON: {e}") from None
     if not isinstance(header, dict):
-        raise ParseError("header is not an object")
-    if header.get("schema_version") != SCHEMA_VERSION:
-        raise ParseError(f"schema_version {header.get('schema_version')!r} not understood")
-    if header.get("engine") != __version__:
-        raise ParseError(f"written by engine {header.get('engine')!r}, not {__version__}")
+        raise DomainError("header is not an object")
+    stale = [k for k, v in _stamp(pres).items() if header.get(k) != v]
+    if stale:
+        raise DomainError(f"not a list of {pres.name!r} by this engine: {', '.join(stale)} differ")
     if not all(type(header.get(k)) is int for k in ("max_index", "classes")):
-        raise ParseError("missing or malformed max_index or classes")
-    if header.get("name") != pres.name or header.get("relators") != [list(r) for r in pres.relators]:
-        raise ParseError(f"class list of another presentation than {pres.name!r}")
+        raise DomainError("missing or malformed max_index or classes")
     max_index = header["max_index"]
-    raw_tables = _json(rest)
     if not isinstance(raw_tables, list) or len(raw_tables) != header["classes"]:
-        raise ParseError("tables missing or fewer or more than the header says")
+        raise DomainError("tables missing or fewer or more than the header says")
     m = pres.alphabet.size
     tables = []
     for flat in raw_tables:
         if not isinstance(flat, list) or len(flat) % m:
-            raise ParseError("table length is not a multiple of the alphabet size")
+            raise DomainError("table length is not a multiple of the alphabet size")
         n = len(flat) // m
         if not 0 < n <= max_index:
-            raise ParseError(f"table of index {n} in a list to index {max_index}")
-        if any(not isinstance(v, int) or v < 0 or v >= n for v in flat):
-            raise ParseError("table entry out of range")
+            raise DomainError(f"table of index {n} in a list to index {max_index}")
+        if any(type(v) is not int or not 0 <= v < n for v in flat):
+            raise DomainError("table entry out of range")
         rows = tuple(tuple(flat[i * m : (i + 1) * m]) for i in range(n))
         tables.append(CosetTable(pres.alphabet, rows))
     return ClassList(pres, max_index, tuple(tables))
@@ -93,7 +88,7 @@ def load_classes(pres: Presentation, max_index: int, cache_dir: str) -> ClassLis
     try:
         with open(_path(pres, cache_dir), "r", encoding="ascii") as fh:
             cl = parse_class_list(fh.read(), pres)
-    except (OSError, ValueError, ParseError, CacheError):
+    except (OSError, ValueError, DomainError):
         return None  # missing, corrupt, stale, foreign or unnamed: search it
     return cl if cl.max_index >= max_index else None
 
@@ -106,7 +101,7 @@ def store_classes(cl: ClassList, cache_dir: str) -> str:
         os.makedirs(cache_dir, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix="colsym-", suffix=".tmp")
     except OSError as e:
-        raise CacheError(f"cannot write to cache dir {cache_dir}: {e}") from None
+        raise DomainError(f"cannot write to cache dir {cache_dir}: {e}") from None
     try:
         with os.fdopen(fd, "w", encoding="ascii") as fh:
             fh.write(data)
@@ -116,7 +111,7 @@ def store_classes(cl: ClassList, cache_dir: str) -> str:
             os.unlink(tmp)
         except OSError:
             pass
-        raise CacheError(f"cannot write cache file {path}: {e}") from None
+        raise DomainError(f"cannot write cache file {path}: {e}") from None
     return path
 
 
@@ -130,10 +125,9 @@ def cached_provider(cache_dir: str | None = None, *, jobs: int = 1, node_budget:
     by trimming.  A reflection group's rotation half comes through the
     memo and cache too, so its search files the von Dyck group's list.
     """
-    if not isinstance(jobs, int) or jobs < 1:
-        raise DomainError("jobs must be an integer of at least 1")
-    if node_budget is not None and (not isinstance(node_budget, int) or node_budget < 0):
-        raise DomainError("node_budget must be an integer of at least 0")
+    check_count(jobs, "jobs", 1)
+    if node_budget is not None:
+        check_count(node_budget, "node_budget", 0)
     memo: dict[Presentation, ClassList] = {}
 
     def search(pres: Presentation, max_index: int, seeds) -> ClassList:
@@ -148,7 +142,7 @@ def cached_provider(cache_dir: str | None = None, *, jobs: int = 1, node_budget:
                 if cache_dir:
                     try:
                         store_classes(cl, cache_dir)
-                    except CacheError:
+                    except DomainError:
                         pass  # a cache is an optimization, never lose the result over it
             memo[pres] = cl
         if cl.max_index == max_index:

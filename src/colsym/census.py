@@ -24,7 +24,7 @@ from enum import Enum
 from .coset import (
     CosetTable, canonical_table, fixed_cosets, orientation_sides, reroot, transform_subgroup,
 )
-from .errors import DomainError, InternalError
+from .errors import DomainError, InternalError, check_count
 from .lowindex import ClassList, Seed, low_index_classes
 from .presentations import MIRROR_TWIST, Presentation, triangle_group, von_dyck_group
 from .words import A, B, C, REFLECTIONS, ROTATIONS, XGEN, XINV, ZGEN, ZINV, Word
@@ -195,8 +195,7 @@ def census(
     tiling, every class included: the census keeps only the colouring
     ones.
     """
-    if not isinstance(max_colours, int) or max_colours < 1:
-        raise DomainError("max_colours must be an integer of at least 1")
+    check_count(max_colours, "max_colours", 1)
     if not isinstance(kind, TilingKind):
         raise DomainError(f"bad tiling kind: {kind!r}")
     if not isinstance(scope, Scope):

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the check of a count argument."""
 
 
 class ColsymError(Exception):
@@ -21,13 +21,11 @@ class MergeInconsistency(ColsymError):
     """
 
 
-class CacheError(ColsymError):
-    """Cache directory problems (unwritable, wrong permissions, ...)."""
-
-
-class ParseError(ColsymError):
-    """Serialized data did not round-trip (corrupt or foreign file)."""
-
-
 class InternalError(ColsymError):
     """An internal cross-check failed; indicates a bug, not bad input."""
+
+
+def check_count(value, name: str, least: int) -> None:
+    """Raise DomainError unless value is an int, and not a bool, of at least `least`."""
+    if type(value) is not int or value < least:
+        raise DomainError(f"{name} must be an integer of at least {least}")

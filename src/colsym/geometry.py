@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations
 
-from .errors import DomainError, ResourceLimit
+from .errors import DomainError, ResourceLimit, check_count
 from .presentations import Geometry, classify_geometry
 from .words import A, B, C, Word
 
@@ -191,8 +191,7 @@ def generate_patch(p: int, q: int, depth: int) -> TrianglePatch:
     its word's mirrors, left to right.
     """
     import numpy as np
-    if not isinstance(depth, int) or depth < 0:
-        raise DomainError("depth must be a nonnegative integer")
+    check_count(depth, "depth", 0)
     tri = fundamental_triangle(p, q)
     orders = ((1, q, 2), (q, 1, p), (2, p, 1))  # m(g, h) of the Coxeter group
     nbrs = np.full((1, 3), -1)

@@ -46,7 +46,7 @@ import os
 from dataclasses import dataclass
 
 from .coset import CosetTable, canonical_table
-from .errors import DomainError, InternalError, ResourceLimit
+from .errors import DomainError, InternalError, ResourceLimit, check_count
 from .presentations import Presentation
 from .words import Word
 
@@ -439,12 +439,10 @@ def low_index_classes(
     if given, bounds branch nodes per process, over all the walks and the
     shared top of the tree.
     """
-    if not isinstance(max_index, int) or max_index < 1:
-        raise DomainError("max_index must be an integer of at least 1")
-    if not isinstance(jobs, int) or jobs < 1:
-        raise DomainError("jobs must be an integer of at least 1")
-    if node_budget is not None and (not isinstance(node_budget, int) or node_budget < 0):
-        raise DomainError("node_budget must be an integer of at least 0")
+    check_count(max_index, "max_index", 1)
+    check_count(jobs, "jobs", 1)
+    if node_budget is not None:
+        check_count(node_budget, "node_budget", 0)
     walks = UNSEEDED if seeds is None else tuple(seeds)
     if not walks:
         raise DomainError("seeds must hold at least one seed")

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import DomainError
+from .errors import DomainError, check_count
 from .words import (
     A,
     B,
@@ -57,10 +57,8 @@ class Presentation:
 
 
 def _check_pq(p: int, q: int) -> None:
-    if not (isinstance(p, int) and isinstance(q, int)):
-        raise DomainError("p and q must be integers")
-    if p < 3 or q < 3:
-        raise DomainError(f"need p, q >= 3, got ({p}, {q})")
+    check_count(p, "p", 3)
+    check_count(q, "q", 3)
 
 
 def classify_geometry(p: int, q: int) -> Geometry:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 from .census import TILE_MIRRORS, Scope, TilingKind, colour_permutation
 from .coset import CosetTable, orientation_sides
-from .errors import DomainError, InternalError, MergeInconsistency
+from .errors import DomainError, InternalError, MergeInconsistency, check_count
 from .geometry import TrianglePatch, form_matrix
 from .presentations import Geometry
 from .words import A, B, C, Word
@@ -343,10 +343,8 @@ def emit_svg(
         raise DomainError(
             f"projection {projection!r} does not fit {geometry.value} geometry"
         )
-    if not isinstance(subdivision, int) or subdivision < 1:
-        raise DomainError("subdivision must be an integer of at least 1")
-    if not isinstance(size, int) or size < 1:
-        raise DomainError("size must be an integer of at least 1")
+    check_count(subdivision, "subdivision", 1)
+    check_count(size, "size", 1)
 
     patch, s = cp.patch, subdivision
     ts = np.linspace(0.0, 1.0, s + 1)

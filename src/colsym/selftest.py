@@ -14,6 +14,7 @@ import time
 from . import goldens
 from .cache import cached_provider
 from .census import Scope, TilingKind, census, colour_permutation, format_census
+from .errors import DomainError
 from .geometry import generate_patch
 from .presentations import triangle_group
 from .render import colour_patch, emit_svg, verify_perfect_on_patch
@@ -32,7 +33,7 @@ def run_selftest(
     err=None,
 ) -> bool:
     if level not in ("fast", "full"):
-        raise ValueError(f"unknown selftest level {level!r}")
+        raise DomainError(f"unknown selftest level {level!r}")
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err
     provider = cached_provider(cache_dir, jobs=jobs)

@@ -15,7 +15,7 @@ from colsym.cache import (
     store_classes,
 )
 from colsym.census import colouring_classes
-from colsym.errors import CacheError, DomainError, ParseError
+from colsym.errors import DomainError
 from colsym.lowindex import low_index_classes
 from colsym.presentations import Presentation, triangle_group, von_dyck_group
 from colsym.words import REFLECTIONS
@@ -141,13 +141,36 @@ def test_parse_rejects_malformed_documents(classes):
     ):
         h, t = json.loads(json.dumps(header)), json.loads(json.dumps(tables))
         breakage(h, t)
-        with pytest.raises(ParseError):
+        with pytest.raises(DomainError):
             parse_class_list(f"{json.dumps(h)}\n{json.dumps(t)}\n", G)
     for text in ("[]", "nope", json.dumps(header)):
-        with pytest.raises(ParseError):
+        with pytest.raises(DomainError):
             parse_class_list(text, G)
-    with pytest.raises(ParseError):
+    with pytest.raises(DomainError):
         parse_class_list(serialize_class_list(classes), von_dyck_group(4, 3))
+
+
+def test_boolean_table_entries_are_a_miss(tmp_path, classes, monkeypatch):
+    # JSON true and false are not cosets 1 and 0, though Python compares them equal
+    path = store_classes(classes, str(tmp_path))
+    with open(path) as fh:
+        header, tables = fh.readlines()
+    doctored = [[{0: False, 1: True}.get(v, v) for v in flat] for flat in json.loads(tables)]
+    text = f"{header}{json.dumps(doctored)}\n"
+    assert "true" in text and "false" in text
+    with open(path, "w") as fh:
+        fh.write(text)
+    G = triangle_group(4, 3)
+    with pytest.raises(DomainError):
+        parse_class_list(text, G)
+    assert load_classes(G, 6, str(tmp_path)) is None
+    searched = _counting(monkeypatch, "low_index_classes")
+    got = cached_provider(str(tmp_path))(G, 6)
+    assert searched == [("triangle-4-3", 6), ("vondyck-4-3", 3)]
+    assert [t.flat() for t in got.tables] == [t.flat() for t in classes.tables]
+    assert all(type(v) is int for t in got.tables for v in t.flat())
+    with open(path) as fh:
+        assert fh.read() == serialize_class_list(classes)
 
 
 def test_cached_provider_memoizes_and_persists(tmp_path, monkeypatch):
@@ -215,7 +238,7 @@ def test_provider_frees_its_memo_without_the_cycle_collector():
 def test_uncacheable_presentation(tmp_path, classes):
     odd = Presentation(REFLECTIONS, ((0, 0),), "custom-thing")
     cl = low_index_classes(odd, 2)
-    with pytest.raises(CacheError):
+    with pytest.raises(DomainError):
         store_classes(cl, str(tmp_path))
 
 
@@ -286,7 +309,7 @@ def test_unwritable_cache_keeps_the_result(tmp_path, classes, monkeypatch):
         raise PermissionError("read-only cache dir")
 
     monkeypatch.setattr(colsym.cache.tempfile, "mkstemp", refuse)
-    with pytest.raises(CacheError):
+    with pytest.raises(DomainError):
         store_classes(classes, str(tmp_path))
     got = cached_provider(str(tmp_path))(triangle_group(4, 3), 6)
     assert [t.flat() for t in got.tables] == [t.flat() for t in classes.tables]

@@ -262,16 +262,22 @@ def test_format_census_styles(provider):
     lambda: census(7, 3, TilingKind.PQ, Scope.FULL, 8.5),
     lambda: low_index_classes(triangle_group(7, 3), 8.0),
     lambda: generate_patch(7, 3, 2.5),
-], ids=["census", "low_index_classes", "generate_patch"])
+    lambda: census(7, 3, TilingKind.PQ, Scope.FULL, True),
+    lambda: low_index_classes(triangle_group(7, 3), True),
+    lambda: generate_patch(4, 4, False),
+], ids=["census", "low_index_classes", "generate_patch",
+        "census-bool", "low_index_classes-bool", "generate_patch-bool"])
 def test_non_integer_bounds_are_refused(call):
-    # each used to raise TypeError from inside the work
+    # each float used to raise TypeError from inside the work, and each
+    # bool was taken as the bound 1 or 0
     with pytest.raises(DomainError):
         call()
 
 
 def test_census_rejects_bad_arguments(provider):
-    with pytest.raises(DomainError):
-        census(7, 3, TilingKind.PQ, Scope.FULL, 0, classes_provider=provider)
+    for max_colours in (0, True):
+        with pytest.raises(DomainError):
+            census(7, 3, TilingKind.PQ, Scope.FULL, max_colours, classes_provider=provider)
     with pytest.raises(DomainError):
         census(
             7, 3, TilingKind.PQ, Scope.ROTATION, 4,

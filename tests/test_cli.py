@@ -17,10 +17,11 @@ from colsym.census import (
 )
 from colsym.cli import main
 from colsym.coset import canonical_table, fixed_cosets, transform_subgroup
-from colsym.errors import ResourceLimit
+from colsym.errors import DomainError, ResourceLimit
 from colsym.geometry import generate_patch
 from colsym.lowindex import _search
 from colsym.presentations import MIRROR_TWIST, triangle_group, von_dyck_group
+from colsym.selftest import run_selftest
 from colsym.words import A, ZGEN
 
 
@@ -185,6 +186,12 @@ def test_selftest_takes_no_search_budget():
     with pytest.raises(SystemExit) as exc:
         main(["selftest", "--max-nodes", "1", "--level", "fast"])
     assert exc.value.code == 2
+
+
+def test_selftest_refuses_an_unknown_level():
+    # the library entry point keeps to the error model, as the CLI's choices do
+    with pytest.raises(DomainError, match="unknown selftest level 'medium'"):
+        run_selftest("medium")
 
 
 def test_jobs_below_one_is_refused_on_a_warm_cache(capsys, cache_dir):

@@ -205,8 +205,9 @@ def test_merged_tiles_never_exceed_a_tile(provider):
 def test_depth_zero_and_errors(monkeypatch):
     patch = generate_patch(7, 3, 0)
     assert len(patch.tiles) == 1
-    with pytest.raises(DomainError):
-        generate_patch(7, 3, -1)
+    for depth in (-1, False):
+        with pytest.raises(DomainError):
+            generate_patch(7, 3, depth)
     monkeypatch.setattr(colsym.geometry, "TILE_BUDGET", 100)
     with pytest.raises(ResourceLimit):
         generate_patch(7, 3, 12)

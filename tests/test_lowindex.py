@@ -481,6 +481,24 @@ def test_a_complete_table_that_fails_a_relator_raises(pres, monkeypatch):
         _search(pres, 8)
 
 
+@pytest.mark.parametrize("pres", [triangle_group(7, 3), triangle_group(4, 4), von_dyck_group(7, 3)],
+                         ids=lambda p: p.name)
+def test_trace_words_are_the_rotations_by_first_letter(pres):
+    # every rotation of every relator but g g^-1, and of its inverse, is
+    # listed under its first letter: one missing loses deductions
+    inv = pres.alphabet.inv
+    trace = colsym.lowindex._trace_words(pres)
+    assert len(trace) == pres.alphabet.size
+    for g in range(pres.alphabet.size):
+        expected = set()
+        for rel in pres.relators:
+            if rel == (rel[0], inv[rel[0]]):
+                continue
+            for w in (rel, tuple(inv[x] for x in reversed(rel))):
+                expected |= {w[k:] + w[:k] for k in range(len(w)) if w[k] == g}
+        assert set(trace[g]) == expected
+
+
 def test_root_bookkeeping_is_made_for_the_cosets_reached():
     # each coset's re-rooting lists are made when a branch first reaches it;
     # made for every coset up front, they took 144 MB here before the first node
@@ -514,6 +532,16 @@ def test_bad_arguments(tmp_path):
         cached_provider(jobs=1.5)
     with pytest.raises(DomainError):
         cached_provider(node_budget=2.5)
+    # a bool is not a count, though it is an int to isinstance
+    for call in (
+        lambda: low_index_classes(G, True),
+        lambda: low_index_classes(G, 6, jobs=True),
+        lambda: low_index_classes(G, 6, node_budget=False),
+        lambda: cached_provider(jobs=True),
+        lambda: cached_provider(node_budget=False),
+    ):
+        with pytest.raises(DomainError):
+            call()
     with pytest.raises(DomainError):
         oracle_classes(G, 8)
     with pytest.raises(DomainError):

@@ -221,11 +221,11 @@ def test_svg_projections(provider):
     emit_svg(hyp)  # disk is the default and only choice
     with pytest.raises(DomainError):
         emit_svg(hyp, projection="identity")
-    # a float or a string is refused as a bad value, not left to numpy or <
-    for subdivision in (0, 2.5):
+    # a float, a string or a bool is refused as a bad value, not left to numpy or <
+    for subdivision in (0, 2.5, True):
         with pytest.raises(DomainError):
             emit_svg(hyp, subdivision=subdivision)
-    for size in (0, -5, "7"):
+    for size in (0, -5, "7", True):
         with pytest.raises(DomainError):
             emit_svg(hyp, size=size)
 
