@@ -4,16 +4,16 @@ cached_provider keeps the largest list it has seen of each presentation
 for its own life.  Given a cache directory it also keeps one file per
 presentation, `<name>.json` (e.g. `triangle-7-3.json`), holding its
 colouring classes (those of census.colouring_classes: the classes that
-colour some tiling of the group) to the largest index bound searched so
-far: the search output at bound N literally contains the output at
-every n < N, so a smaller request is served by trimming, and a larger
-one searches and atomically replaces the file.  Without a directory no
-file is read or written.  A file is two JSON lines, a header (schema,
-engine version, presentation name and relators, bound, class count)
-and the flat coset tables.  A corrupt file, or one of another schema,
-engine or presentation, is a miss that the next search replaces, so a
-change to what the search outputs must bump __version__ or
-SCHEMA_VERSION.
+colour some tiling, one of each mirror-twin pair) to the largest bound
+searched so far: the search output at bound N literally contains the
+output at every n < N, so a smaller request is served by trimming, and a
+larger one searches and atomically replaces the file.  Without a
+directory no file is read or written.  A file is two JSON lines, a
+header (schema, engine version, presentation name and relators, bound,
+class count) and the flat coset tables.  A corrupt file, or one of
+another schema, engine or presentation, is a miss that the next search
+replaces, so a change to what the search outputs must bump __version__
+or SCHEMA_VERSION.
 """
 from __future__ import annotations
 
@@ -29,7 +29,7 @@ from .census import colouring_classes
 from .lowindex import ClassList, low_index_classes
 from .presentations import Presentation
 
-SCHEMA_VERSION = 3  # 3: colouring classes only; 2 held every class
+SCHEMA_VERSION = 4  # 4: one von Dyck class per twin pair; 3 held both; 2 every class
 
 _NAME_RE = re.compile(r"(triangle|vondyck)-(\d+)-(\d+)")
 
@@ -130,8 +130,8 @@ def cached_provider(cache_dir: str | None = None, *, jobs: int = 1, node_budget:
         check_count(node_budget, "node_budget", 0)
     memo: dict[Presentation, ClassList] = {}
 
-    def search(pres: Presentation, max_index: int, seeds) -> ClassList:
-        return low_index_classes(pres, max_index, seeds=seeds, jobs=jobs, node_budget=node_budget)
+    def search(pres: Presentation, max_index: int, **kw) -> ClassList:
+        return low_index_classes(pres, max_index, jobs=jobs, node_budget=node_budget, **kw)
 
     def lookup(pres: Presentation, max_index: int, half=None) -> ClassList:
         cl = memo.get(pres)

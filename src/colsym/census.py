@@ -102,16 +102,17 @@ def colouring_classes(pres: Presentation, max_index: int, *, search=low_index_cl
                       rotation_classes=None) -> ClassList:
     """The classes that colour some tiling, as census's default provider serves them.
 
-    search(pres, max_index, seeds=...) finds them over the rotation
-    alphabet, and the full-scope ones over the reflection alphabet.  The
-    rotation scope's are orientation subgroups there, and one of index
-    2k is an index-k subgroup of the von Dyck group (p and q read off the
-    relators).  So that group's classes to max_index // 2, from
-    rotation_classes (a provider's lookup; by default this function),
-    are lifted (_lift) and put in canonical form, which merges each pair
-    of twins.  Holding no mirror, none of them is a full-scope class.
+    search(pres, max_index, seeds=..., twist=...) finds one of each pair
+    of mirror twins over the rotation alphabet, and the full-scope ones
+    over the reflection alphabet.  The rotation scope's are orientation
+    subgroups there, and one of index 2k is an index-k subgroup of the von
+    Dyck group (p and q read off the relators).  So that group's classes
+    to max_index // 2, from rotation_classes (a provider's lookup; by
+    default this function), are lifted (_lift) and put in canonical form,
+    where twins lift to one class.  Holding no mirror, none is full-scope.
     """
-    cl = search(pres, max_index, seeds=colouring_seeds(pres))
+    twist = MIRROR_TWIST if pres.alphabet == ROTATIONS else None
+    cl = search(pres, max_index, seeds=colouring_seeds(pres), twist=twist)
     if pres.alphabet != REFLECTIONS or max_index < 2:
         return cl
     orders = {r[:2]: len(r) // 2 for r in pres.relators}  # (bc)^p and (ab)^q
@@ -182,8 +183,8 @@ def census(
     give the same entries: strategy "a" reads the reflection group's
     classes to twice the colour bound and keeps the orientation
     subgroups; strategy "b", the default, reads the rotation group's
-    classes, fuses the pairs that the mirror twist identifies, and lifts
-    the classes it keeps to the reflection group.  Under the default
+    classes, one of each pair of mirror twins, and lifts those that
+    colour the tiling to the reflection group.  Under the default
     provider both read one von Dyck search, lifted for route a by
     colouring_classes, so strategy "both", which runs the two, insists
     their multiplicities agree and returns route a's report, checks the
@@ -262,23 +263,21 @@ def _census_rotation_b(p, q, kind, max_colours, provider) -> list[CosetTable]:
 
     Classes there are conjugacy classes under rotations only; the mirror
     twist (an outer automorphism) can identify two of them, and such a
-    pair is one colouring class of the unoriented tiling.  The twist is
-    an involution, so each class has exactly one partner (possibly
-    itself); the first class of each pair is kept.
+    pair is one colouring class of the unoriented tiling.  The provider
+    lists one class of each pair, so all that colour the tiling are kept,
+    once no class is seen listed twice or with its twin.
     """
     word = rotation_required_word(kind)
     classes = provider(von_dyck_group(p, q), max_colours)
     qualifying = [t for t in classes.tables if fixed_cosets(t, (word,))]
-    slot = {t.rows: i for i, t in enumerate(qualifying)}
-    partner = []
+    listed = set(qualifying)
+    if len(listed) != len(qualifying):
+        raise InternalError("a rotation class is listed twice")
     for t in qualifying:
-        j = slot.get(canonical_table(transform_subgroup(t, MIRROR_TWIST)).rows)
-        if j is None:
-            raise InternalError("mirror twist left the qualifying class list")
-        partner.append(j)
-    if any(partner[j] != i for i, j in enumerate(partner)):
-        raise InternalError("mirror twist does not act as an involution")
-    return [t for i, t in enumerate(qualifying) if partner[i] >= i]
+        twin = canonical_table(transform_subgroup(t, MIRROR_TWIST))
+        if twin != t and twin in listed:
+            raise InternalError("a rotation class is listed with its mirror twin")
+    return qualifying
 
 
 def colour_permutation(t: CosetTable, w: Word) -> tuple[int, ...]:

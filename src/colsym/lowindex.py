@@ -35,6 +35,12 @@ the last one stopped.  So backtracking undoes two stacks: the entries
 set, and the root records (a root fixed, a comparison advanced).
 An unseeded walk has no words, so every coset is a fixed root.
 
+A twist, a letter involution that is an automorphism of the group (as
+x <-> X, z <-> Z), carries each class to its twin.  A coset beta, 0
+included, that the twisted seed words fix is then a twisted root N + beta,
+compared through column twist[c] where a root reads c: with seeds
+twist-invariant up to conjugacy, a walk keeps one table per twin pair.
+
 The walk loops over an explicit stack of open nodes, so neither the
 recursion limit bounds the index nor the caller's stack depth changes
 the speed.  A visit to a node unwinds to the heights it opened at and
@@ -108,6 +114,7 @@ def _search(
     prune: bool = True,
     part: int = 0,
     parts: int = 1,
+    twist: tuple[int, ...] | None = None,
 ) -> list[tuple[tuple[int, ...], ...]]:
     """Depth-first walks, one per seed; returns the complete tables as row tuples.
 
@@ -120,7 +127,7 @@ def _search(
     classes that an earlier walk finds: settle cuts a node where a coset
     is fixed by an excluding earlier seed (see excluded), and so does
     the root once the seed words are propagated.  One node budget counts
-    the nodes of all the walks.
+    the nodes of all the walks; given a twist, one table per twin pair.
 
     The seed words are scanned at coset 0 next to the relator scans
     (propagate): all of them at the root, then only those the root left
@@ -147,18 +154,18 @@ def _search(
 
     table = [-1] * (N * m)
     trail: list[int] = []
-    # roots other than 0 that every seed word fixes, in the order found; a
-    # root stays fixed below the node that fixed it, and its record on
-    # roots_trail unfixes it on backtrack
+    # roots other than 0 that every seed word fixes, and twisted roots, in the
+    # order found; a root stays fixed below the node that fixed it, and its
+    # record on roots_trail unfixes it on backtrack
     fixed: list[int] = []
-    # per root, its re-rooting so far: mu new index -> old coset, nu old
-    # coset -> new index (nu[beta] is 0 just while beta is fixed), count
-    # cosets numbered, done rows compared equal or N once beaten (larger on
-    # a defined prefix); backtracking restores count 1 and done 0 first.
-    # A coset's mu and nu are made when a branch first reaches it.
-    mus, nus = [[0] * N], [[-1] * N]
-    count = [1] * N
-    done = [0] * N
+    # per root r of coset beta = r % N, its re-rooting so far: mu new index ->
+    # old coset, nu old coset -> new index (nu[beta] is 0 just while r is fixed),
+    # count cosets numbered, done rows compared equal or N once beaten (larger
+    # on a defined prefix); backtracking restores count 1 and done 0 first.
+    mus, nus = [None] * (2 * N), [None] * (2 * N)  # made when a branch first reaches beta
+    mus[N], nus[N] = [0] * N, [-1] * N  # and at once for twisted root 0
+    count, done = [1] * (2 * N), [0] * (2 * N)
+    columns = (tuple(zip(range(m), range(m))), tuple(enumerate(twist or ())))
     # (root, done, count) before a comparison advanced, or (root, -1, 0)
     # where settle fixed the root
     roots_trail: list[tuple[int, int, int]] = []
@@ -229,12 +236,12 @@ def _search(
         return True
 
     def settle(mark: int) -> bool:
-        """Add the roots that the entries set since trail[mark] fix, or
-        return False once a coset at an end of one of them, coset 0
-        included, is fixed by an excluding seed.  A seed word has at most
-        two letters, so the entry that completes its walk from beta back
-        to beta has beta at one end; each entry's twin is on the trail
-        too, so the rows of the entries hold both ends."""
+        """Add the roots, twisted ones too, that the entries set since
+        trail[mark] fix, or return False once a coset at an end of one of
+        them, 0 included, is fixed by an excluding seed.  A seed word has at
+        most two letters, so the entry that completes its walk from beta
+        back to beta has beta at one end; each entry's twin is on the trail
+        too, so their rows hold both ends (and the root's first branch, 0)."""
         for beta in {p // m for p in trail[mark:]}:
             for ws in excluded:
                 if fixes(beta, ws):
@@ -243,6 +250,10 @@ def _search(
                 nus[beta][beta] = 0
                 fixed.append(beta)
                 roots_trail.append((beta, -1, 0))
+            if twisted is not None and nus[N + beta][beta] < 0 and fixes(beta, twisted):
+                nus[N + beta][beta] = 0
+                fixed.append(N + beta)
+                roots_trail.append((N + beta, -1, 0))
         return True
 
     def unwind(mark: int, roots_mark: int) -> None:
@@ -250,16 +261,16 @@ def _search(
         while len(trail) > mark:
             table[trail.pop()] = -1
         while len(roots_trail) > roots_mark:
-            beta, i, cnt = roots_trail.pop()
-            if i < 0:  # settle fixed beta, the last of fixed
+            r, i, cnt = roots_trail.pop()
+            if i < 0:  # settle fixed r, the last of fixed
                 fixed.pop()
-                nus[beta][beta] = -1
+                nus[r][r % N] = -1
                 continue
-            mu, nu = mus[beta], nus[beta]
-            for k in range(cnt, count[beta]):
+            mu, nu = mus[r], nus[r]
+            for k in range(cnt, count[r]):
                 nu[mu[k]] = -1
-            done[beta] = i
-            count[beta] = cnt
+            done[r] = i
+            count[r] = cnt
 
     def rejectable() -> bool:
         """True if no completion of this table can be its class minimum.
@@ -276,19 +287,20 @@ def _search(
         complete table this is exactly the test of being least among
         the re-rootings at fixed cosets.
         """
-        for beta in fixed:
-            i, cnt = done[beta], count[beta]
+        for r in fixed:
+            i, cnt = done[r], count[r]
             if i >= cnt:  # beaten, or equal to the table throughout
                 continue
-            mu, nu = mus[beta], nus[beta]
+            mu, nu = mus[r], nus[r]
+            cols = columns[r >= N]  # (column compared, column read at mu[i]) pairs
             i0, cnt0 = i, cnt
             verdict = 0
             while i < cnt:
                 base_o = mu[i] * m
                 base_i = i * m
                 stop = False
-                for c in range(m):
-                    w = table[base_o + c]
+                for c, d in cols:
+                    w = table[base_o + d]
                     v = table[base_i + c]
                     if w < 0 or v < 0:
                         stop = True
@@ -307,9 +319,9 @@ def _search(
                     break
                 i += 1
             if verdict or i != i0 or cnt != cnt0:
-                roots_trail.append((beta, i0, cnt0))
-                done[beta] = N if verdict else i
-                count[beta] = cnt
+                roots_trail.append((r, i0, cnt0))
+                done[r] = N if verdict else i
+                count[r] = cnt
             if verdict < 0:
                 return True
         return False
@@ -370,9 +382,9 @@ def _search(
                     if beta < n and table[beta * m + ic] >= 0:
                         continue
                     table[pos] = beta
-                    if beta == n == len(nus):
-                        mus.append([beta] + [0] * (N - 1))
-                        nus.append([-1] * N)
+                    if beta == n and nus[n] is None:
+                        for r in (n, N + n):
+                            mus[r], nus[r] = [n] + [0] * (N - 1), [-1] * N
                     trail.append(pos)
                     p2 = beta * m + ic
                     stack = [pos]
@@ -394,6 +406,7 @@ def _search(
 
     for j, words in enumerate(seeds):
         excluded = seeds[:j]
+        twisted = None if twist is None else tuple(tuple(twist[g] for g in w) for w in words)
         stack: list[int] = []
         open_words = words
         # the root is one coset, so this checks every entry the seed words set
@@ -405,8 +418,8 @@ def _search(
 
 
 def _worker(args) -> list[tuple[tuple[int, ...], ...]]:
-    pres, max_index, seeds, node_budget, part, parts = args
-    return _search(pres, max_index, seeds, node_budget=node_budget, part=part, parts=parts)
+    pres, max_index, seeds, budget, part, parts, twist = args
+    return _search(pres, max_index, seeds, node_budget=budget, part=part, parts=parts, twist=twist)
 
 
 def _cpus() -> int:
@@ -424,6 +437,7 @@ def low_index_classes(
     seeds: tuple[Seed, ...] | None = None,
     node_budget: int | None = None,
     jobs: int = 1,
+    twist: tuple[int, ...] | None = None,
 ) -> ClassList:
     """Conjugacy classes of subgroups of index <= max_index.
 
@@ -437,7 +451,7 @@ def low_index_classes(
     than the CPUs this process may use, and one where the platform cannot
     fork; the merged result is identical to a serial run.  node_budget,
     if given, bounds branch nodes per process, over all the walks and the
-    shared top of the tree.
+    shared top of the tree.  Given a twist, it is one class per twin pair.
     """
     check_count(max_index, "max_index", 1)
     check_count(jobs, "jobs", 1)
@@ -448,15 +462,20 @@ def low_index_classes(
         raise DomainError("seeds must hold at least one seed")
     if any(len(w) > 2 for seed in walks for w in seed):
         raise DomainError("a seed word has at most two letters")
+    inv, cycles = pres.alphabet.inv, twist and {w for ws in _trace_words(pres) for w in ws}
+    if twist is not None and (sorted(twist) != sorted(inv) or any(
+            twist[twist[g]] != g or twist[inv[g]] != inv[twist[g]] for g in inv)
+            or {tuple(twist[g] for g in w) for w in cycles} != cycles):
+        raise DomainError(f"twist {twist} is no involution of the letters and relator cycles")
 
     parts = min(jobs, _cpus())
     if parts > 1:  # multiprocessing is loaded only here
         import multiprocessing
         parts = parts if "fork" in multiprocessing.get_all_start_methods() else 1
     if parts == 1:
-        results = _search(pres, max_index, walks, node_budget=node_budget)
+        results = _search(pres, max_index, walks, node_budget=node_budget, twist=twist)
     else:
-        args = [(pres, max_index, walks, node_budget, part, parts) for part in range(parts)]
+        args = [(pres, max_index, walks, node_budget, part, parts, twist) for part in range(parts)]
         with multiprocessing.get_context("fork").Pool(parts) as pool:
             results = [rows for found in pool.map(_worker, args) for rows in found]
 
@@ -464,4 +483,6 @@ def low_index_classes(
     # only: the class representative is its canonical form
     tables = sorted((canonical_table(CosetTable(pres.alphabet, rows)) for rows in results),
                     key=lambda t: (t.n, t.flat()))
+    if len(set(tables)) != len(tables):
+        raise InternalError("the walks found a class twice")
     return ClassList(pres, max_index, tuple(tables))

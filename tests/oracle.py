@@ -33,6 +33,9 @@ possible:
 * full_scope_via_rotations, twist_on_cosets: the full-scope classes of
   a tiling read off the rotation group's classes, with no reflection
   search;
+* twist_closure: a von Dyck class list of one class per mirror-twin
+  pair made whole, each twin's table read a letter at a time through
+  the words the mirror b conjugates the letters to;
 * colouring_classes_by_walks, COLOURING_SPECIFICATION: the colouring
   classes of a reflection group from reflection-group walks alone, with
   no von Dyck lift, and the six ways a class colours a tiling;
@@ -766,6 +769,24 @@ def colouring_classes_by_walks(p: int, q: int, max_index: int) -> ClassList:
         walk = low_index_classes(G, max_index, seeds=(((r1, r2),),))
         found.update(t for t in walk.tables if orientation_sides(t) is not None)
     return ClassList(G, max_index, tuple(sorted(found, key=lambda t: (t.n, t.flat()))))
+
+
+def twist_closure(tables: Iterable[CosetTable]) -> tuple[CosetTable, ...]:
+    """The classes of these canonical von Dyck tables and their mirror
+    twins, each once, sorted by (index, rows) as a class list is.
+
+    Conjugation by b sends x to X and z to Z (MIRROR_TWIST[B]), so the
+    twin's table takes coset i by each letter to where the letter's
+    image word takes it in t.
+    """
+    found: set[CosetTable] = set()
+    for t in tables:
+        images = [apply_generator_map((g,), MIRROR_TWIST[B], t.alphabet)
+                  for g in range(t.alphabet.size)]
+        twin = CosetTable(t.alphabet, tuple(tuple(walk(t, i, w) for w in images)
+                                            for i in range(t.n)))
+        found |= {t, canonical_table(twin)}
+    return tuple(sorted(found, key=lambda t: (t.n, t.flat())))
 
 
 def twist_on_cosets(t: CosetTable, images: list[Word]) -> list[int] | None:

@@ -8,13 +8,15 @@ import pytest
 import colsym.cache
 from colsym import __version__
 from colsym.cache import (
+    SCHEMA_VERSION,
     cached_provider,
     load_classes,
     parse_class_list,
     serialize_class_list,
     store_classes,
 )
-from colsym.census import colouring_classes
+from colsym.census import colouring_classes, colouring_seeds
+from colsym.cli import main
 from colsym.errors import DomainError
 from colsym.lowindex import low_index_classes
 from colsym.presentations import Presentation, triangle_group, von_dyck_group
@@ -131,6 +133,7 @@ def test_parse_rejects_malformed_documents(classes):
         lambda h, t: h.pop("schema_version"),
         lambda h, t: h.update(schema_version=1),
         lambda h, t: h.update(schema_version=2),  # held every class, not the colouring ones
+        lambda h, t: h.update(schema_version=3),  # held both classes of each von Dyck twin pair
         lambda h, t: h.update(name="triangle-7-3"),  # another group's list
         lambda h, t: h.update(relators=h["relators"][:-1]),
         lambda h, t: h.update(max_index="six"),
@@ -171,6 +174,27 @@ def test_boolean_table_entries_are_a_miss(tmp_path, classes, monkeypatch):
     assert all(type(v) is int for t in got.tables for v in t.flat())
     with open(path) as fh:
         assert fh.read() == serialize_class_list(classes)
+
+
+def test_schema_3_list_of_both_twins_is_searched_again(tmp_path, capsys):
+    # schema 3 filed both classes of each von Dyck twin pair, which route b
+    # now refuses: under a schema-4 stamp the census exits 1, so the bump
+    # makes the old file a miss, searched again and rewritten
+    V = von_dyck_group(7, 3)
+    header, tables, _ = serialize_class_list(
+        low_index_classes(V, 24, seeds=colouring_seeds(V))).split("\n")
+    path = tmp_path / "vondyck-7-3.json"
+    argv = ["census", "--p", "7", "--q", "3", "--scope", "rotation", "--max-colours", "24",
+            "--cache-dir", str(tmp_path)]
+    line = "(7^3) rotation <= 24: 1, 8, 9, 15^{2}, 22^{7}, 24\n"
+    assert json.loads(header)["schema_version"] == SCHEMA_VERSION == 4
+    path.write_text(f"{header}\n{tables}\n")
+    assert main(argv) == 1
+    assert "listed with its mirror twin" in capsys.readouterr().err
+    _rewrite_header(path, schema_version=3)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == line
+    assert path.read_text() == serialize_class_list(colouring_classes(V, 24))
 
 
 def test_cached_provider_memoizes_and_persists(tmp_path, monkeypatch):

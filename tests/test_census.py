@@ -10,6 +10,7 @@ from colsym.census import (
     TilingKind,
     census,
     colouring_classes,
+    colouring_seeds,
     colour_permutation,
     format_census,
     required_words,
@@ -36,6 +37,7 @@ from oracle import (
     rotation_word_as_reflections,
     subgroup_counts,
     subgroups_in_classes,
+    twist_closure,
 )
 
 
@@ -135,18 +137,19 @@ def test_rotation_strategies_give_equal_entries(p, q, bound, provider):
 
 
 def test_route_b_keeps_the_first_class_of_each_twin_pair(provider):
-    # twins lift to one class, so only route b's own list shows which it kept
-    classes = provider(von_dyck_group(7, 3), 24).tables
+    # the provider lists the class of each mirror-twin pair that the twisted
+    # walk meets first, and route b keeps every one that colours the tiling:
+    # with their twins, they are the qualifying classes of the plain walk
+    V = von_dyck_group(7, 3)
+    classes = provider(V, 24).tables
+    plain = low_index_classes(V, 24, seeds=colouring_seeds(V)).tables
     pairs = 0
     for kind in TilingKind:
-        qualifying = [t for t in classes if fixed_cosets(t, (rotation_required_word(kind),))]
+        word = (rotation_required_word(kind),)
         kept = _census_rotation_b(7, 3, kind, 24, provider)
-        twins = [canonical_table(transform_subgroup(t, MIRROR_TWIST)) for t in kept]
-        assert kept == [t for t in qualifying if t in kept]
-        assert len({*kept, *twins}) == len(qualifying)
-        assert set(kept).isdisjoint(u for t, u in zip(kept, twins) if u != t)
-        assert all(qualifying.index(t) < qualifying.index(u) for t, u in zip(kept, twins) if u != t)
-        pairs += sum(u != t for t, u in zip(kept, twins))
+        assert kept == [t for t in classes if fixed_cosets(t, word)]
+        assert list(twist_closure(kept)) == [t for t in plain if fixed_cosets(t, word)]
+        pairs += len(twist_closure(kept)) - len(kept)
     assert pairs > 0
 
 
@@ -352,11 +355,15 @@ def test_route_b_subgroups_counted_exactly(p, q):
     # route b's qualifying classes per tiling, to the rotation golden bound,
     # against the subgroups whose cosets the tile rotation does not all move
     bound = goldens.ROTATION_BOUNDS[(p, q, TilingKind.PQ)]
+    # The list holds one class of each mirror-twin pair, so each differing
+    # twin's subgroups are counted too
     classes = colouring_classes(von_dyck_group(p, q), bound).tables
     for kind in TilingKind:
         word = rotation_required_word(kind)
         qualifying = [t for t in classes if fixed_cosets(t, (word,))]
-        assert subgroups_in_classes(qualifying, bound) == subgroup_counts(p, q, bound, word)
+        whole = twist_closure(qualifying)
+        assert len(whole) > len(qualifying)
+        assert subgroups_in_classes(whole, bound) == subgroup_counts(p, q, bound, word)
 
 
 def test_required_words():

@@ -404,24 +404,26 @@ def test_rotation_routes_that_disagree_exit_1(capsys, cache_dir, monkeypatch):
     assert "rotation strategies disagree" in err
 
 
-def test_twist_outside_the_class_list_exits_1(capsys, cache_dir, monkeypatch):
-    def drop_one_twin(tables):
-        i = next(i for i, t in enumerate(tables) if fixed_cosets(t, ((ZGEN,),))
-                 and canonical_table(transform_subgroup(t, MIRROR_TWIST)) != t)
-        return tables[:i] + tables[i + 1:]
+def test_class_listed_with_its_mirror_twin_exits_1(capsys, cache_dir, monkeypatch):
+    # the list holds one class of each twin pair; the twin of one that colours
+    # the tiling and differs from it is added
+    def add_one_twin(tables):
+        twins = (canonical_table(transform_subgroup(t, MIRROR_TWIST))
+                 for t in tables if fixed_cosets(t, ((ZGEN,),)))
+        return tables + (next(u for u in twins if u not in tables),)
 
-    doctor_rotation_classes(monkeypatch, drop_one_twin)
+    doctor_rotation_classes(monkeypatch, add_one_twin)
     code, out, err = run_cli(capsys, *ROTATION_CENSUS, "--cache-dir", cache_dir)
     assert (code, out) == (1, "")
-    assert "mirror twist left the qualifying class list" in err
+    assert "a rotation class is listed with its mirror twin" in err
 
 
-def test_twist_that_is_no_involution_exits_1(capsys, cache_dir, monkeypatch):
-    # a class listed twice: both copies twist to the second
+def test_class_listed_twice_exits_1(capsys, cache_dir, monkeypatch):
+    # the index-1 class colours every tiling, and is its own twin
     doctor_rotation_classes(monkeypatch, lambda ts: ts + ts[:1])
     code, out, err = run_cli(capsys, *ROTATION_CENSUS, "--cache-dir", cache_dir)
     assert (code, out) == (1, "")
-    assert "mirror twist does not act as an involution" in err
+    assert "a rotation class is listed twice" in err
 
 
 def test_selftest_prints_fail_for_a_mismatched_row(capsys, cache_dir, monkeypatch):

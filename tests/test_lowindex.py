@@ -4,20 +4,21 @@ import os
 import sys
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import colsym.lowindex
 from colsym.cache import cached_provider, serialize_class_list
-from colsym.census import colouring_classes, colouring_seeds
+from colsym.census import _lift, colouring_classes, colouring_seeds
 from colsym.cli import main
 from colsym.coset import CosetTable, canonical_table, fixed_cosets, transform_subgroup
 from colsym.errors import DomainError, InternalError, ResourceLimit
 from colsym.lowindex import UNSEEDED, _search, low_index_classes
 from colsym.presentations import MIRROR_TWIST, Presentation, triangle_group, von_dyck_group
 from colsym.words import A, B, C, REFLECTIONS, ROTATIONS, XGEN, ZGEN, ZINV
-from oracle import class_counts, classes_at_index, oracle_classes, validate
+from oracle import class_counts, classes_at_index, oracle_classes, twist_closure, validate
 
 SMALL_GROUPS = [
     triangle_group(4, 3),
@@ -199,11 +200,105 @@ def test_search_node_counts_are_pinned(pres, bound, seeded, nodes):
 ])
 def test_class_lists_pinned_byte_for_byte(pres, bound, classes, digest):
     # the tables line of the serialized class list, as the cache writes it:
-    # every table's entries and the order of the list
+    # every table's entries and the order of the list.  A von Dyck list holds
+    # one class of each mirror-twin pair, pinned in TWIN_PAIR_LISTS; the row's
+    # own pin is then of its twist closure, the list with each class's twin
+    def pin(cl):
+        line = serialize_class_list(cl).split("\n")[1]
+        return len(cl.tables), hashlib.sha256(line.encode()).hexdigest()
+
     cl = colouring_classes(pres, bound)
-    line = serialize_class_list(cl).split("\n")[1]
-    assert len(cl.tables) == classes
-    assert hashlib.sha256(line.encode()).hexdigest() == digest
+    if pres.alphabet == ROTATIONS:
+        assert pin(cl) == TWIN_PAIR_LISTS[pres.name, bound]
+        cl = replace(cl, tables=twist_closure(cl.tables))
+    assert pin(cl) == (classes, digest)
+
+
+TWIN_PAIR_LISTS = {
+    ("vondyck-7-3", 32): (65, "a58528198760472b669e2b7689dfd1c74442e76bf950a1403f1b4e44385774a9"),
+}
+
+
+@pytest.mark.parametrize("p, q, bound", [(7, 3, 48), (4, 4, 100), (5, 4, 30), (8, 3, 24), (6, 3, 40)])
+def test_twisted_walk_keeps_one_class_of_each_twin_pair(p, q, bound):
+    # the walk twisted by the mirror against the plain walk: the twins of the
+    # classes it keeps make up the plain list, no class comes with its twin,
+    # its parts split it, and the classes lift to the plain list's lifts
+    V = von_dyck_group(p, q)
+    seeds = colouring_seeds(V)
+    plain = low_index_classes(V, bound, seeds=seeds).tables
+    twisted = low_index_classes(V, bound, seeds=seeds, twist=MIRROR_TWIST).tables
+    assert twist_closure(twisted) == plain
+    listed = set(twisted)
+    assert len(listed) == len(twisted) < len(plain)
+    twins = [canonical_table(transform_subgroup(t, MIRROR_TWIST)) for t in twisted]
+    assert not any(u != t and u in listed for t, u in zip(twisted, twins))
+    serial = _search(V, bound, seeds, twist=MIRROR_TWIST)
+    parts = [_search(V, bound, seeds, twist=MIRROR_TWIST, part=k, parts=3) for k in range(3)]
+    assert sorted(rows for part in parts for rows in part) == sorted(serial)
+    assert sum(1 for part in parts if part) >= 2
+
+    def lifts(tables):
+        return {canonical_table(_lift(t)) for t in tables}
+
+    assert lifts(twisted) == lifts(plain)
+
+
+@pytest.mark.parametrize("p, q, bound", [(7, 3, 28), (4, 4, 24), (5, 4, 20)])
+def test_prune_changes_nothing_in_the_twisted_walk(p, q, bound):
+    # a twisted root cuts only subtrees that complete no kept table, seeded or not
+    V = von_dyck_group(p, q)
+    for seeds in (colouring_seeds(V), UNSEEDED):
+        pruned = _search(V, bound, seeds, twist=MIRROR_TWIST)
+        assert _search(V, bound, seeds, twist=MIRROR_TWIST, prune=False) == pruned
+        assert len(pruned) < len(_search(V, bound, seeds))
+
+
+def test_twisted_search_node_count_is_pinned():
+    # as test_search_node_counts_are_pinned; the plain walk of this row takes 2,951
+    V = von_dyck_group(7, 3)
+    seeds = colouring_seeds(V)
+    _search(V, 32, seeds, node_budget=1_887, twist=MIRROR_TWIST)
+    with pytest.raises(ResourceLimit):
+        _search(V, 32, seeds, node_budget=1_886, twist=MIRROR_TWIST)
+
+
+def test_a_class_found_twice_raises(monkeypatch):
+    # the walks yield each class once; a duplicate is an internal fault
+    search = colsym.lowindex._search
+    monkeypatch.setattr(colsym.lowindex, "_search", lambda *a, **kw: search(*a, **kw) * 2)
+    G = triangle_group(7, 3)
+    with pytest.raises(InternalError, match="found a class twice"):
+        low_index_classes(G, 12)
+
+
+@pytest.mark.parametrize("pres, twist", [
+    (von_dyck_group(7, 3), (1, 0, 2, 3)),  # x <-> X alone takes (xz)^2 to (Xz)^2
+    (triangle_group(7, 3), (1, 0, 2, 3)),  # four letters for three
+    (von_dyck_group(7, 3), (2, 3, 0, 1)),  # x <-> z takes x^3 to z^3
+    (von_dyck_group(4, 4), (2, 1, 0, 3)),  # x <-> z keeps the relators but not X = x^-1
+    (von_dyck_group(7, 3), (1, 2, 3, 0)),  # no involution
+    (triangle_group(7, 3), (2, 1, 0)),  # a <-> c takes (ab)^3 to (cb)^3
+], ids=lambda x: getattr(x, "name", str(x)))
+def test_a_twist_that_is_no_automorphism_is_refused(pres, twist):
+    with pytest.raises(DomainError, match="twist"):
+        low_index_classes(pres, 8, twist=twist)
+
+
+@pytest.mark.parametrize("pres, twist, bound", [
+    (von_dyck_group(7, 3), MIRROR_TWIST, 14),
+    (von_dyck_group(4, 4), (2, 3, 0, 1), 12),  # x <-> z of a self-dual group
+    (triangle_group(4, 4), (C, B, A), 12),  # a <-> c likewise
+], ids=lambda x: getattr(x, "name", str(x)))
+def test_unseeded_twisted_walk_keeps_one_class_of_each_twin_pair(pres, twist, bound):
+    # every class, twins by any automorphic twist; no seed word sets an entry
+    # at the root, so twisted root 0 is first fixed below it
+    plain = low_index_classes(pres, bound).tables
+    twisted = low_index_classes(pres, bound, twist=twist).tables
+    twin = {t: canonical_table(transform_subgroup(t, twist)) for t in twisted}
+    assert not any(u != t and u in twin for t, u in twin.items())
+    assert sorted({*twin, *twin.values()}, key=lambda t: (t.n, t.flat())) == list(plain)
+    assert len(twisted) < len(plain)
 
 
 @pytest.mark.parametrize("pres, bound, serial, parts", [
