@@ -10,9 +10,10 @@ output at every n < N, so a smaller request is served by trimming, and a
 larger one searches and atomically replaces the file.  Without a
 directory no file is read or written.  A file is two JSON lines, a
 header (schema, engine version, presentation name and relators, bound,
-class count) and the flat coset tables.  A corrupt file, or one of
-another schema, engine or presentation, is a miss that the next search
-replaces, so a change to what the search outputs must bump __version__
+class count) and the flat coset tables, strictly increasing in (index,
+rows).  A corrupt file (a table out of order or repeated included), or
+one of another schema, engine or presentation, is a miss that the next
+search replaces, so a change to what the search outputs must bump __version__
 or SCHEMA_VERSION.
 """
 from __future__ import annotations
@@ -80,6 +81,8 @@ def parse_class_list(text: str, pres: Presentation) -> ClassList:
             raise DomainError("table entry out of range")
         rows = tuple(tuple(flat[i * m : (i + 1) * m]) for i in range(n))
         tables.append(CosetTable(pres.alphabet, rows))
+    if any((len(a), a) >= (len(b), b) for a, b in zip(raw_tables, raw_tables[1:])):
+        raise DomainError("tables are not strictly increasing in (index, rows)")
     return ClassList(pres, max_index, tuple(tables))
 
 

@@ -20,6 +20,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 
 from .coset import (
     CosetTable, canonical_table, fixed_cosets, orientation_sides, reroot, transform_subgroup,
@@ -103,23 +104,30 @@ def colouring_classes(pres: Presentation, max_index: int, *, search=low_index_cl
     """The classes that colour some tiling, as census's default provider serves them.
 
     search(pres, max_index, seeds=..., twist=...) finds one of each pair
-    of mirror twins over the rotation alphabet, and the full-scope ones
-    over the reflection alphabet.  The rotation scope's are orientation
-    subgroups there, and one of index 2k is an index-k subgroup of the von
-    Dyck group (p and q read off the relators).  So that group's classes
-    to max_index // 2, from rotation_classes (a provider's lookup; by
-    default this function), are lifted (_lift) and put in canonical form,
-    where twins lift to one class.  Holding no mirror, none is full-scope.
+    of mirror twins over the rotation alphabet (checked here, once a
+    search: a class listed with its twin is an InternalError), and the
+    full-scope ones over the reflection alphabet.  The rotation scope's
+    are orientation subgroups there, and one of index 2k is an index-k
+    subgroup of the von Dyck group (p and q read off the relators).  So
+    that group's classes to max_index // 2, from rotation_classes (a
+    provider's lookup; by default this function with the same search),
+    are lifted (_lift) and put in canonical form, where twins lift to
+    one class.  Holding no mirror, none is full-scope.
     """
     twist = MIRROR_TWIST if pres.alphabet == ROTATIONS else None
     cl = search(pres, max_index, seeds=colouring_seeds(pres), twist=twist)
+    if twist:
+        twin = {t: canonical_table(transform_subgroup(t, twist)) for t in cl.tables}
+        if any(u != t and u in twin for t, u in twin.items()):
+            raise InternalError("the search listed a rotation class with its mirror twin")
     if pres.alphabet != REFLECTIONS or max_index < 2:
         return cl
     orders = {r[:2]: len(r) // 2 for r in pres.relators}  # (bc)^p and (ab)^q
     p, q = orders.get((B, C), 0), orders.get((A, B), 0)
     if set(triangle_group(p, q).relators) != set(pres.relators):
         raise DomainError(f"{pres.name!r} is not a triangle group")
-    half = (rotation_classes or colouring_classes)(von_dyck_group(p, q), max_index // 2)
+    half = (rotation_classes or partial(colouring_classes, search=search))(
+        von_dyck_group(p, q), max_index // 2)
     tables = {*cl.tables, *(canonical_table(_lift(t)) for t in half.tables)}
     return ClassList(pres, max_index, tuple(sorted(tables, key=lambda t: (t.n, t.flat()))))
 
@@ -192,9 +200,11 @@ def census(
     classes_provider(presentation, max_index) -> ClassList
     supplies the classes; the default, cache.cached_provider() with no
     directory, searches each group once a call and touches no file.  A
-    provider may return more classes than those that colour the
-    tiling, every class included: the census keeps only the colouring
-    ones.
+    provider may return classes that colour no tiling, which the census
+    drops, but its rotation group's list must hold one class of each
+    mirror-twin pair: a class listed twice or with its differing twin is
+    an InternalError (colouring_classes checks its search once, route b
+    its lifts, "both" its counts).
     """
     check_count(max_colours, "max_colours", 1)
     if not isinstance(kind, TilingKind):
@@ -210,8 +220,12 @@ def census(
     tag = "a" if scope is Scope.FULL else strategy  # the full scope has one route
     if tag == "b":
         kept = _census_rotation_b(p, q, kind, max_colours, provider)
+        # a repeat or a twin lifts onto a class already lifted
+        lifted = {canonical_table(_lift(t)) for t in kept}
+        if len(lifted) != len(kept):
+            raise InternalError("a rotation class is listed twice or with its mirror twin")
         # in the reflection group's class-list order, so the entries are route a's
-        tables = sorted((canonical_table(_lift(t)) for t in kept), key=lambda t: (t.n, t.flat()))
+        tables = sorted(lifted, key=lambda t: (t.n, t.flat()))
     else:
         scale = 1 if scope is Scope.FULL else 2
         tables = provider(triangle_group(p, q), scale * max_colours).tables
@@ -225,16 +239,8 @@ def census(
                 f"a={ma} b={dict(sorted(mb.items()))}"
             )
 
-    return CensusReport(
-        p=p,
-        q=q,
-        kind=kind,
-        scope=scope,
-        max_colours=max_colours,
-        strategy=tag,
-        entries=entries,
-        elapsed=time.perf_counter() - started,
-    )
+    return CensusReport(p=p, q=q, kind=kind, scope=scope, max_colours=max_colours,
+                        strategy=tag, entries=entries, elapsed=time.perf_counter() - started)
 
 
 def _census_reflection(tables, kind, scope) -> tuple[CensusEntry, ...]:
@@ -259,25 +265,18 @@ def _census_reflection(tables, kind, scope) -> tuple[CensusEntry, ...]:
 
 
 def _census_rotation_b(p, q, kind, max_colours, provider) -> list[CosetTable]:
-    """The rotation group's classes that colour the tiling, one of each twin pair.
+    """The rotation group's classes that colour the tiling, as the provider lists them.
 
     Classes there are conjugacy classes under rotations only; the mirror
     twist (an outer automorphism) can identify two of them, and such a
     pair is one colouring class of the unoriented tiling.  The provider
-    lists one class of each pair, so all that colour the tiling are kept,
-    once no class is seen listed twice or with its twin.
+    lists one class of each pair, as colouring_classes checks its search
+    does, so all that colour the tiling are kept; census refuses a list
+    that breaks this.
     """
     word = rotation_required_word(kind)
-    classes = provider(von_dyck_group(p, q), max_colours)
-    qualifying = [t for t in classes.tables if fixed_cosets(t, (word,))]
-    listed = set(qualifying)
-    if len(listed) != len(qualifying):
-        raise InternalError("a rotation class is listed twice")
-    for t in qualifying:
-        twin = canonical_table(transform_subgroup(t, MIRROR_TWIST))
-        if twin != t and twin in listed:
-            raise InternalError("a rotation class is listed with its mirror twin")
-    return qualifying
+    return [t for t in provider(von_dyck_group(p, q), max_colours).tables
+            if fixed_cosets(t, (word,))]
 
 
 def colour_permutation(t: CosetTable, w: Word) -> tuple[int, ...]:
@@ -293,15 +292,10 @@ def colour_permutation(t: CosetTable, w: Word) -> tuple[int, ...]:
 def format_census(report: CensusReport, style: str = "plain") -> str:
     """Render a report: 'plain' one-line multiplicity list, 'json', or 'csv'."""
     if style == "plain":
-        parts = []
-        for e in report.entries:
-            parts.append(
-                f"{e.colours}^{{{e.count}}}" if e.count >= 2 else str(e.colours)
-            )
+        parts = (f"{e.colours}^{{{e.count}}}" if e.count >= 2 else str(e.colours)
+                 for e in report.entries)
         label = report.kind.display(report.p, report.q)
-        return f"{label} {report.scope.value} <= {report.max_colours}: " + ", ".join(
-            parts
-        )
+        return f"{label} {report.scope.value} <= {report.max_colours}: " + ", ".join(parts)
     if style == "json":
         import json
 

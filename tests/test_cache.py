@@ -176,6 +176,32 @@ def test_boolean_table_entries_are_a_miss(tmp_path, classes, monkeypatch):
         assert fh.read() == serialize_class_list(classes)
 
 
+@pytest.mark.parametrize("doctor", ["repeat", "swap"])
+def test_tables_out_of_order_or_repeated_are_a_miss(tmp_path, capsys, doctor):
+    # a class list is strictly increasing in (index, rows); a file that
+    # repeats the 8-colour class, with its header count raised to match,
+    # would count it twice, so it is refused, searched again and rewritten
+    argv = ["census", "--p", "7", "--q", "3", "--max-colours", "12", "--cache-dir", str(tmp_path)]
+    assert main(argv) == 0
+    line = capsys.readouterr().out
+    assert line == "(7^3) full <= 12: 1, 8\n"
+    path = tmp_path / "triangle-7-3.json"
+    text = path.read_text()
+    header, tables = map(json.loads, text.splitlines())
+    i = next(i for i, flat in enumerate(tables) if len(flat) == 3 * 8)
+    if doctor == "repeat":
+        tables.insert(i, tables[i])
+    else:
+        tables[i - 1], tables[i] = tables[i], tables[i - 1]
+    header["classes"] = len(tables)
+    path.write_text(f"{json.dumps(header)}\n{json.dumps(tables)}\n")
+    with pytest.raises(DomainError, match="strictly increasing"):
+        parse_class_list(path.read_text(), triangle_group(7, 3))
+    assert main(argv) == 0
+    assert capsys.readouterr().out == line
+    assert path.read_text() == text
+
+
 def test_schema_3_list_of_both_twins_is_searched_again(tmp_path, capsys):
     # schema 3 filed both classes of each von Dyck twin pair, which route b
     # now refuses: under a schema-4 stamp the census exits 1, so the bump
@@ -190,7 +216,7 @@ def test_schema_3_list_of_both_twins_is_searched_again(tmp_path, capsys):
     assert json.loads(header)["schema_version"] == SCHEMA_VERSION == 4
     path.write_text(f"{header}\n{tables}\n")
     assert main(argv) == 1
-    assert "listed with its mirror twin" in capsys.readouterr().err
+    assert "listed twice or with its mirror twin" in capsys.readouterr().err
     _rewrite_header(path, schema_version=3)
     assert main(argv) == 0
     assert capsys.readouterr().out == line

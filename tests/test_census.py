@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -21,7 +22,7 @@ from colsym.census import (
 from colsym.coset import (
     CosetTable, canonical_table, fixed_cosets, orientation_sides, transform_subgroup,
 )
-from colsym.errors import DomainError
+from colsym.errors import DomainError, InternalError
 from colsym.geometry import generate_patch
 from colsym.lowindex import low_index_classes
 from colsym.presentations import MIRROR_TWIST, Presentation, triangle_group, von_dyck_group
@@ -151,6 +152,55 @@ def test_route_b_keeps_the_first_class_of_each_twin_pair(provider):
         assert list(twist_closure(kept)) == [t for t in plain if fixed_cosets(t, word)]
         pairs += len(twist_closure(kept)) - len(kept)
     assert pairs > 0
+
+
+def test_colouring_classes_searches_its_rotation_half_with_its_own_search():
+    # a node budget or jobs value in the search reaches the von Dyck half too
+    searched = []
+
+    def search(pres, max_index, **kw):
+        searched.append((pres.name, max_index))
+        return low_index_classes(pres, max_index, **kw)
+
+    assert colouring_classes(triangle_group(7, 3), 32, search=search) == colouring_classes(
+        triangle_group(7, 3), 32)
+    assert searched == [("triangle-7-3", 32), ("vondyck-7-3", 16)]
+
+
+def test_untwisted_search_inside_colouring_classes_is_refused():
+    # the plain walk lists both classes of each twin pair, which the check
+    # where the list is made refuses
+    def untwisted(pres, max_index, *, seeds, twist):
+        return low_index_classes(pres, max_index, seeds=seeds)
+
+    with pytest.raises(InternalError, match="listed a rotation class with its mirror twin"):
+        colouring_classes(von_dyck_group(7, 3), 24, search=untwisted)
+
+
+@pytest.mark.parametrize("strategy", ["b", "both"])
+def test_provider_of_plain_walk_lists_is_refused(strategy):
+    # every class of each group: the von Dyck list holds both classes of each
+    # twin pair, so a class that colours the tiling comes with its twin
+    with pytest.raises(InternalError):
+        census(7, 3, TilingKind.LAVES, Scope.ROTATION, 22, strategy=strategy,
+               classes_provider=lambda pres, n: low_index_classes(pres, n))
+
+
+@pytest.mark.parametrize("strategy", ["b", "both"])
+def test_rotation_list_with_a_class_twice_is_refused(strategy):
+    # the index-1 class colours every tiling and is its own twin; route b
+    # lifts both copies onto one class, and "both" counts it twice
+    real = cached_provider()
+
+    def doctored(pres, max_index):
+        cl = real(pres, max_index)
+        if pres.name.startswith("vondyck"):
+            return replace(cl, tables=cl.tables + cl.tables[:1])
+        return cl
+
+    with pytest.raises(InternalError):
+        census(7, 3, TilingKind.PQ, Scope.ROTATION, 24, strategy=strategy,
+               classes_provider=doctored)
 
 
 def test_rotation_strategies_agree_euclidean(provider):

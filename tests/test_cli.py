@@ -404,26 +404,24 @@ def test_rotation_routes_that_disagree_exit_1(capsys, cache_dir, monkeypatch):
     assert "rotation strategies disagree" in err
 
 
-def test_class_listed_with_its_mirror_twin_exits_1(capsys, cache_dir, monkeypatch):
+def _add_one_twin(tables):
     # the list holds one class of each twin pair; the twin of one that colours
     # the tiling and differs from it is added
-    def add_one_twin(tables):
-        twins = (canonical_table(transform_subgroup(t, MIRROR_TWIST))
-                 for t in tables if fixed_cosets(t, ((ZGEN,),)))
-        return tables + (next(u for u in twins if u not in tables),)
+    twins = (canonical_table(transform_subgroup(t, MIRROR_TWIST))
+             for t in tables if fixed_cosets(t, ((ZGEN,),)))
+    return tables + (next(u for u in twins if u not in tables),)
 
-    doctor_rotation_classes(monkeypatch, add_one_twin)
+
+@pytest.mark.parametrize("edit", [
+    _add_one_twin,
+    lambda ts: ts + ts[:1],  # the index-1 class colours every tiling, and is its own twin
+], ids=["with_its_mirror_twin", "twice"])
+def test_class_listed_twice_or_with_its_mirror_twin_exits_1(capsys, cache_dir, monkeypatch, edit):
+    # route b lifts either onto a class it already holds
+    doctor_rotation_classes(monkeypatch, edit)
     code, out, err = run_cli(capsys, *ROTATION_CENSUS, "--cache-dir", cache_dir)
     assert (code, out) == (1, "")
-    assert "a rotation class is listed with its mirror twin" in err
-
-
-def test_class_listed_twice_exits_1(capsys, cache_dir, monkeypatch):
-    # the index-1 class colours every tiling, and is its own twin
-    doctor_rotation_classes(monkeypatch, lambda ts: ts + ts[:1])
-    code, out, err = run_cli(capsys, *ROTATION_CENSUS, "--cache-dir", cache_dir)
-    assert (code, out) == (1, "")
-    assert "a rotation class is listed twice" in err
+    assert "a rotation class is listed twice or with its mirror twin" in err
 
 
 def test_selftest_prints_fail_for_a_mismatched_row(capsys, cache_dir, monkeypatch):
