@@ -9,28 +9,28 @@ searched so far: the search output at bound N literally contains the
 output at every n < N, so a smaller request is served by trimming, and a
 larger one searches and atomically replaces the file.  Without a
 directory no file is read or written.  A file is two JSON lines, a
-header (schema, engine version, presentation name and relators, bound,
-class count) and the flat coset tables, strictly increasing in (index,
-rows).  A corrupt file (a table out of order or repeated included), or
-one of another schema, engine or presentation, is a miss that the next
-search replaces, so a change to what the search outputs must bump __version__
-or SCHEMA_VERSION.
+header (the code stamp, presentation name and relators, bound, class
+count) and the flat coset tables, strictly increasing in (index, rows).
+The code stamp is the crc32 of the source of the modules that decide a
+class list or its file (see _code), so a file written by other code, a
+corrupt one (a table out of order or repeated included) and one of
+another presentation are all a miss that the next search replaces.
 """
 from __future__ import annotations
 
+import functools
 import json
 import os
+import pathlib
 import re
 import tempfile
+import zlib
 
-from . import __version__
 from .coset import CosetTable
 from .errors import DomainError, check_count
 from .census import colouring_classes
 from .lowindex import ClassList, low_index_classes
 from .presentations import Presentation
-
-SCHEMA_VERSION = 4  # 4: one von Dyck class per twin pair; 3 held both; 2 every class
 
 _NAME_RE = re.compile(r"(triangle|vondyck)-(\d+)-(\d+)")
 
@@ -41,10 +41,18 @@ def _path(pres: Presentation, cache_dir: str) -> str:
     return os.path.join(cache_dir, pres.name + ".json")
 
 
+@functools.cache
+def _code() -> str:
+    """The crc32 of the source of the modules that decide a class list or its file, in hex."""
+    crc = 0
+    for name in ("words", "presentations", "coset", "lowindex", "census", "cache"):
+        crc = zlib.crc32(pathlib.Path(__file__).with_name(name + ".py").read_bytes(), crc)
+    return f"{crc:08x}"
+
+
 def _stamp(pres: Presentation) -> dict:
-    """The header fields a file of pres must hold to be read back: schema, engine, presentation."""
-    return {"schema_version": SCHEMA_VERSION, "engine": __version__, "name": pres.name,
-            "relators": [list(r) for r in pres.relators]}
+    """The header fields a file of pres must hold to be read back: code and presentation."""
+    return {"code": _code(), "name": pres.name, "relators": [list(r) for r in pres.relators]}
 
 
 def serialize_class_list(cl: ClassList) -> str:
@@ -63,7 +71,7 @@ def parse_class_list(text: str, pres: Presentation) -> ClassList:
         raise DomainError("header is not an object")
     stale = [k for k, v in _stamp(pres).items() if header.get(k) != v]
     if stale:
-        raise DomainError(f"not a list of {pres.name!r} by this engine: {', '.join(stale)} differ")
+        raise DomainError(f"not a list of {pres.name!r} by this code: {', '.join(stale)} differ")
     if not all(type(header.get(k)) is int for k in ("max_index", "classes")):
         raise DomainError("missing or malformed max_index or classes")
     max_index = header["max_index"]
@@ -99,8 +107,8 @@ def load_classes(pres: Presentation, max_index: int, cache_dir: str) -> ClassLis
 def store_classes(cl: ClassList, cache_dir: str) -> str:
     """Atomically replace the presentation's file with cl; returns its path."""
     path = _path(cl.presentation, cache_dir)
-    data = serialize_class_list(cl)
     try:
+        data = serialize_class_list(cl)  # reads the stamped modules' source on first use
         os.makedirs(cache_dir, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix="colsym-", suffix=".tmp")
     except OSError as e:

@@ -23,7 +23,7 @@ from itertools import permutations
 
 from .errors import DomainError, ResourceLimit, check_count
 from .presentations import Geometry, classify_geometry
-from .words import A, B, C, Word
+from .words import A, B, C, REFLECTIONS, Word
 
 # the most triangles a patch may hold; a deeper patch is a ResourceLimit
 TILE_BUDGET = 200_000
@@ -147,6 +147,7 @@ class TrianglePatch:
 
     def walk(self, i: int, w: Word) -> int:
         """The tile i.w, or -1 once the walk leaves the patch."""
+        REFLECTIONS.check_word(w)
         for g in w:
             if i < 0:
                 break

@@ -460,8 +460,10 @@ def low_index_classes(
     walks = UNSEEDED if seeds is None else tuple(seeds)
     if not walks:
         raise DomainError("seeds must hold at least one seed")
-    if any(len(w) > 2 for seed in walks for w in seed):
-        raise DomainError("a seed word has at most two letters")
+    for w in (w for seed in walks for w in seed):
+        pres.alphabet.check_word(w, "seed word")
+        if len(w) > 2:
+            raise DomainError("a seed word has at most two letters")
     inv, cycles = pres.alphabet.inv, twist and {w for ws in _trace_words(pres) for w in ws}
     if twist is not None and (sorted(twist) != sorted(inv) or any(
             twist[twist[g]] != g or twist[inv[g]] != inv[twist[g]] for g in inv)

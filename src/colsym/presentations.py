@@ -48,12 +48,10 @@ class Presentation:
     name: str
 
     def __post_init__(self):
-        size = self.alphabet.size
         for r in self.relators:
             if not r:
                 raise DomainError("empty relator")
-            if any(g < 0 or g >= size for g in r):
-                raise DomainError(f"relator {r} has letters outside the alphabet")
+            self.alphabet.check_word(r, "relator")
 
 
 def _check_pq(p: int, q: int) -> None:

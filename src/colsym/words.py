@@ -43,6 +43,11 @@ class Alphabet:
     def size(self) -> int:
         return len(self.names)
 
+    def check_word(self, w: Word, what: str = "word") -> None:
+        """Raise DomainError unless every letter of w is an int index of this alphabet."""
+        if any(type(g) is not int or not 0 <= g < self.size for g in w):
+            raise DomainError(f"{what} {w} has letters outside the alphabet {self.names}")
+
     def inverse_word(self, w: Word) -> Word:
         inv = self.inv
         return tuple(inv[g] for g in reversed(w))

@@ -1,14 +1,15 @@
 import gc
+import importlib
 import json
 import os
+import pathlib
 import weakref
+import zlib
 
 import pytest
 
 import colsym.cache
-from colsym import __version__
 from colsym.cache import (
-    SCHEMA_VERSION,
     cached_provider,
     load_classes,
     parse_class_list,
@@ -42,6 +43,18 @@ def _rewrite_header(path, **changes):
     lines[0] = json.dumps(header) + "\n"
     with open(path, "w") as fh:
         fh.writelines(lines)
+
+
+def _source_crc():
+    """The code stamp worked out afresh: the crc32 of the six deciding modules, in order."""
+    names = ("words", "presentations", "coset", "lowindex", "census", "cache")
+    files = (importlib.import_module(f"colsym.{name}").__file__ for name in names)
+    return f"{zlib.crc32(b''.join(pathlib.Path(f).read_bytes() for f in files)):08x}"
+
+
+def _other(code):
+    """A code stamp that differs from code."""
+    return f"{int(code, 16) ^ 1:08x}"
 
 
 def _counting(monkeypatch, name):
@@ -109,31 +122,106 @@ def test_corrupt_file_is_a_silent_miss(tmp_path, classes):
 
 
 def test_other_engine_is_recomputed_and_overwritten(tmp_path, classes):
-    # a file from another engine version may hold a different search
-    # output; here it is a truncated list that must not be served
+    # a file written by other code may hold a different search output;
+    # here it is a truncated list that must not be served
     path = store_classes(classes, str(tmp_path))
     with open(path) as fh:
-        header, tables = fh.readlines()
+        header, tables = map(json.loads, fh.readlines())
+    code = header["code"]
     with open(path, "w") as fh:
-        fh.write(header.replace(__version__, "0.0.0") + json.dumps(json.loads(tables)[:1]))
+        fh.write(json.dumps({**header, "code": _other(code)}) + "\n" + json.dumps(tables[:1]))
     G = triangle_group(4, 3)
     assert load_classes(G, 6, str(tmp_path)) is None
 
     got = cached_provider(str(tmp_path))(G, 6)
     assert [t.flat() for t in got.tables] == [t.flat() for t in classes.tables]
-    assert _header_line(path)["engine"] == __version__
+    assert _header_line(path)["code"] == code
     back = load_classes(G, 6, str(tmp_path))
     assert [t.flat() for t in back.tables] == [t.flat() for t in classes.tables]
+
+
+def test_header_holds_the_code_stamp_and_the_presentation(classes):
+    header = json.loads(serialize_class_list(classes).partition("\n")[0])
+    assert header == {
+        "code": _source_crc(),
+        "name": "triangle-4-3",
+        "relators": [list(r) for r in triangle_group(4, 3).relators],
+        "max_index": 6,
+        "classes": len(classes.tables),
+    }
+    assert list(header) == ["code", "name", "relators", "max_index", "classes"]
+
+
+def test_census_file_of_other_code_is_searched_again_and_rewritten(tmp_path, capsys, monkeypatch):
+    # a file whose code stamp differs is a miss, whatever it holds: the
+    # census searches again and rewrites both files with the current stamp
+    argv = ["census", "--p", "7", "--q", "3", "--max-colours", "24", "--cache-dir", str(tmp_path)]
+    assert main(argv) == 0
+    line = capsys.readouterr().out
+    names = ["triangle-7-3.json", "vondyck-7-3.json"]
+    assert sorted(os.listdir(tmp_path)) == names
+    texts = [(tmp_path / name).read_text() for name in names]
+    for name in names:
+        _rewrite_header(tmp_path / name, code=_other(_source_crc()))
+    searched = _counting(monkeypatch, "low_index_classes")
+    assert main(argv) == 0
+    assert capsys.readouterr().out == line
+    assert searched == [("triangle-7-3", 24), ("vondyck-7-3", 12)]
+    assert [(tmp_path / name).read_text() for name in names] == texts
+    assert all(_header_line(tmp_path / name)["code"] == _source_crc() for name in names)
+
+
+def test_provider_without_a_directory_never_computes_the_code_stamp(monkeypatch):
+    def refuse():
+        raise AssertionError("a provider without a directory computed the code stamp")
+
+    monkeypatch.setattr(colsym.cache, "_code", refuse)
+    assert main(["census", "--p", "7", "--q", "3", "--max-colours", "24"]) == 0
+    prov = cached_provider()
+    assert prov(triangle_group(4, 3), 6).max_index == 6
+    assert prov(von_dyck_group(5, 4), 8).max_index == 8
+
+
+def test_code_stamp_is_computed_once_per_process(tmp_path, monkeypatch):
+    reads = []
+    real = pathlib.Path.read_bytes
+
+    def counted(path):
+        reads.append(path.name)
+        return real(path)
+
+    colsym.cache._code.cache_clear()
+    monkeypatch.setattr(pathlib.Path, "read_bytes", counted)
+    for bound in (6, 8):  # files of both groups stored, read back, trimmed and replaced
+        cached_provider(str(tmp_path))(triangle_group(4, 3), bound)
+        cached_provider(str(tmp_path))(triangle_group(4, 3), bound)
+    assert colsym.cache._code.cache_info().misses == 1
+    assert reads == ["words.py", "presentations.py", "coset.py", "lowindex.py", "census.py",
+                     "cache.py"]
+    assert colsym.cache._code() == _source_crc()
+
+
+def test_unreadable_source_keeps_the_result_and_writes_no_file(tmp_path, classes, monkeypatch):
+    # an install without the modules' source cannot stamp a file: every
+    # file is a miss and none is written, but the searched list is served
+    def unreadable():
+        raise FileNotFoundError("no source for the code stamp")
+
+    monkeypatch.setattr(colsym.cache, "_code", unreadable)
+    with pytest.raises(DomainError):
+        store_classes(classes, str(tmp_path))
+    got = cached_provider(str(tmp_path))(triangle_group(4, 3), 6)
+    assert [t.flat() for t in got.tables] == [t.flat() for t in classes.tables]
+    assert os.listdir(tmp_path) == []
 
 
 def test_parse_rejects_malformed_documents(classes):
     G = triangle_group(4, 3)
     header, tables = map(json.loads, serialize_class_list(classes).splitlines())
     for breakage in (
-        lambda h, t: h.pop("schema_version"),
-        lambda h, t: h.update(schema_version=1),
-        lambda h, t: h.update(schema_version=2),  # held every class, not the colouring ones
-        lambda h, t: h.update(schema_version=3),  # held both classes of each von Dyck twin pair
+        lambda h, t: h.pop("code"),
+        lambda h, t: h.update(code=_other(h["code"])),  # written by other code
+        lambda h, t: h.update(code=int(h["code"], 16)),  # the stamp as a number, not a string
         lambda h, t: h.update(name="triangle-7-3"),  # another group's list
         lambda h, t: h.update(relators=h["relators"][:-1]),
         lambda h, t: h.update(max_index="six"),
@@ -203,9 +291,10 @@ def test_tables_out_of_order_or_repeated_are_a_miss(tmp_path, capsys, doctor):
 
 
 def test_schema_3_list_of_both_twins_is_searched_again(tmp_path, capsys):
-    # schema 3 filed both classes of each von Dyck twin pair, which route b
-    # now refuses: under a schema-4 stamp the census exits 1, so the bump
-    # makes the old file a miss, searched again and rewritten
+    # the code of cache schema 3 filed both classes of each von Dyck twin
+    # pair, which route b now refuses: under the current code stamp the
+    # census exits 1, and under that code's own stamp the file is a miss,
+    # searched again and rewritten
     V = von_dyck_group(7, 3)
     header, tables, _ = serialize_class_list(
         low_index_classes(V, 24, seeds=colouring_seeds(V))).split("\n")
@@ -213,11 +302,12 @@ def test_schema_3_list_of_both_twins_is_searched_again(tmp_path, capsys):
     argv = ["census", "--p", "7", "--q", "3", "--scope", "rotation", "--max-colours", "24",
             "--cache-dir", str(tmp_path)]
     line = "(7^3) rotation <= 24: 1, 8, 9, 15^{2}, 22^{7}, 24\n"
-    assert json.loads(header)["schema_version"] == SCHEMA_VERSION == 4
+    code = json.loads(header)["code"]
+    assert code == _source_crc()
     path.write_text(f"{header}\n{tables}\n")
     assert main(argv) == 1
     assert "listed twice or with its mirror twin" in capsys.readouterr().err
-    _rewrite_header(path, schema_version=3)
+    _rewrite_header(path, code=_other(code))
     assert main(argv) == 0
     assert capsys.readouterr().out == line
     assert path.read_text() == serialize_class_list(colouring_classes(V, 24))
@@ -325,14 +415,15 @@ def test_one_file_per_group_holds_the_largest_search(tmp_path, monkeypatch):
 
 def test_stale_file_at_a_larger_bound_is_replaced(tmp_path, classes, monkeypatch):
     path = store_classes(classes, str(tmp_path))
-    _rewrite_header(path, engine="0.0.0")
+    code = _header_line(path)["code"]
+    _rewrite_header(path, code=_other(code))
     searched = _counting(monkeypatch, "low_index_classes")
     got = cached_provider(str(tmp_path))(triangle_group(4, 3), 4)
     assert searched == [("triangle-4-3", 4), ("vondyck-4-3", 2)]
     assert [t.flat() for t in got.tables] == [t.flat() for t in classes.tables if t.n <= 4]
     assert sorted(os.listdir(tmp_path)) == ["triangle-4-3.json", "vondyck-4-3.json"]
     header = _header_line(path)
-    assert (header["engine"], header["max_index"]) == (__version__, 4)
+    assert (header["code"], header["max_index"]) == (code, 4)
 
 
 def test_memo_keeps_the_whole_list_it_read(tmp_path, classes, monkeypatch):

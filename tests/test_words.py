@@ -88,3 +88,43 @@ def test_alphabet_validation():
 def test_generator_columns():
     assert generator_columns(REFLECTIONS) == (A, B, C)
     assert generator_columns(ROTATIONS) == (XGEN, ZGEN)
+
+
+def test_alphabet_checks_the_letters_of_a_word():
+    REFLECTIONS.check_word(())
+    REFLECTIONS.check_word((A, B, C))
+    ROTATIONS.check_word((XGEN, XINV, ZGEN, ZINV))
+    for w in ((3,), (-1,), (A, 3), (True,), (1.0,), ("a",)):
+        with pytest.raises(DomainError, match="outside the alphabet"):
+            REFLECTIONS.check_word(w)
+    with pytest.raises(DomainError, match="relator"):
+        ROTATIONS.check_word((ZINV + 1,), "relator")
+
+
+def test_letters_outside_the_alphabet_are_refused_at_every_entry_point():
+    # a negative letter would alias the last one (-1 reads as c), and one
+    # past the end indexed out of a row
+    from colsym.census import Scope, TilingKind, census, colour_permutation
+    from colsym.geometry import generate_patch
+    from colsym.lowindex import low_index_classes
+    from colsym.presentations import Presentation, triangle_group
+    from colsym.render import colour_patch, verify_perfect_on_patch
+
+    G = triangle_group(7, 3)
+    (entry,) = [e for e in census(7, 3, TilingKind.PQ, Scope.FULL, 8).entries if e.colours == 8]
+    t = entry.representatives[0].table
+    cp = colour_patch(generate_patch(7, 3, 4), t, TilingKind.PQ)
+    for bad in ((3,), (-1,), (A, 5)):
+        cases = [
+            lambda: low_index_classes(G, 8, seeds=((bad,),)),
+            lambda: verify_perfect_on_patch(cp, bad),
+            lambda: colour_permutation(t, bad),
+            lambda: cp.patch.image(bad),
+            lambda: cp.patch.walk(0, bad),
+            lambda: Presentation(REFLECTIONS, ((A, A), bad), "bad-letters"),
+        ]
+        for case in cases:
+            with pytest.raises(DomainError, match="outside the alphabet"):
+                case()
+    assert verify_perfect_on_patch(cp, (C,))
+    assert colour_permutation(t, (C,)) == tuple(t.action((C,)))
