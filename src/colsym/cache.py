@@ -10,11 +10,14 @@ output at every n < N, so a smaller request is served by trimming, and a
 larger one searches and atomically replaces the file.  Without a
 directory no file is read or written.  A file is two JSON lines, a
 header (the code stamp, presentation name and relators, bound, class
-count) and the flat coset tables, strictly increasing in (index, rows).
-The code stamp is the crc32 of the source of the modules that decide a
-class list or its file (see _code), so a file written by other code, a
-corrupt one (a table out of order or repeated included) and one of
-another presentation are all a miss that the next search replaces.
+count, and the crc32 of the table line with its newline) and the table
+line: the flat coset tables, strictly increasing in (index, rows), in
+digits, brackets, commas, spaces and newlines only.  The code stamp is
+the crc32 of the source of the modules that decide a class list or its
+file (see _code), so a file written by other code, a corrupt one (a
+table line edited under its header included) and one of another
+presentation are all a miss that the next search replaces.  A writer
+who edits the tables and fixes the crc too is not caught by the crc.
 """
 from __future__ import annotations
 
@@ -56,39 +59,45 @@ def _stamp(pres: Presentation) -> dict:
 
 
 def serialize_class_list(cl: ClassList) -> str:
-    header = {**_stamp(cl.presentation), "max_index": cl.max_index, "classes": len(cl.tables)}
-    return f"{json.dumps(header)}\n{json.dumps([list(t.flat()) for t in cl.tables])}\n"
+    line = json.dumps([list(t.flat()) for t in cl.tables]) + "\n"
+    header = {**_stamp(cl.presentation), "max_index": cl.max_index, "classes": len(cl.tables),
+              "crc": f"{zlib.crc32(line.encode()):08x}"}
+    return f"{json.dumps(header)}\n{line}"
 
 
-def parse_class_list(text: str, pres: Presentation) -> ClassList:
-    """The class list of pres that serialize_class_list wrote as text."""
-    first, _, rest = text.partition("\n")
+def parse_class_list(text: str | bytes, pres: Presentation) -> ClassList:
+    """The class list of pres that serialize_class_list wrote as text (or its bytes)."""
+    first, _, line = (text.encode() if isinstance(text, str) else text).partition(b"\n")
     try:
-        header, raw_tables = json.loads(first), json.loads(rest)
-    except json.JSONDecodeError as e:
+        header, raw_tables = json.loads(first.decode("ascii")), json.loads(line)
+    except ValueError as e:
         raise DomainError(f"not valid JSON: {e}") from None
     if not isinstance(header, dict):
         raise DomainError("header is not an object")
     stale = [k for k, v in _stamp(pres).items() if header.get(k) != v]
     if stale:
         raise DomainError(f"not a list of {pres.name!r} by this code: {', '.join(stale)} differ")
+    if header.get("crc") != f"{zlib.crc32(line):08x}":
+        raise DomainError("the table line does not match the header's crc")
     if not all(type(header.get(k)) is int for k in ("max_index", "classes")):
         raise DomainError("missing or malformed max_index or classes")
     max_index = header["max_index"]
     if not isinstance(raw_tables, list) or len(raw_tables) != header["classes"]:
         raise DomainError("tables missing or fewer or more than the header says")
+    if (line.translate(None, b"0123456789[], \n") or line.count(b"[") != len(raw_tables) + 1
+            or not all(type(flat) is list for flat in raw_tables)):
+        raise DomainError("the table line is not one list of lists of unsigned integers")
     m = pres.alphabet.size
     tables = []
     for flat in raw_tables:
-        if not isinstance(flat, list) or len(flat) % m:
+        if len(flat) % m:
             raise DomainError("table length is not a multiple of the alphabet size")
         n = len(flat) // m
         if not 0 < n <= max_index:
             raise DomainError(f"table of index {n} in a list to index {max_index}")
-        if any(type(v) is not int or not 0 <= v < n for v in flat):
+        if max(flat) >= n:
             raise DomainError("table entry out of range")
-        rows = tuple(tuple(flat[i * m : (i + 1) * m]) for i in range(n))
-        tables.append(CosetTable(pres.alphabet, rows))
+        tables.append(CosetTable(pres.alphabet, tuple(zip(*[iter(flat)] * m))))
     if any((len(a), a) >= (len(b), b) for a, b in zip(raw_tables, raw_tables[1:])):
         raise DomainError("tables are not strictly increasing in (index, rows)")
     return ClassList(pres, max_index, tuple(tables))
@@ -97,7 +106,7 @@ def parse_class_list(text: str, pres: Presentation) -> ClassList:
 def load_classes(pres: Presentation, max_index: int, cache_dir: str) -> ClassList | None:
     """The stored list of pres, untrimmed, if it reaches max_index; else None."""
     try:
-        with open(_path(pres, cache_dir), "r", encoding="ascii") as fh:
+        with open(_path(pres, cache_dir), "rb") as fh:
             cl = parse_class_list(fh.read(), pres)
     except (OSError, ValueError, DomainError):
         return None  # missing, corrupt, stale, foreign or unnamed: search it

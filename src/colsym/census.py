@@ -286,7 +286,6 @@ def colour_permutation(t: CosetTable, w: Word) -> tuple[int, ...]:
     tile gF to wgF, so colour i goes to the coset reached from i by
     w^-1 on the right.
     """
-    t.alphabet.check_word(w)
     return tuple(t.action(t.alphabet.inverse_word(w)))
 
 

@@ -53,7 +53,8 @@ def fixed_cosets(t: CosetTable, words) -> frozenset[int]:
 
     Coset i is fixed by w exactly when w lies in the subgroup conjugate
     w_i S w_i^-1 attached to coset i, so a nonempty result says some
-    conjugate of S contains all the words.
+    conjugate of S contains all the words.  Like action, it does not
+    check the letters: every census runs it on every class it scans.
     """
     fixed = range(t.n)
     for w in words:  # each later word read only from the cosets still fixed

@@ -49,6 +49,7 @@ class Alphabet:
             raise DomainError(f"{what} {w} has letters outside the alphabet {self.names}")
 
     def inverse_word(self, w: Word) -> Word:
+        self.check_word(w)
         inv = self.inv
         return tuple(inv[g] for g in reversed(w))
 

@@ -18,6 +18,7 @@ from colsym.cache import (
 )
 from colsym.census import colouring_classes, colouring_seeds
 from colsym.cli import main
+from colsym.coset import CosetTable, reroot
 from colsym.errors import DomainError
 from colsym.lowindex import low_index_classes
 from colsym.presentations import Presentation, triangle_group, von_dyck_group
@@ -52,6 +53,17 @@ def _source_crc():
     return f"{zlib.crc32(b''.join(pathlib.Path(f).read_bytes() for f in files)):08x}"
 
 
+def _crc(line):
+    """The crc a header holds for a table line (with its newline): crc32 in hex."""
+    return f"{zlib.crc32(line.encode()):08x}"
+
+
+def _document(header, tables, **spacing):
+    """The text of a file of header and tables, its crc fixed to match as a writer could."""
+    line = json.dumps(tables, **spacing) + "\n"
+    return f"{json.dumps({**header, 'crc': _crc(line)})}\n{line}"
+
+
 def _other(code):
     """A code stamp that differs from code."""
     return f"{int(code, 16) ^ 1:08x}"
@@ -76,6 +88,11 @@ def test_serialize_parse_round_trip(classes):
     assert back.presentation == classes.presentation
     assert back.max_index == classes.max_index
     assert [t.flat() for t in back.tables] == [t.flat() for t in classes.tables]
+    assert parse_class_list(text.encode(), triangle_group(4, 3)) == back
+    # the table line's bytes in any JSON spacing, under their crc, read the same
+    header, tables = map(json.loads, text.splitlines())
+    for spacing in ({"separators": (",", ":")}, {"indent": 1}):
+        assert parse_class_list(_document(header, tables, **spacing), triangle_group(4, 3)) == back
 
 
 def test_store_load_round_trip(tmp_path, classes):
@@ -141,15 +158,17 @@ def test_other_engine_is_recomputed_and_overwritten(tmp_path, classes):
 
 
 def test_header_holds_the_code_stamp_and_the_presentation(classes):
-    header = json.loads(serialize_class_list(classes).partition("\n")[0])
+    first, _, line = serialize_class_list(classes).partition("\n")
+    header = json.loads(first)
     assert header == {
         "code": _source_crc(),
         "name": "triangle-4-3",
         "relators": [list(r) for r in triangle_group(4, 3).relators],
         "max_index": 6,
         "classes": len(classes.tables),
+        "crc": _crc(line),
     }
-    assert list(header) == ["code", "name", "relators", "max_index", "classes"]
+    assert list(header) == ["code", "name", "relators", "max_index", "classes", "crc"]
 
 
 def test_census_file_of_other_code_is_searched_again_and_rewritten(tmp_path, capsys, monkeypatch):
@@ -219,26 +238,65 @@ def test_parse_rejects_malformed_documents(classes):
     G = triangle_group(4, 3)
     header, tables = map(json.loads, serialize_class_list(classes).splitlines())
     for breakage in (
-        lambda h, t: h.pop("code"),
-        lambda h, t: h.update(code=_other(h["code"])),  # written by other code
-        lambda h, t: h.update(code=int(h["code"], 16)),  # the stamp as a number, not a string
-        lambda h, t: h.update(name="triangle-7-3"),  # another group's list
-        lambda h, t: h.update(relators=h["relators"][:-1]),
-        lambda h, t: h.update(max_index="six"),
-        lambda h, t: h.update(max_index=4),  # holds tables of index 6
-        lambda h, t: h.update(classes=len(t) + 1),
-        lambda h, t: (t.append([0, 0]), h.update(classes=len(t))),  # length not divisible
-        lambda h, t: t[0].__setitem__(0, 99),  # out of range entry
+        lambda h: h.pop("code"),
+        lambda h: h.update(code=_other(h["code"])),  # written by other code
+        lambda h: h.update(code=int(h["code"], 16)),  # the stamp as a number, not a string
+        lambda h: h.update(name="triangle-7-3"),  # another group's list
+        lambda h: h.update(relators=h["relators"][:-1]),
+        lambda h: h.pop("crc"),
+        lambda h: h.update(crc=_other(h["crc"])),  # another table line's
+        lambda h: h.update(crc=int(h["crc"], 16)),
+        lambda h: h.update(max_index="six"),
+        lambda h: h.update(max_index=4),  # holds tables of index 6
+        lambda h: h.update(classes=len(tables) + 1),
+    ):
+        h = json.loads(json.dumps(header))
+        breakage(h)
+        with pytest.raises(DomainError):
+            parse_class_list(f"{json.dumps(h)}\n{json.dumps(tables)}\n", G)
+    # a table line edited by a writer who also fixes the crc meets the refusal named
+    for breakage, refusal in (
+        (lambda h, t: (t.append([0, 0]), h.update(classes=len(t))), "not a multiple"),
+        (lambda h, t: t[0].__setitem__(0, 99), "out of range"),
+        (lambda h, t: t[1].__setitem__(0, -1), "unsigned integers"),
+        (lambda h, t: t[1].__setitem__(0, 1.0), "unsigned integers"),
+        (lambda h, t: t[1].__setitem__(0, "1"), "unsigned integers"),
+        (lambda h, t: t[1].__setitem__(0, None), "unsigned integers"),
+        (lambda h, t: t.__setitem__(0, [t[0]]), "unsigned integers"),  # a list of lists of lists
+        (lambda h, t: t[1].__setitem__(0, [0]), "unsigned integers"),  # int and list entries
+        # an int for a table, with the brackets it lacks nested in the next one
+        (lambda h, t: (t.__setitem__(0, 0), t[1].__setitem__(0, [0])), "unsigned integers"),
+        (lambda h, t: t.insert(1, t[0]) or h.update(classes=len(t)), "strictly increasing"),
+        (lambda h, t: t.reverse(), "strictly increasing"),
     ):
         h, t = json.loads(json.dumps(header)), json.loads(json.dumps(tables))
         breakage(h, t)
-        with pytest.raises(DomainError):
-            parse_class_list(f"{json.dumps(h)}\n{json.dumps(t)}\n", G)
-    for text in ("[]", "nope", json.dumps(header)):
+        with pytest.raises(DomainError, match=refusal):
+            parse_class_list(_document(h, t), G)
+    for text in ("[]", "nope", json.dumps(header), b"\xff\xfe not ascii"):
         with pytest.raises(DomainError):
             parse_class_list(text, G)
     with pytest.raises(DomainError):
         parse_class_list(serialize_class_list(classes), von_dyck_group(4, 3))
+
+
+def test_every_single_byte_substitution_in_the_table_line_is_refused(classes):
+    # each of the 255 other values of each byte of the line and its newline,
+    # header untouched: CRC-32 detects every burst of up to 32 bits, so no
+    # single-byte edit reads as a list
+    G = triangle_group(4, 3)
+    data = serialize_class_list(classes).encode()
+    start = data.index(b"\n") + 1
+    accepted = []
+    for i in range(start, len(data)):
+        for b in range(256):
+            if b != data[i]:
+                try:
+                    parse_class_list(data[:i] + bytes([b]) + data[i + 1 :], G)
+                except DomainError:
+                    continue
+                accepted.append((i - start, bytes([b])))
+    assert (len(data) - start, accepted) == (325, [])
 
 
 def test_boolean_table_entries_are_a_miss(tmp_path, classes, monkeypatch):
@@ -247,12 +305,12 @@ def test_boolean_table_entries_are_a_miss(tmp_path, classes, monkeypatch):
     with open(path) as fh:
         header, tables = fh.readlines()
     doctored = [[{0: False, 1: True}.get(v, v) for v in flat] for flat in json.loads(tables)]
-    text = f"{header}{json.dumps(doctored)}\n"
+    text = _document(json.loads(header), doctored)
     assert "true" in text and "false" in text
     with open(path, "w") as fh:
         fh.write(text)
     G = triangle_group(4, 3)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="unsigned integers"):
         parse_class_list(text, G)
     assert load_classes(G, 6, str(tmp_path)) is None
     searched = _counting(monkeypatch, "low_index_classes")
@@ -282,9 +340,45 @@ def test_tables_out_of_order_or_repeated_are_a_miss(tmp_path, capsys, doctor):
     else:
         tables[i - 1], tables[i] = tables[i], tables[i - 1]
     header["classes"] = len(tables)
-    path.write_text(f"{json.dumps(header)}\n{json.dumps(tables)}\n")
+    path.write_text(_document(header, tables))
     with pytest.raises(DomainError, match="strictly increasing"):
         parse_class_list(path.read_text(), triangle_group(7, 3))
+    assert main(argv) == 0
+    assert capsys.readouterr().out == line
+    assert path.read_text() == text
+
+
+@pytest.mark.parametrize("doctor", ["reroot", "relator"])
+def test_table_line_edited_under_its_header_is_a_miss(tmp_path, capsys, doctor):
+    # the header is left as written, crc included.  "reroot" adds a re-rooted
+    # copy of the 8-colour class, kept in (index, rows) order with the count
+    # raised, which the order check passes and which would count the class
+    # twice; "relator" changes one in-range entry of the last table so that a
+    # relator breaks.  Either is a miss, searched again and rewritten
+    argv = ["census", "--p", "7", "--q", "3", "--max-colours", "12", "--cache-dir", str(tmp_path)]
+    assert main(argv) == 0
+    line = capsys.readouterr().out
+    assert line == "(7^3) full <= 12: 1, 8\n"
+    G = triangle_group(7, 3)
+    path = tmp_path / "triangle-7-3.json"
+    text = path.read_text()
+    header, tables = map(json.loads, text.splitlines())
+    m = G.alphabet.size
+    if doctor == "reroot":
+        (i,) = [i for i, flat in enumerate(tables) if len(flat) == m * 8]
+        t = CosetTable(G.alphabet, tuple(zip(*[iter(tables[i])] * m)))
+        tables.append(list(reroot(t, 1).flat()))
+        tables.sort(key=lambda flat: (len(flat), flat))
+        header["classes"] = len(tables)
+    else:
+        n = len(tables[-1]) // m
+        tables[-1][-1] = (tables[-1][-1] + 1) % n
+        t = CosetTable(G.alphabet, tuple(zip(*[iter(tables[-1])] * m)))
+        assert any(t.action(r) != list(range(n)) for r in G.relators)
+    assert all((len(a), a) < (len(b), b) for a, b in zip(tables, tables[1:]))
+    path.write_text(f"{json.dumps(header)}\n{json.dumps(tables)}\n")
+    with pytest.raises(DomainError, match="crc"):
+        parse_class_list(path.read_text(), G)
     assert main(argv) == 0
     assert capsys.readouterr().out == line
     assert path.read_text() == text

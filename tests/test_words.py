@@ -119,6 +119,7 @@ def test_letters_outside_the_alphabet_are_refused_at_every_entry_point():
             lambda: low_index_classes(G, 8, seeds=((bad,),)),
             lambda: verify_perfect_on_patch(cp, bad),
             lambda: colour_permutation(t, bad),
+            lambda: REFLECTIONS.inverse_word(bad),
             lambda: cp.patch.image(bad),
             lambda: cp.patch.walk(0, bad),
             lambda: Presentation(REFLECTIONS, ((A, A), bad), "bad-letters"),
@@ -128,3 +129,4 @@ def test_letters_outside_the_alphabet_are_refused_at_every_entry_point():
                 case()
     assert verify_perfect_on_patch(cp, (C,))
     assert colour_permutation(t, (C,)) == tuple(t.action((C,)))
+    assert REFLECTIONS.inverse_word((A, B, C)) == (C, B, A)
