@@ -59,8 +59,13 @@ def required_words(kind: TilingKind, scope: Scope) -> tuple[Word, ...]:
 
     Full scope: the two mirrors through the tile centre.  Rotation
     scope: the single rotation about the tile centre (as a reflection
-    word; it is a product of two mirrors).
+    word; it is a product of two mirrors).  A kind or scope that is not
+    one is a DomainError.
     """
+    if not isinstance(kind, TilingKind):
+        raise DomainError(f"bad tiling kind: {kind!r}")
+    if not isinstance(scope, Scope):
+        raise DomainError(f"bad scope: {scope!r}")
     r1, r2 = TILE_MIRRORS[kind]
     return ((r1,), (r2,)) if scope is Scope.FULL else ((r1, r2),)
 
@@ -207,10 +212,7 @@ def census(
     its lifts, "both" its counts).
     """
     check_count(max_colours, "max_colours", 1)
-    if not isinstance(kind, TilingKind):
-        raise DomainError(f"bad tiling kind: {kind!r}")
-    if not isinstance(scope, Scope):
-        raise DomainError(f"bad scope: {scope!r}")
+    words = required_words(kind, scope)
     if strategy not in ("a", "b", "both"):
         raise DomainError(f"unknown strategy {strategy!r}")
     from .cache import cached_provider  # here, as cache imports this module
@@ -229,7 +231,7 @@ def census(
     else:
         scale = 1 if scope is Scope.FULL else 2
         tables = provider(triangle_group(p, q), scale * max_colours).tables
-    entries = _census_reflection(tables, kind, scope)
+    entries = _census_reflection(tables, words, scope)
     if tag == "both":
         ma = {e.colours: e.count for e in entries}
         mb = Counter(t.n for t in _census_rotation_b(p, q, kind, max_colours, provider))
@@ -243,8 +245,8 @@ def census(
                         strategy=tag, entries=entries, elapsed=time.perf_counter() - started)
 
 
-def _census_reflection(tables, kind, scope) -> tuple[CensusEntry, ...]:
-    """The entries of the reflection-group tables that colour the tiling.
+def _census_reflection(tables, words, scope) -> tuple[CensusEntry, ...]:
+    """The entries of the reflection-group tables whose subgroups hold a conjugate of words.
 
     An index-k subgroup of the rotation half has index 2k in the full
     group, and conjugacy classes taken in the full group are exactly
@@ -253,7 +255,6 @@ def _census_reflection(tables, kind, scope) -> tuple[CensusEntry, ...]:
     subgroups count, each at half its index.
     """
     scale = 1 if scope is Scope.FULL else 2
-    words = required_words(kind, scope)
     buckets: dict[int, list[SubgroupRecord]] = {}
     for t in tables:
         if scale == 2 and orientation_sides(t) is None:

@@ -14,11 +14,7 @@ class ResourceLimit(ColsymError):
 
 
 class MergeInconsistency(ColsymError):
-    """A merged polygon received two different colours.
-
-    Raised when a colouring is requested for a subgroup that does not
-    actually contain the stabilizer words of the polygon being merged.
-    """
+    """The tile stabilizer does not fix coset 0 of a table asked to colour the tiling."""
 
 
 class InternalError(ColsymError):

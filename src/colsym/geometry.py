@@ -94,9 +94,6 @@ def fundamental_triangle(p: int, q: int) -> FundamentalTriangle:
     nb = np.array([math.sin(ap), -math.cos(ap), 0.0])
     na = J @ np.cross(corners[1], corners[2])
     na = na / math.sqrt(float(na @ J @ na))
-    interior = corners.sum(axis=0)
-    if float(interior @ J @ na) < 0:
-        na = -na
 
     mirrors = np.array([_reflection(na, J), _reflection(nb, J), _reflection(nc, J)])
     return FundamentalTriangle(p, q, geometry, mirrors, corners)

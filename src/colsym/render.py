@@ -2,9 +2,9 @@
 
 colour_patch pulls a colouring (a coset table of a qualifying subgroup)
 onto a geometric patch: triangles are grouped into the tiles of the
-chosen tiling by the stabilizer mirrors, each group gets one colour,
-and a subgroup that does not actually contain the stabilizer gets
-caught red-handed when a group straddles two colours.
+chosen tiling by the stabilizer mirrors, and each group gets one colour,
+as the table's base coset is fixed by the tile stabilizer; a table whose
+base coset is not is refused before the patch is read.
 
 The drawing pipeline is deliberately dumb: the base triangle's geodesic
 sides are subdivided once, moved onto a block of triangles at a time by
@@ -27,12 +27,12 @@ import io
 import math
 from dataclasses import dataclass
 
-from .census import TILE_MIRRORS, Scope, TilingKind, colour_permutation
-from .coset import CosetTable, orientation_sides
+from .census import TILE_MIRRORS, Scope, TilingKind, colour_permutation, required_words
+from .coset import CosetTable, fixed_cosets, orientation_sides
 from .errors import DomainError, InternalError, MergeInconsistency, check_count
 from .geometry import TrianglePatch, form_matrix
 from .presentations import Geometry
-from .words import A, B, C, Word
+from .words import A, B, C, REFLECTIONS, Word
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,13 +72,14 @@ def colour_patch(
 ) -> ColouredPatch:
     """Colour the patch by the subgroup of the (reflection) coset table.
 
-    The table's base coset must literally be fixed by the stabilizer
-    words of the tiling kind (census representatives are stored that
-    way).  Full scope: the colour of triangle f(F) is the coset of
-    f^-1.  Rotation scope: the subgroup lies in the rotation half and
-    colours are its cosets there; an odd triangle word reaches a coset
-    with no colour and is completed to an even one by a stabilizer
-    mirror, which lands in the same merged tile by construction.
+    The table must be over the reflection alphabet with its base coset
+    fixed by the tile stabilizer words (census representatives are
+    stored that way), or the call raises MergeInconsistency.  Full
+    scope: the colour of triangle f(F) is the coset of f^-1, one per
+    merged tile as S.s = S for each stabilizer element s.  Rotation
+    scope: the subgroup lies in the rotation half and colours are its
+    cosets there; an odd triangle x gets the coset S.r2.x^-1 of its even
+    tile-mate x.r2, as the tile rotation r1.r2 lies in S.
 
     The cosets come a level at a time: a triangle x whose word starts
     with g, as its parent's does, has coset(x) = rows[coset(g.x)][g],
@@ -89,6 +90,10 @@ def colour_patch(
     that of its inward r2 neighbour, or else x itself.
     """
     import numpy as np
+    words = required_words(kind, scope)
+    if table.alphabet != REFLECTIONS or 0 not in fixed_cosets(table, words):
+        raise MergeInconsistency(
+            f"coset 0 of the table is not fixed by the {kind.value} {scope.value} tile stabilizer")
     r1, r2 = TILE_MIRRORS[kind]
     rows = np.array(table.rows)
     colour_of = np.array(_coset_colours(table, scope))
@@ -111,15 +116,6 @@ def colour_patch(
     # in full scope both columns are the one column, whose cosets all have colours
     by_root = colour_of[cosets]
     colours = np.where(by_root[:, 0] > 0, by_root[:, 0], by_root[:, -1])
-
-    clash = np.flatnonzero(colours != colours[root])
-    if len(clash):
-        i = clash[0]
-        r = root[i]
-        raise MergeInconsistency(
-            f"merged tile of triangle {r} got colours {colours[r]} and "
-            f"{colours[i]}: the subgroup does not contain this tile stabilizer"
-        )
     order = np.argsort(root, kind="stable")
     cuts = [0, *(np.flatnonzero(np.diff(root[order])) + 1).tolist(), n]
     members = order.tolist()

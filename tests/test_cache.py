@@ -16,7 +16,9 @@ from colsym.cache import (
     serialize_class_list,
     store_classes,
 )
-from colsym.census import colouring_classes, colouring_seeds
+from colsym.census import (
+    Scope, TilingKind, census, colouring_classes, colouring_seeds, format_census,
+)
 from colsym.cli import main
 from colsym.coset import CosetTable, reroot
 from colsym.errors import DomainError
@@ -276,6 +278,8 @@ def test_parse_rejects_malformed_documents(classes):
     for text in ("[]", "nope", json.dumps(header), b"\xff\xfe not ascii"):
         with pytest.raises(DomainError):
             parse_class_list(text, G)
+    with pytest.raises(DomainError, match="header is not an object"):
+        parse_class_list(f"{json.dumps(list(header))}\n{json.dumps(tables)}\n", G)
     with pytest.raises(DomainError):
         parse_class_list(serialize_class_list(classes), von_dyck_group(4, 3))
 
@@ -539,13 +543,21 @@ def test_provider_rejects_jobs_below_one(tmp_path):
 
 
 def test_unwritable_cache_keeps_the_result(tmp_path, classes, monkeypatch):
-    # a directory that exists but takes no new file fails in mkstemp
+    # a directory that exists but takes no new file fails in mkstemp; a
+    # file that cannot be put in place fails in os.replace, after the
+    # temporary file is written, which is removed again
     def refuse(*args, **kwargs):
         raise PermissionError("read-only cache dir")
 
-    monkeypatch.setattr(colsym.cache.tempfile, "mkstemp", refuse)
-    with pytest.raises(DomainError):
-        store_classes(classes, str(tmp_path))
-    got = cached_provider(str(tmp_path))(triangle_group(4, 3), 6)
-    assert [t.flat() for t in got.tables] == [t.flat() for t in classes.tables]
-    assert os.listdir(tmp_path) == []
+    for module, name, refusal in ((colsym.cache.tempfile, "mkstemp", "cannot write to cache dir"),
+                                  (colsym.cache.os, "replace", "cannot write cache file")):
+        with monkeypatch.context() as m:
+            m.setattr(module, name, refuse)
+            with pytest.raises(DomainError, match=refusal):
+                store_classes(classes, str(tmp_path))
+            got = cached_provider(str(tmp_path))(triangle_group(4, 3), 6)
+            assert [t.flat() for t in got.tables] == [t.flat() for t in classes.tables]
+            report = census(4, 3, TilingKind.PQ, Scope.FULL, 6,
+                            classes_provider=cached_provider(str(tmp_path)))
+            assert format_census(report) == "(4^3) full <= 6: 1, 3, 6"
+        assert os.listdir(tmp_path) == []

@@ -26,7 +26,7 @@ from colsym.errors import DomainError, InternalError
 from colsym.geometry import generate_patch
 from colsym.lowindex import low_index_classes
 from colsym.presentations import MIRROR_TWIST, Presentation, triangle_group, von_dyck_group
-from colsym.words import A, B, C, REFLECTIONS, XGEN, ZGEN
+from colsym.words import A, B, C, REFLECTIONS, XGEN, ZGEN, Alphabet
 from oracle import (
     colouring_classes_by_walks,
     colours_transitive,
@@ -336,6 +336,11 @@ def test_census_rejects_bad_arguments(provider):
             7, 3, TilingKind.PQ, Scope.ROTATION, 4,
             strategy="c", classes_provider=provider,
         )
+    # a tiling kind or scope by name, not the enum member
+    with pytest.raises(DomainError, match="bad tiling kind"):
+        census(7, 3, "pq", Scope.FULL, 4, classes_provider=provider)
+    with pytest.raises(DomainError, match="bad scope"):
+        census(7, 3, TilingKind.PQ, "full", 4, classes_provider=provider)
 
 
 def test_census_rejects_unknown_strategy_in_every_scope(provider):
@@ -391,6 +396,10 @@ def test_colouring_classes_need_a_triangle_group():
     for relators in (((A, A),), triangle_group(5, 4).relators + ((A, B, C) * 2,)):
         with pytest.raises(DomainError):
             colouring_classes(Presentation(REFLECTIONS, relators, "other"), 4)
+    # the seeds are the tile stabilizers, written in the reflection or rotation letters
+    other = Presentation(Alphabet(("u", "U"), (1, 0)), ((0, 0),), "other")
+    with pytest.raises(DomainError, match="no tiling seeds"):
+        colouring_seeds(other)
 
 
 @pytest.mark.parametrize("p, q", [(7, 3), (8, 3), (5, 4)])

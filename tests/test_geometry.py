@@ -205,6 +205,7 @@ def test_merged_tiles_never_exceed_a_tile(provider):
 def test_depth_zero_and_errors(monkeypatch):
     patch = generate_patch(7, 3, 0)
     assert len(patch.tiles) == 1
+    assert patch.walk(0, (A, B, C)) == -1  # the walk stops once it leaves the patch
     for depth in (-1, False):
         with pytest.raises(DomainError):
             generate_patch(7, 3, depth)

@@ -1,7 +1,6 @@
 import hashlib
 import itertools
 import random
-import re
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 
@@ -9,11 +8,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from colsym.census import Scope, TilingKind, census
+from colsym.census import Scope, TilingKind, census, required_words
 from colsym.cli import GENERATORS
+from colsym.coset import fixed_cosets, reroot
 from colsym.errors import DomainError, InternalError, MergeInconsistency
 from colsym.geometry import generate_patch
-from colsym.presentations import Geometry
+from colsym.lowindex import low_index_classes
+from colsym.presentations import Geometry, triangle_group, von_dyck_group
 from colsym.render import (
     _decimal_fields, _geodesics, _joined_rows, colour_patch, emit_svg, palette,
     verify_perfect_on_patch,
@@ -116,17 +117,49 @@ def test_wrong_kind_merge_fails(provider):
         colour_patch(generate_patch(4, 4, 3), t, TilingKind.PQ)
 
 
-def test_merge_clash_names_the_first_triangle_and_its_root(provider):
-    # the first triangle in tile order whose colour differs from its
-    # merged tile's root, found one triangle at a time
-    t = rep_table(provider, 4, 4, TilingKind.QP, Scope.FULL, 2)
+def test_a_table_whose_coset_0_the_stabilizer_does_not_fix_is_refused(provider):
+    # colour_patch decides from the table's coset 0, before it reads the
+    # patch, so a single triangle is refused as a deeper patch is
+    PQ = TilingKind.PQ
+    tables = low_index_classes(triangle_group(7, 3), 8).tables
+    fixed = {t: fixed_cosets(t, required_words(PQ, Scope.FULL)) for t in tables}
+    # the index-2 class fixes no coset, an index-8 one only coset 3
+    bad = [t for t in tables if t.n == 2] + [t for t in tables if fixed[t] == {3}]
+    assert [(t.n, sorted(fixed[t])) for t in bad] == [(2, []), (8, [3])]
+    for t, depth in itertools.product(bad, (0, 3)):
+        with pytest.raises(MergeInconsistency, match="coset 0 of the table is not fixed"):
+            colour_patch(generate_patch(7, 3, depth), t, PQ)
+    # von Dyck tables are over the rotation alphabet, not the reflections
+    von_dyck = [t for t in low_index_classes(von_dyck_group(4, 4), 2).tables if t.n == 2]
+    assert von_dyck
+    for t, kind in itertools.product(von_dyck, (TilingKind.QP, PQ)):
+        with pytest.raises(MergeInconsistency):
+            colour_patch(generate_patch(4, 4, 4), t, kind)
+    # a census representative re-rooted at a coset its stabilizer words move
+    moved = 0
+    for scope, kind in itertools.product(Scope, TilingKind):
+        words = required_words(kind, scope)
+        for rep in census(7, 3, kind, scope, 12, classes_provider=provider).entries:
+            for t in (r.table for r in rep.representatives):
+                outside = min(set(range(t.n)) - fixed_cosets(t, words), default=None)
+                if outside is None:
+                    continue
+                moved += 1
+                for depth in (0, 3):
+                    with pytest.raises(MergeInconsistency):
+                        colour_patch(generate_patch(7, 3, depth), reroot(t, outside), kind, scope)
+    assert moved == 8  # the index-1 classes fix every coset
+
+
+def test_colour_patch_refuses_a_kind_or_scope_that_is_not_one(provider):
+    # a name, not the enum member: "pq" raised KeyError, and "full" as the
+    # scope gave a rotation representative's 2-colouring 4 colours
+    t = rep_table(provider, 4, 4, TilingKind.PQ, Scope.ROTATION, 2)
     patch = generate_patch(4, 4, 3)
-    colours = colours_by_words(patch, t, TilingKind.PQ, Scope.FULL)
-    root, _ = merged_tiles_per_triangle(patch.neighbours.tolist(), TilingKind.PQ)
-    i = next(x for x, r in enumerate(root) if colours[x] != colours[r])
-    message = f"merged tile of triangle {root[i]} got colours {colours[root[i]]} and {colours[i]}: "
-    with pytest.raises(MergeInconsistency, match="^" + re.escape(message)):
-        colour_patch(patch, t, TilingKind.PQ)
+    with pytest.raises(DomainError, match="bad tiling kind"):
+        colour_patch(patch, t, "pq", Scope.ROTATION)
+    with pytest.raises(DomainError, match="bad scope"):
+        colour_patch(patch, t, TilingKind.PQ, "full")
 
 
 def test_histogram(board):
