@@ -14,7 +14,6 @@ from .errors import (
     ColsymError,
     DomainError,
     InternalError,
-    MergeInconsistency,
     ResourceLimit,
 )
 from .presentations import (

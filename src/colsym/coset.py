@@ -149,6 +149,8 @@ def reroot(t: CosetTable, base: int) -> CosetTable:
     The result is the table of the conjugate subgroup w S w^-1 where w
     is any word carrying coset 0 to base.
     """
+    if not 0 <= base < t.n:
+        raise DomainError(f"coset {base} is not one of the table's {t.n}")
     return _table(t, _renumbered(t, base, None, [-1] * t.n))
 
 

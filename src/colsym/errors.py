@@ -13,10 +13,6 @@ class ResourceLimit(ColsymError):
     """A configured node or tile budget was exceeded mid-computation."""
 
 
-class MergeInconsistency(ColsymError):
-    """The tile stabilizer does not fix coset 0 of a table asked to colour the tiling."""
-
-
 class InternalError(ColsymError):
     """An internal cross-check failed; indicates a bug, not bad input."""
 

@@ -144,6 +144,8 @@ class TrianglePatch:
 
     def walk(self, i: int, w: Word) -> int:
         """The tile i.w, or -1 once the walk leaves the patch."""
+        if not 0 <= i < self.ends[-1]:
+            raise DomainError(f"tile {i} is not one of the patch's {self.ends[-1]}")
         REFLECTIONS.check_word(w)
         for g in w:
             if i < 0:

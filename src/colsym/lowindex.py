@@ -109,12 +109,12 @@ def _search(
     pres: Presentation,
     max_index: int,
     seeds: tuple[Seed, ...] = UNSEEDED,
-    *,
     node_budget: int | None = None,
-    prune: bool = True,
     part: int = 0,
     parts: int = 1,
     twist: tuple[int, ...] | None = None,
+    *,
+    prune: bool = True,
 ) -> list[tuple[tuple[int, ...], ...]]:
     """Depth-first walks, one per seed; returns the complete tables as row tuples.
 
@@ -150,7 +150,6 @@ def _search(
     inv = pres.alphabet.inv
     N = max_index
     trace = _trace_words(pres)
-    relators = pres.relators
 
     table = [-1] * (N * m)
     trail: list[int] = []
@@ -329,17 +328,6 @@ def _search(
     def snapshot(n: int) -> tuple[tuple[int, ...], ...]:
         return tuple(tuple(table[i * m : (i + 1) * m]) for i in range(n))
 
-    def closed(n: int) -> bool:
-        cols = [table[c : n * m : m] for c in range(m)]
-        identity = list(range(n))
-        for rel in relators:
-            perm = identity
-            for g in rel:
-                perm = list(map(cols[g].__getitem__, perm))
-            if perm != identity:
-                return False
-        return True
-
     def walk() -> None:
         """Depth-first walk of the tree below the propagated root.
 
@@ -364,8 +352,6 @@ def _search(
                     pos += 1
                 if pos == limit:
                     if (depth >= _SPLIT or part == 0) and not rejectable():
-                        if not closed(n):
-                            raise InternalError("complete table fails a relator")
                         results.append(snapshot(n))
                 else:
                     nodes += 1
@@ -417,11 +403,6 @@ def _search(
     return results
 
 
-def _worker(args) -> list[tuple[tuple[int, ...], ...]]:
-    pres, max_index, seeds, budget, part, parts, twist = args
-    return _search(pres, max_index, seeds, node_budget=budget, part=part, parts=parts, twist=twist)
-
-
 def _cpus() -> int:
     """CPUs this process may run on."""
     try:
@@ -452,6 +433,8 @@ def low_index_classes(
     fork; the merged result is identical to a serial run.  node_budget,
     if given, bounds branch nodes per process, over all the walks and the
     shared top of the tree.  Given a twist, it is one class per twin pair.
+    Each table the walks complete is read against the relators here, in
+    the merging process; one that fails raises InternalError.
     """
     check_count(max_index, "max_index", 1)
     check_count(jobs, "jobs", 1)
@@ -479,12 +462,17 @@ def low_index_classes(
     else:
         args = [(pres, max_index, walks, node_budget, part, parts, twist) for part in range(parts)]
         with multiprocessing.get_context("fork").Pool(parts) as pool:
-            results = [rows for found in pool.map(_worker, args) for rows in found]
+            results = [rows for found in pool.starmap(_search, args) for rows in found]
 
     # each class comes from one walk, as a table least over its fixed roots
-    # only: the class representative is its canonical form
-    tables = sorted((canonical_table(CosetTable(pres.alphabet, rows)) for rows in results),
-                    key=lambda t: (t.n, t.flat()))
+    # only: once every relator acts trivially, its canonical form represents it
+    tables = []
+    for rows in results:
+        t = CosetTable(pres.alphabet, rows)
+        if any(t.action(rel) != list(range(t.n)) for rel in pres.relators):
+            raise InternalError("complete table fails a relator")
+        tables.append(canonical_table(t))
+    tables.sort(key=lambda t: (t.n, t.flat()))
     if len(set(tables)) != len(tables):
         raise InternalError("the walks found a class twice")
     return ClassList(pres, max_index, tuple(tables))

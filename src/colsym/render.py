@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 from .census import TILE_MIRRORS, Scope, TilingKind, colour_permutation, required_words
 from .coset import CosetTable, fixed_cosets, orientation_sides
-from .errors import DomainError, InternalError, MergeInconsistency, check_count
+from .errors import DomainError, InternalError, check_count
 from .geometry import TrianglePatch, form_matrix
 from .presentations import Geometry
 from .words import A, B, C, REFLECTIONS, Word
@@ -74,7 +74,7 @@ def colour_patch(
 
     The table must be over the reflection alphabet with its base coset
     fixed by the tile stabilizer words (census representatives are
-    stored that way), or the call raises MergeInconsistency.  Full
+    stored that way), or the call raises DomainError.  Full
     scope: the colour of triangle f(F) is the coset of f^-1, one per
     merged tile as S.s = S for each stabilizer element s.  Rotation
     scope: the subgroup lies in the rotation half and colours are its
@@ -92,7 +92,7 @@ def colour_patch(
     import numpy as np
     words = required_words(kind, scope)
     if table.alphabet != REFLECTIONS or 0 not in fixed_cosets(table, words):
-        raise MergeInconsistency(
+        raise DomainError(
             f"coset 0 of the table is not fixed by the {kind.value} {scope.value} tile stabilizer")
     r1, r2 = TILE_MIRRORS[kind]
     rows = np.array(table.rows)

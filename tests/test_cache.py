@@ -545,14 +545,20 @@ def test_provider_rejects_jobs_below_one(tmp_path):
 def test_unwritable_cache_keeps_the_result(tmp_path, classes, monkeypatch):
     # a directory that exists but takes no new file fails in mkstemp; a
     # file that cannot be put in place fails in os.replace, after the
-    # temporary file is written, which is removed again
+    # temporary file is written, which is removed again, or left behind
+    # where os.unlink fails too
     def refuse(*args, **kwargs):
         raise PermissionError("read-only cache dir")
 
-    for module, name, refusal in ((colsym.cache.tempfile, "mkstemp", "cannot write to cache dir"),
-                                  (colsym.cache.os, "replace", "cannot write cache file")):
+    cases = [
+        ([(colsym.cache.tempfile, "mkstemp")], "cannot write to cache dir"),
+        ([(os, "replace")], "cannot write cache file"),
+        ([(os, "replace"), (os, "unlink")], "cannot write cache file"),
+    ]
+    for refused, refusal in cases:
         with monkeypatch.context() as m:
-            m.setattr(module, name, refuse)
+            for module, name in refused:
+                m.setattr(module, name, refuse)
             with pytest.raises(DomainError, match=refusal):
                 store_classes(classes, str(tmp_path))
             got = cached_provider(str(tmp_path))(triangle_group(4, 3), 6)
@@ -560,4 +566,10 @@ def test_unwritable_cache_keeps_the_result(tmp_path, classes, monkeypatch):
             report = census(4, 3, TilingKind.PQ, Scope.FULL, 6,
                             classes_provider=cached_provider(str(tmp_path)))
             assert format_census(report) == "(4^3) full <= 6: 1, 3, 6"
-        assert os.listdir(tmp_path) == []
+        # with os.unlink refused too, each failed store leaves its temporary
+        # file: store_classes's, and one per group each provider searched
+        left = os.listdir(tmp_path)
+        assert all(f.startswith("colsym-") and f.endswith(".tmp") for f in left)
+        assert len(left) == (1 + 2 + 2 if len(refused) == 2 else 0)
+        for f in left:
+            os.unlink(tmp_path / f)

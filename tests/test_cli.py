@@ -435,6 +435,27 @@ def test_selftest_prints_fail_for_a_mismatched_row(capsys, cache_dir, monkeypatc
     assert lines[-1].startswith("selftest fast: FAIL")
 
 
+def test_selftest_prints_fail_for_a_broken_checkerboard(capsys, cache_dir, monkeypatch):
+    # the last triangle of the (4^4) patch takes the other colour: it now
+    # matches its a neighbour and differs from its b and c neighbours
+    real = colsym.selftest.colour_patch
+
+    def recoloured(*args, **kwargs):
+        cp = real(*args, **kwargs)
+        colours = cp.colours.copy()
+        colours[-1] = 3 - colours[-1]
+        return replace(cp, colours=colours)
+
+    monkeypatch.setattr(colsym.selftest, "colour_patch", recoloured)
+    assert run_selftest("fast", cache_dir=cache_dir) is False
+    lines = capsys.readouterr().out.splitlines()
+    assert [l for l in lines if l.startswith("FAIL ")] == [
+        "FAIL checkerboard alternation on patch: 28 triangles",
+        "FAIL checkerboard perfectness sample: 8 words",
+    ]
+    assert lines[-1] == "selftest fast: FAIL (11/13 checks)"
+
+
 def test_verify_prints_fail_for_an_inconsistent_word(capsys, cache_dir, monkeypatch):
     monkeypatch.setattr(colsym.cli, "verify_perfect_on_patch", lambda cp, w: w[0] != A)
     code, out, _ = run_cli(capsys, "verify", "--p", "7", "--q", "3", "--colours", "8",

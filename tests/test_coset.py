@@ -151,6 +151,10 @@ def test_standardize_idempotent_and_reroot_conjugates():
         r = reroot(t, i)
         assert validate(r, G).ok
         assert canonical_table(r) == canonical_table(t)
+    # a base coset is one of the table's, at either end
+    for base in (-1, t.n):
+        with pytest.raises(DomainError, match=f"coset {base} is not one of the table's {t.n}"):
+            reroot(t, base)
 
 
 def test_canonical_table_is_minimal_rerooting():

@@ -206,6 +206,12 @@ def test_depth_zero_and_errors(monkeypatch):
     patch = generate_patch(7, 3, 0)
     assert len(patch.tiles) == 1
     assert patch.walk(0, (A, B, C)) == -1  # the walk stops once it leaves the patch
+    # a walk starts at a tile of the patch, with or without letters to read
+    two = generate_patch(7, 3, 2)
+    assert two.ends[-1] == 9
+    for i, w in ((-5, (A,)), (12, ()), (12, (A,)), (9, ()), (-1, ())):
+        with pytest.raises(DomainError, match=f"tile {i} is not one of the patch's 9"):
+            two.walk(i, w)
     for depth in (-1, False):
         with pytest.raises(DomainError):
             generate_patch(7, 3, depth)

@@ -433,6 +433,11 @@ def test_jobs_capped_at_the_cpus(monkeypatch):
         pools.clear()
         assert [t.flat() for t in low_index_classes(G, 20, jobs=jobs).tables] == serial
         assert pools == forked
+    # with no affinity call, the CPUs the machine has, or one if it cannot tell
+    monkeypatch.delattr(os, "sched_getaffinity")
+    for count, cpus in ((3, 3), (None, 1)):
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        assert colsym.lowindex._cpus() == cpus
 
 
 def test_jobs_run_serially_where_fork_is_missing(monkeypatch, capsys):
@@ -567,13 +572,15 @@ def test_seed_words_of_more_than_two_letters_are_refused(pres, bound, seed):
                          ids=lambda p: p.name)
 def test_a_complete_table_that_fails_a_relator_raises(pres, monkeypatch):
     # the walk scans the trace words of every relator but the last, so
-    # nothing deduces the last one's entries: the relator check on a
-    # complete table is what catches a table that breaks it
+    # nothing deduces the last one's entries: the relator check on each
+    # complete table the parts hand back is what catches one that breaks it
+    _cpus(monkeypatch, 2)
     trace_words = colsym.lowindex._trace_words
     short = Presentation(pres.alphabet, pres.relators[:-1], pres.name)
     monkeypatch.setattr(colsym.lowindex, "_trace_words", lambda p: trace_words(short))
-    with pytest.raises(InternalError, match="complete table fails a relator"):
-        _search(pres, 8)
+    for jobs in (1, 2):
+        with pytest.raises(InternalError, match="complete table fails a relator"):
+            low_index_classes(pres, 8, jobs=jobs)
 
 
 @pytest.mark.parametrize("pres", [triangle_group(7, 3), triangle_group(4, 4), von_dyck_group(7, 3)],

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from colsym.census import Scope, TilingKind, census, required_words
 from colsym.cli import GENERATORS
 from colsym.coset import fixed_cosets, reroot
-from colsym.errors import DomainError, InternalError, MergeInconsistency
+from colsym.errors import DomainError, InternalError
 from colsym.geometry import generate_patch
 from colsym.lowindex import low_index_classes
 from colsym.presentations import Geometry, triangle_group, von_dyck_group
@@ -24,6 +24,8 @@ from oracle import (
     colour_histogram, colours_by_words, emit_svg_per_triangle, merged_tiles_per_triangle,
     random_words,
 )
+
+NOT_FIXED = "coset 0 of the table is not fixed"
 
 
 def rep_table(provider, p, q, kind, scope, k, pick=0):
@@ -113,7 +115,7 @@ def test_wrong_kind_merge_fails(provider):
     # a subgroup containing a, b (a vertex colouring) cannot colour the
     # face tiling: triangles merged across the b, c mirrors clash
     t = rep_table(provider, 4, 4, TilingKind.QP, Scope.FULL, 2)
-    with pytest.raises(MergeInconsistency):
+    with pytest.raises(DomainError, match=NOT_FIXED):
         colour_patch(generate_patch(4, 4, 3), t, TilingKind.PQ)
 
 
@@ -127,13 +129,13 @@ def test_a_table_whose_coset_0_the_stabilizer_does_not_fix_is_refused(provider):
     bad = [t for t in tables if t.n == 2] + [t for t in tables if fixed[t] == {3}]
     assert [(t.n, sorted(fixed[t])) for t in bad] == [(2, []), (8, [3])]
     for t, depth in itertools.product(bad, (0, 3)):
-        with pytest.raises(MergeInconsistency, match="coset 0 of the table is not fixed"):
+        with pytest.raises(DomainError, match=NOT_FIXED):
             colour_patch(generate_patch(7, 3, depth), t, PQ)
     # von Dyck tables are over the rotation alphabet, not the reflections
     von_dyck = [t for t in low_index_classes(von_dyck_group(4, 4), 2).tables if t.n == 2]
     assert von_dyck
     for t, kind in itertools.product(von_dyck, (TilingKind.QP, PQ)):
-        with pytest.raises(MergeInconsistency):
+        with pytest.raises(DomainError, match=NOT_FIXED):
             colour_patch(generate_patch(4, 4, 4), t, kind)
     # a census representative re-rooted at a coset its stabilizer words move
     moved = 0
@@ -146,7 +148,7 @@ def test_a_table_whose_coset_0_the_stabilizer_does_not_fix_is_refused(provider):
                     continue
                 moved += 1
                 for depth in (0, 3):
-                    with pytest.raises(MergeInconsistency):
+                    with pytest.raises(DomainError, match=NOT_FIXED):
                         colour_patch(generate_patch(7, 3, depth), reroot(t, outside), kind, scope)
     assert moved == 8  # the index-1 classes fix every coset
 
