@@ -62,9 +62,9 @@ def _budget_options(sp: argparse.ArgumentParser) -> None:
         type=int,
         default=None,
         help="abort a subgroup search after this many search nodes, counted "
-        "per search process over all the seed walks of the search, shared top "
-        "included, so the total grows with --jobs; a reflection group's two "
-        "searches, its mirror walks and its rotation half, each get the budget",
+        "over all the seed walks of the search, which then runs in one process "
+        "whatever --jobs says; a reflection group's two searches, its mirror "
+        "walks and its rotation half, each get the budget",
     )
 
 
@@ -95,7 +95,11 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["auto", "disk", "stereographic", "orthographic", "identity"],
         default="auto",
     )
-    sp.add_argument("--subdiv", type=int, default=12, help="points per drawn edge")
+    sp.add_argument(
+        "--subdiv", type=int, default=12,
+        help="most segments per triangle side: each side gets the fewest, a divisor "
+        "of this, that keep its chord within 2 px a segment (at least 1)",
+    )
     sp.add_argument("--palette-seed", type=int, default=0)
     sp.add_argument(
         "--size", type=int, default=700, help="image width in pixels (at least 1)"

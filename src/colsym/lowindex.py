@@ -431,10 +431,12 @@ def low_index_classes(
     search per forked worker process (see _search), but never more parts
     than the CPUs this process may use, and one where the platform cannot
     fork; the merged result is identical to a serial run.  node_budget,
-    if given, bounds branch nodes per process, over all the walks and the
-    shared top of the tree.  Given a twist, it is one class per twin pair.
-    Each table the walks complete is read against the relators here, in
-    the merging process; one that fails raises InternalError.
+    if given, bounds the branch nodes over all the walks, and a search
+    with one runs in one process whatever jobs is, so a budget stops it
+    under every jobs value or under none.  Given a twist, it is one class
+    per twin pair.  Each table the walks complete is read against the
+    relators here, in the merging process; one that fails raises
+    InternalError.
     """
     check_count(max_index, "max_index", 1)
     check_count(jobs, "jobs", 1)
@@ -453,14 +455,14 @@ def low_index_classes(
             or {tuple(twist[g] for g in w) for w in cycles} != cycles):
         raise DomainError(f"twist {twist} is no involution of the letters and relator cycles")
 
-    parts = min(jobs, _cpus())
+    parts = 1 if node_budget is not None else min(jobs, _cpus())
     if parts > 1:  # multiprocessing is loaded only here
         import multiprocessing
         parts = parts if "fork" in multiprocessing.get_all_start_methods() else 1
     if parts == 1:
         results = _search(pres, max_index, walks, node_budget=node_budget, twist=twist)
     else:
-        args = [(pres, max_index, walks, node_budget, part, parts, twist) for part in range(parts)]
+        args = [(pres, max_index, walks, None, part, parts, twist) for part in range(parts)]
         with multiprocessing.get_context("fork").Pool(parts) as pool:
             results = [rows for found in pool.starmap(_search, args) for rows in found]
 

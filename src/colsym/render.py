@@ -7,10 +7,15 @@ as the table's base coset is fixed by the tile stabilizer; a table whose
 base coset is not is refused before the patch is read.
 
 The drawing pipeline is deliberately dumb: the base triangle's geodesic
-sides are subdivided once, moved onto a block of triangles at a time by
-their matrices and projected, and each point is formatted once.  Each
-triangle is filled, then the tile edges are stroked from the same
-points, both in patch order.  Equal inputs give byte-equal SVG.
+sides are subdivided once into `subdivision` equal arcs.  Each
+triangle's corners are moved by its matrix and projected first, and
+each side is drawn with the fewest of those arcs, a divisor of
+`subdivision`, that keep its chord on screen within 2 px an arc (at the
+default 12, a side longer than 12 px keeps all 12).  Only the points so
+drawn are moved onto a block of triangles at a time, put back on their
+surface, projected and formatted, each once.  Each triangle is filled,
+then the tile edges are stroked from the same points, both in patch
+order.  Equal inputs give byte-equal SVG.
 
 Every number is written as "%.5f" writes it, except that -0.00000 is
 written 0.00000.  _decimal_fields formats a block of points at a time:
@@ -30,7 +35,7 @@ from dataclasses import dataclass
 from .census import TILE_MIRRORS, Scope, TilingKind, colour_permutation, required_words
 from .coset import CosetTable, fixed_cosets, orientation_sides
 from .errors import DomainError, InternalError, check_count
-from .geometry import TrianglePatch, form_matrix
+from .geometry import TrianglePatch
 from .presentations import Geometry
 from .words import A, B, C, REFLECTIONS, Word
 
@@ -153,7 +158,7 @@ def verify_perfect_on_patch(cp: ColouredPatch, w: Word) -> bool:
 # ---------------------------------------------------------------- SVG
 
 # triangles drawn per batch of array arithmetic
-_BLOCK = 256
+_BLOCK = 1024
 
 # the mirror each triangle side lies on; side s runs from corner s to
 # corner s + 1 (mod 3)
@@ -168,14 +173,15 @@ _TILT = (
 
 
 def _project(points: np.ndarray, projection: str) -> np.ndarray:
+    """(3, ...) coordinates of points on their surface projected to (2, ...)."""
     import numpy as np
     if projection == "identity":
-        return points[:, :2]
+        return points[:2]
     if projection != "disk":
-        points = points @ np.transpose(_TILT)
+        points = (np.array(_TILT) @ points.reshape(3, -1)).reshape(points.shape)
     if projection == "orthographic":
-        return points[:, :2]
-    return points[:, :2] / (1.0 + points[:, 2:3])
+        return points[:2]
+    return points[:2] / (1.0 + points[2])
 
 
 # the projections that fit each geometry; the first is its default
@@ -187,9 +193,9 @@ _PROJECTIONS = {
 
 
 def _form(u: np.ndarray, v: np.ndarray, geometry: Geometry) -> np.ndarray:
-    """<u, v> of form_matrix, negated on the hyperboloid: cos (cosh) of a distance."""
-    dot = (u * form_matrix(geometry).diagonal() * v).sum(axis=-1)
-    return -dot if geometry is Geometry.HYPERBOLIC else dot
+    """<u, v> of (3, ...) coordinates, negated on the hyperboloid: cos (cosh) of a distance."""
+    plane = u[0] * v[0] + u[1] * v[1]
+    return plane + u[2] * v[2] if geometry is Geometry.SPHERICAL else -(plane - u[2] * v[2])
 
 
 def _geodesics(
@@ -204,7 +210,7 @@ def _geodesics(
     import numpy as np
     w0, w1, div = 1 - ts, ts, np.ones(1)
     if geometry is not Geometry.EUCLIDEAN:
-        cos = _form(u, v, geometry)
+        cos = _form(np.moveaxis(u, -1, 0), np.moveaxis(v, -1, 0), geometry)
         if geometry is Geometry.SPHERICAL:
             f, om = np.sin, np.arccos(np.clip(cos, -1.0, 1.0))[..., None]
         else:
@@ -215,29 +221,58 @@ def _geodesics(
     return (w0[..., None] * u[..., None, :] + w1[..., None] * v[..., None, :]) / div[..., None]
 
 
-def _drawn_blocks(patch: TrianglePatch, projection: str, ts: np.ndarray):
-    """Yield (ids, sides) for each block of triangles drawn in projection.
+def _on_surface(points: np.ndarray, geometry: Geometry) -> np.ndarray:
+    """(3, ...) coordinates of points scaled back exactly onto their surface, against drift."""
+    import numpy as np
+    if geometry is Geometry.EUCLIDEAN:
+        return points / points[2]
+    return points / np.sqrt(np.maximum(1e-300, _form(points, points, geometry)))
 
-    sides is (len(ids), 3, len(ts), 2): side s of a triangle, the base
-    triangle's side s moved by its matrix (an isometry keeps geodesics and
-    arc length) and projected, runs from corner s to corner s + 1 (mod 3).
+
+def _drawn_blocks(patch: TrianglePatch, projection: str, base: np.ndarray, scale: float | None):
+    """Yield (ids, xy, d) for each block of triangles drawn in projection.
+
+    base[k] is side k of the base triangle, from corner k to corner k + 1
+    (mod 3), at the s + 1 points that split it into s equal arcs.  Side
+    k of a triangle is drawn with d[:, k] of those arcs: all s when scale
+    is None, else as emit_svg says, its chord in pixels being the
+    distance between its projected corners times scale.  xy holds each
+    triangle's sides in order, d + 1 points each, from start to end: its
+    matrix times base points (an isometry keeps geodesics and arc
+    length), put back on their surface and projected, and only those.
     The orthographic projection leaves out triangles on the far side.
     """
     import numpy as np
-    tri, n = patch.triangle, len(patch.last)
-    base = _geodesics(tri.corners, np.roll(tri.corners, -1, axis=0), tri.geometry, ts)
-    for start in range(0, n, _BLOCK):
-        ids = np.arange(start, min(start + _BLOCK, n))
-        pts = (patch.matrices[start : start + _BLOCK] @ base.reshape(-1, 3).T).transpose(0, 2, 1)
-        if projection == "orthographic":  # by the corners, each side's first point
-            near = (pts[:, :: len(ts)].sum(axis=1) / 3.0) @ _TILT[2] > 0.0
-            pts, ids = pts[near], ids[near]
-        # guard drift so points sit exactly on their surface before projecting
-        if tri.geometry is Geometry.EUCLIDEAN:
-            pts = pts / pts[..., 2:]
-        else:
-            pts = pts / np.sqrt(np.maximum(1e-300, _form(pts, pts, tri.geometry)))[..., None]
-        yield ids, _project(pts.reshape(-1, 3), projection).reshape(len(ids), 3, len(ts), 2)
+    s, tri, after = base.shape[1] - 1, patch.triangle, [1, 2, 0]
+    # each matrix's rows, coordinate first: corners[l, i, k] is coordinate l
+    # of triangle i's corner k, as drawn (the first point of side k)
+    rows = np.transpose(patch.matrices, (1, 0, 2))
+    corners = (rows.reshape(-1, 3) @ base[:, 0].T).reshape(3, -1, 3)
+    drawn = np.arange(len(patch.last))
+    if projection == "orthographic":
+        depth = np.tensordot(_TILT[2], corners, 1)
+        drawn = np.flatnonzero(depth.sum(axis=1) / 3.0 > 0.0)
+        rows, corners, depth = rows[:, drawn], corners[:, drawn], depth[drawn]
+    if scale is None:
+        d = np.full((len(drawn), 3), s)
+    else:
+        divisors = np.array([d for d in range(1, s + 1) if s % d == 0])
+        x, y = _project(_on_surface(corners, tri.geometry), projection)
+        chord = np.hypot(x[:, after] - x, y[:, after] - y) * scale
+        if projection == "orthographic":
+            # an open half-sphere holds the arc between two of its points; a
+            # side over the rim may fold back there, whatever its chord
+            far = depth <= 0.0
+            chord[far | far[:, after]] = np.inf
+        d = divisors[np.minimum(np.searchsorted(2 * divisors, chord), len(divisors) - 1)]
+    for start in range(0, len(drawn), _BLOCK):
+        block, step = slice(start, start + _BLOCK), s // d[start : start + _BLOCK]
+        # each side's points at the block's coarsest common step, then the drawn ones
+        side, at = np.nonzero(np.arange(s + 1) % np.gcd.reduce(step, axis=0)[:, None] == 0)
+        keep = np.flatnonzero(at % step[:, side] == 0)
+        pts = (rows[:, block].reshape(-1, 3) @ base[side, at].T).reshape(3, -1)[:, keep]
+        xy = _project(_on_surface(pts, tri.geometry), projection)
+        yield drawn[block], np.ascontiguousarray(xy.T), d[block]
 
 
 def palette(k: int, seed: int = 0) -> tuple[str, ...]:
@@ -261,7 +296,7 @@ def _decimal_fields(values: np.ndarray) -> np.ndarray:
 
     The fields are values.shape + (h + 7,): h slots for the sign and the
     digits before the point, right-aligned, then the point, five digits
-    and a slot for the separator _joined_rows writes; the rest are 0.
+    and a slot for the separator _joined_paths writes; the rest are 0.
     Each number is k = rint(|x| * 1e5) hundred-thousandths, put digit by
     digit into its field.  "%.5f" rounds the exact value of x.  The
     product |x| * 1e5 is correctly rounded and every half n + 1/2 is a
@@ -304,20 +339,41 @@ def _decimal_fields(values: np.ndarray) -> np.ndarray:
     return field
 
 
-def _joined_rows(fields: np.ndarray, seps: bytes, prefix: bytes, suffixes: np.ndarray) -> bytes:
-    """Rows of (rows, n, width) _decimal_fields joined, less their 0 bytes.
+def _joined_paths(
+    fields: np.ndarray, rows: np.ndarray, lengths: np.ndarray, seps: bytes, prefix: bytes,
+    suffixes: np.ndarray,
+) -> bytes:
+    """Paths of (n, c, w) _decimal_fields rows joined, less their 0 bytes.
 
-    Row i is prefix, its n numbers with seps[j] after number j, then
-    suffixes[i], a row of the uint8 array suffixes; none holds a 0 byte.
+    Path i is prefix, the points fields[rows] taken lengths[i] at a time
+    (each point's number j followed by seps[j], but the path's last
+    number), then suffixes[i], a row of the uint8 array suffixes; none
+    holds a 0 byte.  The points are taken into one text of rows c * w
+    bytes wide, after whole rows that hold the last path's suffix and
+    this path's prefix.
     """
     import numpy as np
-    rows, n, width = fields.shape
-    text = np.concatenate(
-        [np.broadcast_to(np.frombuffer(prefix, np.uint8), (rows, len(prefix))),
-         fields.reshape(rows, n * width), suffixes], axis=1)
-    at = len(prefix) + width - 1  # each field's separator slot, 0 after the row's last
-    text[:, at : at + n * width : width] = np.frombuffer(seps + b"\0", np.uint8)
-    return text[text != 0].tobytes()
+    n, c, w = fields.shape
+    k, width = len(lengths), c * w
+    if not k:
+        return b""
+    tail = suffixes.shape[1]
+    joint = -(-(len(prefix) + tail) // width)  # rows between two paths
+    starts = np.arange(k + 1) * joint + np.concatenate(([0], np.cumsum(lengths)))
+    joints = (starts[:, None] + np.arange(joint)).ravel()
+    taken = np.ones(starts[-1] + joint, bool)
+    taken[joints] = False
+    source = np.zeros(len(taken), np.intp)
+    source[taken] = rows
+    text = fields.reshape(n, width).take(source, axis=0)
+    for j, sep in enumerate(seps):
+        text.reshape(-1, c, w)[:, j, w - 1] = sep
+    text[starts[1:] - 1, width - 1] = 0  # each path's last number
+    between = np.zeros((k + 1, joint * width), np.uint8)
+    between[1:, :tail] = suffixes
+    between[:-1, joint * width - len(prefix) :] = np.frombuffer(prefix, np.uint8)
+    text[joints] = between.reshape(-1, width)
+    return text.tobytes().translate(None, b"\0")
 
 
 def emit_svg(
@@ -330,6 +386,17 @@ def emit_svg(
 ) -> bytes:
     """Draw the coloured patch as SVG bytes.  The output is a pure
     function of the arguments: rendering twice gives identical bytes.
+
+    subdivision is the most segments a triangle side is drawn with.  A
+    side gets d of them, the least divisor d of subdivision with c <= 2 d,
+    where c is the distance in pixels between the side's projected
+    corners (their distance times size over the picture's span), or
+    subdivision if none is that large.  So a side longer than
+    2 * subdivision / p px, p the least prime factor of subdivision (12 px
+    at the default 12), keeps every point.  Seen orthographically, a side
+    with a corner on the far half of the sphere keeps every point too.
+    The frame of a stereographic or identity picture is that of every
+    point of every side, as at full subdivision.
     """
     import numpy as np
     geometry = cp.patch.triangle.geometry
@@ -342,16 +409,17 @@ def emit_svg(
     check_count(subdivision, "subdivision", 1)
     check_count(size, "size", 1)
 
-    patch, s = cp.patch, subdivision
+    patch, s, tri = cp.patch, subdivision, cp.patch.triangle
     ts = np.linspace(0.0, 1.0, s + 1)
+    base = _geodesics(tri.corners, tri.corners[[1, 2, 0]], tri.geometry, ts)
     if projection in ("disk", "orthographic"):
         x0 = y0 = -1.05
         span = 2.1
     else:
-        # frame every drawn point: one pass over the geometry before drawing
+        # frame every point of every side: one pass over the geometry before drawing
         lo, hi = np.full(2, np.inf), np.full(2, -np.inf)
-        for _, xy in _drawn_blocks(patch, projection, ts):
-            ring = xy[:, :, :-1].reshape(-1, 2)
+        for ids, xy, _ in _drawn_blocks(patch, projection, base, None):
+            ring = xy.reshape(len(ids), 3, s + 1, 2)[:, :, :-1].reshape(-1, 2)
             lo, hi = np.minimum(lo, ring.min(axis=0)), np.maximum(hi, ring.max(axis=0))
         if projection == "stereographic":
             lo = np.maximum(lo, -3.0)
@@ -374,11 +442,9 @@ def emit_svg(
         b'" fill="none" stroke="#1a1a1a" stroke-width="' + stroke
         + b'" stroke-linecap="round"/>', np.uint8
     )
-    fill_seps, stroke_seps = (b" L" * (3 * s))[:-1], (b" L" * (s + 1))[:-1]
     colours = np.asarray(cp.colours) - 1
-    # each block's tile edges, formatted, to be joined after every fill:
-    # held that long as bytes, they would fragment the heap the SVG grows in
-    strokes: list[np.ndarray] = []
+    # each block's tile edges, to be written after every fill
+    strokes: list[bytes] = []
     svg = io.BytesIO()
     svg.write(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
@@ -386,14 +452,20 @@ def emit_svg(
         f'<rect x="{_fmt(x0)}" y="{_fmt(y0)}" width="{_fmt(span)}" height="{_fmt(span)}" '
         f'fill="#ffffff"/>'.encode("ascii")
     )
-    for ids, xy in _drawn_blocks(patch, projection, ts):
-        field = _decimal_fields(xy)  # each point formatted once
-        ring = field[:, :, :-1].reshape(len(ids), 6 * s, -1)  # each side but its end
-        svg.write(_joined_rows(ring, fill_seps, b'\n<path d="M', fill_tails[colours[ids]]))
-        strokes.append(field[boundary[ids]].reshape(-1, 2 * s + 2, field.shape[-1]))
-    for edges in strokes:
-        svg.write(_joined_rows(edges, stroke_seps, b'\n<path d="M',
-                               np.broadcast_to(stroke_tail, (len(edges), stroke_tail.size))))
+    for ids, xy, d in _drawn_blocks(patch, projection, base, size / span):
+        field = _decimal_fields(xy)  # each drawn point formatted once
+        ends = np.cumsum(d + 1).reshape(d.shape) - 1  # the row of each side's end
+        ring = np.ones(len(xy), bool)
+        ring[ends] = False  # each side but its end
+        svg.write(_joined_paths(field, np.flatnonzero(ring), d.sum(axis=1), b" L",
+                                b'\n<path d="M', fill_tails[colours[ids]]))
+        edge = boundary[ids]
+        points = d[edge] + 1
+        rows = np.repeat(ends[edge] + 1 - np.cumsum(points), points) + np.arange(points.sum())
+        strokes.append(_joined_paths(field, rows, points, b" L", b'\n<path d="M',
+                                     np.broadcast_to(stroke_tail, (len(points), stroke_tail.size))))
+    for text in strokes:
+        svg.write(text)
     if projection == "disk":
         svg.write(b'\n<circle cx="0" cy="0" r="1" fill="none" stroke="#1a1a1a" '
                   b'stroke-width="%s"/>' % stroke)

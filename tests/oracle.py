@@ -1099,10 +1099,16 @@ def emit_svg_per_triangle(
 
     Arguments are those of emit_svg and assumed valid.  Each triangle's
     corners are its tile matrix times the fundamental corners; its
-    sides are geodesics of subdivision + 1 points, projected and
-    formatted once, and kept for the strokes where the triangle across
-    lies in another merged tile of cp.polygons or outside the patch.  The
-    strokes follow every fill, triangle by triangle in patch order.
+    sides are geodesics of subdivision + 1 points, projected, and the
+    picture is framed by all of them.  A side whose projected corners lie
+    c pixels apart (c = their distance times size / span) is then drawn
+    by every (subdivision / d)-th point, d the least divisor of
+    subdivision with c <= 2 d, or subdivision if there is none or if,
+    seen orthographically, a corner of the side is on the far side of
+    the sphere.  The drawn points are formatted once, and kept for the
+    strokes where the triangle across lies in another merged tile of
+    cp.polygons or outside the patch.  The strokes follow every fill,
+    triangle by triangle in patch order.
     """
     geometry = cp.patch.triangle.geometry
     if projection == "auto":
@@ -1121,27 +1127,20 @@ def emit_svg_per_triangle(
         return pt / math.sqrt(max(1e-300, -float(pt @ J @ pt)))
 
     owner = {i: k for k, poly in enumerate(cp.polygons) for i in poly}
-    fill_paths: list[str] = []
-    edges: dict[int, list[str]] = {}
+    drawn: dict[int, tuple[np.ndarray, np.ndarray, list[bool]]] = {}
     lo, hi = np.full(2, np.inf), np.full(2, -np.inf)
-    for i, links in enumerate(patch.neighbours):
+    for i in range(len(patch.neighbours)):
         M = patch.matrices[i]
         corners = tuple(M @ v for v in patch.triangle.corners)
         if projection == "orthographic" and not (_TILT @ (sum(corners) / 3.0))[2] > 0.0:
             continue  # on the far side of the sphere
         cs = [normalized(c) for c in corners]
         segs = [_geodesic(cs[a_], cs[b_], geometry, J, ts) for (a_, b_), _ in sides_of]
-        xy = _project(np.vstack(segs), projection).reshape(3, subdivision + 1, 2)
+        xy = _project(np.vstack(segs).T, projection).T.reshape(3, subdivision + 1, 2)
         ring = xy[:, :-1].reshape(-1, 2)
         lo, hi = np.minimum(lo, ring.min(axis=0)), np.maximum(hi, ring.max(axis=0))
-        sides = [[f"{_fmt(x)} {_fmt(y)}" for x, y in side] for side in xy.tolist()]
-        d = "M" + "L".join(pt for side in sides for pt in side[:-1]) + "Z"
-        fill_paths.append(f'<path d="{d}" fill="{fills[cp.colours[i] - 1]}" stroke="none"/>')
-        edges[i] = [
-            "M" + "L".join(side)
-            for side, (_, g) in zip(sides, sides_of)
-            if links[g] < 0 or owner[links[g]] != owner[i]
-        ]
+        far = [projection == "orthographic" and not (_TILT @ c)[2] > 0.0 for c in corners]
+        drawn[i] = xy, _project(np.transpose(cs), projection).T, far
 
     if projection in ("disk", "orthographic"):
         x0 = y0 = -1.05
@@ -1157,6 +1156,26 @@ def emit_svg_per_triangle(
     stroke_attrs = (
         f'fill="none" stroke="#1a1a1a" stroke-width="{_fmt(stroke)}" stroke-linecap="round"'
     )
+
+    fill_paths: list[str] = []
+    edges: dict[int, list[str]] = {}
+    for i, (xy, corner_xy, far) in drawn.items():
+        sides = []
+        for k, side in enumerate(xy.tolist()):
+            c = math.dist(corner_xy[k], corner_xy[(k + 1) % 3]) * size / span
+            if far[k] or far[(k + 1) % 3]:
+                c = math.inf  # a side that may fold back over the sphere's rim
+            d = min((d for d in range(1, subdivision + 1)
+                     if subdivision % d == 0 and c <= 2 * d), default=subdivision)
+            sides.append([f"{_fmt(x)} {_fmt(y)}" for x, y in side[:: subdivision // d]])
+        ring = "M" + "L".join(pt for side in sides for pt in side[:-1]) + "Z"
+        fill_paths.append(f'<path d="{ring}" fill="{fills[cp.colours[i] - 1]}" stroke="none"/>')
+        links = patch.neighbours[i]
+        edges[i] = [
+            "M" + "L".join(side)
+            for side, (_, g) in zip(sides, sides_of)
+            if links[g] < 0 or owner[links[g]] != owner[i]
+        ]
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '

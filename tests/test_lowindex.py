@@ -165,9 +165,24 @@ def test_node_budget_enforced():
 
 
 def test_node_budget_enforced_in_workers(monkeypatch):
+    # two jobs on two CPUs would fork two workers; a budgeted search runs in one process
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     with pytest.raises(ResourceLimit):
         low_index_classes(triangle_group(7, 3), 30, node_budget=400, jobs=2)
+
+
+def test_one_budget_stops_the_search_under_every_jobs_value_or_none(monkeypatch):
+    # the seeded (7,3) walks to 64 take 6,268 nodes serially; split over
+    # processes each would count only its share, so a budget runs in one
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    G = triangle_group(7, 3)
+    seeds = colouring_seeds(G)
+    for jobs in (1, 2):
+        with pytest.raises(ResourceLimit):
+            low_index_classes(G, 64, seeds=seeds, node_budget=6_000, jobs=jobs)
+    answers = [low_index_classes(G, 64, seeds=seeds, node_budget=6_268, jobs=jobs)
+               for jobs in (1, 2)]
+    assert answers[0] == answers[1] == low_index_classes(G, 64, seeds=seeds, jobs=2)
 
 
 @pytest.mark.parametrize(

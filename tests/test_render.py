@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from colsym.census import Scope, TilingKind, census, required_words
+from colsym.census import TILE_MIRRORS, Scope, TilingKind, census, required_words
 from colsym.cli import GENERATORS
 from colsym.coset import fixed_cosets, reroot
 from colsym.errors import DomainError, InternalError
@@ -16,7 +16,7 @@ from colsym.geometry import generate_patch
 from colsym.lowindex import low_index_classes
 from colsym.presentations import Geometry, triangle_group, von_dyck_group
 from colsym.render import (
-    _decimal_fields, _geodesics, _joined_rows, colour_patch, emit_svg, palette,
+    _TILT, _decimal_fields, _geodesics, _joined_paths, colour_patch, emit_svg, palette,
     verify_perfect_on_patch,
 )
 from colsym.words import A, B, C
@@ -305,8 +305,8 @@ PINNED_SVGS = [
      "43208371ef39e4364f88b4b469dc9fa3486cc9c17408c32059ab901888ca9c9d"),
     (3, 6, QP, F, 3, 0, 8, {"palette_seed": 2, "subdivision": 5, "size": 320}, 46647,
      "00fc1d2a46f4a351d8acb5f4ae754172d64b592367298e4371b5cf8278255f6e"),
-    (7, 3, PQ, F, 8, 0, 24, {}, 2209381,
-     "200c86e5a28aa363ff73ae55d8efa6b62722222b0cbf45e6a081195ad6914ef9"),
+    (7, 3, PQ, F, 8, 0, 24, {}, 1426411,
+     "7a0bbb18c451c6c9852f464de7329ee24ea9bbddd4a4726d905931cf0515930f"),
 ]
 
 
@@ -357,6 +357,72 @@ def test_svg_matches_per_triangle_route(
     for projection in projections:
         args = dict(options, projection=projection, subdivision=subdivision)
         assert emit_svg(cp, **args) == emit_svg_per_triangle(cp, **args), projection
+
+
+def svg_paths(data):
+    """(fill, points) of each path of an SVG, in order; points is (n, 2)."""
+    return [(el.get("fill"), np.array([[float(v) for v in xy.split()]
+                                       for xy in el.get("d").strip("MZ").split("L")]))
+            for el in ET.fromstring(data).iter() if el.tag.endswith("path")]
+
+
+@pytest.mark.parametrize("p, q, k, depth, projection, size", [
+    (7, 3, 8, 24, "disk", 700), (3, 5, 20, 40, "orthographic", 700),
+    (3, 5, 20, 40, "orthographic", 90),
+])
+def test_each_side_is_drawn_with_the_fewest_points_that_keep_2px_steps(
+    provider, p, q, k, depth, projection, size
+):
+    # the corners of each triangle, put on the sphere or the hyperboloid and
+    # projected here; the disk and the orthographic sphere span 2.1
+    cp = colour_patch(generate_patch(p, q, depth), rep_table(provider, p, q, PQ, F, k), PQ)
+    corners = np.einsum("nij,kj->nki", cp.patch.matrices, cp.patch.triangle.corners)
+    if projection == "disk":
+        on = corners / np.sqrt(corners[..., 2:] ** 2 - (corners[..., :2] ** 2).sum(-1, keepdims=True))
+        xy = on[..., :2] / (1.0 + on[..., 2:])
+        drawn, far = np.arange(len(corners)), np.zeros(corners.shape[:2], bool)
+    else:
+        tilted = (corners / np.linalg.norm(corners, axis=-1, keepdims=True)) @ np.transpose(_TILT)
+        xy, far = tilted[..., :2], tilted[..., 2] <= 0.0
+        drawn = np.flatnonzero(corners.sum(axis=1) @ _TILT[2] > 0.0)
+    px = size / 2.1
+    chords = np.linalg.norm(np.roll(xy, -1, axis=1) - xy, axis=-1) * px
+
+    paths = svg_paths(emit_svg(cp, projection=projection, size=size))
+    fills = [(fill, points) for fill, points in paths if fill != "none"]
+    strokes = [points for fill, points in paths if fill == "none"]
+    # the fills carry their triangles' colours, in patch order
+    assert [fill for fill, _ in fills] == [palette(k)[c - 1] for c in cp.colours[drawn]]
+    edges = (cp.patch.neighbours[:, [C, A, B]] < 0) | ~np.isin([C, A, B], TILE_MIRRORS[PQ])
+    expected_strokes, thinned, over_the_rim = [], 0, 0
+    for i, (_, ring) in zip(drawn, fills):
+        # each corner is a point of the ring, side 0 starting at the first
+        at = [int(np.argmin(np.linalg.norm(ring - c, axis=1))) for c in xy[i]]
+        assert at[0] == 0 and np.allclose(ring[at], xy[i], rtol=0.0, atol=2e-5)
+        for side, (start, stop) in enumerate(zip(at, at[1:] + [len(ring)])):
+            d, chord = stop - start, chords[i, side]
+            points = np.vstack([ring[start:stop], ring[stop % len(ring)]])
+            assert 12 % d == 0 and len(points) == d + 1
+            if far[i, side] or far[i, (side + 1) % 3]:
+                # the arc may fold back over the rim: all 13 points
+                over_the_rim += 1
+                assert d == 12
+            else:
+                # d is the least divisor of 12 with chord / d <= 2 px
+                assert d == 12 or chord <= 2 * d
+                assert all(chord > 2 * e for e in range(1, d) if 12 % e == 0)
+            if chord > 12:
+                assert len(points) == 13
+            if d < 12:  # each step is its chord's, give or take the arc's bend
+                thinned += 1
+                assert (np.linalg.norm(np.diff(points, axis=0), axis=1) * px <= 3.0).all()
+            if edges[i, side]:
+                expected_strokes.append(points)
+    assert thinned > 0 or size == 700 and projection == "orthographic"
+    assert over_the_rim > 0 or projection == "disk"
+    assert len(strokes) == len(expected_strokes)
+    for got, want in zip(strokes, expected_strokes):
+        assert got.shape == want.shape and np.allclose(got, want, rtol=0.0, atol=2e-5)
 
 
 @pytest.mark.parametrize("geometry, points", [
@@ -418,29 +484,44 @@ def test_palette():
     assert palette(5, seed=1) != palette(5, seed=2)
 
 
-def decimal_rows_one_by_one(values, seps, prefix, suffixes):
-    """The rows _joined_rows writes from _decimal_fields, each number by b"%.5f"."""
-    rows = []
-    for row, suffix in zip(values.tolist(), suffixes.tolist()):
-        nums = [b"0.00000" if b == b"-0.00000" else b for b in (b"%.5f" % x for x in row)]
-        body = nums[0] + b"".join(bytes([c]) + b for c, b in zip(seps, nums[1:]))
-        rows.append(prefix + body + bytes(suffix))
-    return rows
+def decimal_paths_one_by_one(values, lengths, seps, prefix, suffixes):
+    """The paths _joined_paths writes from _decimal_fields, each number by b"%.5f"."""
+    points, paths = iter(values.tolist()), []
+    for length, suffix in zip(lengths, suffixes.tolist()):
+        nums = [b"0.00000" if b == b"-0.00000" else b
+                for point in itertools.islice(points, length) for b in (b"%.5f" % x for x in point)]
+        body = b"".join(b + bytes([seps[j % len(seps)]]) for j, b in enumerate(nums))[:-1]
+        paths.append(prefix + body + bytes(suffix))
+    return b"".join(paths)
 
 
 def check_decimal_rows(rows, n):
     values = np.array(rows, float).reshape(len(rows), n)
-    seps = (b" L" * n)[: n - 1]
+    seps = (b" L" * n)[:n]
     suffixes = (np.arange(len(rows))[:, None] % 26 + np.array([65, 97])).astype(np.uint8)
     fields = _decimal_fields(values)
-    data = _joined_rows(fields, seps, b"M", suffixes)
-    assert data == b"".join(decimal_rows_one_by_one(values, seps, b"M", suffixes))
+    # each row a path of one point
+    one = np.ones(len(rows), np.intp)
+    data = _joined_paths(fields, np.arange(len(rows)), one, seps, b"M", suffixes)
+    assert data == decimal_paths_one_by_one(values, one, seps, b"M", suffixes)
     # a gather of the fields formatted up front, as emit_svg joins a fill
     # ring and its strokes: the rows backwards, every other number
     pick = (slice(None, None, -1), slice(None, None, 2))
-    part, part_seps = values[pick], seps[: (n + 1) // 2 - 1]
-    data = _joined_rows(fields[pick], part_seps, b"M", suffixes[::-1])
-    assert data == b"".join(decimal_rows_one_by_one(part, part_seps, b"M", suffixes[::-1]))
+    part, part_seps = values[pick], seps[: (n + 1) // 2]
+    data = _joined_paths(fields[pick], np.arange(len(rows)), one, part_seps, b"M", suffixes[::-1])
+    assert data == decimal_paths_one_by_one(part, one, part_seps, b"M", suffixes[::-1])
+    # paths of 2, 1 and 3 points taken backwards, between suffixes and a
+    # prefix longer than a row of fields
+    lengths, left = [], len(rows)
+    for m in itertools.cycle((2, 1, 3)):
+        if left <= 0:
+            break
+        lengths.append(min(m, left))
+        left -= m
+    back, prefix = np.arange(len(rows))[::-1], b'\n<path d="M'
+    long = np.repeat(suffixes[: len(lengths)], 15, axis=1)
+    data = _joined_paths(fields, back, np.array(lengths, np.intp), seps, prefix, long)
+    assert data == decimal_paths_one_by_one(values[back], lengths, seps, prefix, long)
 
 
 def nudge(x, steps):
