@@ -134,7 +134,7 @@ def colouring_classes(pres: Presentation, max_index: int, *, search=low_index_cl
     half = (rotation_classes or partial(colouring_classes, search=search))(
         von_dyck_group(p, q), max_index // 2)
     tables = {*cl.tables, *(canonical_table(_lift(t)) for t in half.tables)}
-    return ClassList(pres, max_index, tuple(sorted(tables, key=lambda t: (t.n, t.flat()))))
+    return ClassList(pres, max_index, tuple(sorted(tables, key=lambda t: (t.n, t.rows))))
 
 
 @dataclass(frozen=True)
@@ -227,7 +227,7 @@ def census(
         if len(lifted) != len(kept):
             raise InternalError("a rotation class is listed twice or with its mirror twin")
         # in the reflection group's class-list order, so the entries are route a's
-        tables = sorted(lifted, key=lambda t: (t.n, t.flat()))
+        tables = sorted(lifted, key=lambda t: (t.n, t.rows))
     else:
         scale = 1 if scope is Scope.FULL else 2
         tables = provider(triangle_group(p, q), scale * max_colours).tables

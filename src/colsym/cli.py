@@ -48,9 +48,8 @@ def _common_options(sp: argparse.ArgumentParser) -> None:
 
 def _provider_options(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--jobs", type=int, default=1, help="parallel search processes, at most one "
-                    "per CPU this process may use, and one where the platform cannot fork: all "
-                    "walk the shared top of the search tree, and the subtrees below a fixed depth "
-                    "are dealt out in turn")
+                    "per CPU this process may use and one per seed walk, and one where the "
+                    "platform cannot fork: the walks, one per tiling, are handed out in turn")
     sp.add_argument("--cache-dir", default=None, help="read and write class lists in this "
                     "directory; without it no file is read or written")
 

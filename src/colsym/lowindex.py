@@ -56,10 +56,6 @@ from .errors import DomainError, InternalError, ResourceLimit, check_count
 from .presentations import Presentation
 from .words import Word
 
-# branch depth whose subtrees the walk deals out to the parts in turn; (7,3) <= 96,
-# jobs=2, 2 CPUs: 12 beat 10 and 14 in 7 of 7 rounds (median 1.06 s against 1.16, 1.09)
-_SPLIT = 12
-
 
 @dataclass(frozen=True)
 class ClassList:
@@ -140,11 +136,9 @@ def _search(
     branches are pruned.  prune=False skips the cuts of partial tables
     (rejectable); the tests keep that walk as the pruned one's reference.
 
-    Every part walks the same top of the tree.  The nodes reached at
-    branch depth _SPLIT are numbered in walk order, across the walks,
-    and part k explores only those numbered k mod parts; a table
-    completed above that depth belongs to part 0.  So the parts are
-    disjoint, and their union is the one-part result.
+    Part k of parts runs the walks j with j % parts == k.  A walk reads
+    only the earlier seeds, never what their walks found, so the parts
+    are disjoint, and their union is the one-part result.
     """
     m = pres.alphabet.size
     inv = pres.alphabet.inv
@@ -170,7 +164,6 @@ def _search(
     roots_trail: list[tuple[int, int, int]] = []
     results: list[tuple[tuple[int, ...], ...]] = []
     nodes = 0
-    dealt = -1  # walk-order number of the last node reached at depth _SPLIT
     words: Seed = ()  # the seed words of the current walk
     open_words: Seed = ()  # the words propagate scans: all, then those the root left open
     # the words of each earlier seed, whose walk finds every class that this
@@ -332,32 +325,28 @@ def _search(
         """Depth-first walk of the tree below the propagated root.
 
         path holds the open nodes, root first, each as [pos, n, next
-        beta, trail and roots_trail heights when opened]; its branch
-        depth is its place on path.  Each pass of the loop opens one node
-        (the frontier pos and coset count n of the entry just set), then
-        visits the deepest: it unwinds to the node's heights and descends
-        into its next live child, or pops it if none is left.  Children
-        start at the frontier row pos // m: every row above it is full.
+        beta, trail and roots_trail heights when opened].  Each pass of
+        the loop opens one node (the frontier pos and coset count n of the
+        entry just set), then visits the deepest: it unwinds to the node's
+        heights and descends into its next live child, or pops it if none
+        is left.  Children start at the frontier row pos // m: every row
+        above it is full.
         """
-        nonlocal nodes, dealt
+        nonlocal nodes
         path: list[list[int]] = []
         pos, n = 0, 1
         while True:
-            depth = len(path)
-            if depth == _SPLIT:
-                dealt += 1
-            if depth != _SPLIT or dealt % parts == part:
-                limit = n * m
-                while pos < limit and table[pos] >= 0:
-                    pos += 1
-                if pos == limit:
-                    if (depth >= _SPLIT or part == 0) and not rejectable():
-                        results.append(snapshot(n))
-                else:
-                    nodes += 1
-                    if node_budget is not None and nodes > node_budget:
-                        raise ResourceLimit(f"node budget {node_budget} exceeded")
-                    path.append([pos, n, pos // m, len(trail), len(roots_trail)])
+            limit = n * m
+            while pos < limit and table[pos] >= 0:
+                pos += 1
+            if pos == limit:
+                if not rejectable():
+                    results.append(snapshot(n))
+            else:
+                nodes += 1
+                if node_budget is not None and nodes > node_budget:
+                    raise ResourceLimit(f"node budget {node_budget} exceeded")
+                path.append([pos, n, pos // m, len(trail), len(roots_trail)])
             while path:
                 node = path[-1]
                 pos, n, beta, mark, roots_mark = node
@@ -391,6 +380,8 @@ def _search(
                 return
 
     for j, words in enumerate(seeds):
+        if j % parts != part:
+            continue
         excluded = seeds[:j]
         twisted = None if twist is None else tuple(tuple(twist[g] for g in w) for w in words)
         stack: list[int] = []
@@ -427,16 +418,16 @@ def low_index_classes(
     conjugate of some seed's subgroup; a seed word has at most two
     letters (see settle).  Either way it is one standardized table per
     class, each the lexicographic minimum of all its re-rootings,
-    sorted by (index, serialized rows).  jobs > 1 runs one part of the
-    search per forked worker process (see _search), but never more parts
-    than the CPUs this process may use, and one where the platform cannot
-    fork; the merged result is identical to a serial run.  node_budget,
-    if given, bounds the branch nodes over all the walks, and a search
-    with one runs in one process whatever jobs is, so a budget stops it
-    under every jobs value or under none.  Given a twist, it is one class
-    per twin pair.  Each table the walks complete is read against the
-    relators here, in the merging process; one that fails raises
-    InternalError.
+    sorted by (index, rows).  jobs > 1 deals the seed walks out to forked
+    worker processes, walk j to part j mod parts (see _search), but never
+    more parts than walks or than the CPUs this process may use, and one
+    where the platform cannot fork; the merged result is identical to a
+    serial run.  node_budget, if given, bounds the branch nodes over all
+    the walks, and a search with one runs in one process whatever jobs
+    is, so a budget stops it under every jobs value or under none.  Given
+    a twist, it is one class per twin pair.  Each table the walks
+    complete is read against the relators here, in the merging process;
+    one that fails raises InternalError.
     """
     check_count(max_index, "max_index", 1)
     check_count(jobs, "jobs", 1)
@@ -455,7 +446,7 @@ def low_index_classes(
             or {tuple(twist[g] for g in w) for w in cycles} != cycles):
         raise DomainError(f"twist {twist} is no involution of the letters and relator cycles")
 
-    parts = 1 if node_budget is not None else min(jobs, _cpus())
+    parts = 1 if node_budget is not None else min(jobs, _cpus(), len(walks))
     if parts > 1:  # multiprocessing is loaded only here
         import multiprocessing
         parts = parts if "fork" in multiprocessing.get_all_start_methods() else 1
@@ -474,7 +465,7 @@ def low_index_classes(
         if any(t.action(rel) != list(range(t.n)) for rel in pres.relators):
             raise InternalError("complete table fails a relator")
         tables.append(canonical_table(t))
-    tables.sort(key=lambda t: (t.n, t.flat()))
+    tables.sort(key=lambda t: (t.n, t.rows))
     if len(set(tables)) != len(tables):
         raise InternalError("the walks found a class twice")
     return ClassList(pres, max_index, tuple(tables))

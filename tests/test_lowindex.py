@@ -66,10 +66,12 @@ def test_prune_changes_nothing(pres):
 
 
 def test_deterministic_and_jobs_equal():
+    # seeded, so there are walks to deal out: an unseeded search is one walk
     G = triangle_group(4, 4)
-    serial = low_index_classes(G, 6)
-    again = low_index_classes(G, 6)
-    parallel = low_index_classes(G, 6, jobs=2)
+    seeds = colouring_seeds(G)
+    serial = low_index_classes(G, 6, seeds=seeds)
+    again = low_index_classes(G, 6, seeds=seeds)
+    parallel = low_index_classes(G, 6, seeds=seeds, jobs=2)
     assert [t.flat() for t in serial.tables] == [t.flat() for t in again.tables]
     assert [t.flat() for t in serial.tables] == [t.flat() for t in parallel.tables]
 
@@ -80,21 +82,49 @@ def test_deterministic_and_jobs_equal():
     ids=lambda x: getattr(x, "name", x),
 )
 def test_parts_split_the_serial_search(pres, bound):
-    # these searches reach the split depth, so every part has a share;
-    # (5,4) <= 10 also completes tables at that depth in parts 1 and 2
-    serial = _search(pres, bound)
-    parts = [_search(pres, bound, part=k, parts=3) for k in range(3)]
-    found = [set(p) for p in parts]
-    assert [len(f) for f in found] == [len(p) for p in parts]
-    for i in range(3):
-        for j in range(i + 1, 3):
-            assert not found[i] & found[j]
-    assert set().union(*found) == set(serial)
-    assert sum(map(len, parts)) == len(serial)
-    assert sum(1 for p in parts if p) >= 2
-    flat = [t.flat() for t in low_index_classes(pres, bound).tables]
-    for jobs in (2, 3):
-        assert [t.flat() for t in low_index_classes(pres, bound, jobs=jobs).tables] == flat
+    # an unseeded search is one walk, all of it in part 0; the colouring
+    # seeds' walks are dealt out, so at least two parts have a share
+    for seeds in (UNSEEDED, colouring_seeds(pres)):
+        serial = _search(pres, bound, seeds)
+        parts = [_search(pres, bound, seeds, part=k, parts=3) for k in range(3)]
+        found = [set(p) for p in parts]
+        assert [len(f) for f in found] == [len(p) for p in parts]
+        for i in range(3):
+            for j in range(i + 1, 3):
+                assert not found[i] & found[j]
+        assert set().union(*found) == set(serial)
+        assert sum(map(len, parts)) == len(serial)
+        if seeds == UNSEEDED:
+            assert parts[0] == serial and not parts[1] and not parts[2]
+        else:
+            assert sum(1 for p in parts if p) >= 2
+        flat = [t.flat() for t in low_index_classes(pres, bound, seeds=seeds).tables]
+        for jobs in (2, 3):
+            tables = low_index_classes(pres, bound, seeds=seeds, jobs=jobs).tables
+            assert [t.flat() for t in tables] == flat
+
+
+def _walk(pres, bound, seeds, j, **kw):
+    """Walk j's tables, as the serial search of the first j + 1 seeds
+    completes them after the search of the first j."""
+    return _search(pres, bound, seeds[: j + 1], **kw)[len(_search(pres, bound, seeds[:j], **kw)):]
+
+
+@pytest.mark.parametrize("parts", [2, 3])
+@pytest.mark.parametrize("pres, bound, twist", [
+    (triangle_group(7, 3), 64, None),
+    (von_dyck_group(7, 3), 32, MIRROR_TWIST),
+    (triangle_group(4, 4), 60, None),
+], ids=["triangle-7-3-64", "vondyck-7-3-32-twisted", "triangle-4-4-60"])
+def test_parts_run_whole_walks(pres, bound, twist, parts):
+    # part k runs the walks j = k mod parts whole, in seed order, and
+    # each the same as in the serial search
+    seeds = colouring_seeds(pres)
+    walks = [_walk(pres, bound, seeds, j, twist=twist) for j in range(len(seeds))]
+    assert len(walks) == 3 and all(walks)
+    for k in range(parts):
+        joined = [rows for j in range(k, len(seeds), parts) for rows in walks[j]]
+        assert _search(pres, bound, seeds, part=k, parts=parts, twist=twist) == joined
 
 
 def test_relator_that_is_not_its_own_reverse():
@@ -319,40 +349,43 @@ def test_unseeded_twisted_walk_keeps_one_class_of_each_twin_pair(pres, twist, bo
 @pytest.mark.parametrize("pres, bound, serial, parts", [
     (triangle_group(7, 3), 64,
      "0c961214001a83b1616a130eda4eec737faa09c44f2d3a017e168354d82ec0e5",
-     ("5abe63bd07af67451e54e1b257f638525a370ad7c702c96851bcf601fb8c266b",
-      "3de15c3495733667f77ffd7c3e75a785caf25b2e6928abb3278ef8637d1a450e",
-      "f40c4e937b2ce10c9a15138bf93a00340962cb5b30bb083fda96f6d786d39abd")),
+     ("0c415ebc056f243cb02ebc080cf55e439405dfb4d89d09246d7d7f6ab57d9dad",
+      "40ebf3febbf99ad360c694508994d8c32ca789159268a950dde370d834689f3d",
+      "b19cf9bbf40b50bb37d2208ea17c1080eac6737b4614f5e851e57cdf3e66a60a")),
     (von_dyck_group(7, 3), 32,
      "c05d050a628210ec28c4b5fff1c4112e7ca408e6fd4e29743f16367b834f1786",
-     ("397dd82ca5d501751a9f29e8cc6ee19ba5246a0418bb1fd5881636e8617e8c26",
-      "421110212687b532aced1d324f971830790805047b4cc904c0272b451cd13607",
-      "efb1bcd9f295916573789973cbbf9960e32fc7d937d2c224cb318a0cfee7ffac")),
+     ("8d647f0399079ab3874a686ef7421c1ece96f1150f61612d6fd6de9684772b60",
+      "f79acf1c6a9d33ec21fe68f908b2fa8e8a40fdece137c076ebc217ff4c86f30f",
+      "f6ce59f5446031e4ac8732f5bd8317bb42114fa72e31b7915b160903f03411dd")),
     (triangle_group(8, 3), 36,
      "a665d88f3bcf99d57595d86b5ea951bc9360c5a06110ece88fb9e7bfe56566a7",
-     ("ec13b402114998496b6ecda66c2591839be6cfb2527c8c13168af226ff9cb170",
-      "75875629b29ce78b4e55425ef87d5261e52da6dd8a409b486ae237aa6c85ca3a",
-      "58c9d1021942ecfe1dfa9ed72aa9221a792c2d49545516607a7614e39983d89e")),
+     ("b205d59a14e87967ff3f98156a06b3519f60ccdb103d315c181f502d11bcb207",
+      "4991b1834f3f318d7d1e9b36f222f1c9b7e1d68a69981df8c17202082352518b",
+      "ffb6d3518df505c8f8cc4b2003d544438f7b51c9185094f60116d210f61585ea")),
     (triangle_group(5, 4), 34,
      "687e2798f14d760d7184ba436347cb586190726a41fea1f3691ac320d832c919",
-     ("5c2980cec63a63fdd2ec67b822ada02ef8dd44de8ec9d36bf1fec3ef48aa53c4",
-      "8e7394e1da07eb069841dcd9753268bc712b5f50cc03c261ff6b0375f96e612c",
-      "d97e149c2bad8380b7787b819de53641551e38cc1ece306b596dd1a5116a119f")),
+     ("949fbc69370c0f5db3461685cfc521a1d29d8cfece7402dacc4b524d8867ea21",
+      "e8ad63f95aa356924a691dd28e8bec701efeb7d475f89943a008cec28039f5ef",
+      "58cb0f667ed0cbb12ad33687c4c07fcf19d6d2ccb60d99f00aedb5a7247b959a")),
     (triangle_group(4, 4), 60,
      "8ecb67dd7113efad7ef3a66320ef7992129a90479620c276a2703bb90a7d6151",
-     ("572f08ef56f0cbddb016ce234ee785165d235ea84a13c3d928b1c1c5245cc723",
-      "0139e34544ab3012590e9c819cecef8d57f5d6dc55ae6e5fb71f82a97e03b38a",
-      "3a26fb73a437085c48be15214e8af32314b078e8001f1ac851932b024b92bd97")),
+     ("0716d8966f76c96f43f138bc2e4172db83237761b7c9c0bcdf619ceacbc7b684",
+      "2b16351ce01c1a90bf9f8e3ea3c8f32d020a33ea762e4f8b18c6905a3b246222",
+      "b474e214a32134d67dd0fb7a5263690648b0e36815ce6f1e4fadae5dde001cbc")),
 ], ids=["triangle-7-3-64", "vondyck-7-3-32", "triangle-8-3-36", "triangle-5-4-34",
         "triangle-4-4-60"])
 def test_walk_order_pinned(pres, bound, serial, parts):
     # the raw tables in the order the walks complete them, serially and
     # in each of 3 parts: the class-list pins sort them, so only this
-    # shows a change to the walk that reaches the same classes otherwise
+    # shows a change to the walk that reaches the same classes otherwise.
+    # There are 3 seeds, so part k is walk k, read off two serial searches
     def digest(rows):
         return hashlib.sha256(repr(rows).encode()).hexdigest()
 
     seeds = colouring_seeds(pres)
     assert digest(_search(pres, bound, seeds)) == serial
+    walks = tuple(digest(_walk(pres, bound, seeds, k)) for k in range(3))
+    assert walks == parts
     assert tuple(digest(_search(pres, bound, seeds, part=k, parts=3)) for k in range(3)) == parts
 
 
@@ -441,12 +474,14 @@ def test_jobs_capped_at_the_cpus(monkeypatch):
             return fork.Pool(processes)
 
     monkeypatch.setattr(multiprocessing, "get_context", lambda method: Recorder())
+    # and never more than the 3 seed walks
     G = triangle_group(7, 3)
-    serial = [t.flat() for t in low_index_classes(G, 20).tables]
-    for cpus, jobs, forked in ((1, 3, []), (2, 3, [2]), (2, 2, [2]), (4, 3, [3])):
+    seeds = colouring_seeds(G)
+    serial = [t.flat() for t in low_index_classes(G, 20, seeds=seeds).tables]
+    for cpus, jobs, forked in ((1, 3, []), (2, 3, [2]), (2, 2, [2]), (4, 3, [3]), (4, 4, [3])):
         _cpus(monkeypatch, cpus)
         pools.clear()
-        assert [t.flat() for t in low_index_classes(G, 20, jobs=jobs).tables] == serial
+        assert [t.flat() for t in low_index_classes(G, 20, seeds=seeds, jobs=jobs).tables] == serial
         assert pools == forked
     # with no affinity call, the CPUs the machine has, or one if it cannot tell
     monkeypatch.delattr(os, "sched_getaffinity")
@@ -460,11 +495,12 @@ def test_jobs_run_serially_where_fork_is_missing(monkeypatch, capsys):
         raise ValueError(f"cannot find context for {method!r}")
 
     G = triangle_group(7, 3)
-    serial = [t.flat() for t in low_index_classes(G, 20).tables]
+    seeds = colouring_seeds(G)
+    serial = [t.flat() for t in low_index_classes(G, 20, seeds=seeds).tables]
     _cpus(monkeypatch, 2)
     monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
     monkeypatch.setattr(multiprocessing, "get_context", no_fork)
-    assert [t.flat() for t in low_index_classes(G, 20, jobs=2).tables] == serial
+    assert [t.flat() for t in low_index_classes(G, 20, seeds=seeds, jobs=2).tables] == serial
     argv = ["census", "--p", "7", "--q", "3", "--max-colours", "20", "--jobs", "2"]
     assert main(argv) == 0
     assert capsys.readouterr().out == "(7^3) full <= 20: 1, 8, 15\n"
@@ -593,9 +629,10 @@ def test_a_complete_table_that_fails_a_relator_raises(pres, monkeypatch):
     trace_words = colsym.lowindex._trace_words
     short = Presentation(pres.alphabet, pres.relators[:-1], pres.name)
     monkeypatch.setattr(colsym.lowindex, "_trace_words", lambda p: trace_words(short))
+    seeds = colouring_seeds(pres)
     for jobs in (1, 2):
         with pytest.raises(InternalError, match="complete table fails a relator"):
-            low_index_classes(pres, 8, jobs=jobs)
+            low_index_classes(pres, 8, seeds=seeds, jobs=jobs)
 
 
 @pytest.mark.parametrize("pres", [triangle_group(7, 3), triangle_group(4, 4), von_dyck_group(7, 3)],
