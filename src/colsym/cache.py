@@ -70,7 +70,7 @@ def parse_class_list(text: str | bytes, pres: Presentation) -> ClassList:
     first, _, line = (text.encode() if isinstance(text, str) else text).partition(b"\n")
     try:
         header, raw_tables = json.loads(first.decode("ascii")), json.loads(line)
-    except ValueError as e:
+    except (ValueError, RecursionError) as e:  # RecursionError: nested too deep to decode
         raise DomainError(f"not valid JSON: {e}") from None
     if not isinstance(header, dict):
         raise DomainError("header is not an object")
@@ -135,23 +135,22 @@ def store_classes(cl: ClassList, cache_dir: str) -> str:
     return path
 
 
-def cached_provider(cache_dir: str | None = None, *, jobs: int = 1, node_budget: int | None = None):
+def cached_provider(cache_dir: str | None = None, *, node_budget: int | None = None):
     """A classes_provider for census(), backed by the files in cache_dir if given.
 
-    It serves census.colouring_classes, each of whose searches gets the
-    jobs and its own node budget.  It keeps the largest list it has seen
+    It serves census.colouring_classes, each of whose searches gets its
+    own node budget.  It keeps the largest list it has seen
     of each presentation in a memo, so a census pass over several
     tilings enumerates each group once and a smaller request is served
     by trimming.  A reflection group's rotation half comes through the
     memo and cache too, so its search files the von Dyck group's list.
     """
-    check_count(jobs, "jobs", 1)
     if node_budget is not None:
         check_count(node_budget, "node_budget", 0)
     memo: dict[Presentation, ClassList] = {}
 
     def search(pres: Presentation, max_index: int, **kw) -> ClassList:
-        return low_index_classes(pres, max_index, jobs=jobs, node_budget=node_budget, **kw)
+        return low_index_classes(pres, max_index, node_budget=node_budget, **kw)
 
     def lookup(pres: Presentation, max_index: int, half=None) -> ClassList:
         cl = memo.get(pres)

@@ -293,10 +293,10 @@ def colour_permutation(t: CosetTable, w: Word) -> tuple[int, ...]:
 def format_census(report: CensusReport, style: str = "plain") -> str:
     """Render a report: 'plain' one-line multiplicity list, 'json', or 'csv'."""
     if style == "plain":
-        parts = (f"{e.colours}^{{{e.count}}}" if e.count >= 2 else str(e.colours)
+        terms = (f"{e.colours}^{{{e.count}}}" if e.count >= 2 else str(e.colours)
                  for e in report.entries)
         label = report.kind.display(report.p, report.q)
-        return f"{label} {report.scope.value} <= {report.max_colours}: " + ", ".join(parts)
+        return f"{label} {report.scope.value} <= {report.max_colours}: " + ", ".join(terms)
     if style == "json":
         import json
 

@@ -47,9 +47,6 @@ def _common_options(sp: argparse.ArgumentParser) -> None:
 
 
 def _provider_options(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--jobs", type=int, default=1, help="parallel search processes, at most one "
-                    "per CPU this process may use and one per seed walk, and one where the "
-                    "platform cannot fork: the walks, one per tiling, are handed out in turn")
     sp.add_argument("--cache-dir", default=None, help="read and write class lists in this "
                     "directory; without it no file is read or written")
 
@@ -61,9 +58,8 @@ def _budget_options(sp: argparse.ArgumentParser) -> None:
         type=int,
         default=None,
         help="abort a subgroup search after this many search nodes, counted "
-        "over all the seed walks of the search, which then runs in one process "
-        "whatever --jobs says; a reflection group's two searches, its mirror "
-        "walks and its rotation half, each get the budget",
+        "over all the seed walks of the search; a reflection group's two "
+        "searches, its mirror walks and its rotation half, each get the budget",
     )
 
 
@@ -133,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _provider(args):
-    return cached_provider(args.cache_dir, jobs=args.jobs, node_budget=args.max_nodes)
+    return cached_provider(args.cache_dir, node_budget=args.max_nodes)
 
 
 def _coloured_patch(args, depth: int):
@@ -229,7 +225,7 @@ def cmd_verify(args) -> int:
 
 def cmd_selftest(args) -> int:
     out, err = io.StringIO(), io.StringIO()
-    ok = run_selftest(args.level, jobs=args.jobs, cache_dir=args.cache_dir, out=out, err=err)
+    ok = run_selftest(args.level, cache_dir=args.cache_dir, out=out, err=err)
     _write(None, out.getvalue().encode())
     _note(err.getvalue())
     return 0 if ok else 1

@@ -48,7 +48,6 @@ tries its next coset from the frontier row (the rows above are full).
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 from .coset import CosetTable, canonical_table
@@ -106,8 +105,6 @@ def _search(
     max_index: int,
     seeds: tuple[Seed, ...] = UNSEEDED,
     node_budget: int | None = None,
-    part: int = 0,
-    parts: int = 1,
     twist: tuple[int, ...] | None = None,
     *,
     prune: bool = True,
@@ -135,10 +132,6 @@ def _search(
     advances.  They change how a verdict is reached, never which
     branches are pruned.  prune=False skips the cuts of partial tables
     (rejectable); the tests keep that walk as the pruned one's reference.
-
-    Part k of parts runs the walks j with j % parts == k.  A walk reads
-    only the earlier seeds, never what their walks found, so the parts
-    are disjoint, and their union is the one-part result.
     """
     m = pres.alphabet.size
     inv = pres.alphabet.inv
@@ -380,8 +373,6 @@ def _search(
                 return
 
     for j, words in enumerate(seeds):
-        if j % parts != part:
-            continue
         excluded = seeds[:j]
         twisted = None if twist is None else tuple(tuple(twist[g] for g in w) for w in words)
         stack: list[int] = []
@@ -394,21 +385,12 @@ def _search(
     return results
 
 
-def _cpus() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def low_index_classes(
     pres: Presentation,
     max_index: int,
     *,
     seeds: tuple[Seed, ...] | None = None,
     node_budget: int | None = None,
-    jobs: int = 1,
     twist: tuple[int, ...] | None = None,
 ) -> ClassList:
     """Conjugacy classes of subgroups of index <= max_index.
@@ -418,19 +400,13 @@ def low_index_classes(
     conjugate of some seed's subgroup; a seed word has at most two
     letters (see settle).  Either way it is one standardized table per
     class, each the lexicographic minimum of all its re-rootings,
-    sorted by (index, rows).  jobs > 1 deals the seed walks out to forked
-    worker processes, walk j to part j mod parts (see _search), but never
-    more parts than walks or than the CPUs this process may use, and one
-    where the platform cannot fork; the merged result is identical to a
-    serial run.  node_budget, if given, bounds the branch nodes over all
-    the walks, and a search with one runs in one process whatever jobs
-    is, so a budget stops it under every jobs value or under none.  Given
-    a twist, it is one class per twin pair.  Each table the walks
-    complete is read against the relators here, in the merging process;
-    one that fails raises InternalError.
+    sorted by (index, rows).  The walks run in this process, in seed
+    order.  node_budget, if given, bounds the branch nodes over all the
+    walks.  Given a twist, it is one class per twin pair.  Each table the
+    walks complete is read against the relators here; one that fails
+    raises InternalError.
     """
     check_count(max_index, "max_index", 1)
-    check_count(jobs, "jobs", 1)
     if node_budget is not None:
         check_count(node_budget, "node_budget", 0)
     walks = UNSEEDED if seeds is None else tuple(seeds)
@@ -446,21 +422,10 @@ def low_index_classes(
             or {tuple(twist[g] for g in w) for w in cycles} != cycles):
         raise DomainError(f"twist {twist} is no involution of the letters and relator cycles")
 
-    parts = 1 if node_budget is not None else min(jobs, _cpus(), len(walks))
-    if parts > 1:  # multiprocessing is loaded only here
-        import multiprocessing
-        parts = parts if "fork" in multiprocessing.get_all_start_methods() else 1
-    if parts == 1:
-        results = _search(pres, max_index, walks, node_budget=node_budget, twist=twist)
-    else:
-        args = [(pres, max_index, walks, None, part, parts, twist) for part in range(parts)]
-        with multiprocessing.get_context("fork").Pool(parts) as pool:
-            results = [rows for found in pool.starmap(_search, args) for rows in found]
-
     # each class comes from one walk, as a table least over its fixed roots
     # only: once every relator acts trivially, its canonical form represents it
     tables = []
-    for rows in results:
+    for rows in _search(pres, max_index, walks, node_budget=node_budget, twist=twist):
         t = CosetTable(pres.alphabet, rows)
         if any(t.action(rel) != list(range(t.n)) for rel in pres.relators):
             raise InternalError("complete table fails a relator")

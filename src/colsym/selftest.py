@@ -3,8 +3,8 @@
 Recomputes censuses and compares them with goldens.py, then exercises
 the checkerboard colouring down to the permutation and pixel level.
 All result lines go to `out` (stdout by default) and are a pure
-function of the inputs, so two runs with different --jobs must agree
-byte for byte; timing chatter goes to `err` only.
+function of the inputs, so a cold run and a warm one on the same cache
+must agree byte for byte; timing chatter goes to `err` only.
 """
 from __future__ import annotations
 
@@ -27,7 +27,6 @@ KINDS = (TilingKind.PQ, TilingKind.LAVES, TilingKind.QP)
 def run_selftest(
     level: str = "fast",
     *,
-    jobs: int = 1,
     cache_dir: str | None = None,
     out=None,
     err=None,
@@ -36,7 +35,7 @@ def run_selftest(
         raise DomainError(f"unknown selftest level {level!r}")
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err
-    provider = cached_provider(cache_dir, jobs=jobs)
+    provider = cached_provider(cache_dir)
     started = time.perf_counter()
     checks: list[tuple[str, bool, str]] = []
 

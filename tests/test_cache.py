@@ -140,6 +140,26 @@ def test_corrupt_file_is_a_silent_miss(tmp_path, classes):
     assert os.listdir(tmp_path) == ["triangle-4-3.json"]
 
 
+@pytest.mark.parametrize("corrupt", ["header", "tables"])
+def test_json_nested_too_deep_to_decode_is_a_miss(tmp_path, capsys, corrupt):
+    # 200,000 nested brackets make the JSON decoder raise RecursionError, not
+    # ValueError; the file is a miss all the same, searched again and rewritten
+    argv = ["census", "--p", "4", "--q", "3", "--max-colours", "6", "--cache-dir", str(tmp_path)]
+    assert main(argv) == 0
+    line = capsys.readouterr().out
+    path = tmp_path / "triangle-4-3.json"
+    text = path.read_text()
+    header, tables = text.splitlines()
+    nested = "[" * 200_000
+    path.write_text(f"{nested}\n{tables}\n" if corrupt == "header" else f"{header}\n{nested}\n")
+    with pytest.raises(DomainError, match="not valid JSON"):
+        parse_class_list(path.read_text(), triangle_group(4, 3))
+    assert load_classes(triangle_group(4, 3), 6, str(tmp_path)) is None
+    assert main(argv) == 0
+    assert capsys.readouterr().out == line
+    assert path.read_text() == text
+
+
 def test_other_engine_is_recomputed_and_overwritten(tmp_path, classes):
     # a file written by other code may hold a different search output;
     # here it is a truncated list that must not be served
@@ -534,12 +554,6 @@ def test_memo_keeps_the_whole_list_it_read(tmp_path, classes, monkeypatch):
     got = prov(G, 6)
     assert loads == [("triangle-4-3", 4)] and searched == []
     assert [t.flat() for t in got.tables] == [t.flat() for t in classes.tables]
-
-
-def test_provider_rejects_jobs_below_one(tmp_path):
-    for jobs in (0, -1):
-        with pytest.raises(DomainError):
-            cached_provider(str(tmp_path), jobs=jobs)
 
 
 def test_unwritable_cache_keeps_the_result(tmp_path, classes, monkeypatch):

@@ -155,7 +155,7 @@ def test_route_b_keeps_the_first_class_of_each_twin_pair(provider):
 
 
 def test_colouring_classes_searches_its_rotation_half_with_its_own_search():
-    # a node budget or jobs value in the search reaches the von Dyck half too
+    # a node budget in the search reaches the von Dyck half too
     searched = []
 
     def search(pres, max_index, **kw):

@@ -194,12 +194,16 @@ def test_selftest_refuses_an_unknown_level():
         run_selftest("medium")
 
 
-def test_jobs_below_one_is_refused_on_a_warm_cache(capsys, cache_dir):
+def test_jobs_option_is_a_usage_error_on_a_warm_cache(capsys, cache_dir):
+    # every search runs in one process: --jobs is no option, and a warm
+    # cache does not let it pass unread
     args = ["census", "--p", "4", "--q", "3", "--max-colours", "6", "--cache-dir", cache_dir]
     assert run_cli(capsys, *args)[0] == 0
-    code, out, err = run_cli(capsys, *args, "--jobs", "0")
-    assert (code, out) == (2, "")
-    assert "jobs" in err
+    with pytest.raises(SystemExit) as exc:
+        main([*args, "--jobs", "2"])
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (2, "")
+    assert "unrecognized arguments: --jobs 2" in captured.err
 
 
 def test_negative_max_nodes_is_refused_cold_and_warm(capsys, cache_dir):
@@ -525,12 +529,12 @@ def test_a_failed_write_to_stderr_keeps_stdout_and_the_exit_code(
 
 
 def test_other_os_errors_are_not_write_errors(capsys, cache_dir, monkeypatch):
-    # an OSError from the work itself, say a failed fork under --jobs, is
+    # an OSError from the work itself, not from writing its output, is
     # no usage error and keeps its traceback
-    def no_fork(*args, **kwargs):
+    def fail(*args, **kwargs):
         raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
 
-    monkeypatch.setattr(colsym.cli, "census", no_fork)
+    monkeypatch.setattr(colsym.cli, "census", fail)
     with pytest.raises(OSError):
         main(["census", "--p", "7", "--q", "3", "--max-colours", "8", "--cache-dir", cache_dir])
 

@@ -1,6 +1,4 @@
 import hashlib
-import multiprocessing
-import os
 import sys
 import tracemalloc
 from collections import Counter
@@ -12,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 import colsym.lowindex
 from colsym.cache import cached_provider, serialize_class_list
 from colsym.census import _lift, colouring_classes, colouring_seeds
-from colsym.cli import main
 from colsym.coset import CosetTable, canonical_table, fixed_cosets, transform_subgroup
 from colsym.errors import DomainError, InternalError, ResourceLimit
 from colsym.lowindex import UNSEEDED, _search, low_index_classes
@@ -65,15 +62,29 @@ def test_prune_changes_nothing(pres):
     assert _search(pres, 5, prune=False) == _search(pres, 5)
 
 
-def test_deterministic_and_jobs_equal():
-    # seeded, so there are walks to deal out: an unseeded search is one walk
+def test_deterministic():
     G = triangle_group(4, 4)
     seeds = colouring_seeds(G)
-    serial = low_index_classes(G, 6, seeds=seeds)
+    first = low_index_classes(G, 6, seeds=seeds)
     again = low_index_classes(G, 6, seeds=seeds)
-    parallel = low_index_classes(G, 6, seeds=seeds, jobs=2)
-    assert [t.flat() for t in serial.tables] == [t.flat() for t in again.tables]
-    assert [t.flat() for t in serial.tables] == [t.flat() for t in parallel.tables]
+    assert [t.flat() for t in first.tables] == [t.flat() for t in again.tables]
+
+
+def _walks(pres, bound, seeds, **kw):
+    """Each seed walk's tables, read off the serial searches of the first
+    j seeds; each search must begin with the tables of the one before."""
+    searches = [_search(pres, bound, seeds[:j], **kw) for j in range(len(seeds) + 1)]
+    for shorter, longer in zip(searches, searches[1:]):
+        assert longer[: len(shorter)] == shorter
+    return [longer[len(shorter):] for shorter, longer in zip(searches, searches[1:])]
+
+
+def _check_walks_split(pres, bound, seeds):
+    """The seed walks, checked to make up the serial search with no table twice."""
+    walks = _walks(pres, bound, seeds)
+    found = [rows for walk in walks for rows in walk]
+    assert len(set(found)) == len(found)
+    return walks
 
 
 @pytest.mark.parametrize(
@@ -81,50 +92,11 @@ def test_deterministic_and_jobs_equal():
     [(triangle_group(7, 3), 20), (von_dyck_group(7, 3), 16), (triangle_group(5, 4), 10)],
     ids=lambda x: getattr(x, "name", x),
 )
-def test_parts_split_the_serial_search(pres, bound):
-    # an unseeded search is one walk, all of it in part 0; the colouring
-    # seeds' walks are dealt out, so at least two parts have a share
-    for seeds in (UNSEEDED, colouring_seeds(pres)):
-        serial = _search(pres, bound, seeds)
-        parts = [_search(pres, bound, seeds, part=k, parts=3) for k in range(3)]
-        found = [set(p) for p in parts]
-        assert [len(f) for f in found] == [len(p) for p in parts]
-        for i in range(3):
-            for j in range(i + 1, 3):
-                assert not found[i] & found[j]
-        assert set().union(*found) == set(serial)
-        assert sum(map(len, parts)) == len(serial)
-        if seeds == UNSEEDED:
-            assert parts[0] == serial and not parts[1] and not parts[2]
-        else:
-            assert sum(1 for p in parts if p) >= 2
-        flat = [t.flat() for t in low_index_classes(pres, bound, seeds=seeds).tables]
-        for jobs in (2, 3):
-            tables = low_index_classes(pres, bound, seeds=seeds, jobs=jobs).tables
-            assert [t.flat() for t in tables] == flat
-
-
-def _walk(pres, bound, seeds, j, **kw):
-    """Walk j's tables, as the serial search of the first j + 1 seeds
-    completes them after the search of the first j."""
-    return _search(pres, bound, seeds[: j + 1], **kw)[len(_search(pres, bound, seeds[:j], **kw)):]
-
-
-@pytest.mark.parametrize("parts", [2, 3])
-@pytest.mark.parametrize("pres, bound, twist", [
-    (triangle_group(7, 3), 64, None),
-    (von_dyck_group(7, 3), 32, MIRROR_TWIST),
-    (triangle_group(4, 4), 60, None),
-], ids=["triangle-7-3-64", "vondyck-7-3-32-twisted", "triangle-4-4-60"])
-def test_parts_run_whole_walks(pres, bound, twist, parts):
-    # part k runs the walks j = k mod parts whole, in seed order, and
-    # each the same as in the serial search
-    seeds = colouring_seeds(pres)
-    walks = [_walk(pres, bound, seeds, j, twist=twist) for j in range(len(seeds))]
-    assert len(walks) == 3 and all(walks)
-    for k in range(parts):
-        joined = [rows for j in range(k, len(seeds), parts) for rows in walks[j]]
-        assert _search(pres, bound, seeds, part=k, parts=parts, twist=twist) == joined
+def test_walks_split_the_serial_search(pres, bound):
+    # an unseeded search is a single walk; two colouring seeds' walks or more find a class
+    assert len(_check_walks_split(pres, bound, UNSEEDED)) == 1
+    walks = _check_walks_split(pres, bound, colouring_seeds(pres))
+    assert sum(1 for walk in walks if walk) >= 2
 
 
 def test_relator_that_is_not_its_own_reverse():
@@ -194,25 +166,14 @@ def test_node_budget_enforced():
         low_index_classes(G, 4, node_budget=0)
 
 
-def test_node_budget_enforced_in_workers(monkeypatch):
-    # two jobs on two CPUs would fork two workers; a budgeted search runs in one process
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    with pytest.raises(ResourceLimit):
-        low_index_classes(triangle_group(7, 3), 30, node_budget=400, jobs=2)
-
-
-def test_one_budget_stops_the_search_under_every_jobs_value_or_none(monkeypatch):
-    # the seeded (7,3) walks to 64 take 6,268 nodes serially; split over
-    # processes each would count only its share, so a budget runs in one
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+def test_one_budget_stops_the_seeded_search():
+    # the seeded (7,3) walks to 64 take 6,268 nodes, counted over all three
     G = triangle_group(7, 3)
     seeds = colouring_seeds(G)
-    for jobs in (1, 2):
-        with pytest.raises(ResourceLimit):
-            low_index_classes(G, 64, seeds=seeds, node_budget=6_000, jobs=jobs)
-    answers = [low_index_classes(G, 64, seeds=seeds, node_budget=6_268, jobs=jobs)
-               for jobs in (1, 2)]
-    assert answers[0] == answers[1] == low_index_classes(G, 64, seeds=seeds, jobs=2)
+    with pytest.raises(ResourceLimit):
+        low_index_classes(G, 64, seeds=seeds, node_budget=6_000)
+    budgeted = low_index_classes(G, 64, seeds=seeds, node_budget=6_268)
+    assert budgeted == low_index_classes(G, 64, seeds=seeds)
 
 
 @pytest.mark.parametrize(
@@ -268,7 +229,7 @@ TWIN_PAIR_LISTS = {
 def test_twisted_walk_keeps_one_class_of_each_twin_pair(p, q, bound):
     # the walk twisted by the mirror against the plain walk: the twins of the
     # classes it keeps make up the plain list, no class comes with its twin,
-    # its parts split it, and the classes lift to the plain list's lifts
+    # its walks split it, and the classes lift to the plain list's lifts
     V = von_dyck_group(p, q)
     seeds = colouring_seeds(V)
     plain = low_index_classes(V, bound, seeds=seeds).tables
@@ -278,10 +239,7 @@ def test_twisted_walk_keeps_one_class_of_each_twin_pair(p, q, bound):
     assert len(listed) == len(twisted) < len(plain)
     twins = [canonical_table(transform_subgroup(t, MIRROR_TWIST)) for t in twisted]
     assert not any(u != t and u in listed for t, u in zip(twisted, twins))
-    serial = _search(V, bound, seeds, twist=MIRROR_TWIST)
-    parts = [_search(V, bound, seeds, twist=MIRROR_TWIST, part=k, parts=3) for k in range(3)]
-    assert sorted(rows for part in parts for rows in part) == sorted(serial)
-    assert sum(1 for part in parts if part) >= 2
+    assert sum(1 for walk in _walks(V, bound, seeds, twist=MIRROR_TWIST) if walk) >= 2
 
     def lifts(tables):
         return {canonical_table(_lift(t)) for t in tables}
@@ -346,7 +304,7 @@ def test_unseeded_twisted_walk_keeps_one_class_of_each_twin_pair(pres, twist, bo
     assert len(twisted) < len(plain)
 
 
-@pytest.mark.parametrize("pres, bound, serial, parts", [
+@pytest.mark.parametrize("pres, bound, serial, walks", [
     (triangle_group(7, 3), 64,
      "0c961214001a83b1616a130eda4eec737faa09c44f2d3a017e168354d82ec0e5",
      ("0c415ebc056f243cb02ebc080cf55e439405dfb4d89d09246d7d7f6ab57d9dad",
@@ -374,19 +332,16 @@ def test_unseeded_twisted_walk_keeps_one_class_of_each_twin_pair(pres, twist, bo
       "b474e214a32134d67dd0fb7a5263690648b0e36815ce6f1e4fadae5dde001cbc")),
 ], ids=["triangle-7-3-64", "vondyck-7-3-32", "triangle-8-3-36", "triangle-5-4-34",
         "triangle-4-4-60"])
-def test_walk_order_pinned(pres, bound, serial, parts):
-    # the raw tables in the order the walks complete them, serially and
-    # in each of 3 parts: the class-list pins sort them, so only this
-    # shows a change to the walk that reaches the same classes otherwise.
-    # There are 3 seeds, so part k is walk k, read off two serial searches
+def test_walk_order_pinned(pres, bound, serial, walks):
+    # the raw tables in the order the walks complete them, all three
+    # seeds' walks and each alone: the class-list pins sort them, so only
+    # this shows a change to the walk that reaches the same classes otherwise
     def digest(rows):
         return hashlib.sha256(repr(rows).encode()).hexdigest()
 
     seeds = colouring_seeds(pres)
     assert digest(_search(pres, bound, seeds)) == serial
-    walks = tuple(digest(_walk(pres, bound, seeds, k)) for k in range(3))
-    assert walks == parts
-    assert tuple(digest(_search(pres, bound, seeds, part=k, parts=3)) for k in range(3)) == parts
+    assert tuple(digest(walk) for walk in _walks(pres, bound, seeds)) == walks
 
 
 def _frame_depth():
@@ -460,52 +415,6 @@ def test_one_budget_counts_every_seed_walk():
         low_index_classes(G, 24, seeds=(full, full), node_budget=need_full - 1)
 
 
-def _cpus(monkeypatch, cpus):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-
-
-def test_jobs_capped_at_the_cpus(monkeypatch):
-    pools = []
-    fork = multiprocessing.get_context("fork")
-
-    class Recorder:
-        def Pool(self, processes):
-            pools.append(processes)
-            return fork.Pool(processes)
-
-    monkeypatch.setattr(multiprocessing, "get_context", lambda method: Recorder())
-    # and never more than the 3 seed walks
-    G = triangle_group(7, 3)
-    seeds = colouring_seeds(G)
-    serial = [t.flat() for t in low_index_classes(G, 20, seeds=seeds).tables]
-    for cpus, jobs, forked in ((1, 3, []), (2, 3, [2]), (2, 2, [2]), (4, 3, [3]), (4, 4, [3])):
-        _cpus(monkeypatch, cpus)
-        pools.clear()
-        assert [t.flat() for t in low_index_classes(G, 20, seeds=seeds, jobs=jobs).tables] == serial
-        assert pools == forked
-    # with no affinity call, the CPUs the machine has, or one if it cannot tell
-    monkeypatch.delattr(os, "sched_getaffinity")
-    for count, cpus in ((3, 3), (None, 1)):
-        monkeypatch.setattr(os, "cpu_count", lambda: count)
-        assert colsym.lowindex._cpus() == cpus
-
-
-def test_jobs_run_serially_where_fork_is_missing(monkeypatch, capsys):
-    def no_fork(method):
-        raise ValueError(f"cannot find context for {method!r}")
-
-    G = triangle_group(7, 3)
-    seeds = colouring_seeds(G)
-    serial = [t.flat() for t in low_index_classes(G, 20, seeds=seeds).tables]
-    _cpus(monkeypatch, 2)
-    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-    monkeypatch.setattr(multiprocessing, "get_context", no_fork)
-    assert [t.flat() for t in low_index_classes(G, 20, seeds=seeds, jobs=2).tables] == serial
-    argv = ["census", "--p", "7", "--q", "3", "--max-colours", "20", "--jobs", "2"]
-    assert main(argv) == 0
-    assert capsys.readouterr().out == "(7^3) full <= 20: 1, 8, 15\n"
-
-
 @pytest.mark.parametrize("p, q, bound", [(7, 3, 16), (5, 4, 12), (8, 3, 14)])
 def test_relators_with_inverse_letters(p, q, bound):
     # z^p written as Z^p gives the Z column trace words of its own, so an
@@ -528,10 +437,8 @@ SEEDED_GRID = [
 ]
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("pres, bound", SEEDED_GRID, ids=lambda x: getattr(x, "name", x))
-def test_seeded_equals_filtered_unseeded(pres, bound, jobs, monkeypatch):
-    _cpus(monkeypatch, 2)
+def test_seeded_equals_filtered_unseeded(pres, bound):
     seeds = colouring_seeds(pres)
 
     def colours(t):
@@ -539,7 +446,7 @@ def test_seeded_equals_filtered_unseeded(pres, bound, jobs, monkeypatch):
 
     unseeded = low_index_classes(pres, bound).tables
     expected = [t.flat() for t in unseeded if colours(t)]
-    got = low_index_classes(pres, bound, seeds=seeds, jobs=jobs)
+    got = low_index_classes(pres, bound, seeds=seeds)
     assert [t.flat() for t in got.tables] == expected
     assert expected
     if pres.alphabet == REFLECTIONS:  # every small von Dyck class holds a tile rotation
@@ -550,12 +457,9 @@ def test_seeded_equals_filtered_unseeded(pres, bound, jobs, monkeypatch):
     "pres, bound", [(triangle_group(7, 3), 30), (triangle_group(4, 4), 12)],
     ids=lambda x: getattr(x, "name", x),
 )
-def test_seeded_parts_split_the_serial_search(pres, bound):
-    seeds = colouring_seeds(pres)
-    serial = _search(pres, bound, seeds)
-    parts = [_search(pres, bound, seeds, part=k, parts=3) for k in range(3)]
-    assert sorted(r for p in parts for r in p) == sorted(serial)
-    assert sum(1 for p in parts if p) == 3
+def test_seeded_walks_split_the_serial_search(pres, bound):
+    walks = _check_walks_split(pres, bound, colouring_seeds(pres))
+    assert len(walks) == 3 and all(walks)
 
 
 def test_each_seed_walk_finds_one_table_per_class():
@@ -594,7 +498,6 @@ def test_seed_exclusion_keeps_the_union_of_the_walks(pres, bound):
     seeds = colouring_seeds(pres)
     count = len(low_index_classes(pres, bound, seeds=seeds).tables)
     assert len(_search(pres, bound, seeds)) == count
-    assert sum(len(_search(pres, bound, seeds, part=k, parts=3)) for k in range(3)) == count
 
 
 def test_bad_seeds():
@@ -624,15 +527,12 @@ def test_seed_words_of_more_than_two_letters_are_refused(pres, bound, seed):
 def test_a_complete_table_that_fails_a_relator_raises(pres, monkeypatch):
     # the walk scans the trace words of every relator but the last, so
     # nothing deduces the last one's entries: the relator check on each
-    # complete table the parts hand back is what catches one that breaks it
-    _cpus(monkeypatch, 2)
+    # complete table the walks hand back is what catches one that breaks it
     trace_words = colsym.lowindex._trace_words
     short = Presentation(pres.alphabet, pres.relators[:-1], pres.name)
     monkeypatch.setattr(colsym.lowindex, "_trace_words", lambda p: trace_words(short))
-    seeds = colouring_seeds(pres)
-    for jobs in (1, 2):
-        with pytest.raises(InternalError, match="complete table fails a relator"):
-            low_index_classes(pres, 8, seeds=seeds, jobs=jobs)
+    with pytest.raises(InternalError, match="complete table fails a relator"):
+        low_index_classes(pres, 8, seeds=colouring_seeds(pres))
 
 
 @pytest.mark.parametrize("pres", [triangle_group(7, 3), triangle_group(4, 4), von_dyck_group(7, 3)],
@@ -672,26 +572,18 @@ def test_bad_arguments(tmp_path):
     with pytest.raises(DomainError):
         low_index_classes(G, 0)
     with pytest.raises(DomainError):
-        low_index_classes(G, 3, jobs=0)
-    with pytest.raises(DomainError):
         low_index_classes(G, 3, node_budget=-1)
     with pytest.raises(DomainError):
         cached_provider(str(tmp_path), node_budget=-1)
-    # non-integers are refused too, not passed on to multiprocessing or taken as bounds
-    with pytest.raises(DomainError):
-        low_index_classes(G, 6, jobs=1.5)
+    # non-integers are refused too, not taken as bounds
     with pytest.raises(DomainError):
         low_index_classes(G, 6, node_budget=2.5)
-    with pytest.raises(DomainError):
-        cached_provider(jobs=1.5)
     with pytest.raises(DomainError):
         cached_provider(node_budget=2.5)
     # a bool is not a count, though it is an int to isinstance
     for call in (
         lambda: low_index_classes(G, True),
-        lambda: low_index_classes(G, 6, jobs=True),
         lambda: low_index_classes(G, 6, node_budget=False),
-        lambda: cached_provider(jobs=True),
         lambda: cached_provider(node_budget=False),
     ):
         with pytest.raises(DomainError):
