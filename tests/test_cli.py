@@ -194,16 +194,17 @@ def test_selftest_refuses_an_unknown_level():
         run_selftest("medium")
 
 
-def test_jobs_option_is_a_usage_error_on_a_warm_cache(capsys, cache_dir):
-    # every search runs in one process: --jobs is no option, and a warm
-    # cache does not let it pass unread
+def test_jobs_below_one_is_refused_on_a_warm_cache(capsys, cache_dir):
+    # every search runs in one process: --jobs is no option at any value, and
+    # a warm cache does not let it pass unread
     args = ["census", "--p", "4", "--q", "3", "--max-colours", "6", "--cache-dir", cache_dir]
     assert run_cli(capsys, *args)[0] == 0
-    with pytest.raises(SystemExit) as exc:
-        main([*args, "--jobs", "2"])
-    captured = capsys.readouterr()
-    assert (exc.value.code, captured.out) == (2, "")
-    assert "unrecognized arguments: --jobs 2" in captured.err
+    for jobs in ("0", "2"):
+        with pytest.raises(SystemExit) as exc:
+            main([*args, "--jobs", jobs])
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.out) == (2, "")
+        assert f"unrecognized arguments: --jobs {jobs}" in captured.err
 
 
 def test_negative_max_nodes_is_refused_cold_and_warm(capsys, cache_dir):

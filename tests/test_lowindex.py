@@ -92,8 +92,8 @@ def _check_walks_split(pres, bound, seeds):
     [(triangle_group(7, 3), 20), (von_dyck_group(7, 3), 16), (triangle_group(5, 4), 10)],
     ids=lambda x: getattr(x, "name", x),
 )
-def test_walks_split_the_serial_search(pres, bound):
-    # an unseeded search is a single walk; two colouring seeds' walks or more find a class
+def test_parts_split_the_serial_search(pres, bound):
+    # the parts are the seed walks: an unseeded search is a single walk; two colouring seeds' walks or more find a class
     assert len(_check_walks_split(pres, bound, UNSEEDED)) == 1
     walks = _check_walks_split(pres, bound, colouring_seeds(pres))
     assert sum(1 for walk in walks if walk) >= 2
@@ -457,7 +457,8 @@ def test_seeded_equals_filtered_unseeded(pres, bound):
     "pres, bound", [(triangle_group(7, 3), 30), (triangle_group(4, 4), 12)],
     ids=lambda x: getattr(x, "name", x),
 )
-def test_seeded_walks_split_the_serial_search(pres, bound):
+def test_seeded_parts_split_the_serial_search(pres, bound):
+    # the parts are the seed walks, one a colouring seed, none of them empty
     walks = _check_walks_split(pres, bound, colouring_seeds(pres))
     assert len(walks) == 3 and all(walks)
 
