@@ -20,7 +20,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import partial
+from functools import cached_property, partial
 
 from .coset import (
     CosetTable, canonical_table, fixed_cosets, orientation_sides, reroot, transform_subgroup,
@@ -139,9 +139,18 @@ def colouring_classes(pres: Presentation, max_index: int, *, search=low_index_cl
 
 @dataclass(frozen=True)
 class SubgroupRecord:
-    """A census representative: a table whose base coset the tile stabilizer fixes."""
+    """A census representative: a listed class table and the least coset its tile stabilizer fixes.
 
-    table: CosetTable
+    table, the listed table re-rooted at that coset, is built on first
+    read; at coset 0 it is the listed table itself.
+    """
+
+    listed: CosetTable
+    coset: int = 0
+
+    @cached_property
+    def table(self) -> CosetTable:
+        return self.listed if self.coset == 0 else reroot(self.listed, self.coset)
 
 
 @dataclass(frozen=True)
@@ -167,16 +176,16 @@ class CensusReport:
 
 
 def _rerooted_record(t: CosetTable, fixed: frozenset[int]) -> SubgroupRecord:
-    """Move the table's base point to the smallest of its cosets in `fixed`.
+    """The record of t with its base point to be moved to the smallest of its cosets in `fixed`.
 
     fixed holds the cosets the stabilizer words fix (fixed_cosets, taken
     once by the caller's filter).  Class representatives are canonical
     tables whose base coset need not be fixed by the stabilizer words;
-    colouring machinery needs literal membership, so each stored
-    representative is re-rooted first; at coset 0 that is t itself, as
-    a canonical table is standardized.
+    colouring machinery needs literal membership, so a record's table is
+    re-rooted, when it is first read; at coset 0 that is t itself, as a
+    canonical table is standardized.
     """
-    return SubgroupRecord(t if 0 in fixed else reroot(t, min(fixed)))
+    return SubgroupRecord(t, min(fixed))
 
 
 def census(

@@ -20,6 +20,7 @@ from every base against the least result so far.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import DomainError
 from .words import Alphabet, Word
@@ -46,6 +47,24 @@ class CosetTable:
     def flat(self) -> tuple[int, ...]:
         """Row-major serialization; the key used for sorting and hashing."""
         return tuple(v for row in self.rows for v in row)
+
+    @cached_property
+    def _sides(self) -> tuple[int, ...] | None:
+        """orientation_sides' bipartition, run once a table (route a asks once a tiling kind)."""
+        rows = self.rows
+        side = [-1] * self.n
+        side[0] = 0
+        stack = [0]
+        while stack:
+            i = stack.pop()
+            s = side[i]
+            for j in rows[i]:
+                if side[j] == -1:
+                    side[j] = s ^ 1
+                    stack.append(j)
+                elif side[j] == s:
+                    return None
+        return tuple(side)
 
 
 def fixed_cosets(t: CosetTable, words) -> frozenset[int]:
@@ -74,20 +93,8 @@ def orientation_sides(t: CosetTable) -> list[int] | None:
     """
     if any(g != c for c, g in enumerate(t.alphabet.inv)):
         raise DomainError("orientation test needs the reflection alphabet")
-    rows = t.rows
-    side = [-1] * t.n
-    side[0] = 0
-    stack = [0]
-    while stack:
-        i = stack.pop()
-        s = side[i]
-        for j in rows[i]:
-            if side[j] == -1:
-                side[j] = s ^ 1
-                stack.append(j)
-            elif side[j] == s:
-                return None
-    return side
+    side = t._sides
+    return None if side is None else list(side)  # a fresh list: the cached sides stay as found
 
 
 def transform_subgroup(t: CosetTable, perm: tuple[int, ...]) -> CosetTable:

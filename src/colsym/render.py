@@ -157,7 +157,7 @@ def verify_perfect_on_patch(cp: ColouredPatch, w: Word) -> bool:
 
 # ---------------------------------------------------------------- SVG
 
-# triangles drawn per batch of array arithmetic
+# the most triangles drawn per batch of array arithmetic
 _BLOCK = 1024
 
 # the mirror each triangle side lies on; side s runs from corner s to
@@ -265,9 +265,17 @@ def _drawn_blocks(patch: TrianglePatch, projection: str, base: np.ndarray, scale
             far = depth <= 0.0
             chord[far | far[:, after]] = np.inf
         d = divisors[np.minimum(np.searchsorted(2 * divisors, chord), len(divisors) - 1)]
-    for start in range(0, len(drawn), _BLOCK):
-        block, step = slice(start, start + _BLOCK), s // d[start : start + _BLOCK]
-        # each side's points at the block's coarsest common step, then the drawn ones
+    start = 0
+    while start < len(drawn):
+        # each side's points at the block's coarsest common step (s over the lcm of its
+        # d, plus 1), then the drawn ones; a block of a finer subdivision than the
+        # default 12 moves no more points than _BLOCK triangles drawn whole at 12
+        end = _BLOCK
+        if s > 12:
+            lcm = np.lcm.accumulate(d[start : start + _BLOCK], axis=0)
+            moved = np.arange(1, len(lcm) + 1) * (lcm.sum(axis=1) + 3)
+            end = max(1, int(np.searchsorted(moved, _BLOCK * 3 * 13, side="right")))
+        block, step, start = slice(start, start + end), s // d[start : start + end], start + end
         side, at = np.nonzero(np.arange(s + 1) % np.gcd.reduce(step, axis=0)[:, None] == 0)
         keep = np.flatnonzero(at % step[:, side] == 0)
         pts = (rows[:, block].reshape(-1, 3) @ base[side, at].T).reshape(3, -1)[:, keep]

@@ -1,8 +1,11 @@
+import importlib
+import io
 import json
 from dataclasses import replace
 
 import pytest
 
+import colsym.coset
 import colsym.lowindex
 from colsym import goldens
 from colsym.cache import cached_provider, serialize_class_list
@@ -20,12 +23,13 @@ from colsym.census import (
     _lift,
 )
 from colsym.coset import (
-    CosetTable, canonical_table, fixed_cosets, orientation_sides, transform_subgroup,
+    CosetTable, canonical_table, fixed_cosets, orientation_sides, reroot, transform_subgroup,
 )
 from colsym.errors import DomainError, InternalError
 from colsym.geometry import generate_patch
 from colsym.lowindex import low_index_classes
 from colsym.presentations import MIRROR_TWIST, Presentation, triangle_group, von_dyck_group
+from colsym.selftest import run_selftest
 from colsym.words import A, B, C, REFLECTIONS, XGEN, ZGEN, Alphabet
 from oracle import (
     colouring_classes_by_walks,
@@ -135,6 +139,80 @@ def test_rotation_strategies_give_equal_entries(p, q, bound, provider):
             report = census(p, q, kind, Scope.ROTATION, bound, strategy=strategy,
                             classes_provider=provider)
             assert report.entries == default.entries
+
+
+# (p, q) -> {scope: bound}: the selftest bounds (the golden bounds) of
+# the hyperbolic pairs, and the rotation grid above for the others
+RECORD_BOUNDS = {
+    **{(p, q): {Scope.FULL: goldens.FULL_BOUNDS[(p, q, TilingKind.PQ)],
+                Scope.ROTATION: goldens.ROTATION_BOUNDS[(p, q, TilingKind.PQ)]}
+       for p, q in [(7, 3), (8, 3), (5, 4)]},
+    **{(p, q): {Scope.FULL: bound, Scope.ROTATION: bound}
+       for p, q, bound in [(4, 4, 40), (6, 3, 30), (4, 3, 12), (3, 5, 30)]},
+}
+
+
+@pytest.mark.parametrize("p, q", list(RECORD_BOUNDS), ids=[f"{p}-{q}" for p, q in RECORD_BOUNDS])
+def test_each_record_is_its_listed_table_rerooted_at_the_least_fixed_coset(p, q, provider):
+    # a record holds a table of the reflection group's list and a coset;
+    # its table, built on first read, is that table re-rooted there
+    for scope, bound in RECORD_BOUNDS[(p, q)].items():
+        scale = 1 if scope is Scope.FULL else 2
+        listed = set(provider(triangle_group(p, q), scale * bound).tables)
+        for kind in TilingKind:
+            words = required_words(kind, scope)
+            for strategy in ("a", "b", "both"):
+                report = census(p, q, kind, scope, bound, strategy=strategy,
+                                classes_provider=provider)
+                for rec in (r for e in report.entries for r in e.representatives):
+                    assert rec.listed in listed
+                    assert rec.coset == min(fixed_cosets(rec.listed, words))
+                    assert rec.table == reroot(rec.listed, rec.coset)
+
+
+def test_a_record_reroots_once_on_first_read(provider, monkeypatch):
+    # census builds no re-rooted table; reading a record's table builds it
+    # once, or none at coset 0, and a second read returns the same object
+    rerooted = []
+
+    def counted(t, base):
+        rerooted.append(base)
+        return reroot(t, base)
+
+    # the census module, which colsym's census function shadows as an attribute
+    monkeypatch.setattr(importlib.import_module("colsym.census"), "reroot", counted)
+    monkeypatch.setattr(colsym.coset, "reroot", counted)
+    records = [r for kind in TilingKind for scope in Scope for strategy in ("a", "b", "both")
+               for e in census(7, 3, kind, scope, 24, strategy=strategy,
+                               classes_provider=provider).entries
+               for r in e.representatives]
+    assert rerooted == []
+    moved = next(r for r in records if r.coset)
+    assert moved.table is moved.table
+    assert rerooted == [moved.coset]
+    at_0 = next(r for r in records if not r.coset)
+    assert at_0.table is at_0.listed
+    assert at_0.table is at_0.table
+    assert rerooted == [moved.coset]
+
+
+def test_warm_full_selftest_renumbers_no_table(tmp_path, monkeypatch):
+    # the one representative table a full selftest reads is rooted at coset
+    # 0, and a warm run reads every list from the cache: no renumbering
+    calls = []
+    renumbered = colsym.coset._renumbered
+
+    def counted(*args):
+        calls.append(args[1])
+        return renumbered(*args)
+
+    monkeypatch.setattr(colsym.coset, "_renumbered", counted)
+    for run in ("cold", "warm"):
+        calls.clear()
+        assert run_selftest("full", cache_dir=str(tmp_path), out=io.StringIO(), err=io.StringIO())
+        if run == "cold":
+            assert calls  # the lifts' canonical forms
+    assert calls == []
 
 
 def test_route_b_keeps_the_first_class_of_each_twin_pair(provider):

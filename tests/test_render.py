@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import tracemalloc
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 
@@ -324,6 +325,42 @@ def test_svg_bytes_pinned(
     assert (len(data), hashlib.sha256(data).hexdigest()) == (length, digest)
 
 
+# p, q, colours, depth, subdivision, bytes, sha256 of a PQ full-scope
+# picture: at 1,200, the identity and stereographic ones framed from every
+# point of every side and the disk one of 2,195 triangles; at 14,000, one
+# triangle with more points than a block holds
+FINE_SVGS = [
+    (4, 4, 2, 20, 1200, 790863,
+     "a35aa4b65c3d1037449e8d7b948ad4006187ff3f30eaa668b9bfd4a63c298ed1"),
+    (3, 5, 20, 40, 1200, 673020,
+     "0aaf52a25ddd52922298883fa1a33a0016a46085ed4b3cc14ae7da5decfc657e"),
+    (7, 3, 8, 24, 1200, 1582021,
+     "c5a05a468eb58fc20df22c655d9683cbad2905f57967814eab0318074ae3452f"),
+    (3, 5, 20, 0, 14000, 34011,
+     "471166e9bcbbf165544dcea25e810a134eb09778145f45e06fd124120cd3d375"),
+]
+
+
+@pytest.mark.parametrize("p, q, k, depth, subdivision, length, digest", FINE_SVGS,
+                         ids=[f"{p}-{q}-d{depth}-s{s}" for p, q, _, depth, s, *_ in FINE_SVGS])
+def test_fine_subdivision_is_drawn_in_blocks_of_bounded_points(
+    provider, p, q, k, depth, subdivision, length, digest
+):
+    # a block holds no more points than 1,024 triangles drawn whole at the
+    # default 12, or one triangle, whatever the subdivision, so these pictures
+    # peak at a few MB; the (4^4) one would take some 170 MB in blocks of
+    # 1,024 triangles
+    cp = colour_patch(generate_patch(p, q, depth), rep_table(provider, p, q, PQ, F, k), PQ)
+    tracemalloc.start()
+    try:
+        data = emit_svg(cp, subdivision=subdivision)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (len(data), hashlib.sha256(data).hexdigest()) == (length, digest)
+    assert peak < 20e6
+
+
 # p, q, kind, scope, colours, depth, projections, other emit_svg options:
 # every geometry and projection, both scopes, all three tilings, depth-0
 # patches, and two patches of more than one block of triangles ((7^3)
@@ -342,7 +379,7 @@ ORACLE_GRID = [
 ]
 
 
-@pytest.mark.parametrize("subdivision", [1, 5, 12])
+@pytest.mark.parametrize("subdivision", [1, 5, 12, 24])
 @pytest.mark.parametrize(
     "p, q, kind, scope, k, depth, projections, options",
     ORACLE_GRID,

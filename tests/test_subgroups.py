@@ -1,7 +1,11 @@
+from functools import cached_property
+
 import pytest
 
+from colsym.cache import cached_provider
+from colsym.census import Scope, TilingKind, census
 from colsym.coset import (
-    canonical_table, fixed_cosets, orientation_sides, reroot, transform_subgroup,
+    CosetTable, canonical_table, fixed_cosets, orientation_sides, reroot, transform_subgroup,
 )
 from colsym.errors import DomainError
 from colsym.lowindex import low_index_classes
@@ -74,6 +78,38 @@ def test_orientation_rejects_signed_alphabet():
     t = enumerate_cosets(vd, [(XGEN,)])
     with pytest.raises(DomainError):
         orientation_sides(t)
+    with pytest.raises(DomainError):  # and again: no answer was cached
+        orientation_sides(t)
+
+
+def test_orientation_is_found_once_a_table(monkeypatch):
+    # route a asks for the sides of every class of one list once a tiling
+    # kind; the bipartition runs once a table
+    found = []
+    bipartition = CosetTable._sides.func
+
+    def counted(t):
+        found.append(id(t))
+        return bipartition(t)
+
+    sides = cached_property(counted)
+    sides.__set_name__(CosetTable, "_sides")
+    monkeypatch.setattr(CosetTable, "_sides", sides)
+    provider = cached_provider()
+    for kind in TilingKind:
+        census(7, 3, kind, Scope.ROTATION, 24, strategy="a", classes_provider=provider)
+    tables = provider(triangle_group(7, 3), 48).tables
+    assert sorted(found) == sorted({id(t) for t in tables})
+
+
+def test_orientation_answers_are_fresh_lists():
+    # a caller that changes its answer cannot change the cached sides
+    t = next(t for t in low_index_classes(triangle_group(4, 3), 8).tables
+             if orientation_sides(t) is not None)
+    first, second = orientation_sides(t), orientation_sides(t)
+    assert first == second and first is not second
+    second[0] ^= 1
+    assert orientation_sides(t) == first
 
 
 def test_orientation_subgroups_have_even_index():
