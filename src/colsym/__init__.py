@@ -26,7 +26,7 @@ from .presentations import (
 )
 from .words import REFLECTIONS, ROTATIONS, Word
 from .coset import (
-    CosetTable, canonical_table, fixed_cosets, orientation_sides, reroot, transform_subgroup,
+    CosetTable, canonical_table, least_fixed_coset, orientation_sides, reroot, transform_subgroup,
 )
 from .lowindex import ClassList, Seed, low_index_classes
 from .census import (

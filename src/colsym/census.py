@@ -17,13 +17,15 @@ single rotation fixing the tile centre.
 from __future__ import annotations
 
 import time
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, partial
+from operator import attrgetter
 
 from .coset import (
-    CosetTable, canonical_table, fixed_cosets, orientation_sides, reroot, transform_subgroup,
+    CosetTable, canonical_table, least_fixed_coset, orientation_sides, reroot, transform_subgroup,
 )
 from .errors import DomainError, InternalError, check_count
 from .lowindex import ClassList, Seed, low_index_classes
@@ -175,17 +177,17 @@ class CensusReport:
         return {e.colours: e.count for e in self.entries}
 
 
-def _rerooted_record(t: CosetTable, fixed: frozenset[int]) -> SubgroupRecord:
-    """The record of t with its base point to be moved to the smallest of its cosets in `fixed`.
+def _rerooted_record(t: CosetTable, coset: int) -> SubgroupRecord:
+    """The record of t with its base point to be moved to `coset`.
 
-    fixed holds the cosets the stabilizer words fix (fixed_cosets, taken
-    once by the caller's filter).  Class representatives are canonical
-    tables whose base coset need not be fixed by the stabilizer words;
-    colouring machinery needs literal membership, so a record's table is
-    re-rooted, when it is first read; at coset 0 that is t itself, as a
-    canonical table is standardized.
+    coset is the least coset the stabilizer words fix (least_fixed_coset,
+    taken once by the caller's filter).  Class representatives are
+    canonical tables whose base coset need not be fixed by the
+    stabilizer words; colouring machinery needs literal membership, so a
+    record's table is re-rooted, when it is first read; at coset 0 that
+    is t itself, as a canonical table is standardized.
     """
-    return SubgroupRecord(t, min(fixed))
+    return SubgroupRecord(t, coset)
 
 
 def census(
@@ -215,7 +217,9 @@ def census(
     supplies the classes; the default, cache.cached_provider() with no
     directory, searches each group once a call and touches no file.  A
     provider may return classes that colour no tiling, which the census
-    drops, but its rotation group's list must hold one class of each
+    drops, and classes above the bound, which it does not read, but a
+    list of another presentation or to a lower bound is a DomainError
+    (_listed), and its rotation group's list must hold one class of each
     mirror-twin pair: a class listed twice or with its differing twin is
     an InternalError (colouring_classes checks its search once, route b
     its lifts, "both" its counts).
@@ -239,7 +243,7 @@ def census(
         tables = sorted(lifted, key=lambda t: (t.n, t.rows))
     else:
         scale = 1 if scope is Scope.FULL else 2
-        tables = provider(triangle_group(p, q), scale * max_colours).tables
+        tables = _listed(provider, triangle_group(p, q), scale * max_colours)
     entries = _census_reflection(tables, words, scope)
     if tag == "both":
         ma = {e.colours: e.count for e in entries}
@@ -254,23 +258,38 @@ def census(
                         strategy=tag, entries=entries, elapsed=time.perf_counter() - started)
 
 
+def _listed(provider, pres: Presentation, max_index: int) -> tuple[CosetTable, ...]:
+    """The provider's tables of pres to max_index, cut at the sorted list's first table above it.
+
+    A list of another presentation or to a lower bound is a DomainError:
+    a census read from it would be silently wrong.
+    """
+    cl = provider(pres, max_index)
+    if cl.presentation != pres or cl.max_index < max_index:
+        raise DomainError(f"the provider listed {cl.presentation.name!r} to index {cl.max_index} "
+                          f"for {pres.name!r} to index {max_index}")
+    return cl.tables[:bisect_right(cl.tables, max_index, key=attrgetter("n"))]
+
+
 def _census_reflection(tables, words, scope) -> tuple[CensusEntry, ...]:
     """The entries of the reflection-group tables whose subgroups hold a conjugate of words.
 
-    An index-k subgroup of the rotation half has index 2k in the full
-    group, and conjugacy classes taken in the full group are exactly
-    what "colourings up to symmetry of the uncoloured tiling" means,
-    reflections included.  So in rotation scope only the orientation
-    subgroups count, each at half its index.
+    A table is kept when some coset is fixed by all the words, and its
+    record is re-rooted at the least such coset (least_fixed_coset) when
+    its table is first read.  An index-k subgroup of the rotation half
+    has index 2k in the full group, and conjugacy classes taken in the
+    full group are exactly what "colourings up to symmetry of the
+    uncoloured tiling" means, reflections included.  So in rotation
+    scope only the orientation subgroups count, each at half its index.
     """
     scale = 1 if scope is Scope.FULL else 2
     buckets: dict[int, list[SubgroupRecord]] = {}
     for t in tables:
         if scale == 2 and orientation_sides(t) is None:
             continue
-        fixed = fixed_cosets(t, words)
-        if fixed:
-            buckets.setdefault(t.n // scale, []).append(_rerooted_record(t, fixed))
+        coset = least_fixed_coset(t, words)
+        if coset is not None:
+            buckets.setdefault(t.n // scale, []).append(_rerooted_record(t, coset))
     return tuple(CensusEntry(k, len(recs), tuple(recs)) for k, recs in sorted(buckets.items()))
 
 
@@ -284,9 +303,9 @@ def _census_rotation_b(p, q, kind, max_colours, provider) -> list[CosetTable]:
     does, so all that colour the tiling are kept; census refuses a list
     that breaks this.
     """
-    word = rotation_required_word(kind)
-    return [t for t in provider(von_dyck_group(p, q), max_colours).tables
-            if fixed_cosets(t, (word,))]
+    words = (rotation_required_word(kind),)
+    return [t for t in _listed(provider, von_dyck_group(p, q), max_colours)
+            if least_fixed_coset(t, words) is not None]
 
 
 def colour_permutation(t: CosetTable, w: Word) -> tuple[int, ...]:

@@ -9,9 +9,9 @@ one permutation of them (CosetTable.action).  The tables themselves come
 from the low-index search (lowindex.py).
 
 The table determines its subgroup, the words that fix coset 0, so the
-predicates and transforms here need no generators: which cosets some
-words fix (fixed_cosets), orientation (a 2-colouring of the coset
-graph), and the image under a letter permutation (its columns permuted).
+predicates and transforms here need no generators: the least coset
+some words fix (least_fixed_coset), orientation (a 2-colouring of
+the coset graph), and the image under a letter permutation.
 
 Re-rooting and canonical forms share one renumbering (_renumbered): a
 column-ordered BFS from a base coset, which the canonical form runs
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import DomainError
-from .words import Alphabet, Word
+from .words import REFLECTIONS, Alphabet, Word
 
 
 @dataclass(frozen=True)
@@ -37,9 +37,9 @@ class CosetTable:
     def n(self) -> int:
         return len(self.rows)
 
-    def action(self, w: Word, cosets=None) -> list[int]:
-        """The coset each of cosets (all by default) reaches by reading w left to right."""
-        rows, perm = self.rows, list(range(self.n) if cosets is None else cosets)
+    def action(self, w: Word) -> list[int]:
+        """The coset each coset reaches by reading w left to right."""
+        rows, perm = self.rows, list(range(self.n))
         for g in w:
             perm = [rows[i][g] for i in perm]
         return perm
@@ -67,18 +67,26 @@ class CosetTable:
         return tuple(side)
 
 
-def fixed_cosets(t: CosetTable, words) -> frozenset[int]:
-    """Cosets fixed by every one of the given words.
+def least_fixed_coset(t: CosetTable, words) -> int | None:
+    """The least coset that every one of the given words fixes, or None.
 
     Coset i is fixed by w exactly when w lies in the subgroup conjugate
-    w_i S w_i^-1 attached to coset i, so a nonempty result says some
-    conjugate of S contains all the words.  Like action, it does not
-    check the letters: every census runs it on every class it scans.
+    w_i S w_i^-1 attached to coset i, so one is found exactly when some
+    conjugate of S contains all the words.  The walk stops at the first.
+    Like action, it does not check the letters: every census runs it on
+    every class it scans.
     """
-    fixed = range(t.n)
-    for w in words:  # each later word read only from the cosets still fixed
-        fixed = [i for i, j in zip(fixed, t.action(w, fixed)) if i == j]
-    return frozenset(fixed)
+    rows = t.rows
+    for i in range(len(rows)):
+        for w in words:
+            j = i
+            for g in w:
+                j = rows[j][g]
+            if j != i:
+                break
+        else:
+            return i
+    return None
 
 
 def orientation_sides(t: CosetTable) -> list[int] | None:
@@ -91,7 +99,8 @@ def orientation_sides(t: CosetTable) -> list[int] | None:
     Only meaningful over the reflection alphabet, where every letter
     reverses orientation.
     """
-    if any(g != c for c, g in enumerate(t.alphabet.inv)):
+    a = t.alphabet  # the shared reflection alphabet passes at once
+    if a is not REFLECTIONS and any(g != c for c, g in enumerate(a.inv)):
         raise DomainError("orientation test needs the reflection alphabet")
     side = t._sides
     return None if side is None else list(side)  # a fresh list: the cached sides stay as found

@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass
 
 from .census import TILE_MIRRORS, Scope, TilingKind, colour_permutation, required_words
-from .coset import CosetTable, fixed_cosets, orientation_sides
+from .coset import CosetTable, least_fixed_coset, orientation_sides
 from .errors import DomainError, InternalError, check_count
 from .geometry import TrianglePatch
 from .presentations import Geometry
@@ -96,7 +96,7 @@ def colour_patch(
     """
     import numpy as np
     words = required_words(kind, scope)
-    if table.alphabet != REFLECTIONS or 0 not in fixed_cosets(table, words):
+    if table.alphabet != REFLECTIONS or least_fixed_coset(table, words) != 0:
         raise DomainError(
             f"coset 0 of the table is not fixed by the {kind.value} {scope.value} tile stabilizer")
     r1, r2 = TILE_MIRRORS[kind]

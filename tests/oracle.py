@@ -30,6 +30,8 @@ possible:
   letter;
 * walk: the coset one coset reaches along a word, a letter at a time,
   the route CosetTable.action takes for every coset at once;
+* fixed_cosets: every coset some words fix, each word read as a whole
+  permutation, where least_fixed_coset stops at the least one;
 * full_scope_via_rotations, twist_on_cosets: the full-scope classes of
   a tiling read off the rotation group's classes, with no reflection
   search;
@@ -136,6 +138,18 @@ def walk(t: CosetTable, i: int, w: Word) -> int:
     for g in w:
         i = t.rows[i][g]
     return i
+
+
+def fixed_cosets(t: CosetTable, words) -> frozenset[int]:
+    """Cosets fixed by every one of the given words.
+
+    Each word is read as a whole permutation (CosetTable.action); the
+    package asks only for the least of these cosets (least_fixed_coset).
+    """
+    fixed = set(range(t.n))
+    for w in words:
+        fixed.intersection_update(i for i, j in enumerate(t.action(w)) if i == j)
+    return frozenset(fixed)
 
 
 def generator_columns(alphabet: Alphabet) -> tuple[int, ...]:

@@ -23,7 +23,6 @@ from colsym.census import (
     required_words,
 )
 from colsym.cli import GENERATORS
-from colsym.coset import fixed_cosets
 from colsym.geometry import fundamental_triangle, generate_patch
 from colsym.lowindex import low_index_classes
 from colsym.presentations import triangle_group
@@ -32,6 +31,7 @@ from colsym.words import A, B, C
 from oracle import (
     COLOURING_SPECIFICATION,
     class_counts,
+    fixed_cosets,
     colours_transitive,
     oracle_classes,
     oracle_seeded_count,

@@ -23,7 +23,8 @@ from colsym.census import (
     _lift,
 )
 from colsym.coset import (
-    CosetTable, canonical_table, fixed_cosets, orientation_sides, reroot, transform_subgroup,
+    CosetTable, canonical_table, least_fixed_coset, orientation_sides, reroot,
+    transform_subgroup,
 )
 from colsym.errors import DomainError, InternalError
 from colsym.geometry import generate_patch
@@ -36,6 +37,7 @@ from oracle import (
     colours_transitive,
     compose_permutations,
     euclidean_counts,
+    fixed_cosets,
     full_scope_via_rotations,
     oracle_classes,
     permutation_homomorphism_check,
@@ -279,6 +281,30 @@ def test_rotation_list_with_a_class_twice_is_refused(strategy):
     with pytest.raises(InternalError):
         census(7, 3, TilingKind.PQ, Scope.ROTATION, 24, strategy=strategy,
                classes_provider=doctored)
+
+
+@pytest.mark.parametrize("strategy", ["a", "b", "both"])
+def test_list_of_another_group_or_a_lower_bound_is_refused(strategy, provider):
+    # each was read as it came: (8,3)'s classes gave (7^3) full <= 12 as
+    # 1, 3, 6, 12 where it is 1, 8, and a list to half the bound missed
+    # every class above it
+    other = {triangle_group(7, 3): triangle_group(8, 3), von_dyck_group(7, 3): von_dyck_group(8, 3)}
+    for doctored in (lambda pres, n: provider(other[pres], n), lambda pres, n: provider(pres, n // 2)):
+        for scope in Scope:
+            with pytest.raises(DomainError):
+                census(7, 3, TilingKind.PQ, scope, 12, strategy=strategy, classes_provider=doctored)
+
+
+@pytest.mark.parametrize("strategy", ["a", "b", "both"])
+def test_longer_list_is_read_to_the_bound(strategy, provider):
+    # a list to twice the bound gave full <= 12 as 1, 8, 15, 22, 24, and
+    # the rotation routes entries up to 24 too
+    for scope in Scope:
+        exact = census(7, 3, TilingKind.PQ, scope, 12, strategy=strategy, classes_provider=provider)
+        longer = census(7, 3, TilingKind.PQ, scope, 12, strategy=strategy,
+                        classes_provider=lambda pres, n: provider(pres, 2 * n))
+        assert longer.entries == exact.entries
+        assert max(e.colours for e in exact.entries) <= 12
 
 
 def test_rotation_strategies_agree_euclidean(provider):

@@ -10,14 +10,17 @@ import hashlib
 import numpy as np
 import pytest
 
-from colsym.census import Scope, TilingKind, _lift, colour_permutation, required_words
-from colsym.coset import CosetTable, canonical_table, fixed_cosets, reroot, transform_subgroup
+from colsym.census import (
+    Scope, TilingKind, _lift, colour_permutation, required_words, rotation_required_word,
+)
+from colsym.coset import CosetTable, canonical_table, least_fixed_coset, reroot, transform_subgroup
 from colsym.errors import DomainError, ResourceLimit
 from colsym.lowindex import low_index_classes
 from colsym.presentations import MIRROR_TWIST, triangle_group, von_dyck_group
-from colsym.words import A, B, C
+from colsym.words import A, B, C, REFLECTIONS, XGEN, XINV, ZGEN, ZINV
 from oracle import (
-    canonical_by_rerooting, enumerate_cosets, standardize, transversal_words, validate, walk,
+    canonical_by_rerooting, enumerate_cosets, fixed_cosets, standardize, transversal_words,
+    validate, walk,
 )
 
 MA = np.array([[0, 0, 1], [0, 1, 0], [1, 0, 0]])
@@ -229,6 +232,31 @@ def test_action_against_a_walk_per_coset(pres, bound):
             assert t.action(w) == [walk(t, i, w) for i in range(t.n)]
         for w in [(), *inverse_pairs, *relators]:
             assert t.action(w) == list(range(t.n))
+
+
+@pytest.mark.parametrize("p, q, bound", [
+    (7, 3, 48), (8, 3, 30), (5, 4, 26), (4, 4, 40), (4, 3, 30), (3, 5, 30),
+])
+def test_least_fixed_coset_against_every_fixed_coset(p, q, bound, provider):
+    # the early-exit walk against every fixed coset, each word read as a
+    # whole permutation: for every colouring class, the stabilizer words of
+    # each kind and scope, the empty word and a few multi-word sets, and for
+    # every von Dyck class of the lift the tile rotations
+    reflection_words = [required_words(k, s) for k in TilingKind for s in Scope]
+    reflection_words += [(), ((),), ((A,), (B,), (C,)), ((A, B, C), (C, B)), ((B, C), (A, B, A))]
+    rotation_words = [(rotation_required_word(k),) for k in TilingKind]
+    rotation_words += [(), ((),), ((XGEN,), (ZGEN,)), ((XINV, ZINV), (XGEN, ZGEN, XGEN))]
+    found = set()
+    for pres, words in ((triangle_group(p, q), reflection_words),
+                        (von_dyck_group(p, q), rotation_words)):
+        tables = provider(pres, bound if pres.alphabet == REFLECTIONS else bound // 2).tables
+        assert tables
+        for t in tables:
+            for ws in words:
+                least = least_fixed_coset(t, ws)
+                assert least == min(fixed_cosets(t, ws), default=None)
+                found.add(None if least is None else min(least, 1))
+    assert found == {None, 0, 1}  # no coset fixed, coset 0, and a later one
 
 
 def test_action_helpers_pinned():

@@ -10,12 +10,14 @@ from hypothesis import given, settings, strategies as st
 import colsym.lowindex
 from colsym.cache import cached_provider, serialize_class_list
 from colsym.census import _lift, colouring_classes, colouring_seeds
-from colsym.coset import CosetTable, canonical_table, fixed_cosets, transform_subgroup
+from colsym.coset import CosetTable, canonical_table, transform_subgroup
 from colsym.errors import DomainError, InternalError, ResourceLimit
 from colsym.lowindex import UNSEEDED, _search, low_index_classes
 from colsym.presentations import MIRROR_TWIST, Presentation, triangle_group, von_dyck_group
 from colsym.words import A, B, C, REFLECTIONS, ROTATIONS, XGEN, ZGEN, ZINV
-from oracle import class_counts, classes_at_index, oracle_classes, twist_closure, validate
+from oracle import (
+    class_counts, classes_at_index, fixed_cosets, oracle_classes, twist_closure, validate,
+)
 
 SMALL_GROUPS = [
     triangle_group(4, 3),

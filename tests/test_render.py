@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from colsym.census import TILE_MIRRORS, Scope, TilingKind, census, required_words
 from colsym.cli import GENERATORS
-from colsym.coset import fixed_cosets, reroot
+from colsym.coset import reroot
 from colsym.errors import DomainError, InternalError
 from colsym.geometry import generate_patch
 from colsym.lowindex import low_index_classes
@@ -22,8 +22,8 @@ from colsym.render import (
 )
 from colsym.words import A, B, C
 from oracle import (
-    colour_histogram, colours_by_words, emit_svg_per_triangle, merged_tiles_per_triangle,
-    random_words,
+    colour_histogram, colours_by_words, emit_svg_per_triangle, fixed_cosets,
+    merged_tiles_per_triangle, random_words,
 )
 
 NOT_FIXED = "coset 0 of the table is not fixed"

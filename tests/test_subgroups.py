@@ -5,7 +5,8 @@ import pytest
 from colsym.cache import cached_provider
 from colsym.census import Scope, TilingKind, census
 from colsym.coset import (
-    CosetTable, canonical_table, fixed_cosets, orientation_sides, reroot, transform_subgroup,
+    CosetTable, canonical_table, least_fixed_coset, orientation_sides, reroot,
+    transform_subgroup,
 )
 from colsym.errors import DomainError
 from colsym.lowindex import low_index_classes
@@ -16,6 +17,7 @@ from oracle import (
     apply_generator_map,
     conjugate_in,
     enumerate_cosets,
+    fixed_cosets,
     schreier_generators,
     sign_parity,
     transversal_words,
@@ -54,6 +56,11 @@ def test_fixed_cosets():
         i for i in range(t.n) if walk(t, i, (B,)) == i and walk(t, i, (C,)) == i
     )
     assert fixed_cosets(t, [()]) == frozenset(range(t.n))
+    # the package asks only for the least of them
+    assert least_fixed_coset(t, [(B,), (C,)]) == 0 == least_fixed_coset(t, [()])
+    assert least_fixed_coset(t, [(A,)]) == min(fixed_cosets(t, [(A,)]), default=None)
+    # the index-2 orientation subgroup: every letter swaps its two cosets
+    assert least_fixed_coset(CosetTable(t.alphabet, ((1, 1, 1), (0, 0, 0))), [(A,)]) is None
 
 
 def test_orientation_two_ways():
