@@ -6,8 +6,8 @@ presentation, `<name>.json` (e.g. `triangle-7-3.json`), holding its
 colouring classes (those of census.colouring_classes: the classes that
 colour some tiling, one of each mirror-twin pair) to the largest bound
 searched so far: the search output at bound N literally contains the
-output at every n < N, so a smaller request is served by trimming, and a
-larger one searches and atomically replaces the file.  Without a
+output at every n < N, so a smaller request is served the whole list,
+and a larger one searches and atomically replaces the file.  Without a
 directory no file is read or written.  A file is two JSON lines, a
 header (the code stamp, presentation name and relators, bound, class
 count, and the crc32 of the table line with its newline) and the table
@@ -139,10 +139,10 @@ def cached_provider(cache_dir: str | None = None, *, node_budget: int | None = N
     """A classes_provider for census(), backed by the files in cache_dir if given.
 
     It serves census.colouring_classes, each of whose searches gets its
-    own node budget.  It keeps the largest list it has seen
-    of each presentation in a memo, so a census pass over several
-    tilings enumerates each group once and a smaller request is served
-    by trimming.  A reflection group's rotation half comes through the
+    own node budget.  It keeps the largest list it has seen of each
+    presentation in a memo, so a census pass over several tilings
+    enumerates each group once, and returns that list whole, to at least the
+    bound asked.  A reflection group's rotation half comes through the
     memo and cache too, so its search files the von Dyck group's list.
     """
     if node_budget is not None:
@@ -164,9 +164,7 @@ def cached_provider(cache_dir: str | None = None, *, node_budget: int | None = N
                     except DomainError:
                         pass  # a cache is an optimization, never lose the result over it
             memo[pres] = cl
-        if cl.max_index == max_index:
-            return cl
-        return ClassList(pres, max_index, tuple(t for t in cl.tables if t.n <= max_index))
+        return cl
 
     def provider(pres: Presentation, max_index: int) -> ClassList:
         # the rotation half is looked up, not provided: a provider that

@@ -17,12 +17,10 @@ single rotation fixing the tile centre.
 from __future__ import annotations
 
 import time
-from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, partial
-from operator import attrgetter
 
 from .coset import (
     CosetTable, canonical_table, least_fixed_coset, orientation_sides, reroot, transform_subgroup,
@@ -116,10 +114,10 @@ def colouring_classes(pres: Presentation, max_index: int, *, search=low_index_cl
     full-scope ones over the reflection alphabet.  The rotation scope's
     are orientation subgroups there, and one of index 2k is an index-k
     subgroup of the von Dyck group (p and q read off the relators).  So
-    that group's classes to max_index // 2, from rotation_classes (a
-    provider's lookup; by default this function with the same search),
-    are lifted (_lift) and put in canonical form, where twins lift to
-    one class.  Holding no mirror, none is full-scope.
+    that group's classes to max_index // 2, read (_listed) from
+    rotation_classes (a provider's lookup; by default this function with
+    the same search), are lifted (_lift) and put in canonical form,
+    where twins lift to one class.  Holding no mirror, none is full-scope.
     """
     twist = MIRROR_TWIST if pres.alphabet == ROTATIONS else None
     cl = search(pres, max_index, seeds=colouring_seeds(pres), twist=twist)
@@ -133,9 +131,9 @@ def colouring_classes(pres: Presentation, max_index: int, *, search=low_index_cl
     p, q = orders.get((B, C), 0), orders.get((A, B), 0)
     if set(triangle_group(p, q).relators) != set(pres.relators):
         raise DomainError(f"{pres.name!r} is not a triangle group")
-    half = (rotation_classes or partial(colouring_classes, search=search))(
-        von_dyck_group(p, q), max_index // 2)
-    tables = {*cl.tables, *(canonical_table(_lift(t)) for t in half.tables)}
+    half = _listed(rotation_classes or partial(colouring_classes, search=search),
+                   von_dyck_group(p, q), max_index // 2)
+    tables = {*cl.tables, *(canonical_table(_lift(t)) for t in half)}
     return ClassList(pres, max_index, tuple(sorted(tables, key=lambda t: (t.n, t.rows))))
 
 
@@ -217,12 +215,12 @@ def census(
     supplies the classes; the default, cache.cached_provider() with no
     directory, searches each group once a call and touches no file.  A
     provider may return classes that colour no tiling, which the census
-    drops, and classes above the bound, which it does not read, but a
-    list of another presentation or to a lower bound is a DomainError
-    (_listed), and its rotation group's list must hold one class of each
-    mirror-twin pair: a class listed twice or with its differing twin is
-    an InternalError (colouring_classes checks its search once, route b
-    its lifts, "both" its counts).
+    drops, and classes above the bound, in any order: _listed reads it to
+    the bound, in its order, and refuses (DomainError) a list of
+    another presentation or to a lower bound.  The rotation group's list
+    must hold one class of each mirror-twin pair: a class listed twice or
+    with its differing twin is an InternalError (colouring_classes checks
+    its search once, route b its lifts, "both" its counts).
     """
     check_count(max_colours, "max_colours", 1)
     words = required_words(kind, scope)
@@ -258,8 +256,8 @@ def census(
                         strategy=tag, entries=entries, elapsed=time.perf_counter() - started)
 
 
-def _listed(provider, pres: Presentation, max_index: int) -> tuple[CosetTable, ...]:
-    """The provider's tables of pres to max_index, cut at the sorted list's first table above it.
+def _listed(provider, pres: Presentation, max_index: int) -> list[CosetTable]:
+    """The tables of pres the provider lists, of index at most max_index, in the list's order.
 
     A list of another presentation or to a lower bound is a DomainError:
     a census read from it would be silently wrong.
@@ -268,7 +266,7 @@ def _listed(provider, pres: Presentation, max_index: int) -> tuple[CosetTable, .
     if cl.presentation != pres or cl.max_index < max_index:
         raise DomainError(f"the provider listed {cl.presentation.name!r} to index {cl.max_index} "
                           f"for {pres.name!r} to index {max_index}")
-    return cl.tables[:bisect_right(cl.tables, max_index, key=attrgetter("n"))]
+    return [t for t in cl.tables if t.n <= max_index]
 
 
 def _census_reflection(tables, words, scope) -> tuple[CensusEntry, ...]:

@@ -17,7 +17,7 @@ from colsym.cache import (
     store_classes,
 )
 from colsym.census import (
-    Scope, TilingKind, census, colouring_classes, colouring_seeds, format_census,
+    Scope, TilingKind, census, colouring_classes, colouring_seeds, format_census, _listed,
 )
 from colsym.cli import main
 from colsym.coset import CosetTable, reroot
@@ -107,16 +107,23 @@ def test_store_load_round_trip(tmp_path, classes):
 
 def test_larger_bound_serves_smaller(tmp_path, classes, monkeypatch):
     store_classes(classes, str(tmp_path))
-    # the stored list comes back whole and the provider trims it
+    # the stored list comes back whole, the provider returns it as it holds
+    # it, and the census reads it to the bound
     whole = load_classes(triangle_group(4, 3), 4, str(tmp_path))
     assert whole.max_index == 6 and len(whole.tables) == len(classes.tables)
+    loads = _counting(monkeypatch, "load_classes")
     searched = _counting(monkeypatch, "low_index_classes")
-    small = cached_provider(str(tmp_path))(triangle_group(4, 3), 4)
+    prov = cached_provider(str(tmp_path))
+    G = triangle_group(4, 3)
+    small = prov(G, 4)
     assert searched == []
-    assert small.max_index == 4
-    assert all(t.n <= 4 for t in small.tables)
+    assert small.max_index == 6
+    assert prov(G, 4) is small
+    assert loads == [("triangle-4-3", 4)] and searched == []
+    read = _listed(prov, G, 4)
+    assert all(t.n <= 4 for t in read)
     expected = [t.flat() for t in classes.tables if t.n <= 4]
-    assert [t.flat() for t in small.tables] == expected
+    assert [t.flat() for t in read] == expected
 
 
 def test_smaller_bound_is_a_miss(tmp_path, classes):
@@ -233,7 +240,7 @@ def test_code_stamp_is_computed_once_per_process(tmp_path, monkeypatch):
 
     colsym.cache._code.cache_clear()
     monkeypatch.setattr(pathlib.Path, "read_bytes", counted)
-    for bound in (6, 8):  # files of both groups stored, read back, trimmed and replaced
+    for bound in (6, 8):  # files of both groups stored, read back and replaced
         cached_provider(str(tmp_path))(triangle_group(4, 3), bound)
         cached_provider(str(tmp_path))(triangle_group(4, 3), bound)
     assert colsym.cache._code.cache_info().misses == 1
@@ -440,6 +447,7 @@ def test_cached_provider_memoizes_and_persists(tmp_path, monkeypatch):
         return real(pres, max_index, **kw)
 
     monkeypatch.setattr("colsym.cache.low_index_classes", counting)
+    loads = _counting(monkeypatch, "load_classes")
 
     prov = cached_provider(str(tmp_path))
     G, V = triangle_group(4, 3), von_dyck_group(4, 3)
@@ -447,12 +455,15 @@ def test_cached_provider_memoizes_and_persists(tmp_path, monkeypatch):
     again = prov(G, 6)
     smaller = prov(G, 3)
     # the reflection search brought its rotation half to 3, and the memo
-    # served the repeats and the half
+    # served the repeats and the half: the list it holds, with no load
     assert prov(V, 3).max_index == 3
     searched = [("triangle-4-3", 6), ("vondyck-4-3", 3)]
     assert calls == searched
+    assert loads == searched
+    assert again is first and smaller is first and smaller.max_index == 6
     assert [t.flat() for t in first.tables] == [t.flat() for t in again.tables]
-    assert all(t.n <= 3 for t in smaller.tables)
+    assert all(t.n <= 3 for t in _listed(prov, G, 3))
+    assert _listed(prov, G, 3) == [t for t in first.tables if t.n <= 3]
 
     # a second provider over the same directory reads the disk copies
     prov2 = cached_provider(str(tmp_path))
@@ -524,11 +535,15 @@ def test_one_file_per_group_holds_the_largest_search(tmp_path, monkeypatch):
         assert [t.flat() for t in stored.tables] == [
             t.flat() for t in colouring_classes(pres, bound).tables
         ]
+    loads = _counting(monkeypatch, "load_classes")
     searched = _counting(monkeypatch, "low_index_classes")
-    got = cached_provider(str(tmp_path))(G, 5)
+    prov = cached_provider(str(tmp_path))
+    got = prov(G, 5)
     assert searched == []
-    assert got.max_index == 5
-    assert [t.flat() for t in got.tables] == [t.flat() for t in colouring_classes(G, 5).tables]
+    assert got.max_index == 6
+    assert prov(G, 5) is got and loads == [("triangle-4-3", 5)] and searched == []
+    expected = [t.flat() for t in colouring_classes(G, 5).tables]
+    assert [t.flat() for t in _listed(prov, G, 5)] == expected
 
 
 def test_stale_file_at_a_larger_bound_is_replaced(tmp_path, classes, monkeypatch):
@@ -550,9 +565,11 @@ def test_memo_keeps_the_whole_list_it_read(tmp_path, classes, monkeypatch):
     searched = _counting(monkeypatch, "low_index_classes")
     prov = cached_provider(str(tmp_path))
     G = triangle_group(4, 3)
-    assert prov(G, 4).max_index == 4
+    first = prov(G, 4)
+    assert first.max_index == 6
     got = prov(G, 6)
     assert loads == [("triangle-4-3", 4)] and searched == []
+    assert got is first
     assert [t.flat() for t in got.tables] == [t.flat() for t in classes.tables]
 
 

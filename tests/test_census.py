@@ -28,7 +28,7 @@ from colsym.coset import (
 )
 from colsym.errors import DomainError, InternalError
 from colsym.geometry import generate_patch
-from colsym.lowindex import low_index_classes
+from colsym.lowindex import ClassList, low_index_classes
 from colsym.presentations import MIRROR_TWIST, Presentation, triangle_group, von_dyck_group
 from colsym.selftest import run_selftest
 from colsym.words import A, B, C, REFLECTIONS, XGEN, ZGEN, Alphabet
@@ -289,7 +289,11 @@ def test_list_of_another_group_or_a_lower_bound_is_refused(strategy, provider):
     # 1, 3, 6, 12 where it is 1, 8, and a list to half the bound missed
     # every class above it
     other = {triangle_group(7, 3): triangle_group(8, 3), von_dyck_group(7, 3): von_dyck_group(8, 3)}
-    for doctored in (lambda pres, n: provider(other[pres], n), lambda pres, n: provider(pres, n // 2)):
+
+    def lower(pres, n):
+        return ClassList(pres, n // 2, tuple(t for t in provider(pres, n).tables if t.n <= n // 2))
+
+    for doctored in (lambda pres, n: provider(other[pres], n), lower):
         for scope in Scope:
             with pytest.raises(DomainError):
                 census(7, 3, TilingKind.PQ, scope, 12, strategy=strategy, classes_provider=doctored)
@@ -305,6 +309,50 @@ def test_longer_list_is_read_to_the_bound(strategy, provider):
                         classes_provider=lambda pres, n: provider(pres, 2 * n))
         assert longer.entries == exact.entries
         assert max(e.colours for e in exact.entries) <= 12
+
+
+@pytest.mark.parametrize("strategy", ["a", "b", "both"])
+def test_list_out_of_index_order_is_read_to_the_bound(strategy, provider):
+    # a list to twice the bound, last table first, gave (7^3) full <= 12
+    # with no entries (the cut assumed index order); [4.4.4.4] has entries
+    # of several classes, whose representatives keep the list's order
+    def reversed_longer(pres, n):
+        cl = provider(pres, 2 * n)
+        return ClassList(pres, cl.max_index, cl.tables[::-1])
+
+    def records(report):
+        return {e.colours: set(e.representatives) for e in report.entries}
+
+    lines = []
+    for p, q, kind, bound in ((7, 3, TilingKind.PQ, 12), (4, 4, TilingKind.LAVES, 8)):
+        for scope in Scope:
+            exact = census(p, q, kind, scope, bound, strategy=strategy, classes_provider=provider)
+            got = census(p, q, kind, scope, bound, strategy=strategy,
+                         classes_provider=reversed_longer)
+            if p == 7:
+                assert got.entries == exact.entries
+            assert format_census(got) == format_census(exact)
+            assert records(got) == records(exact)
+            lines.append(format_census(got))
+    assert lines[:2] == ["(7^3) full <= 12: 1, 8", "(7^3) rotation <= 12: 1, 8, 9"]
+    assert all("^{" in line for line in lines[2:])
+
+
+def test_colouring_classes_reads_its_rotation_half_to_its_bound():
+    # the half was lifted as it came: (8,3)'s half gave a (7,3) list to 24
+    # of 27 tables where it holds 11, and a half to index 2 gave 8
+    G = triangle_group(7, 3)
+    half = cached_provider()
+
+    def lower(pres, n):
+        return ClassList(pres, 2, tuple(t for t in half(pres, n).tables if t.n <= 2))
+
+    for rotation_classes in (lambda pres, n: half(von_dyck_group(8, 3), n), lower):
+        with pytest.raises(DomainError):
+            colouring_classes(G, 24, rotation_classes=rotation_classes)
+    longer = colouring_classes(G, 24, rotation_classes=lambda pres, n: half(pres, 2 * n))
+    assert longer == colouring_classes(G, 24)
+    assert len(longer.tables) == 11
 
 
 def test_rotation_strategies_agree_euclidean(provider):
