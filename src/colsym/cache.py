@@ -11,7 +11,7 @@ and a larger one searches and atomically replaces the file.  Without a
 directory no file is read or written.  A file is two JSON lines, a
 header (the code stamp, presentation name and relators, bound, class
 count, and the crc32 of the table line with its newline) and the table
-line: the flat coset tables, strictly increasing in (index, rows), in
+line: the coset tables' entries, strictly increasing in (index, entries), in
 digits, brackets, commas, spaces and newlines only.  The code stamp is
 the crc32 of the source of the modules that decide a class list or its
 file (see _code), so a file written by other code, a corrupt one (a
@@ -59,7 +59,7 @@ def _stamp(pres: Presentation) -> dict:
 
 
 def serialize_class_list(cl: ClassList) -> str:
-    line = json.dumps([list(t.flat()) for t in cl.tables]) + "\n"
+    line = json.dumps([list(t.entries) for t in cl.tables]) + "\n"
     header = {**_stamp(cl.presentation), "max_index": cl.max_index, "classes": len(cl.tables),
               "crc": f"{zlib.crc32(line.encode()):08x}"}
     return f"{json.dumps(header)}\n{line}"
@@ -87,19 +87,16 @@ def parse_class_list(text: str | bytes, pres: Presentation) -> ClassList:
     if (line.translate(None, b"0123456789[], \n") or line.count(b"[") != len(raw_tables) + 1
             or not all(type(flat) is list for flat in raw_tables)):
         raise DomainError("the table line is not one list of lists of unsigned integers")
-    m = pres.alphabet.size
     tables = []
     for flat in raw_tables:
-        if len(flat) % m:
-            raise DomainError("table length is not a multiple of the alphabet size")
-        n = len(flat) // m
-        if not 0 < n <= max_index:
-            raise DomainError(f"table of index {n} in a list to index {max_index}")
-        if max(flat) >= n:
+        t = CosetTable(pres.alphabet, tuple(flat))  # refuses an empty or ragged table
+        if t.n > max_index:
+            raise DomainError(f"table of index {t.n} in a list to index {max_index}")
+        if max(flat) >= t.n:
             raise DomainError("table entry out of range")
-        tables.append(CosetTable(pres.alphabet, tuple(zip(*[iter(flat)] * m))))
+        tables.append(t)
     if any((len(a), a) >= (len(b), b) for a, b in zip(raw_tables, raw_tables[1:])):
-        raise DomainError("tables are not strictly increasing in (index, rows)")
+        raise DomainError("tables are not strictly increasing in (index, entries)")
     return ClassList(pres, max_index, tuple(tables))
 
 

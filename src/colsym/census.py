@@ -98,10 +98,10 @@ def _lift(t: CosetTable) -> CosetTable:
     H u_i b.  As ab = x, cb = Z, ba = X and bc = z, letters a, b, c take
     i to k + i x, k + i and k + i Z, and k + i to i X, i and i z.
     """
-    k = t.n
-    rows = [(k + r[XGEN], k + i, k + r[ZINV]) for i, r in enumerate(t.rows)]
-    rows += [(r[XINV], i, r[ZGEN]) for i, r in enumerate(t.rows)]
-    return CosetTable(REFLECTIONS, tuple(rows))
+    k, e, m = t.n, t.entries, ROTATIONS.size
+    flat = [v for i in range(k) for v in (k + e[i * m + XGEN], k + i, k + e[i * m + ZINV])]
+    flat += [v for i in range(k) for v in (e[i * m + XINV], i, e[i * m + ZGEN])]
+    return CosetTable(REFLECTIONS, tuple(flat))
 
 
 def colouring_classes(pres: Presentation, max_index: int, *, search=low_index_classes,
@@ -134,7 +134,7 @@ def colouring_classes(pres: Presentation, max_index: int, *, search=low_index_cl
     half = _listed(rotation_classes or partial(colouring_classes, search=search),
                    von_dyck_group(p, q), max_index // 2)
     tables = {*cl.tables, *(canonical_table(_lift(t)) for t in half)}
-    return ClassList(pres, max_index, tuple(sorted(tables, key=lambda t: (t.n, t.rows))))
+    return ClassList(pres, max_index, tuple(sorted(tables, key=lambda t: (t.n, t.entries))))
 
 
 @dataclass(frozen=True)
@@ -238,7 +238,7 @@ def census(
         if len(lifted) != len(kept):
             raise InternalError("a rotation class is listed twice or with its mirror twin")
         # in the reflection group's class-list order, so the entries are route a's
-        tables = sorted(lifted, key=lambda t: (t.n, t.rows))
+        tables = sorted(lifted, key=lambda t: (t.n, t.entries))
     else:
         scale = 1 if scope is Scope.FULL else 2
         tables = _listed(provider, triangle_group(p, q), scale * max_colours)

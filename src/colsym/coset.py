@@ -1,12 +1,12 @@
 """Coset tables: the action of words, re-rooting and canonical forms.
 
-A coset table for a subgroup S of a group G presented on k letters is
-an n x k array: rows are cosets (row 0 is S itself), columns follow the
-alphabet, and entry (i, g) is the coset S w_i g.  A complete table is a
-transitive permutation representation of G on the cosets (Sims,
-Computation with Finitely Presented Groups, ch. 5), so a word acts as
-one permutation of them (CosetTable.action).  The tables themselves come
-from the low-index search (lowindex.py).
+A coset table for a subgroup S of a group G presented on k letters
+holds its n * k entries as one row-major tuple: entry i * k + g is the
+coset S w_i g that letter g takes coset i to (coset 0 is S itself).  A
+complete table is a transitive permutation representation of G on the
+cosets (Sims, Computation with Finitely Presented Groups, ch. 5), so a
+word acts as one permutation of them (CosetTable.action).  The tables
+themselves come from the low-index search (lowindex.py).
 
 The table determines its subgroup, the words that fix coset 0, so the
 predicates and transforms here need no generators: the least coset
@@ -19,46 +19,49 @@ from every base against the least result so far.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import DomainError
 from .words import REFLECTIONS, Alphabet, Word
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CosetTable:
-    """Immutable complete coset table over a fixed alphabet."""
+    """Immutable complete coset table over a fixed alphabet: n cosets' entries, row-major."""
 
     alphabet: Alphabet
-    rows: tuple[tuple[int, ...], ...]
+    entries: tuple[int, ...]
+    n: int = field(init=False)  # found once, from the entries
 
-    @property
-    def n(self) -> int:
-        return len(self.rows)
+    def __init__(self, alphabet: Alphabet, entries: tuple[int, ...]):
+        n, rest = divmod(len(entries), alphabet.size)
+        if rest or not n:
+            raise DomainError(f"a table of {len(entries)} entries: none, or not a multiple "
+                              f"of the alphabet size {alphabet.size}")
+        d = self.__dict__  # as cached_property sets: object.__setattr__ costs twice as much
+        d["alphabet"], d["entries"], d["n"] = alphabet, entries, n
 
     def action(self, w: Word) -> list[int]:
-        """The coset each coset reaches by reading w left to right."""
-        rows, perm = self.rows, list(range(self.n))
+        """The coset each coset reaches by reading w left to right; w's letters are checked."""
+        self.alphabet.check_word(w)
+        e, k, perm = self.entries, self.alphabet.size, list(range(self.n))
         for g in w:
-            perm = [rows[i][g] for i in perm]
+            column = e[g::k]
+            perm = [column[i] for i in perm]
         return perm
-
-    def flat(self) -> tuple[int, ...]:
-        """Row-major serialization; the key used for sorting and hashing."""
-        return tuple(v for row in self.rows for v in row)
 
     @cached_property
     def _sides(self) -> tuple[int, ...] | None:
         """orientation_sides' bipartition, run once a table (route a asks once a tiling kind)."""
-        rows = self.rows
+        e, k = self.entries, self.alphabet.size
         side = [-1] * self.n
         side[0] = 0
         stack = [0]
         while stack:
             i = stack.pop()
             s = side[i]
-            for j in rows[i]:
+            for j in e[i * k : i * k + k]:
                 if side[j] == -1:
                     side[j] = s ^ 1
                     stack.append(j)
@@ -73,15 +76,16 @@ def least_fixed_coset(t: CosetTable, words) -> int | None:
     Coset i is fixed by w exactly when w lies in the subgroup conjugate
     w_i S w_i^-1 attached to coset i, so one is found exactly when some
     conjugate of S contains all the words.  The walk stops at the first.
-    Like action, it does not check the letters: every census runs it on
-    every class it scans.
+    Unlike action, it does not check the letters, as every census runs
+    it on every class it scans: a letter outside the alphabet reads
+    another coset's entry.
     """
-    rows = t.rows
-    for i in range(len(rows)):
+    e, k = t.entries, t.alphabet.size
+    for i in range(t.n):
         for w in words:
             j = i
             for g in w:
-                j = rows[j][g]
+                j = e[j * k + g]
             if j != i:
                 break
         else:
@@ -115,27 +119,34 @@ def transform_subgroup(t: CosetTable, perm: tuple[int, ...]) -> CosetTable:
     which is the image when perm is an involution.  The result has t's
     index and base coset but is not standardized.
     """
-    return CosetTable(t.alphabet, tuple(tuple(row[g] for g in perm) for row in t.rows))
+    e, k = t.entries, t.alphabet.size
+    return CosetTable(t.alphabet, tuple(e[i + g] for i in range(0, len(e), k) for g in perm))
 
 
-def _renumbered(t: CosetTable, base: int, bound: list[int] | None, loc: list[int]) -> list[int] | None:
-    """t's entries, row-major, with `base` moved to slot 0; None if above bound.
+def _columns(t: CosetTable) -> list[tuple[int, ...]]:
+    """t's entries a letter at a time: entry (i, g) is _columns(t)[g][i]."""
+    return [t.entries[g :: t.alphabet.size] for g in range(t.alphabet.size)]
 
-    Cosets are relabelled in first-visit order of a column-ordered BFS
-    from base, and each entry is relabelled as the BFS reads it.  Given
-    bound, the entries of another renumbering of t, the BFS stops at the
-    first entry above bound's with all earlier entries equal, and returns
-    None; once one falls below bound's, it compares no more.  loc is
-    t.n slots of -1, which a None result leaves as they were.
+
+def _renumbered(columns, base: int, bound: list[int] | None, loc: list[int]) -> list[int] | None:
+    """A table's entries, row-major, with `base` moved to slot 0; None if above bound.
+
+    The table comes as its _columns.  Cosets are relabelled in first-visit
+    order of a column-ordered BFS from base, and each entry is relabelled
+    as the BFS reads it.  Given bound, the entries of another renumbering,
+    the BFS stops at the first entry above bound's with all earlier entries
+    equal, and returns None; once one falls below bound's, it compares no
+    more.  loc holds -1 a coset, which a None result leaves as it was.
     """
-    rows = t.rows
     order = [base]
     loc[base] = 0
     flat: list[int] = []
     less = bound is None  # decided below bound; compare no more
     i = 0
     while i < len(order):
-        for w in rows[order[i]]:
+        o = order[i]
+        for column in columns:
+            w = column[o]
             e = loc[w]
             if e < 0:
                 e = loc[w] = len(order)
@@ -149,14 +160,9 @@ def _renumbered(t: CosetTable, base: int, bound: list[int] | None, loc: list[int
                 less = e < b
             flat.append(e)
         i += 1
-    if len(order) != t.n:
+    if len(order) != len(loc):
         raise DomainError("table is not transitive; cannot renumber")
     return flat
-
-
-def _table(t: CosetTable, flat: list[int]) -> CosetTable:
-    m = t.alphabet.size
-    return CosetTable(t.alphabet, tuple(tuple(flat[i : i + m]) for i in range(0, len(flat), m)))
 
 
 def reroot(t: CosetTable, base: int) -> CosetTable:
@@ -167,7 +173,7 @@ def reroot(t: CosetTable, base: int) -> CosetTable:
     """
     if not 0 <= base < t.n:
         raise DomainError(f"coset {base} is not one of the table's {t.n}")
-    return _table(t, _renumbered(t, base, None, [-1] * t.n))
+    return CosetTable(t.alphabet, tuple(_renumbered(_columns(t), base, None, [-1] * t.n)))
 
 
 def canonical_table(t: CosetTable) -> CosetTable:
@@ -179,9 +185,9 @@ def canonical_table(t: CosetTable) -> CosetTable:
     far as its bound, so a base is dropped at the first entry above it
     and only the least table is built.
     """
-    best, loc = None, [-1] * t.n  # loc is reused while the bases lose
+    columns, best, loc = _columns(t), None, [-1] * t.n  # loc is reused while the bases lose
     for base in range(t.n):
-        flat = _renumbered(t, base, best, loc)
+        flat = _renumbered(columns, base, best, loc)
         if flat is not None:
             best, loc = flat, [-1] * t.n
-    return _table(t, best)
+    return CosetTable(t.alphabet, tuple(best))

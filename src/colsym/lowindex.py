@@ -311,9 +311,6 @@ def _search(
                 return True
         return False
 
-    def snapshot(n: int) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(table[i * m : (i + 1) * m]) for i in range(n))
-
     def walk() -> None:
         """Depth-first walk of the tree below the propagated root.
 
@@ -334,7 +331,7 @@ def _search(
                 pos += 1
             if pos == limit:
                 if not rejectable():
-                    results.append(snapshot(n))
+                    results.append(tuple(table[: n * m]))
             else:
                 nodes += 1
                 if node_budget is not None and nodes > node_budget:
@@ -400,7 +397,7 @@ def low_index_classes(
     conjugate of some seed's subgroup; a seed word has at most two
     letters (see settle).  Either way it is one standardized table per
     class, each the lexicographic minimum of all its re-rootings,
-    sorted by (index, rows).  The walks run in this process, in seed
+    sorted by (index, entries).  The walks run in this process, in seed
     order.  node_budget, if given, bounds the branch nodes over all the
     walks.  Given a twist, it is one class per twin pair.  Each table the
     walks complete is read against the relators here; one that fails
@@ -425,12 +422,12 @@ def low_index_classes(
     # each class comes from one walk, as a table least over its fixed roots
     # only: once every relator acts trivially, its canonical form represents it
     tables = []
-    for rows in _search(pres, max_index, walks, node_budget=node_budget, twist=twist):
-        t = CosetTable(pres.alphabet, rows)
+    for entries in _search(pres, max_index, walks, node_budget=node_budget, twist=twist):
+        t = CosetTable(pres.alphabet, entries)
         if any(t.action(rel) != list(range(t.n)) for rel in pres.relators):
             raise InternalError("complete table fails a relator")
         tables.append(canonical_table(t))
-    tables.sort(key=lambda t: (t.n, t.rows))
+    tables.sort(key=lambda t: (t.n, t.entries))
     if len(set(tables)) != len(tables):
         raise InternalError("the walks found a class twice")
     return ClassList(pres, max_index, tuple(tables))

@@ -100,7 +100,7 @@ def colour_patch(
         raise DomainError(
             f"coset 0 of the table is not fixed by the {kind.value} {scope.value} tile stabilizer")
     r1, r2 = TILE_MIRRORS[kind]
-    rows = np.array(table.rows)
+    rows = np.array(table.entries).reshape(table.n, -1)
     colour_of = np.array(_coset_colours(table, scope))
     nbrs, last, parent = patch.neighbours, patch.last, patch.parents
     n = len(last)

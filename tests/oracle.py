@@ -28,6 +28,8 @@ possible:
 * free_reduce, apply_generator_map, word_matrix: words reduced, mapped
   by a homomorphism and multiplied out as mirror matrices, letter by
   letter;
+* rows: a table's row-major entries cut into one row a coset, for the
+  checks and pins that read a table row by row;
 * walk: the coset one coset reaches along a word, a letter at a time,
   the route CosetTable.action takes for every coset at once;
 * fixed_cosets: every coset some words fix, each word read as a whole
@@ -133,10 +135,17 @@ def word_matrix(tri: FundamentalTriangle, w: Word) -> np.ndarray:
     return M
 
 
+def rows(t: CosetTable) -> tuple[tuple[int, ...], ...]:
+    """The table's entries cut into its n rows, one per coset."""
+    k = t.alphabet.size
+    return tuple(t.entries[i : i + k] for i in range(0, len(t.entries), k))
+
+
 def walk(t: CosetTable, i: int, w: Word) -> int:
     """Coset reached from coset i by reading w left to right."""
+    e, k = t.entries, t.alphabet.size
     for g in w:
-        i = t.rows[i][g]
+        i = e[i * k + g]
     return i
 
 
@@ -179,7 +188,7 @@ def canonical_by_rerooting(t: CosetTable) -> CosetTable:
     best = None
     for base in range(t.n):
         cand = reroot(t, base)
-        if best is None or cand.rows < best.rows:
+        if best is None or rows(cand) < rows(best):
             best = cand
     return best
 
@@ -302,10 +311,8 @@ def enumerate_cosets(
 
     live = [k for k in range(len(table)) if parent[k] == k]
     renum = {old: new for new, old in enumerate(live)}
-    rows = tuple(
-        tuple(renum[rep(table[old][x])] for x in range(m)) for old in live
-    )
-    return standardize(CosetTable(pres.alphabet, rows))
+    entries = tuple(renum[rep(table[old][x])] for old in live for x in range(m))
+    return standardize(CosetTable(pres.alphabet, entries))
 
 
 def transversal_words(t: CosetTable) -> tuple[Word, ...]:
@@ -314,14 +321,14 @@ def transversal_words(t: CosetTable) -> tuple[Word, ...]:
     On a standardized table these are exactly the words the scan order
     discovers, so word i ends at coset i.
     """
-    m = t.alphabet.size
+    m, table = t.alphabet.size, rows(t)
     words: dict[int, Word] = {0: ()}
     order = [0]
     i = 0
     while i < len(order):
         o = order[i]
         for c in range(m):
-            j = t.rows[o][c]
+            j = table[o][c]
             if j not in words:
                 words[j] = words[o] + (c,)
                 order.append(j)
@@ -338,13 +345,13 @@ def schreier_generators(t: CosetTable) -> tuple[Word, ...]:
     the nontrivial ones generate.  Freely reduced, deduplicated, in
     table scan order.
     """
-    trans = transversal_words(t)
+    trans, table = transversal_words(t), rows(t)
     alphabet = t.alphabet
     out: list[Word] = []
     seen: set[Word] = set()
     for i in range(t.n):
         for c in range(alphabet.size):
-            j = t.rows[i][c]
+            j = table[i][c]
             w = free_reduce(trans[i] + (c,) + alphabet.inverse_word(trans[j]), alphabet)
             if w and w not in seen:
                 seen.add(w)
@@ -361,7 +368,7 @@ def conjugate_in(s: CosetTable, t: CosetTable) -> bool:
     if s.alphabet != t.alphabet or s.n != t.n:
         return False
     ss = standardize(s)
-    return any(reroot(t, j).rows == ss.rows for j in range(t.n))
+    return any(reroot(t, j) == ss for j in range(t.n))
 
 
 @dataclass(frozen=True)
@@ -761,8 +768,8 @@ def full_scope_via_rotations(p: int, q: int, r1: int, r2: int, max_index: int) -
             u = reroot(t, e)
             pi = twist_on_cosets(u, images)
             if pi is not None:
-                rows = tuple(tuple(walk(u, pi[i], w) for w in times) for i in range(u.n))
-                found.add(canonical_table(CosetTable(REFLECTIONS, rows)))
+                entries = tuple(walk(u, pi[i], w) for i in range(u.n) for w in times)
+                found.add(canonical_table(CosetTable(REFLECTIONS, entries)))
     return found
 
 
@@ -782,12 +789,12 @@ def colouring_classes_by_walks(p: int, q: int, max_index: int) -> ClassList:
     for r1, r2 in pairs:
         walk = low_index_classes(G, max_index, seeds=(((r1, r2),),))
         found.update(t for t in walk.tables if orientation_sides(t) is not None)
-    return ClassList(G, max_index, tuple(sorted(found, key=lambda t: (t.n, t.flat()))))
+    return ClassList(G, max_index, tuple(sorted(found, key=lambda t: (t.n, t.entries))))
 
 
 def twist_closure(tables: Iterable[CosetTable]) -> tuple[CosetTable, ...]:
     """The classes of these canonical von Dyck tables and their mirror
-    twins, each once, sorted by (index, rows) as a class list is.
+    twins, each once, sorted by (index, entries) as a class list is.
 
     Conjugation by b sends x to X and z to Z (MIRROR_TWIST[B]), so the
     twin's table takes coset i by each letter to where the letter's
@@ -797,10 +804,9 @@ def twist_closure(tables: Iterable[CosetTable]) -> tuple[CosetTable, ...]:
     for t in tables:
         images = [apply_generator_map((g,), MIRROR_TWIST[B], t.alphabet)
                   for g in range(t.alphabet.size)]
-        twin = CosetTable(t.alphabet, tuple(tuple(walk(t, i, w) for w in images)
-                                            for i in range(t.n)))
+        twin = CosetTable(t.alphabet, tuple(walk(t, i, w) for i in range(t.n) for w in images))
         found |= {t, canonical_table(twin)}
-    return tuple(sorted(found, key=lambda t: (t.n, t.flat())))
+    return tuple(sorted(found, key=lambda t: (t.n, t.entries)))
 
 
 def twist_on_cosets(t: CosetTable, images: list[Word]) -> list[int] | None:
@@ -810,12 +816,12 @@ def twist_on_cosets(t: CosetTable, images: list[Word]) -> list[int] | None:
     BFS sets π(i g) = π(i) σ(g) along tree edges and checks every other
     edge against it.
     """
-    pi = [-1] * t.n
+    pi, table = [-1] * t.n, rows(t)
     pi[0] = 0
     bfs = [0]
     for i in bfs:  # grows as it goes
         for g, w in enumerate(images):
-            j, k = t.rows[i][g], walk(t, pi[i], w)
+            j, k = table[i][g], walk(t, pi[i], w)
             if pi[j] < 0:
                 pi[j] = k
                 bfs.append(j)
@@ -952,7 +958,7 @@ def subgroups_in_classes(tables: Iterable[CosetTable], max_n: int) -> list[int]:
     index of the subgroup in its normalizer)."""
     out = [0] * (max_n + 1)
     for t in tables:
-        selves = sum(reroot(t, i).rows == t.rows for i in range(t.n))
+        selves = sum(reroot(t, i) == t for i in range(t.n))
         assert t.n % selves == 0
         out[t.n] += t.n // selves
     return out
@@ -1028,7 +1034,8 @@ def validate(t: CosetTable, pres: Presentation) -> ValidationReport:
     n = t.n
     failures: list[str] = []
 
-    for i, row in enumerate(t.rows):
+    table = rows(t)
+    for i, row in enumerate(table):
         if len(row) != m:
             failures.append(f"row {i} has {len(row)} entries, expected {m}")
             return ValidationReport(False, tuple(failures))
@@ -1040,11 +1047,11 @@ def validate(t: CosetTable, pres: Presentation) -> ValidationReport:
 
     for i in range(n):
         for c in range(m):
-            j = t.rows[i][c]
-            if t.rows[j][inv[c]] != i:
+            j = table[i][c]
+            if table[j][inv[c]] != i:
                 failures.append(
                     f"inverse mismatch: ({i},{t.alphabet.names[c]}) = {j} but "
-                    f"({j},{t.alphabet.names[inv[c]]}) = {t.rows[j][inv[c]]}"
+                    f"({j},{t.alphabet.names[inv[c]]}) = {table[j][inv[c]]}"
                 )
                 break
         if failures:
@@ -1055,7 +1062,7 @@ def validate(t: CosetTable, pres: Presentation) -> ValidationReport:
     while stack:
         i = stack.pop()
         for c in range(m):
-            j = t.rows[i][c]
+            j = table[i][c]
             if j not in seen:
                 seen.add(j)
                 stack.append(j)

@@ -89,7 +89,7 @@ def test_serialize_parse_round_trip(classes):
     back = parse_class_list(text, triangle_group(4, 3))
     assert back.presentation == classes.presentation
     assert back.max_index == classes.max_index
-    assert [t.flat() for t in back.tables] == [t.flat() for t in classes.tables]
+    assert [t.entries for t in back.tables] == [t.entries for t in classes.tables]
     assert parse_class_list(text.encode(), triangle_group(4, 3)) == back
     # the table line's bytes in any JSON spacing, under their crc, read the same
     header, tables = map(json.loads, text.splitlines())
@@ -102,7 +102,7 @@ def test_store_load_round_trip(tmp_path, classes):
     assert os.path.exists(path)
     back = load_classes(triangle_group(4, 3), 6, str(tmp_path))
     assert back is not None
-    assert [t.flat() for t in back.tables] == [t.flat() for t in classes.tables]
+    assert [t.entries for t in back.tables] == [t.entries for t in classes.tables]
 
 
 def test_larger_bound_serves_smaller(tmp_path, classes, monkeypatch):
@@ -122,8 +122,8 @@ def test_larger_bound_serves_smaller(tmp_path, classes, monkeypatch):
     assert loads == [("triangle-4-3", 4)] and searched == []
     read = _listed(prov, G, 4)
     assert all(t.n <= 4 for t in read)
-    expected = [t.flat() for t in classes.tables if t.n <= 4]
-    assert [t.flat() for t in read] == expected
+    expected = [t.entries for t in classes.tables if t.n <= 4]
+    assert [t.entries for t in read] == expected
 
 
 def test_smaller_bound_is_a_miss(tmp_path, classes):
@@ -180,10 +180,10 @@ def test_other_engine_is_recomputed_and_overwritten(tmp_path, classes):
     assert load_classes(G, 6, str(tmp_path)) is None
 
     got = cached_provider(str(tmp_path))(G, 6)
-    assert [t.flat() for t in got.tables] == [t.flat() for t in classes.tables]
+    assert [t.entries for t in got.tables] == [t.entries for t in classes.tables]
     assert _header_line(path)["code"] == code
     back = load_classes(G, 6, str(tmp_path))
-    assert [t.flat() for t in back.tables] == [t.flat() for t in classes.tables]
+    assert [t.entries for t in back.tables] == [t.entries for t in classes.tables]
 
 
 def test_header_holds_the_code_stamp_and_the_presentation(classes):
@@ -259,7 +259,7 @@ def test_unreadable_source_keeps_the_result_and_writes_no_file(tmp_path, classes
     with pytest.raises(DomainError):
         store_classes(classes, str(tmp_path))
     got = cached_provider(str(tmp_path))(triangle_group(4, 3), 6)
-    assert [t.flat() for t in got.tables] == [t.flat() for t in classes.tables]
+    assert [t.entries for t in got.tables] == [t.entries for t in classes.tables]
     assert os.listdir(tmp_path) == []
 
 
@@ -347,8 +347,8 @@ def test_boolean_table_entries_are_a_miss(tmp_path, classes, monkeypatch):
     searched = _counting(monkeypatch, "low_index_classes")
     got = cached_provider(str(tmp_path))(G, 6)
     assert searched == [("triangle-4-3", 6), ("vondyck-4-3", 3)]
-    assert [t.flat() for t in got.tables] == [t.flat() for t in classes.tables]
-    assert all(type(v) is int for t in got.tables for v in t.flat())
+    assert [t.entries for t in got.tables] == [t.entries for t in classes.tables]
+    assert all(type(v) is int for t in got.tables for v in t.entries)
     with open(path) as fh:
         assert fh.read() == serialize_class_list(classes)
 
@@ -397,14 +397,14 @@ def test_table_line_edited_under_its_header_is_a_miss(tmp_path, capsys, doctor):
     m = G.alphabet.size
     if doctor == "reroot":
         (i,) = [i for i, flat in enumerate(tables) if len(flat) == m * 8]
-        t = CosetTable(G.alphabet, tuple(zip(*[iter(tables[i])] * m)))
-        tables.append(list(reroot(t, 1).flat()))
+        t = CosetTable(G.alphabet, tuple(tables[i]))
+        tables.append(list(reroot(t, 1).entries))
         tables.sort(key=lambda flat: (len(flat), flat))
         header["classes"] = len(tables)
     else:
         n = len(tables[-1]) // m
         tables[-1][-1] = (tables[-1][-1] + 1) % n
-        t = CosetTable(G.alphabet, tuple(zip(*[iter(tables[-1])] * m)))
+        t = CosetTable(G.alphabet, tuple(tables[-1]))
         assert any(t.action(r) != list(range(n)) for r in G.relators)
     assert all((len(a), a) < (len(b), b) for a, b in zip(tables, tables[1:]))
     path.write_text(f"{json.dumps(header)}\n{json.dumps(tables)}\n")
@@ -461,7 +461,7 @@ def test_cached_provider_memoizes_and_persists(tmp_path, monkeypatch):
     assert calls == searched
     assert loads == searched
     assert again is first and smaller is first and smaller.max_index == 6
-    assert [t.flat() for t in first.tables] == [t.flat() for t in again.tables]
+    assert [t.entries for t in first.tables] == [t.entries for t in again.tables]
     assert all(t.n <= 3 for t in _listed(prov, G, 3))
     assert _listed(prov, G, 3) == [t for t in first.tables if t.n <= 3]
 
@@ -485,7 +485,7 @@ def test_provider_without_a_directory_touches_no_file(monkeypatch):
     monkeypatch.setattr(colsym.cache, "store_classes", refuse)
     prov = cached_provider()
     G = triangle_group(4, 3)
-    assert [t.flat() for t in prov(G, 6).tables] == [t.flat() for t in colouring_classes(G, 6).tables]
+    assert [t.entries for t in prov(G, 6).tables] == [t.entries for t in colouring_classes(G, 6).tables]
     assert prov(von_dyck_group(4, 3), 3).max_index == 3
 
 
@@ -516,8 +516,8 @@ def test_provider_searches_an_uncacheable_presentation(tmp_path):
     # error; its rotation half, read off the relators, is filed as usual
     cube = Presentation(REFLECTIONS, triangle_group(4, 3).relators, "my-cube")
     got = cached_provider(str(tmp_path))(cube, 4)
-    assert [t.flat() for t in got.tables] == [
-        t.flat() for t in colouring_classes(cube, 4).tables
+    assert [t.entries for t in got.tables] == [
+        t.entries for t in colouring_classes(cube, 4).tables
     ]
     assert os.listdir(tmp_path) == ["vondyck-4-3.json"]
 
@@ -532,8 +532,8 @@ def test_one_file_per_group_holds_the_largest_search(tmp_path, monkeypatch):
     for pres, bound in ((G, 6), (V, 3)):
         stored = load_classes(pres, 1, str(tmp_path))
         assert stored.max_index == bound
-        assert [t.flat() for t in stored.tables] == [
-            t.flat() for t in colouring_classes(pres, bound).tables
+        assert [t.entries for t in stored.tables] == [
+            t.entries for t in colouring_classes(pres, bound).tables
         ]
     loads = _counting(monkeypatch, "load_classes")
     searched = _counting(monkeypatch, "low_index_classes")
@@ -542,8 +542,8 @@ def test_one_file_per_group_holds_the_largest_search(tmp_path, monkeypatch):
     assert searched == []
     assert got.max_index == 6
     assert prov(G, 5) is got and loads == [("triangle-4-3", 5)] and searched == []
-    expected = [t.flat() for t in colouring_classes(G, 5).tables]
-    assert [t.flat() for t in _listed(prov, G, 5)] == expected
+    expected = [t.entries for t in colouring_classes(G, 5).tables]
+    assert [t.entries for t in _listed(prov, G, 5)] == expected
 
 
 def test_stale_file_at_a_larger_bound_is_replaced(tmp_path, classes, monkeypatch):
@@ -553,7 +553,7 @@ def test_stale_file_at_a_larger_bound_is_replaced(tmp_path, classes, monkeypatch
     searched = _counting(monkeypatch, "low_index_classes")
     got = cached_provider(str(tmp_path))(triangle_group(4, 3), 4)
     assert searched == [("triangle-4-3", 4), ("vondyck-4-3", 2)]
-    assert [t.flat() for t in got.tables] == [t.flat() for t in classes.tables if t.n <= 4]
+    assert [t.entries for t in got.tables] == [t.entries for t in classes.tables if t.n <= 4]
     assert sorted(os.listdir(tmp_path)) == ["triangle-4-3.json", "vondyck-4-3.json"]
     header = _header_line(path)
     assert (header["code"], header["max_index"]) == (code, 4)
@@ -570,7 +570,7 @@ def test_memo_keeps_the_whole_list_it_read(tmp_path, classes, monkeypatch):
     got = prov(G, 6)
     assert loads == [("triangle-4-3", 4)] and searched == []
     assert got is first
-    assert [t.flat() for t in got.tables] == [t.flat() for t in classes.tables]
+    assert [t.entries for t in got.tables] == [t.entries for t in classes.tables]
 
 
 def test_unwritable_cache_keeps_the_result(tmp_path, classes, monkeypatch):
@@ -593,7 +593,7 @@ def test_unwritable_cache_keeps_the_result(tmp_path, classes, monkeypatch):
             with pytest.raises(DomainError, match=refusal):
                 store_classes(classes, str(tmp_path))
             got = cached_provider(str(tmp_path))(triangle_group(4, 3), 6)
-            assert [t.flat() for t in got.tables] == [t.flat() for t in classes.tables]
+            assert [t.entries for t in got.tables] == [t.entries for t in classes.tables]
             report = census(4, 3, TilingKind.PQ, Scope.FULL, 6,
                             classes_provider=cached_provider(str(tmp_path)))
             assert format_census(report) == "(4^3) full <= 6: 1, 3, 6"

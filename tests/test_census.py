@@ -51,8 +51,7 @@ from oracle import (
 def witness_table(witness, n):
     """Rebuild the coset table encoded by an oracle witness."""
     parts = [witness[i * n : (i + 1) * n] for i in range(3)]
-    rows = tuple(tuple(parts[g][i] for g in (A, B, C)) for i in range(n))
-    return CosetTable(REFLECTIONS, rows)
+    return CosetTable(REFLECTIONS, tuple(parts[g][i] for i in range(n) for g in (A, B, C)))
 
 
 @pytest.mark.parametrize("pq", [(4, 3), (4, 4)])
@@ -388,7 +387,7 @@ def test_duality_swaps_the_tilings_and_mirrors_a_and_c():
                 assert here.entries and here.multiplicities() == there.multiplicities()
         swapped = (canonical_table(transform_subgroup(t, (C, B, A)))
                    for t in provider(triangle_group(q, p), bound).tables)
-        got = tuple(sorted(swapped, key=lambda t: (t.n, t.flat())))
+        got = tuple(sorted(swapped, key=lambda t: (t.n, t.entries)))
         assert got == provider(triangle_group(p, q), bound).tables
 
 

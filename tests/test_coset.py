@@ -17,9 +17,9 @@ from colsym.coset import CosetTable, canonical_table, least_fixed_coset, reroot,
 from colsym.errors import DomainError, ResourceLimit
 from colsym.lowindex import low_index_classes
 from colsym.presentations import MIRROR_TWIST, triangle_group, von_dyck_group
-from colsym.words import A, B, C, REFLECTIONS, XGEN, XINV, ZGEN, ZINV
+from colsym.words import A, B, C, REFLECTIONS, ROTATIONS, XGEN, XINV, ZGEN, ZINV
 from oracle import (
-    canonical_by_rerooting, enumerate_cosets, fixed_cosets, standardize, transversal_words,
+    canonical_by_rerooting, enumerate_cosets, fixed_cosets, rows, standardize, transversal_words,
     validate, walk,
 )
 
@@ -165,7 +165,7 @@ def test_canonical_table_is_minimal_rerooting():
     t = enumerate_cosets(G, [(A, B)])
     c = canonical_table(t)
     assert canonical_table(c) == c
-    assert c.flat() == min(reroot(t, i).flat() for i in range(t.n))
+    assert c.entries == min(reroot(t, i).entries for i in range(t.n))
 
 
 def test_canonical_table_equals_building_every_rerooting():
@@ -180,16 +180,14 @@ def test_canonical_table_equals_building_every_rerooting():
             assert canonical_table(r) == canonical_by_rerooting(r) == t
         # a table whose rows are not in scan order from coset 0
         swap = {0: t.n - 1, t.n - 1: 0}
-        perm = [swap.get(i, i) for i in range(t.n)]
-        shuffled = CosetTable(t.alphabet, tuple(
-            tuple(perm[v] for v in t.rows[perm[i]]) for i in range(t.n)
-        ))
+        perm, table = [swap.get(i, i) for i in range(t.n)], rows(t)
+        shuffled = CosetTable(t.alphabet, tuple(perm[v] for i in range(t.n) for v in table[perm[i]]))
         assert canonical_table(shuffled) == canonical_by_rerooting(shuffled) == t
 
 
 def test_canonical_table_refuses_an_intransitive_table():
     # two fixed points of every letter: two orbits
-    t = CosetTable(triangle_group(4, 3).alphabet, ((0, 0, 0), (1, 1, 1)))
+    t = CosetTable(triangle_group(4, 3).alphabet, (0, 0, 0, 1, 1, 1))
     with pytest.raises(DomainError):
         canonical_table(t)
     # reroot renumbers with the same routine, from either orbit
@@ -199,18 +197,31 @@ def test_canonical_table_refuses_an_intransitive_table():
         reroot(t, 1)
 
 
+def test_a_table_refuses_entries_of_no_whole_number_of_rows():
+    # n is the entries' length over the alphabet size, so that must be a
+    # positive whole number of rows
+    for entries in ((), (0,), (0, 0, 0, 1), tuple(range(7))):
+        with pytest.raises(DomainError, match="not a multiple of the alphabet size 3"):
+            CosetTable(REFLECTIONS, entries)
+    with pytest.raises(DomainError, match="alphabet size 4"):
+        CosetTable(ROTATIONS, (0, 0, 0))
+    t = CosetTable(REFLECTIONS, (1, 1, 1, 0, 0, 0))
+    assert t.n == 2 and rows(t) == ((1, 1, 1), (0, 0, 0))
+
+
 def test_validate_catches_corruption():
     G = triangle_group(4, 3)
     t = enumerate_cosets(G, [(B,), (C,)])
 
-    rows = [list(r) for r in t.rows]
-    rows[2][0], rows[3][0] = rows[3][0], rows[2][0]
-    bad = CosetTable(t.alphabet, tuple(tuple(r) for r in rows))
+    m = t.alphabet.size
+    entries = list(t.entries)
+    entries[2 * m], entries[3 * m] = entries[3 * m], entries[2 * m]
+    bad = CosetTable(t.alphabet, tuple(entries))
     assert not validate(bad, G).ok
 
-    rows = [list(r) for r in t.rows]
-    rows[0][1] = 0 if rows[0][1] != 0 else 1
-    bad = CosetTable(t.alphabet, tuple(tuple(r) for r in rows))
+    entries = list(t.entries)
+    entries[1] = 0 if entries[1] != 0 else 1
+    bad = CosetTable(t.alphabet, tuple(entries))
     assert not validate(bad, G).ok
 
 
@@ -281,8 +292,8 @@ def test_action_helpers_pinned():
     for t in rotation:
         twisted, lifted = transform_subgroup(t, MIRROR_TWIST), _lift(t)
         for u in (twisted, lifted):
-            assert type(u.rows) is tuple and all(type(r) is tuple for r in u.rows)
-            h.update(repr(canonical_table(u).rows).encode())
+            assert type(u.entries) is tuple and all(type(v) is int for v in u.entries)
+            h.update(repr(rows(canonical_table(u))).encode())
         # the twist is an involution: twice over, t's own rows, which hash alike
         back = transform_subgroup(twisted, MIRROR_TWIST)
         assert back == t and hash(back) == hash(t)

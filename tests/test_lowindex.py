@@ -16,7 +16,7 @@ from colsym.lowindex import UNSEEDED, _search, low_index_classes
 from colsym.presentations import MIRROR_TWIST, Presentation, triangle_group, von_dyck_group
 from colsym.words import A, B, C, REFLECTIONS, ROTATIONS, XGEN, ZGEN, ZINV
 from oracle import (
-    class_counts, classes_at_index, fixed_cosets, oracle_classes, twist_closure, validate,
+    class_counts, classes_at_index, fixed_cosets, oracle_classes, rows, twist_closure, validate,
 )
 
 SMALL_GROUPS = [
@@ -52,9 +52,9 @@ def test_classes_are_valid_canonical_and_sorted(pres):
         assert 1 <= t.n <= 6
         assert validate(t, pres).ok
         assert canonical_table(t) == t
-        assert t.flat() not in seen
-        seen.add(t.flat())
-    keys = [(t.n, t.flat()) for t in cl.tables]
+        assert t.entries not in seen
+        seen.add(t.entries)
+    keys = [(t.n, t.entries) for t in cl.tables]
     assert keys == sorted(keys)
 
 
@@ -69,7 +69,7 @@ def test_deterministic():
     seeds = colouring_seeds(G)
     first = low_index_classes(G, 6, seeds=seeds)
     again = low_index_classes(G, 6, seeds=seeds)
-    assert [t.flat() for t in first.tables] == [t.flat() for t in again.tables]
+    assert [t.entries for t in first.tables] == [t.entries for t in again.tables]
 
 
 def _walks(pres, bound, seeds, **kw):
@@ -84,7 +84,7 @@ def _walks(pres, bound, seeds, **kw):
 def _check_walks_split(pres, bound, seeds):
     """The seed walks, checked to make up the serial search with no table twice."""
     walks = _walks(pres, bound, seeds)
-    found = [rows for walk in walks for rows in walk]
+    found = [entries for walk in walks for entries in walk]
     assert len(set(found)) == len(found)
     return walks
 
@@ -118,8 +118,8 @@ def test_bound_restriction_consistency():
     G = triangle_group(4, 3)
     wide = low_index_classes(G, 6)
     narrow = low_index_classes(G, 4)
-    assert [t.flat() for t in narrow.tables] == [
-        t.flat() for t in wide.tables if t.n <= 4
+    assert [t.entries for t in narrow.tables] == [
+        t.entries for t in wide.tables if t.n <= 4
     ]
 
 
@@ -139,7 +139,7 @@ def test_at_index_and_counts_agree():
 def test_class_count_never_depends_on_pruning(pq, k):
     G = triangle_group(*pq)
     a = class_counts(low_index_classes(G, k))
-    b = Counter(len(rows) for rows in _search(G, k, prune=False))
+    b = Counter(len(entries) // G.alphabet.size for entries in _search(G, k, prune=False))
     assert a == b
 
 
@@ -147,11 +147,11 @@ def test_mirror_twist_permutes_classes():
     # transforming by the outer automorphism maps the class list to
     # itself (as canonical tables) and is an involution on it
     cl = low_index_classes(von_dyck_group(7, 3), 8)
-    canon = {t.flat() for t in cl.tables}
+    canon = {t.entries for t in cl.tables}
     for t in cl.tables:
         image = canonical_table(transform_subgroup(t, MIRROR_TWIST))
         assert image.n == t.n
-        assert image.flat() in canon
+        assert image.entries in canon
         back = canonical_table(transform_subgroup(image, MIRROR_TWIST))
         assert back == t
 
@@ -302,7 +302,7 @@ def test_unseeded_twisted_walk_keeps_one_class_of_each_twin_pair(pres, twist, bo
     twisted = low_index_classes(pres, bound, twist=twist).tables
     twin = {t: canonical_table(transform_subgroup(t, twist)) for t in twisted}
     assert not any(u != t and u in twin for t, u in twin.items())
-    assert sorted({*twin, *twin.values()}, key=lambda t: (t.n, t.flat())) == list(plain)
+    assert sorted({*twin, *twin.values()}, key=lambda t: (t.n, t.entries)) == list(plain)
     assert len(twisted) < len(plain)
 
 
@@ -338,8 +338,9 @@ def test_walk_order_pinned(pres, bound, serial, walks):
     # the raw tables in the order the walks complete them, all three
     # seeds' walks and each alone: the class-list pins sort them, so only
     # this shows a change to the walk that reaches the same classes otherwise
-    def digest(rows):
-        return hashlib.sha256(repr(rows).encode()).hexdigest()
+    def digest(tables):
+        split = [rows(CosetTable(pres.alphabet, e)) for e in tables]
+        return hashlib.sha256(repr(split).encode()).hexdigest()
 
     seeds = colouring_seeds(pres)
     assert digest(_search(pres, bound, seeds)) == serial
@@ -373,7 +374,7 @@ def test_index_bound_past_the_frame_limit():
     wide = low_index_classes(G, 1000, seeds=seeds).tables
     narrow = low_index_classes(G, 900, seeds=seeds).tables
     assert len(wide) == 53 and len(narrow) == 51
-    assert [t.rows for t in wide if t.n <= 900] == [t.rows for t in narrow]
+    assert [t.entries for t in wide if t.n <= 900] == [t.entries for t in narrow]
 
 
 def _least_budget(pres, bound, seeds):
@@ -424,8 +425,8 @@ def test_relators_with_inverse_letters(p, q, bound):
     V = von_dyck_group(p, q)
     W = Presentation(ROTATIONS, ((XGEN,) * q, (ZINV,) * p, (XGEN, ZGEN) * 2), "vondyck-Z")
     for seeds_v, seeds_w in ((None, None), ((((ZGEN,),),), (((ZINV,),),))):
-        expected = [t.flat() for t in low_index_classes(V, bound, seeds=seeds_v).tables]
-        assert [t.flat() for t in low_index_classes(W, bound, seeds=seeds_w).tables] == expected
+        expected = [t.entries for t in low_index_classes(V, bound, seeds=seeds_v).tables]
+        assert [t.entries for t in low_index_classes(W, bound, seeds=seeds_w).tables] == expected
 
 
 SEEDED_GRID = [
@@ -447,9 +448,9 @@ def test_seeded_equals_filtered_unseeded(pres, bound):
         return any(fixed_cosets(t, s) for s in seeds)
 
     unseeded = low_index_classes(pres, bound).tables
-    expected = [t.flat() for t in unseeded if colours(t)]
+    expected = [t.entries for t in unseeded if colours(t)]
     got = low_index_classes(pres, bound, seeds=seeds)
-    assert [t.flat() for t in got.tables] == expected
+    assert [t.entries for t in got.tables] == expected
     assert expected
     if pres.alphabet == REFLECTIONS:  # every small von Dyck class holds a tile rotation
         assert len(expected) < len(unseeded)
@@ -470,7 +471,7 @@ def test_each_seed_walk_finds_one_table_per_class():
     # as a table whose coset 0 the seed words fix
     G = triangle_group(8, 3)
     for seed in colouring_seeds(G):
-        found = [CosetTable(G.alphabet, rows) for rows in _search(G, 20, (seed,))]
+        found = [CosetTable(G.alphabet, entries) for entries in _search(G, 20, (seed,))]
         assert found
         assert all(0 in fixed_cosets(t, seed) for t in found)
         assert len({canonical_table(t) for t in found}) == len(found)
@@ -490,7 +491,7 @@ def test_seed_exclusion_keeps_the_union_of_the_walks(pres, bound):
     # a walk cuts the classes an earlier seed's walk finds, so each class
     # comes from one walk, but the list is still the union of the walks
     def keys(seeds):
-        return [(t.n, t.flat()) for t in low_index_classes(pres, bound, seeds=seeds).tables]
+        return [(t.n, t.entries) for t in low_index_classes(pres, bound, seeds=seeds).tables]
 
     single = {}
     for seeds in _seed_lists(pres):

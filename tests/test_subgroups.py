@@ -60,7 +60,7 @@ def test_fixed_cosets():
     assert least_fixed_coset(t, [(B,), (C,)]) == 0 == least_fixed_coset(t, [()])
     assert least_fixed_coset(t, [(A,)]) == min(fixed_cosets(t, [(A,)]), default=None)
     # the index-2 orientation subgroup: every letter swaps its two cosets
-    assert least_fixed_coset(CosetTable(t.alphabet, ((1, 1, 1), (0, 0, 0))), [(A,)]) is None
+    assert least_fixed_coset(CosetTable(t.alphabet, (1, 1, 1, 0, 0, 0)), [(A,)]) is None
 
 
 def test_orientation_two_ways():

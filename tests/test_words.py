@@ -103,7 +103,7 @@ def test_alphabet_checks_the_letters_of_a_word():
 
 def test_letters_outside_the_alphabet_are_refused_at_every_entry_point():
     # a negative letter would alias the last one (-1 reads as c), and one
-    # past the end indexed out of a row
+    # past the end indexed out of a row, or read the next coset's entries
     from colsym.census import Scope, TilingKind, census, colour_permutation
     from colsym.geometry import generate_patch
     from colsym.lowindex import low_index_classes
@@ -119,6 +119,7 @@ def test_letters_outside_the_alphabet_are_refused_at_every_entry_point():
             lambda: low_index_classes(G, 8, seeds=((bad,),)),
             lambda: verify_perfect_on_patch(cp, bad),
             lambda: colour_permutation(t, bad),
+            lambda: t.action(bad),
             lambda: REFLECTIONS.inverse_word(bad),
             lambda: cp.patch.image(bad),
             lambda: cp.patch.walk(0, bad),
@@ -130,3 +131,17 @@ def test_letters_outside_the_alphabet_are_refused_at_every_entry_point():
     assert verify_perfect_on_patch(cp, (C,))
     assert colour_permutation(t, (C,)) == tuple(t.action((C,)))
     assert REFLECTIONS.inverse_word((A, B, C)) == (C, B, A)
+
+
+def test_every_word_least_fixed_coset_is_given_is_over_its_alphabet():
+    # least_fixed_coset reads its words unchecked, where a letter outside
+    # the alphabet reads another coset's entry: census and colour_patch pass
+    # it the tile stabilizer words over the reflections, and census the
+    # tile rotation over the rotation letters
+    from colsym.census import Scope, TilingKind, required_words, rotation_required_word
+
+    for kind in TilingKind:
+        for scope in Scope:
+            for w in required_words(kind, scope):
+                REFLECTIONS.check_word(w, "stabilizer word")
+        ROTATIONS.check_word(rotation_required_word(kind), "tile rotation")
